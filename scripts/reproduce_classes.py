@@ -8,6 +8,7 @@ nearest asymptotic classes.
 
 import argparse
 
+from pramtraj.algorithms import ALGORITHMS
 from pramtraj.efficiency import render_table, scaling_report
 
 
@@ -20,7 +21,7 @@ def main() -> None:
     n_list = [int(p) for p in args.n_list.split(",")]
 
     summary = []
-    for algo in ("parallel_search", "binary_search", "oets", "bubble_sort", "dcsc", "kosaraju"):
+    for algo in ALGORITHMS:
         report = scaling_report(algo, n_list, args.samples, args.seed)
         print(render_table(report))
         print()

@@ -9,24 +9,24 @@ from .machine import (
     StepLimitExceeded,
     Trace,
     UNDEF,
-    WriteRequest,
-    resolve_writes,
     run_machine,
     step_machine,
 )
 from .algorithms import (
     ALGORITHMS,
     PAIRS,
+    SPECS,
+    AlgorithmSpec,
     SearchInstance,
     SortInstance,
     binary_search,
-    bidirectional_bfs,
     bubble_sort,
     dcsc,
     kosaraju,
     oets_sort,
     parallel_search,
     run,
+    spec_for,
 )
 from .trajectory import (
     HintFrame,
@@ -42,7 +42,6 @@ from .trajectory import (
 from .efficiency import (
     EfficiencyReport,
     capacity,
-    edge_efficiency,
     node_efficiency,
     scaling_report,
 )

@@ -1,8 +1,14 @@
-"""The three parallel/sequential algorithm pairs on the machine substrate."""
+"""The three parallel/sequential algorithm pairs on the machine substrate.
+
+``SPECS`` is the one registry of the six algorithms: every other module
+looks an algorithm up here and holds no per-algorithm table of its own.
+"""
 
 from __future__ import annotations
 
 from ..graphs import Digraph
+from ..spec import AlgorithmSpec
+from . import scc, search, sorting
 from .search import SearchInstance, binary_search, parallel_search
 from .sorting import (
     SortInstance,
@@ -11,50 +17,40 @@ from .sorting import (
     oets_sort,
     predecessors_from_table,
 )
-from .scc import bidirectional_bfs, dcsc, kosaraju
+from .scc import dcsc, kosaraju
 
-ALGORITHMS = (
-    "parallel_search",
-    "binary_search",
-    "oets",
-    "bubble_sort",
-    "dcsc",
-    "kosaraju",
-)
+_PAIRS = (search.PAIR, sorting.PAIR, scc.PAIR)  # (parallel, sequential) per task
 
-PAIRS = {
-    "search": ("binary_search", "parallel_search"),
-    "sort": ("bubble_sort", "oets"),
-    "scc": ("kosaraju", "dcsc"),
-}
+SPECS: dict[str, AlgorithmSpec] = {spec.name: spec for pair in _PAIRS for spec in pair}
 
-_DISPATCH = {
-    "parallel_search": parallel_search,
-    "binary_search": binary_search,
-    "oets": oets_sort,
-    "bubble_sort": bubble_sort,
-    "dcsc": dcsc,
-    "kosaraju": kosaraju,
-}
+ALGORITHMS = tuple(SPECS)
+
+# task family -> (sequential, parallel)
+PAIRS = {par.family: (seq.name, par.name) for par, seq in _PAIRS}
+
+
+def spec_for(algo_id: str) -> AlgorithmSpec:
+    """The registered spec of one algorithm; ValueError for an unknown name."""
+    try:
+        return SPECS[algo_id]
+    except KeyError:
+        raise ValueError(f"unknown algorithm {algo_id!r}") from None
 
 
 def run(algo_id: str, instance):
     """Run one of the six algorithms; returns (output, trace)."""
-    try:
-        fn = _DISPATCH[algo_id]
-    except KeyError:
-        raise ValueError(f"unknown algorithm {algo_id!r}") from None
-    return fn(instance)
+    return spec_for(algo_id).run(instance)
 
 
 __all__ = [
     "ALGORITHMS",
     "PAIRS",
+    "SPECS",
+    "AlgorithmSpec",
     "Digraph",
     "SearchInstance",
     "SortInstance",
     "binary_search",
-    "bidirectional_bfs",
     "bubble_sort",
     "chain_order",
     "dcsc",
@@ -63,4 +59,5 @@ __all__ = [
     "parallel_search",
     "predecessors_from_table",
     "run",
+    "spec_for",
 ]

@@ -16,6 +16,9 @@ step that exhausts the node, so a full run takes at most n+m steps per pass.
 
 from __future__ import annotations
 
+from random import Random
+from typing import Sequence
+
 from ..graphs import Digraph
 from ..machine import (
     InterconnectionGraph,
@@ -26,11 +29,11 @@ from ..machine import (
     as_flag,
     as_index,
     run_machine,
-    stable_digest,
     symmetric_graph,
 )
+from ..spec import AlgorithmSpec, HintFrame, ProbeSpec, ReplayError
 
-# width-n local slots (bidirectional BFS / pivot loop)
+# width-n local slots of the pivot loop
 FWD = 0
 BWD = 1
 PTR = 2
@@ -39,81 +42,6 @@ DONE = 3
 # pivot-loop shared cells
 PIVOT_ADDR = 0
 OPEN_ADDR = 1
-
-
-def bidirectional_bfs(
-    g: Digraph, source: int, alive: frozenset[int] | set[int]
-) -> tuple[set[int], set[int], Trace]:
-    """Forward and backward reachability from one source, in lockstep.
-
-    Both searches advance one layer per machine step, restricted to the
-    alive set; a node adopts the source index as the minimum over its
-    already-reached neighbors.  Depth equals the larger of the two
-    eccentricities.
-    """
-    alive = frozenset(alive)
-    if source not in alive:
-        raise ValueError("source must be alive")
-    n = g.n
-    graph = symmetric_graph(n, g.edges)
-    rows = [(UNDEF, UNDEF)] * n
-    rows[source] = (source, source)
-    initial = MachineState(tuple(rows), (UNDEF,), 0)
-
-    def candidates(state):
-        local = state.local
-        out = set()
-        for u in alive:
-            if local[u][FWD] is UNDEF and any(
-                local[j][FWD] is not UNDEF for j in g.in_neighbors(u) if j in alive
-            ):
-                out.add(u)
-            if local[u][BWD] is UNDEF and any(
-                local[j][BWD] is not UNDEF for j in g.out_neighbors(u) if j in alive
-            ):
-                out.add(u)
-        return sorted(out)
-
-    def step(ctx):
-        u = ctx.pid
-        update = {}
-        if ctx.own(FWD) is UNDEF:
-            got = []
-            for j in g.in_neighbors(u):
-                if j in alive:
-                    cell = ctx.read(j, FWD)
-                    if cell is not UNDEF:
-                        got.append(as_index(cell))
-            if got:
-                update[FWD] = min(got)
-        if ctx.own(BWD) is UNDEF:
-            got = []
-            for j in g.out_neighbors(u):
-                if j in alive:
-                    cell = ctx.read(j, BWD)
-                    if cell is not UNDEF:
-                        got.append(as_index(cell))
-            if got:
-                update[BWD] = min(got)
-        return NodeUpdate(local=update) if update else None
-
-    trace = run_machine(
-        initial,
-        step,
-        graph,
-        lambda s: not candidates(s),
-        max(len(alive), 1),
-        algo_id="bidirectional_bfs",
-        input_digest=stable_digest(
-            {"n": n, "edges": sorted(g.edges), "source": source, "alive": sorted(alive)}
-        ),
-        candidates_fn=candidates,
-        instance_edges=g.edges,
-    )
-    final = trace.states[-1].local
-    descendants = {u for u in alive if final[u][FWD] is not UNDEF}
-    predecessors = {u for u in alive if final[u][BWD] is not UNDEF}
-    return descendants, predecessors, trace
 
 
 def dcsc(g: Digraph) -> tuple[tuple[int, ...], Trace]:
@@ -196,7 +124,6 @@ def dcsc(g: Digraph) -> tuple[tuple[int, ...], Trace]:
         lambda s: all(s.local[u][DONE] for u in range(n)),
         2 * n * n + 2 * n + 4,
         algo_id="dcsc",
-        input_digest=stable_digest({"n": n, "edges": sorted(g.edges)}),
         candidates_fn=candidates,
         instance_edges=g.edges,
     )
@@ -325,9 +252,300 @@ def kosaraju(g: Digraph) -> tuple[tuple[int, ...], Trace]:
         lambda s: s.local[0][phase] == 3,
         2 * (n + m) + 6,
         algo_id="kosaraju",
-        input_digest=stable_digest({"n": n, "edges": sorted(g.edges)}),
         candidates_fn=lambda s: (0,),
         instance_edges=g.edges,
     )
     shared = trace.states[-1].shared
     return tuple(as_index(shared[comp + u]) for u in range(n)), trace
+
+
+def gen_digraph(n: int, max_degree: int, seed: int) -> Digraph:
+    """Bounded-degree digraph: per node, out-degree uniform in [0, max_degree]
+    with distinct non-self targets."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if max_degree < 1:
+        raise ValueError("max_degree must be >= 1")
+    rng = Random(seed)
+    edges = set()
+    others = {u: [v for v in range(n) if v != u] for u in range(n)}
+    for u in range(n):
+        degree = rng.randint(0, min(max_degree, n - 1))
+        if degree:
+            for v in rng.sample(others[u], degree):
+                edges.add((u, v))
+    return Digraph(n, frozenset(edges))
+
+
+def parse_digraph_inline(text: str) -> Digraph:
+    """``"n:u->v,u->v,..."``: node count, then directed edges."""
+    head, _, edge_part = text.partition(":")
+    n = int(head)
+    edges = set()
+    if edge_part:
+        for piece in edge_part.split(","):
+            u_part, _, v_part = piece.partition("->")
+            if not v_part:
+                raise ValueError(f"bad edge {piece!r}")
+            edges.add((int(u_part), int(v_part)))
+    return Digraph(n, frozenset(edges))
+
+
+def _scc_inputs(g: Digraph, pos: list[float]) -> dict:
+    n = g.n
+    directed = [[0.0] * n for _ in range(n)]
+    undirected = [[0] * n for _ in range(n)]
+    for u, v in sorted(g.edges):
+        directed[u][v] = 1.0
+        undirected[u][v] = 1
+        undirected[v][u] = 1
+    return {"adj_directed": directed, "adj_undirected": undirected, "pos": pos}
+
+
+def _ptr_output(ptr: tuple[int, ...]) -> dict:
+    return {"scc_ptr": list(ptr)}
+
+
+def _frames_dcsc(g: Digraph, trace: Trace) -> list[HintFrame]:
+    n = g.n
+    frames = []
+    for t in range(1, trace.depth + 1):
+        state = trace.states[t]
+        pivot = as_index(state.shared[PIVOT_ADDR])
+        local = state.local
+        fwd = [int(local[u][FWD] == pivot) for u in range(n)]
+        bwd = [int(local[u][BWD] == pivot) for u in range(n)]
+        frames.append(
+            HintFrame(
+                t,
+                {
+                    "reach_fwd": fwd,
+                    "reach_bwd": bwd,
+                    "in_scc": [a & b for a, b in zip(fwd, bwd)],
+                    "undiscovered": [int(not local[u][DONE]) for u in range(n)],
+                    "scc_ptr": [as_index(local[u][PTR]) for u in range(n)],
+                },
+            )
+        )
+    return frames
+
+
+def _dcsc_invariants(hints: Sequence[HintFrame]) -> list[str]:
+    """The undiscovered set only shrinks; membership only grows within a round."""
+    out: list[str] = []
+    prev_und = None
+    prev_scc = None
+    for idx, frame in enumerate(hints):
+        und = frame.values["undiscovered"]
+        if prev_und is not None and any(a > b for a, b in zip(und, prev_und)):
+            out.append(f"hints[{idx}].undiscovered: monotonicity")
+        in_scc = frame.values["in_scc"]
+        # a search reset looks like a round initialization: both reach
+        # masks and the membership mask collapse to the same single node
+        reset = (
+            sum(in_scc) == 1
+            and frame.values["reach_fwd"] == in_scc
+            and frame.values["reach_bwd"] == in_scc
+        )
+        if prev_scc is not None and not reset:
+            if any(a > b for a, b in zip(prev_scc, in_scc)):
+                out.append(f"hints[{idx}].in_scc: monotonicity")
+        prev_und, prev_scc = und, in_scc
+    return out
+
+
+def _replay_dcsc(sample) -> dict:
+    n = sample.n
+    adj = sample.inputs["adj_directed"]
+    out_adj = [[v for v in range(n) if adj[u][v] == 1.0] for u in range(n)]
+    in_adj = [[u for u in range(n) if adj[u][v] == 1.0] for v in range(n)]
+    done: set[int] = set()
+    fwd: set[int] = set()
+    bwd: set[int] = set()
+    ptr = list(range(n))
+    pivot: int | None = None
+    for idx, frame in enumerate(sample.hints):
+        alive = [u for u in range(n) if u not in done]
+        if not alive:
+            raise ReplayError(f"frame {idx}: trajectory continues after completion")
+        expected_pivot = alive[0]
+        got_fwd = {u for u in range(n) if frame.values["reach_fwd"][u] == 1}
+        got_bwd = {u for u in range(n) if frame.values["reach_bwd"][u] == 1}
+        got_und = {u for u in range(n) if frame.values["undiscovered"][u] == 1}
+        if pivot != expected_pivot:
+            # round initialization
+            pivot = expected_pivot
+            fwd = {pivot}
+            bwd = {pivot}
+            ptr[pivot] = pivot
+            if got_fwd != fwd or got_bwd != bwd or got_und != set(alive):
+                raise ReplayError(f"frame {idx}: bad round initialization")
+        else:
+            new_fwd = fwd | {
+                u for u in alive if u not in fwd and any(j in fwd for j in in_adj[u])
+            }
+            new_bwd = bwd | {
+                u for u in alive if u not in bwd and any(j in bwd for j in out_adj[u])
+            }
+            if new_fwd != fwd or new_bwd != bwd:
+                # search layer
+                for u in (new_fwd & new_bwd) - (fwd & bwd):
+                    ptr[u] = pivot
+                fwd, bwd = new_fwd, new_bwd
+                if got_fwd != fwd or got_bwd != bwd or got_und != set(alive):
+                    raise ReplayError(f"frame {idx}: bad search layer")
+            else:
+                # close: the intersection leaves the undiscovered set
+                members = fwd & bwd
+                done |= members
+                if got_und != set(alive) - members or got_fwd != fwd or got_bwd != bwd:
+                    raise ReplayError(f"frame {idx}: bad round close")
+                pivot = None
+        want_scc = [int(u in fwd and u in bwd) for u in range(n)]
+        if frame.values["in_scc"] != want_scc:
+            raise ReplayError(f"frame {idx}: membership mask mismatch")
+        if frame.values["scc_ptr"] != ptr:
+            raise ReplayError(f"frame {idx}: pointer mismatch")
+    if len(done) != n:
+        raise ReplayError("trajectory ended with unassigned nodes")
+    return {"scc_ptr": ptr}
+
+
+def _note_dcsc(g: Digraph, trace: Trace, t: int) -> str:
+    state = trace.states[t]
+    pivot = state.shared[PIVOT_ADDR]
+    assigned = sum(1 for row in state.local if row[DONE] is True)
+    return f"pivot={'?' if pivot is UNDEF else pivot} assigned={assigned}"
+
+
+def _frames_kosaraju(g: Digraph, trace: Trace) -> list[HintFrame]:
+    n = g.n
+    color1, order, color2, comp = _shared_layout(n)
+    frames = []
+    for t in range(1, trace.depth + 1):
+        shared = trace.states[t].shared
+        frames.append(
+            HintFrame(
+                t,
+                {
+                    "seen_first": [int(shared[color1 + u] is not UNDEF) for u in range(n)],
+                    "done_first": [int(shared[order + u] is not UNDEF) for u in range(n)],
+                    "seen_second": [int(shared[color2 + u] is not UNDEF) for u in range(n)],
+                    "finish_order": [
+                        as_index(shared[order + u]) if shared[order + u] is not UNDEF else u
+                        for u in range(n)
+                    ],
+                    "scc_ptr": [
+                        as_index(shared[comp + u]) if shared[comp + u] is not UNDEF else u
+                        for u in range(n)
+                    ],
+                },
+            )
+        )
+    return frames
+
+
+def _kosaraju_invariants(hints: Sequence[HintFrame]) -> list[str]:
+    """The three visit masks only grow."""
+    out: list[str] = []
+    for name in ("seen_first", "done_first", "seen_second"):
+        prev = None
+        for idx, frame in enumerate(hints):
+            cur = frame.values[name]
+            if prev is not None and any(a < b for a, b in zip(cur, prev)):
+                out.append(f"hints[{idx}].{name}: monotonicity")
+            prev = cur
+    return out
+
+
+def _replay_kosaraju(sample) -> dict:
+    n = sample.n
+    if not sample.hints:
+        raise ReplayError("empty trajectory")
+    ptr = list(range(n))
+    for idx, frame in enumerate(sample.hints):
+        cur = frame.values["scc_ptr"]
+        for u in range(n):
+            if ptr[u] != u and cur[u] != ptr[u]:
+                raise ReplayError(f"frame {idx}: assignment of node {u} changed")
+        seen2 = frame.values["seen_second"]
+        for u in range(n):
+            if seen2[u] == 0 and cur[u] != u:
+                raise ReplayError(f"frame {idx}: pointer before discovery at {u}")
+        ptr = list(cur)
+    final = sample.hints[-1].values
+    if sorted(final["finish_order"]) != list(range(n)):
+        raise ReplayError("final finish order is not a permutation")
+    if any(v == 0 for v in final["seen_second"]):
+        raise ReplayError("trajectory ended before the second pass finished")
+    return {"scc_ptr": ptr}
+
+
+def _note_kosaraju(g: Digraph, trace: Trace, t: int) -> str:
+    comp = _shared_layout(g.n)[3]
+    shared = trace.states[t].shared
+    done = sum(1 for u in range(g.n) if shared[comp + u] is not UNDEF)
+    return f"assigned={done}"
+
+
+def _generate(n: int, seed: int, max_degree: int) -> Digraph:
+    return gen_digraph(n, max_degree, seed)
+
+
+_INPUTS = (
+    ProbeSpec("adj_directed", "input", "edge", "scalar"),
+    ProbeSpec("adj_undirected", "input", "edge", "mask"),
+    ProbeSpec("pos", "input", "node", "scalar"),
+)
+_PTR = ProbeSpec("scc_ptr", "output", "node", "categorical")
+
+DCSC = AlgorithmSpec(
+    name="dcsc",
+    family="scc",
+    run=dcsc,
+    generate=_generate,
+    exhaustive=None,
+    probes=_INPUTS
+    + (
+        ProbeSpec("reach_fwd", "hint", "node", "mask"),
+        ProbeSpec("reach_bwd", "hint", "node", "mask"),
+        ProbeSpec("in_scc", "hint", "node", "mask"),
+        ProbeSpec("undiscovered", "hint", "node", "mask"),
+        ProbeSpec("scc_ptr", "hint", "node", "categorical"),
+        _PTR,
+    ),
+    frames=_frames_dcsc,
+    inputs=_scc_inputs,
+    outputs=_ptr_output,
+    replay=_replay_dcsc,
+    parse_inline=parse_digraph_inline,
+    note=_note_dcsc,
+    invariants=_dcsc_invariants,
+)
+
+KOSARAJU = AlgorithmSpec(
+    name="kosaraju",
+    family="scc",
+    run=kosaraju,
+    generate=_generate,
+    exhaustive=None,
+    probes=_INPUTS
+    + (
+        ProbeSpec("seen_first", "hint", "node", "mask"),
+        ProbeSpec("done_first", "hint", "node", "mask"),
+        ProbeSpec("seen_second", "hint", "node", "mask"),
+        ProbeSpec("finish_order", "hint", "node", "categorical"),
+        ProbeSpec("scc_ptr", "hint", "node", "categorical"),
+        _PTR,
+    ),
+    frames=_frames_kosaraju,
+    inputs=_scc_inputs,
+    outputs=_ptr_output,
+    replay=_replay_kosaraju,
+    parse_inline=parse_digraph_inline,
+    note=_note_kosaraju,
+    invariants=_kosaraju_invariants,
+)
+
+# (parallel, sequential)
+PAIR = (DCSC, KOSARAJU)

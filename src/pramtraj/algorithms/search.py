@@ -8,6 +8,7 @@ qualifies, i.e. the query-node category).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from random import Random
 
 from ..machine import (
     NodeUpdate,
@@ -16,11 +17,11 @@ from ..machine import (
     as_scalar,
     complete_graph,
     run_machine,
-    stable_digest,
     star_graph,
     MachineState,
     Trace,
 )
+from ..spec import AlgorithmSpec, HintFrame, ProbeSpec, ReplayError, increasing_unit_scalars
 
 ITEM = 0
 MASK = 1
@@ -82,7 +83,6 @@ def parallel_search(inst: SearchInstance) -> tuple[int, Trace]:
         lambda s: s.clock >= 2,
         2,
         algo_id="parallel_search",
-        input_digest=stable_digest({"items": inst.items, "x": inst.x}),
     )
     rank = as_index(trace.states[-1].shared[0])
     return rank, trace
@@ -125,8 +125,166 @@ def binary_search(inst: SearchInstance) -> tuple[int, Trace]:
         lambda s: s.shared[LO] == s.shared[HI],
         n + 1,
         algo_id="binary_search",
-        input_digest=stable_digest({"items": inst.items, "x": inst.x}),
         candidates_fn=candidates,
     )
     rank = as_index(trace.states[-1].shared[RANK])
     return rank, trace
+
+
+def gen_search_instance(n: int, seed: int) -> SearchInstance:
+    """Descending distinct items; the query is uniform over the item range
+    widened by one average gap per side, so every rank 0..n can occur."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rng = Random(seed)
+    ascending = increasing_unit_scalars(rng, n)
+    items = tuple(reversed(ascending))
+    lo, hi = ascending[0], ascending[-1]
+    gap = (hi - lo) / (n - 1) if n > 1 else 0.5
+    x = rng.uniform(lo - gap, hi + gap)
+    return SearchInstance(items=items, x=x)
+
+
+def exhaustive_searches(n: int) -> list[SearchInstance]:
+    """One instance per rank position 0..n over fixed items."""
+    items = tuple((n - i) / (n + 1) for i in range(n))
+    return [SearchInstance(items=items, x=x) for x in items + (items[-1] / 2.0,)]
+
+
+def parse_search_inline(text: str) -> SearchInstance:
+    """``"items;x"``: comma-separated descending items, then the query."""
+    items_part, _, x_part = text.partition(";")
+    if not x_part:
+        raise ValueError("expected 'items;x'")
+    items = tuple(float(p) for p in items_part.split(","))
+    return SearchInstance(items=items, x=float(x_part))
+
+
+def _search_inputs(inst: SearchInstance, pos: list[float]) -> dict:
+    return {"items": list(inst.items), "pos": pos, "x": inst.x}
+
+
+def _rank_output(rank: int) -> dict:
+    return {"rank": rank}
+
+
+def _frames_parallel_search(inst: SearchInstance, trace: Trace) -> list[HintFrame]:
+    n = inst.n
+    frames = []
+    for t in range(1, trace.depth + 1):
+        local = trace.states[t].local
+        mask = [int(as_scalar(local[i][MASK]) == 0.0) for i in range(n)]
+        frames.append(HintFrame(t, {"leq_mask": mask}))
+    return frames
+
+
+def _replay_parallel_search(sample) -> dict:
+    """Both layers carry the mask ``items[i] <= x``; the rank is its first one."""
+    if len(sample.hints) != 2:
+        raise ReplayError(f"parallel search takes 2 layers, got {len(sample.hints)}")
+    x = sample.inputs["x"]
+    want = [int(item <= x) for item in sample.inputs["items"]]
+    for idx, frame in enumerate(sample.hints):
+        if frame.values["leq_mask"] != want:
+            raise ReplayError(f"frame {idx}: mask mismatch")
+    return {"rank": next((i for i, v in enumerate(want) if v), sample.n)}
+
+
+def _window_masks(n: int, lo: int, hi: int, mid: int) -> dict:
+    return {
+        "low": [int(i < lo) for i in range(n)],
+        "high": [int(i >= hi) for i in range(n)],
+        "mid": [int(i == mid) for i in range(n)],
+    }
+
+
+def _frames_binary_search(inst: SearchInstance, trace: Trace) -> list[HintFrame]:
+    frames = []
+    for t in range(1, trace.depth + 1):
+        shared = trace.states[t].shared
+        lo = as_index(shared[LO])
+        hi = as_index(shared[HI])
+        mid = as_index(shared[MID])
+        frames.append(HintFrame(t, _window_masks(inst.n, lo, hi, mid)))
+    return frames
+
+
+def _replay_binary_search(sample) -> dict:
+    n = sample.n
+    items = sample.inputs["items"]
+    x = sample.inputs["x"]
+    lo, hi = 0, n
+    for idx, frame in enumerate(sample.hints):
+        if lo >= hi:
+            raise ReplayError(f"frame {idx}: window already closed")
+        mid = (lo + hi) // 2
+        if items[mid] <= x:
+            hi = mid
+        else:
+            lo = mid + 1
+        if frame.values != _window_masks(n, lo, hi, mid):
+            raise ReplayError(f"frame {idx}: window mismatch")
+    if lo != hi:
+        raise ReplayError("trajectory ended before the window closed")
+    return {"rank": lo}
+
+
+def _note_parallel_search(inst: SearchInstance, trace: Trace, t: int) -> str:
+    rank = trace.states[t].shared[0]
+    return f"rank={'?' if rank is UNDEF else rank}"
+
+
+def _note_binary_search(inst: SearchInstance, trace: Trace, t: int) -> str:
+    shared = trace.states[t].shared
+    return f"lo={shared[LO]} hi={shared[HI]} mid={shared[MID]}"
+
+
+def _generate(n: int, seed: int, max_degree: int) -> SearchInstance:
+    return gen_search_instance(n, seed)
+
+
+_INPUTS = (
+    ProbeSpec("items", "input", "node", "scalar"),
+    ProbeSpec("pos", "input", "node", "scalar"),
+    ProbeSpec("x", "input", "graph", "scalar"),
+)
+_RANK = ProbeSpec("rank", "output", "graph", "categorical")
+
+PARALLEL_SEARCH = AlgorithmSpec(
+    name="parallel_search",
+    family="search",
+    run=parallel_search,
+    generate=_generate,
+    exhaustive=exhaustive_searches,
+    probes=_INPUTS + (ProbeSpec("leq_mask", "hint", "node", "mask"), _RANK),
+    frames=_frames_parallel_search,
+    inputs=_search_inputs,
+    outputs=_rank_output,
+    replay=_replay_parallel_search,
+    parse_inline=parse_search_inline,
+    note=_note_parallel_search,
+)
+
+BINARY_SEARCH = AlgorithmSpec(
+    name="binary_search",
+    family="search",
+    run=binary_search,
+    generate=_generate,
+    exhaustive=exhaustive_searches,
+    probes=_INPUTS
+    + (
+        ProbeSpec("low", "hint", "node", "mask"),
+        ProbeSpec("high", "hint", "node", "mask"),
+        ProbeSpec("mid", "hint", "node", "mask"),
+        _RANK,
+    ),
+    frames=_frames_binary_search,
+    inputs=_search_inputs,
+    outputs=_rank_output,
+    replay=_replay_binary_search,
+    parse_inline=parse_search_inline,
+    note=_note_binary_search,
+)
+
+# (parallel, sequential)
+PAIR = (PARALLEL_SEARCH, BINARY_SEARCH)

@@ -8,8 +8,10 @@ emitted output is the predecessor pointer per node along the final chain.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from random import Random
 
 from ..machine import (
     HOLD,
@@ -19,8 +21,8 @@ from ..machine import (
     UNDEF,
     complete_graph,
     run_machine,
-    stable_digest,
 )
+from ..spec import AlgorithmSpec, HintFrame, ProbeSpec, ReplayError, increasing_unit_scalars
 
 ITEM = 0
 POSN = 1
@@ -144,7 +146,6 @@ def oets_sort(inst: SortInstance) -> tuple[tuple[int, ...], Trace]:
         halt,
         n,
         algo_id="oets",
-        input_digest=stable_digest({"items": inst.items}),
         candidates_fn=candidates,
     )
     pred = predecessors_from_table(_position_table(trace.states[-1], n))
@@ -198,8 +199,176 @@ def bubble_sort(inst: SortInstance) -> tuple[tuple[int, ...], Trace]:
         lambda s: s.clock >= total,
         max(total, 1),
         algo_id="bubble_sort",
-        input_digest=stable_digest({"items": inst.items}),
         candidates_fn=candidates,
     )
     pred = predecessors_from_table(_position_table(trace.states[-1], n))
     return pred, trace
+
+
+def gen_permutation(n: int, seed: int) -> SortInstance:
+    """Seeded shuffle of n distinct values."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rng = Random(seed)
+    values = increasing_unit_scalars(rng, n)
+    rng.shuffle(values)
+    return SortInstance(items=tuple(values))
+
+
+def every_permutation(n: int) -> list[SortInstance]:
+    """Every ordering of n distinct values."""
+    values = [(i + 1) / (n + 1) for i in range(n)]
+    return [
+        SortInstance(items=tuple(values[k] for k in perm))
+        for perm in itertools.permutations(range(n))
+    ]
+
+
+def parse_sort_inline(text: str) -> SortInstance:
+    """Comma-separated items."""
+    return SortInstance(items=tuple(float(p) for p in text.split(",")))
+
+
+def _sort_inputs(inst: SortInstance, pos: list[float]) -> dict:
+    return {"items": list(inst.items), "pos": pos}
+
+
+def _pred_output(pred: tuple[int, ...]) -> dict:
+    return {"pred": list(pred)}
+
+
+def _swapped_pairs(old_table, new_table) -> list[tuple[int, int]]:
+    """(node, partner) for each position whose node moved one slot up."""
+    return [
+        (old_table[k], old_table[k + 1])
+        for k in range(len(old_table) - 1)
+        if old_table[k] != new_table[k] and old_table[k] == new_table[k + 1]
+    ]
+
+
+def _swap_mask(old_table, new_table, n: int) -> list[list[int]]:
+    mask = [[0] * n for _ in range(n)]
+    for u, v in _swapped_pairs(old_table, new_table):
+        mask[u][v] = 1
+        mask[v][u] = 1
+    return mask
+
+
+def _frames(inst: SortInstance, trace: Trace, cursor) -> list[HintFrame]:
+    """One frame per layer: chain pointers and swaps, plus ``cursor(t)``, the
+    probes that are a function of the clock alone."""
+    n = inst.n
+    states = trace.states
+    return [
+        HintFrame(
+            t,
+            {
+                "pred": list(predecessors_from_table(tuple(states[t].shared[:n]))),
+                "swap_mask": _swap_mask(states[t - 1].shared[:n], states[t].shared[:n], n),
+                **cursor(t),
+            },
+        )
+        for t in range(1, trace.depth + 1)
+    ]
+
+
+def _frames_oets(inst: SortInstance, trace: Trace) -> list[HintFrame]:
+    return _frames(inst, trace, lambda t: {"parity": (t - 1) % 2})
+
+
+def _frames_bubble(inst: SortInstance, trace: Trace) -> list[HintFrame]:
+    schedule = bubble_schedule(inst.n)
+    return _frames(inst, trace, lambda t: dict(zip(("cursor_i", "cursor_j"), schedule[t - 1])))
+
+
+def _apply_swaps(table: list[int], mask, parity: int | None, n: int, idx: int) -> None:
+    pos_of = {node: k for k, node in enumerate(table)}
+    pairs = {(min(u, v), max(u, v)) for u in range(n) for v in range(n) if mask[u][v]}
+    for u, v in sorted(pairs):
+        pu, pv = pos_of[u], pos_of[v]
+        if abs(pu - pv) != 1:
+            raise ReplayError(f"frame {idx}: swap of non-adjacent chain positions")
+        if parity is not None and min(pu, pv) % 2 != parity:
+            raise ReplayError(f"frame {idx}: swap against round parity")
+        table[pu], table[pv] = table[pv], table[pu]
+        pos_of[u], pos_of[v] = pv, pu
+
+
+def _replay_sort(sample, with_parity: bool) -> dict:
+    n = sample.n
+    table = list(range(n))
+    for idx, frame in enumerate(sample.hints):
+        parity = None
+        if with_parity:
+            parity = frame.values["parity"]
+            if parity != idx % 2:
+                raise ReplayError(f"frame {idx}: parity clock mismatch")
+        else:
+            schedule = bubble_schedule(n)
+            want_i, want_j = schedule[idx]
+            if frame.values["cursor_i"] != want_i or frame.values["cursor_j"] != want_j:
+                raise ReplayError(f"frame {idx}: cursor mismatch")
+        _apply_swaps(table, frame.values["swap_mask"], parity, n, idx)
+        pred = list(predecessors_from_table(tuple(table)))
+        if frame.values["pred"] != pred:
+            raise ReplayError(f"frame {idx}: pointer mismatch")
+    return {"pred": list(predecessors_from_table(tuple(table)))}
+
+
+def _note(inst: SortInstance, trace: Trace, t: int) -> str:
+    n = inst.n
+    table = trace.states[t].shared[:n]
+    order = [f"{inst.items[node]:g}" for node in table]
+    swaps = _swapped_pairs(trace.states[t - 1].shared[:n], table)
+    return f"order=[{', '.join(order)}] swaps={swaps}"
+
+
+def _generate(n: int, seed: int, max_degree: int) -> SortInstance:
+    return gen_permutation(n, seed)
+
+
+_COMMON = (
+    ProbeSpec("items", "input", "node", "scalar"),
+    ProbeSpec("pos", "input", "node", "scalar"),
+    ProbeSpec("pred", "hint", "node", "categorical"),
+    ProbeSpec("swap_mask", "hint", "edge", "mask"),
+)
+_PRED = ProbeSpec("pred", "output", "node", "categorical")
+
+OETS = AlgorithmSpec(
+    name="oets",
+    family="sort",
+    run=oets_sort,
+    generate=_generate,
+    exhaustive=every_permutation,
+    probes=_COMMON + (ProbeSpec("parity", "hint", "graph", "mask"), _PRED),
+    frames=_frames_oets,
+    inputs=_sort_inputs,
+    outputs=_pred_output,
+    replay=lambda sample: _replay_sort(sample, with_parity=True),
+    parse_inline=parse_sort_inline,
+    note=_note,
+)
+
+BUBBLE_SORT = AlgorithmSpec(
+    name="bubble_sort",
+    family="sort",
+    run=bubble_sort,
+    generate=_generate,
+    exhaustive=every_permutation,
+    probes=_COMMON
+    + (
+        ProbeSpec("cursor_i", "hint", "graph", "categorical"),
+        ProbeSpec("cursor_j", "hint", "graph", "categorical"),
+        _PRED,
+    ),
+    frames=_frames_bubble,
+    inputs=_sort_inputs,
+    outputs=_pred_output,
+    replay=lambda sample: _replay_sort(sample, with_parity=False),
+    parse_inline=parse_sort_inline,
+    note=_note,
+)
+
+# (parallel, sequential)
+PAIR = (OETS, BUBBLE_SORT)

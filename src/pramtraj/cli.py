@@ -11,19 +11,15 @@ import os
 import sys
 from pathlib import Path
 
-from .algorithms import ALGORITHMS, PAIRS, run
-from .algorithms.search import SearchInstance
-from .algorithms.sorting import SortInstance
+from .algorithms import ALGORITHMS, PAIRS, run, spec_for
 from .efficiency import (
-    pair_metrics,
-    render_pair_table,
+    EfficiencyReport,
     render_table,
     report_ndjson,
     scaling_report,
+    size_record,
 )
-from .graphs import Digraph
 from .harness import GenConfig, build_samples, schema_path_for, write_dataset
-from .machine import UNDEF, Trace
 from .trajectory import (
     DatasetFormatError,
     parse_ndjson,
@@ -50,56 +46,6 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
     return values
 
 
-def _parse_inline(algo: str, text: str):
-    try:
-        if algo in ("parallel_search", "binary_search"):
-            items_part, _, x_part = text.partition(";")
-            if not x_part:
-                raise ValueError("expected 'items;x'")
-            items = tuple(float(p) for p in items_part.split(","))
-            return SearchInstance(items=items, x=float(x_part))
-        if algo in ("oets", "bubble_sort"):
-            return SortInstance(items=tuple(float(p) for p in text.split(",")))
-        head, _, edge_part = text.partition(":")
-        n = int(head)
-        edges = set()
-        if edge_part:
-            for piece in edge_part.split(","):
-                u_part, _, v_part = piece.partition("->")
-                if not v_part:
-                    raise ValueError(f"bad edge {piece!r}")
-                edges.add((int(u_part), int(v_part)))
-        return Digraph(n, frozenset(edges))
-    except (ValueError, TypeError) as err:
-        raise BadInput(f"bad --input for {algo}: {err}") from None
-
-
-def _state_note(algo: str, inst, trace: Trace, t: int) -> str:
-    state = trace.states[t]
-    if algo in ("oets", "bubble_sort"):
-        n = inst.n
-        table = state.shared[:n]
-        order = [f"{inst.items[node]:g}" for node in table]
-        prev = trace.states[t - 1].shared[:n]
-        swaps = []
-        for k in range(n - 1):
-            if prev[k] != table[k] and prev[k] == table[k + 1]:
-                swaps.append((prev[k], prev[k + 1]))
-        return f"order=[{', '.join(order)}] swaps={swaps}"
-    if algo == "binary_search":
-        lo, hi, mid = state.shared[0], state.shared[1], state.shared[2]
-        return f"lo={lo} hi={hi} mid={mid}"
-    if algo == "parallel_search":
-        rank = state.shared[0]
-        return f"rank={'?' if rank is UNDEF else rank}"
-    if algo == "dcsc":
-        pivot = state.shared[0]
-        assigned = sum(1 for row in state.local if row[3] is True)
-        return f"pivot={'?' if pivot is UNDEF else pivot} assigned={assigned}"
-    done = sum(1 for u in range(inst.n) if state.shared[3 * inst.n + u] is not UNDEF)
-    return f"assigned={done}"
-
-
 def cmd_gen(args) -> int:
     n_list = (args.n,) if args.n is not None else _parse_n_list(args.n_list)
     cfg = GenConfig(
@@ -120,7 +66,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    inst = _parse_inline(args.algo, args.input)
+    spec = spec_for(args.algo)
+    try:
+        inst = spec.parse_inline(args.input)
+    except (ValueError, TypeError) as err:
+        raise BadInput(f"bad --input for {args.algo}: {err}") from None
     output, trace = run(args.algo, inst)
     print(f"algo: {args.algo}")
     print(f"input: {args.input}")
@@ -128,7 +78,7 @@ def cmd_trace(args) -> int:
     for rec in trace.activity:
         nodes = sorted(rec.active_nodes)
         edges = sorted(rec.active_edges)
-        note = _state_note(args.algo, inst, trace, rec.step)
+        note = spec.note(inst, trace, rec.step)
         print(
             f"step {rec.step}: active={nodes} edges={edges} ops={rec.op_count}"
             f" graph_op={rec.graph_op} | {note}"
@@ -187,10 +137,16 @@ def cmd_validate(args) -> int:
 
 def cmd_compare(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    seq_algo, par_algo = PAIRS[args.pair]
-    seq = pair_metrics(seq_algo, args.n, args.samples, seed, args.max_degree)
-    par = pair_metrics(par_algo, args.n, args.samples, seed, args.max_degree)
-    print(render_pair_table(seq, par))
+    reports = [
+        EfficiencyReport(
+            algo,
+            (size_record(algo, args.n, args.samples, seed, max_degree=args.max_degree),),
+            {},
+            {},
+        )
+        for algo in PAIRS[args.pair]
+    ]
+    print(render_table(*reports))
     return 0
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .algorithms import run
+from .algorithms import run, spec_for
 from .harness import exhaustive_instances, generate_instance, sample_seed
 from .machine import StepLimitExceeded, Trace, mapped_edge_count, operated_edge_count
 from .trajectory import dumps_canonical
@@ -41,26 +41,6 @@ def trace_edge_shares(trace: Trace) -> list[float]:
     if m == 0:
         return [0.0 for _ in trace.activity]
     return [mapped_edge_count(trace, rec) / m for rec in trace.activity]
-
-
-def edge_efficiency(traces: list[Trace]) -> tuple[float, float]:
-    """(eps_min, eps_mean) over traces of one algorithm at one size.
-
-    eps_min is the worst case over the supplied inputs -- a lower estimate of
-    the true worst case unless the inputs enumerate the whole space.
-    """
-    if not traces:
-        raise ValueError("empty trace list")
-    algos = {t.algo_id for t in traces}
-    widths = {t.width for t in traces}
-    ms = {operated_edge_count(t) for t in traces}
-    if len(algos) > 1 or len(widths) > 1 or len(ms) > 1:
-        raise ValueError("traces must share algorithm, size, and edge count")
-    eps = []
-    for t in traces:
-        shares = trace_edge_shares(t)
-        eps.append(sum(shares) / len(shares) if shares else 0.0)
-    return min(eps), sum(eps) / len(eps)
 
 
 @dataclass(frozen=True)
@@ -89,15 +69,6 @@ class EfficiencyReport:
     slopes: dict
     classes: dict
 
-
-_FAMILY = {
-    "parallel_search": "search",
-    "binary_search": "search",
-    "oets": "sort",
-    "bubble_sort": "sort",
-    "dcsc": "scc",
-    "kosaraju": "scc",
-}
 
 # Asymptotic classes, per task family, to annotate fitted slopes with.
 _CAPACITY_CLASSES = {
@@ -136,6 +107,66 @@ def _nearest_class(ns, ms, measured_slope, candidates) -> str | None:
     return best
 
 
+def size_record(
+    algo_id: str,
+    n: int,
+    samples_per_n: int,
+    seed: int,
+    *,
+    max_degree: int = 3,
+    exhaustive: bool = False,
+) -> SizeRecord:
+    """Run the algorithm on one size's inputs and aggregate their metrics.
+
+    eta is a ratio of means: mean operations over mean capacity.
+    """
+    if exhaustive:
+        instances = [(None, inst) for inst in exhaustive_instances(algo_id, n)]
+    else:
+        seeds = [sample_seed(seed, algo_id, n, i) for i in range(samples_per_n)]
+        instances = [(s, generate_instance(algo_id, n, s, max_degree)) for s in seeds]
+    depths, caps, ops, ops_nodes, eps, ms = [], [], [], [], [], []
+    edge_max, edge_sum, edge_steps, zero_depth = 0, 0, 0, 0
+    width = None
+    for inst_seed, inst in instances:
+        try:
+            _, trace = run(algo_id, inst)
+        except StepLimitExceeded as err:
+            raise StepLimitExceeded(f"{err} (instance seed {inst_seed})") from err
+        width = trace.width
+        depths.append(trace.depth)
+        caps.append(capacity(trace))
+        ops.append(sum(rec.op_count for rec in trace.activity))
+        ops_nodes.append(sum(len(rec.active_nodes) for rec in trace.activity))
+        shares = trace_edge_shares(trace)
+        eps.append(sum(shares) / len(shares) if shares else 0.0)
+        ms.append(operated_edge_count(trace))
+        counts = [mapped_edge_count(trace, rec) for rec in trace.activity]
+        if counts:
+            edge_max = max(edge_max, max(counts))
+            edge_sum += sum(counts)
+            edge_steps += len(counts)
+        if trace.depth == 0:
+            zero_depth += 1
+    k = len(instances)
+    cap_mean = sum(caps) / k
+    return SizeRecord(
+        n=n,
+        m=sum(ms) / k,
+        width=width,
+        depth=sum(depths) / k,
+        capacity=cap_mean,
+        op_total=sum(ops) / k,
+        eta=(sum(ops) / k) / cap_mean if cap_mean else 1.0,
+        eta_nodes=(sum(ops_nodes) / k) / cap_mean if cap_mean else 1.0,
+        eps_min=min(eps),
+        eps_mean=sum(eps) / k,
+        edge_max=edge_max,
+        edge_mean=edge_sum / edge_steps if edge_steps else 0.0,
+        zero_depth=zero_depth,
+    )
+
+
 def scaling_report(
     algo_id: str,
     n_list: list[int],
@@ -153,60 +184,15 @@ def scaling_report(
     """
     if list(n_list) != sorted(set(n_list)) or len(n_list) < 3:
         raise ValueError("n_list must be ascending with at least 3 sizes")
-    records = []
-    for n in n_list:
-        if exhaustive:
-            instances = [(None, inst) for inst in exhaustive_instances(algo_id, n)]
-        else:
-            seeds = [sample_seed(seed, algo_id, n, i) for i in range(samples_per_n)]
-            instances = [
-                (s, generate_instance(algo_id, n, s, max_degree)) for s in seeds
-            ]
-        depths, caps, ops, ops_nodes, eps, ms = [], [], [], [], [], []
-        edge_max, edge_sum, edge_steps, zero_depth = 0, 0, 0, 0
-        width = None
-        for inst_seed, inst in instances:
-            try:
-                _, trace = run(algo_id, inst)
-            except StepLimitExceeded as err:
-                raise StepLimitExceeded(f"{err} (instance seed {inst_seed})") from err
-            width = trace.width
-            depths.append(trace.depth)
-            caps.append(capacity(trace))
-            ops.append(sum(rec.op_count for rec in trace.activity))
-            ops_nodes.append(sum(len(rec.active_nodes) for rec in trace.activity))
-            shares = trace_edge_shares(trace)
-            eps.append(sum(shares) / len(shares) if shares else 0.0)
-            ms.append(operated_edge_count(trace))
-            counts = [mapped_edge_count(trace, rec) for rec in trace.activity]
-            if counts:
-                edge_max = max(edge_max, max(counts))
-                edge_sum += sum(counts)
-                edge_steps += len(counts)
-            if trace.depth == 0:
-                zero_depth += 1
-        k = len(instances)
-        cap_mean = sum(caps) / k
-        records.append(
-            SizeRecord(
-                n=n,
-                m=sum(ms) / k,
-                width=width,
-                depth=sum(depths) / k,
-                capacity=cap_mean,
-                op_total=sum(ops) / k,
-                eta=(sum(ops) / k) / cap_mean if cap_mean else 1.0,
-                eta_nodes=(sum(ops_nodes) / k) / cap_mean if cap_mean else 1.0,
-                eps_min=min(eps),
-                eps_mean=sum(eps) / k,
-                edge_max=edge_max,
-                edge_mean=edge_sum / edge_steps if edge_steps else 0.0,
-                zero_depth=zero_depth,
-            )
+    family = spec_for(algo_id).family
+    records = [
+        size_record(
+            algo_id, n, samples_per_n, seed, max_degree=max_degree, exhaustive=exhaustive
         )
+        for n in n_list
+    ]
     ns = [r.n for r in records]
     ms = [max(r.m, 1.0) for r in records]
-    family = _FAMILY[algo_id]
     slopes = {
         "capacity": _loglog_slope(ns, [r.capacity for r in records]),
         "depth": _loglog_slope(ns, [r.depth for r in records]),
@@ -235,79 +221,28 @@ def report_ndjson(report: EfficiencyReport) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def render_table(report: EfficiencyReport) -> str:
+def render_table(*reports: EfficiencyReport) -> str:
+    """One aligned table, one row per size record of each report."""
     header = ("algo", "n", "m", "width", "depth", "capacity", "eta", "eps_min", "eps_mean", "class")
     rows = [header]
-    for rec in report.records:
-        rows.append(
-            (
-                report.algo,
-                str(rec.n),
-                f"{rec.m:g}",
-                str(rec.width),
-                f"{rec.depth:g}",
-                f"{rec.capacity:g}",
-                f"{rec.eta:.4f}",
-                f"{rec.eps_min:.5f}",
-                f"{rec.eps_mean:.5f}",
-                report.classes["capacity"] or "-",
+    for report in reports:
+        for rec in report.records:
+            rows.append(
+                (
+                    report.algo,
+                    str(rec.n),
+                    f"{rec.m:g}",
+                    str(rec.width),
+                    f"{rec.depth:g}",
+                    f"{rec.capacity:g}",
+                    f"{rec.eta:.4f}",
+                    f"{rec.eps_min:.5f}",
+                    f"{rec.eps_mean:.5f}",
+                    report.classes.get("capacity") or "-",
+                )
             )
-        )
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     out = []
     for row in rows:
         out.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     return "\n".join(out)
-
-
-def pair_metrics(
-    algo_id: str, n: int, samples: int, seed: int, max_degree: int = 3
-) -> dict:
-    """Per-sample eta/eps aggregates for one algorithm at one size."""
-    etas, eps, depths, caps = [], [], [], []
-    for index in range(samples):
-        s = sample_seed(seed, algo_id, n, index)
-        inst = generate_instance(algo_id, n, s, max_degree)
-        _, trace = run(algo_id, inst)
-        etas.append(node_efficiency(trace))
-        shares = trace_edge_shares(trace)
-        eps.append(sum(shares) / len(shares) if shares else 0.0)
-        depths.append(trace.depth)
-        caps.append(capacity(trace))
-    k = len(etas)
-    return {
-        "algo": algo_id,
-        "n": n,
-        "eta_mean": sum(etas) / k,
-        "eta_min": min(etas),
-        "eps_mean": sum(eps) / k,
-        "eps_min": min(eps),
-        "depth_mean": sum(depths) / k,
-        "capacity_mean": sum(caps) / k,
-    }
-
-
-def render_pair_table(seq: dict, par: dict) -> str:
-    header = (
-        "role", "algo", "n",
-        "eta_mean", "eta_min", "eps_mean", "eps_min", "depth", "capacity",
-    )
-    rows = [header]
-    for role, rec in (("sequential", seq), ("parallel", par)):
-        rows.append(
-            (
-                role,
-                rec["algo"],
-                str(rec["n"]),
-                f"{rec['eta_mean']:.4f}",
-                f"{rec['eta_min']:.4f}",
-                f"{rec['eps_mean']:.5f}",
-                f"{rec['eps_min']:.5f}",
-                f"{rec['depth_mean']:g}",
-                f"{rec['capacity_mean']:g}",
-            )
-        )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    return "\n".join(
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows
-    )

@@ -106,11 +106,6 @@ def tarjan_scc(g: Digraph) -> list[frozenset[int]]:
     return components
 
 
-def partition_key(components: list[frozenset[int]]) -> frozenset[frozenset[int]]:
-    """Order-insensitive view of a component list, for equality checks."""
-    return frozenset(components)
-
-
 def pointers_to_partition(scc_ptr: tuple[int, ...]) -> frozenset[frozenset[int]]:
     groups: dict[int, set[int]] = {}
     for node, rep in enumerate(scc_ptr):

@@ -8,22 +8,15 @@ sample index), never on batch size or generation order.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from random import Random
 
-from .algorithms import ALGORITHMS, run
-from .algorithms.search import SearchInstance
-from .algorithms.sorting import SortInstance
-from .graphs import Digraph
-from .trajectory import (
-    Sample,
-    encode_sample,
-    increasing_unit_scalars,
-    serialize_ndjson,
-    serialize_schema,
-)
+from .algorithms import SPECS, run, spec_for
+# the seeded generators live beside their algorithms and are re-exported here
+from .algorithms.scc import gen_digraph
+from .algorithms.search import gen_search_instance
+from .algorithms.sorting import gen_permutation
+from .trajectory import Sample, encode_sample, serialize_ndjson, serialize_schema
 
 
 @dataclass(frozen=True)
@@ -35,10 +28,9 @@ class GenConfig:
     samples_per_n: int
     seed: int
     max_degree: int = 3
-    out_path: Path | None = None
 
     def __post_init__(self) -> None:
-        if self.algo_id not in ALGORITHMS:
+        if self.algo_id not in SPECS:
             raise ValueError(f"unknown algorithm {self.algo_id!r}")
         if self.samples_per_n < 1:
             raise ValueError("samples_per_n must be >= 1")
@@ -54,77 +46,20 @@ def sample_seed(master: int, algo_id: str, n: int, index: int) -> int:
     return int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(), "big")
 
 
-def gen_search_instance(n: int, seed: int) -> SearchInstance:
-    """Descending distinct items; the query is uniform over the item range
-    widened by one average gap per side, so every rank 0..n can occur."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = Random(seed)
-    ascending = increasing_unit_scalars(rng, n)
-    items = tuple(reversed(ascending))
-    lo, hi = ascending[0], ascending[-1]
-    gap = (hi - lo) / (n - 1) if n > 1 else 0.5
-    x = rng.uniform(lo - gap, hi + gap)
-    return SearchInstance(items=items, x=x)
-
-
-def gen_permutation(n: int, seed: int) -> SortInstance:
-    """Seeded shuffle of n distinct values."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = Random(seed)
-    values = increasing_unit_scalars(rng, n)
-    rng.shuffle(values)
-    return SortInstance(items=tuple(values))
-
-
-def gen_digraph(n: int, max_degree: int, seed: int) -> Digraph:
-    """Bounded-degree digraph: per node, out-degree uniform in [0, max_degree]
-    with distinct non-self targets."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if max_degree < 1:
-        raise ValueError("max_degree must be >= 1")
-    rng = Random(seed)
-    edges = set()
-    others = {u: [v for v in range(n) if v != u] for u in range(n)}
-    for u in range(n):
-        degree = rng.randint(0, min(max_degree, n - 1))
-        if degree:
-            for v in rng.sample(others[u], degree):
-                edges.add((u, v))
-    return Digraph(n, frozenset(edges))
-
-
 def generate_instance(algo_id: str, n: int, seed: int, max_degree: int = 3):
-    if algo_id in ("parallel_search", "binary_search"):
-        return gen_search_instance(n, seed)
-    if algo_id in ("oets", "bubble_sort"):
-        return gen_permutation(n, seed)
-    if algo_id in ("dcsc", "kosaraju"):
-        return gen_digraph(n, max_degree, seed)
-    raise ValueError(f"unknown algorithm {algo_id!r}")
+    """One seeded instance from the algorithm's generator."""
+    return spec_for(algo_id).generate(n, seed, max_degree)
 
 
 def exhaustive_instances(algo_id: str, n: int):
-    """Whole input space for tiny sizes: one instance per rank position for
-    searching, every permutation for sorting."""
+    """Whole input space for tiny sizes, where the algorithm defines one: one
+    instance per rank position for searching, every permutation for sorting."""
     if n > 6:
         raise ValueError("exhaustive enumeration supports n <= 6 only")
-    if algo_id in ("parallel_search", "binary_search"):
-        items = tuple((n - i) / (n + 1) for i in range(n))
-        out = []
-        for rank in range(n + 1):
-            x = items[rank] if rank < n else items[-1] / 2.0
-            out.append(SearchInstance(items=items, x=x))
-        return out
-    if algo_id in ("oets", "bubble_sort"):
-        values = [(i + 1) / (n + 1) for i in range(n)]
-        return [
-            SortInstance(items=tuple(values[k] for k in perm))
-            for perm in itertools.permutations(range(n))
-        ]
-    raise ValueError(f"exhaustive enumeration is defined for searching and sorting only")
+    enumerate_all = spec_for(algo_id).exhaustive
+    if enumerate_all is None:
+        raise ValueError(f"exhaustive enumeration is not defined for {algo_id}")
+    return enumerate_all(n)
 
 
 def build_samples(cfg: GenConfig) -> list[Sample]:
@@ -149,12 +84,12 @@ def build_samples(cfg: GenConfig) -> list[Sample]:
     return samples
 
 
-def schema_path_for(out_path: Path) -> Path:
+def schema_path_for(path: Path) -> Path:
     """Sidecar path: same basename with a .schema suffix."""
-    return out_path.with_suffix(".schema")
+    return path.with_suffix(".schema")
 
 
-def write_dataset(out_path: Path, samples: list[Sample], algo_id: str) -> None:
-    out_path = Path(out_path)
-    out_path.write_bytes(serialize_ndjson(samples))
-    schema_path_for(out_path).write_bytes(serialize_schema(algo_id))
+def write_dataset(path: Path, samples: list[Sample], algo_id: str) -> None:
+    path = Path(path)
+    path.write_bytes(serialize_ndjson(samples))
+    schema_path_for(path).write_bytes(serialize_schema(algo_id))

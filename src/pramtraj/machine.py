@@ -16,8 +16,6 @@ reading one never records an active edge.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
@@ -62,10 +60,6 @@ UNDEF = _Undef()
 Cell = Union[float, int, bool, _Undef]
 
 
-def is_undef(cell: Cell) -> bool:
-    return cell is UNDEF
-
-
 def as_scalar(cell: Cell) -> float:
     if type(cell) is float:
         return cell
@@ -106,12 +100,6 @@ def fresh_state(width: int, slots: int, shared_size: int) -> MachineState:
     """All-UNDEF state; uninitialized reads then fail loudly."""
     row = (UNDEF,) * slots
     return MachineState((row,) * width, (UNDEF,) * shared_size, 0)
-
-
-class WriteRequest(NamedTuple):
-    proc_id: int
-    address: int
-    value: Cell
 
 
 @dataclass(frozen=True)
@@ -196,7 +184,6 @@ class Trace:
     states: tuple[MachineState, ...]
     activity: tuple[ActivityRecord, ...]
     graph: InterconnectionGraph
-    input_digest: str
     instance_edges: frozenset[tuple[int, int]] | None = None
 
     @property
@@ -298,16 +285,6 @@ class NodeContext:
             self.shared_read = True
             return cell
         _bad_cell(cell, "index")
-
-
-def resolve_writes(requests: Sequence[WriteRequest]) -> list[tuple[int, Cell]]:
-    """Priority CRCW: per address, the lowest requesting proc_id wins."""
-    best: dict[int, WriteRequest] = {}
-    for req in requests:
-        cur = best.get(req.address)
-        if cur is None or req.proc_id < cur.proc_id:
-            best[req.address] = req
-    return [(addr, best[addr].value) for addr in sorted(best)]
 
 
 _EMPTY: frozenset = frozenset()
@@ -412,7 +389,6 @@ def run_machine(
     max_steps: int,
     *,
     algo_id: str = "",
-    input_digest: str = "",
     candidates_fn: Callable[[MachineState], Iterable[int]] | None = None,
     instance_edges: frozenset[tuple[int, int]] | None = None,
 ) -> Trace:
@@ -437,7 +413,6 @@ def run_machine(
         states=tuple(states),
         activity=tuple(activity),
         graph=graph,
-        input_digest=input_digest,
         instance_edges=instance_edges,
     )
 
@@ -512,9 +487,3 @@ def mapped_edge_count(trace: Trace, record: ActivityRecord) -> int:
         elif (v, u) in edges:
             used.add((v, u))
     return len(used)
-
-
-def stable_digest(payload: object) -> str:
-    """Deterministic short digest of a JSON-representable input description."""
-    text = json.dumps(payload, sort_keys=True, default=repr)
-    return hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()

@@ -1,0 +1,85 @@
+"""The description of one algorithm that the rest of the pipeline reads.
+
+Each algorithm module defines one ``AlgorithmSpec`` beside its machine
+program: how to run it, how to draw or enumerate its inputs, its probe
+schema, how to read hint frames off a trace and replay them, how to parse an
+inline ``trace`` input and annotate a layer.  ``pramtraj.algorithms`` collects
+the specs into one registry; generation, encoding, validation, replay and
+analysis look the algorithm up there and carry no per-algorithm code.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from random import Random
+from typing import Any, Callable, Sequence
+
+from .machine import Trace
+
+
+class ReplayError(Exception):
+    """Hint frames do not form a consistent trajectory."""
+
+
+@dataclass(frozen=True)
+class ProbeSpec:
+    """One observable: name, stage (input/hint/output), location, dtype."""
+
+    name: str
+    stage: str
+    location: str
+    dtype: str
+
+    def to_obj(self, algo: str) -> dict:
+        return {
+            "algo": algo,
+            "dtype": self.dtype,
+            "location": self.location,
+            "name": self.name,
+            "stage": self.stage,
+        }
+
+
+@dataclass(frozen=True)
+class HintFrame:
+    step: int
+    values: dict
+
+    def to_obj(self) -> dict:
+        return {"step": self.step, "values": self.values}
+
+
+@dataclass(frozen=True)
+class AlgorithmSpec:
+    """Everything the pipeline needs to know about one algorithm.
+
+    ``generate(n, seed, max_degree)`` draws one instance; ``exhaustive(n)``
+    enumerates the whole input space of a tiny size (``None`` where that is
+    not defined).  ``frames(inst, trace)`` reads one hint frame per layer,
+    ``inputs(inst, pos)`` and ``outputs(output)`` build the payloads of a
+    sample, and ``replay(sample)`` re-derives the outputs from inputs and
+    frames, raising ``ReplayError`` on an inconsistent trajectory.
+    ``invariants(hints)`` lists violations of cross-frame laws that a schema
+    check cannot see.  ``parse_inline(text)`` reads a ``trace`` input and
+    ``note(inst, trace, t)`` annotates layer ``t`` of a printed trace.
+    """
+
+    name: str
+    family: str
+    run: Callable[[Any], tuple[Any, Trace]]
+    generate: Callable[[int, int, int], Any]
+    exhaustive: Callable[[int], list] | None
+    probes: tuple[ProbeSpec, ...]
+    frames: Callable[[Any, Trace], list[HintFrame]]
+    inputs: Callable[[Any, list[float]], dict]
+    outputs: Callable[[Any], dict]
+    replay: Callable[[Any], dict]
+    parse_inline: Callable[[str], Any]
+    note: Callable[[Any, Trace, int], str]
+    invariants: Callable[[Sequence[HintFrame]], list[str]] | None = None
+
+
+def increasing_unit_scalars(rng: Random, n: int) -> list[float]:
+    """n distinct values in [0,1), strictly increasing (rank rescaling)."""
+    draws = sorted(rng.random() for _ in range(n))
+    return [(k + draws[k]) / n for k in range(n)]

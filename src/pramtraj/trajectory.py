@@ -13,51 +13,19 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
-from .algorithms import search, sorting, scc
-from .machine import (
-    Trace,
-    UNDEF,
-    as_index,
-    as_scalar,
-    mapped_edge_count,
-    operated_edge_count,
+from .algorithms import SPECS, spec_for
+from .machine import Trace, mapped_edge_count, operated_edge_count
+from .spec import (
+    AlgorithmSpec,
+    HintFrame,
+    ProbeSpec,
+    ReplayError,
+    increasing_unit_scalars,
 )
 
 
 class DatasetFormatError(Exception):
     """Malformed dataset stream; message carries the offending line number."""
-
-
-class ReplayError(Exception):
-    """Hint frames do not form a consistent trajectory."""
-
-
-@dataclass(frozen=True)
-class ProbeSpec:
-    """One observable: name, stage (input/hint/output), location, dtype."""
-
-    name: str
-    stage: str
-    location: str
-    dtype: str
-
-    def to_obj(self, algo: str) -> dict:
-        return {
-            "algo": algo,
-            "dtype": self.dtype,
-            "location": self.location,
-            "name": self.name,
-            "stage": self.stage,
-        }
-
-
-@dataclass(frozen=True)
-class HintFrame:
-    step: int
-    values: dict
-
-    def to_obj(self) -> dict:
-        return {"step": self.step, "values": self.values}
 
 
 @dataclass(frozen=True)
@@ -94,74 +62,9 @@ class Sample:
         )
 
 
-_SEARCH_INPUTS = (
-    ProbeSpec("items", "input", "node", "scalar"),
-    ProbeSpec("pos", "input", "node", "scalar"),
-    ProbeSpec("x", "input", "graph", "scalar"),
-)
-_SCC_INPUTS = (
-    ProbeSpec("adj_directed", "input", "edge", "scalar"),
-    ProbeSpec("adj_undirected", "input", "edge", "mask"),
-    ProbeSpec("pos", "input", "node", "scalar"),
-)
-
-_PROBES: dict[str, tuple[ProbeSpec, ...]] = {
-    "parallel_search": _SEARCH_INPUTS
-    + (
-        ProbeSpec("leq_mask", "hint", "node", "mask"),
-        ProbeSpec("rank", "output", "graph", "categorical"),
-    ),
-    "binary_search": _SEARCH_INPUTS
-    + (
-        ProbeSpec("low", "hint", "node", "mask"),
-        ProbeSpec("high", "hint", "node", "mask"),
-        ProbeSpec("mid", "hint", "node", "mask"),
-        ProbeSpec("rank", "output", "graph", "categorical"),
-    ),
-    "oets": (
-        ProbeSpec("items", "input", "node", "scalar"),
-        ProbeSpec("pos", "input", "node", "scalar"),
-        ProbeSpec("pred", "hint", "node", "categorical"),
-        ProbeSpec("swap_mask", "hint", "edge", "mask"),
-        ProbeSpec("parity", "hint", "graph", "mask"),
-        ProbeSpec("pred", "output", "node", "categorical"),
-    ),
-    "bubble_sort": (
-        ProbeSpec("items", "input", "node", "scalar"),
-        ProbeSpec("pos", "input", "node", "scalar"),
-        ProbeSpec("pred", "hint", "node", "categorical"),
-        ProbeSpec("swap_mask", "hint", "edge", "mask"),
-        ProbeSpec("cursor_i", "hint", "graph", "categorical"),
-        ProbeSpec("cursor_j", "hint", "graph", "categorical"),
-        ProbeSpec("pred", "output", "node", "categorical"),
-    ),
-    "dcsc": _SCC_INPUTS
-    + (
-        ProbeSpec("reach_fwd", "hint", "node", "mask"),
-        ProbeSpec("reach_bwd", "hint", "node", "mask"),
-        ProbeSpec("in_scc", "hint", "node", "mask"),
-        ProbeSpec("undiscovered", "hint", "node", "mask"),
-        ProbeSpec("scc_ptr", "hint", "node", "categorical"),
-        ProbeSpec("scc_ptr", "output", "node", "categorical"),
-    ),
-    "kosaraju": _SCC_INPUTS
-    + (
-        ProbeSpec("seen_first", "hint", "node", "mask"),
-        ProbeSpec("done_first", "hint", "node", "mask"),
-        ProbeSpec("seen_second", "hint", "node", "mask"),
-        ProbeSpec("finish_order", "hint", "node", "categorical"),
-        ProbeSpec("scc_ptr", "hint", "node", "categorical"),
-        ProbeSpec("scc_ptr", "output", "node", "categorical"),
-    ),
-}
-
-
 def probe_spec(algo_id: str) -> tuple[ProbeSpec, ...]:
     """Fixed probe schema of one algorithm."""
-    try:
-        return _PROBES[algo_id]
-    except KeyError:
-        raise ValueError(f"unknown algorithm {algo_id!r}") from None
+    return spec_for(algo_id).probes
 
 
 def categories(probe: ProbeSpec, n: int) -> int:
@@ -172,180 +75,8 @@ def categories(probe: ProbeSpec, n: int) -> int:
     return n
 
 
-def increasing_unit_scalars(rng: Random, n: int) -> list[float]:
-    """n distinct values in [0,1), strictly increasing (rank rescaling)."""
-    draws = sorted(rng.random() for _ in range(n))
-    return [(k + draws[k]) / n for k in range(n)]
-
-
-# ---------------------------------------------------------------------------
-# hint-frame builders (one per algorithm, reading trace snapshots)
-
-
-def _frames_parallel_search(inst, trace: Trace) -> list[HintFrame]:
-    n = inst.n
-    frames = []
-    for t in range(1, trace.depth + 1):
-        local = trace.states[t].local
-        mask = [int(as_scalar(local[i][search.MASK]) == 0.0) for i in range(n)]
-        frames.append(HintFrame(t, {"leq_mask": mask}))
-    return frames
-
-
-def _frames_binary_search(inst, trace: Trace) -> list[HintFrame]:
-    n = inst.n
-    frames = []
-    for t in range(1, trace.depth + 1):
-        shared = trace.states[t].shared
-        lo = as_index(shared[search.LO])
-        hi = as_index(shared[search.HI])
-        mid = as_index(shared[search.MID])
-        frames.append(
-            HintFrame(
-                t,
-                {
-                    "low": [int(i < lo) for i in range(n)],
-                    "high": [int(i >= hi) for i in range(n)],
-                    "mid": [int(i == mid) for i in range(n)],
-                },
-            )
-        )
-    return frames
-
-
-def _swap_mask(old_table: Sequence[int], new_table: Sequence[int], n: int) -> list[list[int]]:
-    mask = [[0] * n for _ in range(n)]
-    for k in range(n - 1):
-        if old_table[k] != new_table[k] and old_table[k] == new_table[k + 1]:
-            u, v = old_table[k], old_table[k + 1]
-            mask[u][v] = 1
-            mask[v][u] = 1
-    return mask
-
-
-def _frames_oets(inst, trace: Trace) -> list[HintFrame]:
-    n = inst.n
-    frames = []
-    for t in range(1, trace.depth + 1):
-        old = trace.states[t - 1].shared[:n]
-        new = trace.states[t].shared[:n]
-        frames.append(
-            HintFrame(
-                t,
-                {
-                    "pred": list(sorting.predecessors_from_table(tuple(new))),
-                    "swap_mask": _swap_mask(old, new, n),
-                    "parity": (t - 1) % 2,
-                },
-            )
-        )
-    return frames
-
-
-def _frames_bubble(inst, trace: Trace) -> list[HintFrame]:
-    n = inst.n
-    schedule = sorting.bubble_schedule(n)
-    frames = []
-    for t in range(1, trace.depth + 1):
-        old = trace.states[t - 1].shared[:n]
-        new = trace.states[t].shared[:n]
-        pass_i, slot_j = schedule[t - 1]
-        frames.append(
-            HintFrame(
-                t,
-                {
-                    "pred": list(sorting.predecessors_from_table(tuple(new))),
-                    "swap_mask": _swap_mask(old, new, n),
-                    "cursor_i": pass_i,
-                    "cursor_j": slot_j,
-                },
-            )
-        )
-    return frames
-
-
-def _frames_dcsc(inst, trace: Trace) -> list[HintFrame]:
-    n = inst.n
-    frames = []
-    for t in range(1, trace.depth + 1):
-        state = trace.states[t]
-        pivot = as_index(state.shared[scc.PIVOT_ADDR])
-        local = state.local
-        fwd = [int(local[u][scc.FWD] == pivot) for u in range(n)]
-        bwd = [int(local[u][scc.BWD] == pivot) for u in range(n)]
-        frames.append(
-            HintFrame(
-                t,
-                {
-                    "reach_fwd": fwd,
-                    "reach_bwd": bwd,
-                    "in_scc": [a & b for a, b in zip(fwd, bwd)],
-                    "undiscovered": [int(not local[u][scc.DONE]) for u in range(n)],
-                    "scc_ptr": [as_index(local[u][scc.PTR]) for u in range(n)],
-                },
-            )
-        )
-    return frames
-
-
-def _frames_kosaraju(inst, trace: Trace) -> list[HintFrame]:
-    n = inst.n
-    color1, order, color2, comp = scc._shared_layout(n)
-    frames = []
-    for t in range(1, trace.depth + 1):
-        shared = trace.states[t].shared
-        frames.append(
-            HintFrame(
-                t,
-                {
-                    "seen_first": [int(shared[color1 + u] is not UNDEF) for u in range(n)],
-                    "done_first": [int(shared[order + u] is not UNDEF) for u in range(n)],
-                    "seen_second": [int(shared[color2 + u] is not UNDEF) for u in range(n)],
-                    "finish_order": [
-                        as_index(shared[order + u]) if shared[order + u] is not UNDEF else u
-                        for u in range(n)
-                    ],
-                    "scc_ptr": [
-                        as_index(shared[comp + u]) if shared[comp + u] is not UNDEF else u
-                        for u in range(n)
-                    ],
-                },
-            )
-        )
-    return frames
-
-
-_FRAME_BUILDERS = {
-    "parallel_search": _frames_parallel_search,
-    "binary_search": _frames_binary_search,
-    "oets": _frames_oets,
-    "bubble_sort": _frames_bubble,
-    "dcsc": _frames_dcsc,
-    "kosaraju": _frames_kosaraju,
-}
-
-
-def _inputs_for(algo_id: str, inst, pos: list[float]) -> dict:
-    if algo_id in ("parallel_search", "binary_search"):
-        return {"items": list(inst.items), "pos": pos, "x": inst.x}
-    if algo_id in ("oets", "bubble_sort"):
-        return {"items": list(inst.items), "pos": pos}
-    n = inst.n
-    directed = [[0.0] * n for _ in range(n)]
-    undirected = [[0] * n for _ in range(n)]
-    for u, v in sorted(inst.edges):
-        directed[u][v] = 1.0
-        undirected[u][v] = 1
-        undirected[v][u] = 1
-    return {"adj_directed": directed, "adj_undirected": undirected, "pos": pos}
-
-
-def _outputs_for(algo_id: str, output) -> dict:
-    if algo_id in ("parallel_search", "binary_search"):
-        return {"rank": output}
-    if algo_id in ("oets", "bubble_sort"):
-        return {"pred": list(output)}
-    return {"scc_ptr": list(output)}
+def _spec_of(sample: "Sample") -> AlgorithmSpec | None:
+    return SPECS.get(sample.algo) if isinstance(sample.algo, str) else None
 
 
 def encode_sample(
@@ -363,12 +94,9 @@ def encode_sample(
     Positional scalars are drawn once from the sample seed: distinct values
     in [0,1), strictly increasing with node index.
     """
-    if algo_id not in _FRAME_BUILDERS:
-        raise ValueError(f"unknown algorithm {algo_id!r}")
+    spec = spec_for(algo_id)
     n = inst.n
-    rng = Random(seed)
-    pos = increasing_unit_scalars(rng, n)
-    frames = _FRAME_BUILDERS[algo_id](inst, trace)
+    pos = increasing_unit_scalars(Random(seed), n)
     activity = {
         "m": operated_edge_count(trace),
         "steps": [
@@ -385,9 +113,9 @@ def encode_sample(
         algo=algo_id,
         n=n,
         seed={"index": index, "master": master if master is not None else seed, "value": seed},
-        inputs=_inputs_for(algo_id, inst, pos),
-        hints=tuple(frames),
-        outputs=_outputs_for(algo_id, output),
+        inputs=spec.inputs(inst, pos),
+        hints=tuple(spec.frames(inst, trace)),
+        outputs=spec.outputs(output),
         activity=activity,
     )
 
@@ -434,12 +162,17 @@ def _check_payload(probe: ProbeSpec, value, n: int, where: str, out: list[str]) 
 
 
 def validate_sample(sample: Sample, spec: Sequence[ProbeSpec] | None = None) -> list[str]:
-    """Check one sample against its probe schema; returns violations."""
+    """Check one sample against its probe schema; returns violations.
+
+    Never raises on a malformed payload: a container of the wrong type is a
+    violation like any other.
+    """
     out: list[str] = []
+    algo = _spec_of(sample)
     if spec is None:
-        if sample.algo not in _PROBES:
+        if algo is None:
             return [f"unknown algorithm {sample.algo!r}"]
-        spec = probe_spec(sample.algo)
+        spec = algo.probes
     n = sample.n
     if not isinstance(n, int) or n < 1:
         return ["n must be a positive integer"]
@@ -449,6 +182,9 @@ def validate_sample(sample: Sample, spec: Sequence[ProbeSpec] | None = None) -> 
         by_stage.setdefault(probe.stage, []).append(probe)
 
     for stage, payload in (("input", sample.inputs), ("output", sample.outputs)):
+        if not isinstance(payload, dict):
+            out.append(f"{stage}s: must be an object")
+            continue
         names = {p.name for p in by_stage[stage]}
         got = set(payload)
         if got != names:
@@ -466,51 +202,22 @@ def validate_sample(sample: Sample, spec: Sequence[ProbeSpec] | None = None) -> 
     hint_names = {p.name for p in by_stage["hint"]}
     for idx, frame in enumerate(sample.hints):
         where = f"hints[{idx}]"
+        if not isinstance(frame.values, dict):
+            out.append(f"{where}: values must be an object")
+            continue
         if set(frame.values) != hint_names:
             out.append(f"{where}: expected {sorted(hint_names)}, got {sorted(frame.values)}")
             continue
         for probe in by_stage["hint"]:
             _check_payload(probe, frame.values[probe.name], n, where, out)
 
-    if "pos" in sample.inputs and isinstance(sample.inputs["pos"], list):
-        pos = sample.inputs["pos"]
+    pos = sample.inputs.get("pos") if isinstance(sample.inputs, dict) else None
+    if isinstance(pos, list) and all(_is_number(v) for v in pos):
         if len(set(pos)) != len(pos):
             out.append("inputs.pos: positional scalars must be distinct")
 
-    if not out:
-        out.extend(_monotonicity_violations(sample))
-    return out
-
-
-def _monotonicity_violations(sample: Sample) -> list[str]:
-    out: list[str] = []
-    if sample.algo == "dcsc":
-        prev_und = None
-        prev_scc = None
-        for idx, frame in enumerate(sample.hints):
-            und = frame.values["undiscovered"]
-            if prev_und is not None and any(a > b for a, b in zip(und, prev_und)):
-                out.append(f"hints[{idx}].undiscovered: monotonicity")
-            in_scc = frame.values["in_scc"]
-            # a search reset looks like a round initialization: both reach
-            # masks and the membership mask collapse to the same single node
-            reset = (
-                sum(in_scc) == 1
-                and frame.values["reach_fwd"] == in_scc
-                and frame.values["reach_bwd"] == in_scc
-            )
-            if prev_scc is not None and not reset:
-                if any(a > b for a, b in zip(prev_scc, in_scc)):
-                    out.append(f"hints[{idx}].in_scc: monotonicity")
-            prev_und, prev_scc = und, in_scc
-    if sample.algo == "kosaraju":
-        for name in ("seen_first", "done_first", "seen_second"):
-            prev = None
-            for idx, frame in enumerate(sample.hints):
-                cur = frame.values[name]
-                if prev is not None and any(a < b for a, b in zip(cur, prev)):
-                    out.append(f"hints[{idx}].{name}: monotonicity")
-                prev = cur
+    if not out and algo is not None and algo.invariants is not None:
+        out.extend(algo.invariants(sample.hints))
     return out
 
 
@@ -618,165 +325,7 @@ def replay_sample(sample: Sample) -> dict:
 
     Raises ReplayError when the frames are not a consistent trajectory.
     """
-    try:
-        replayer = _REPLAYERS[sample.algo]
-    except KeyError:
-        raise ReplayError(f"unknown algorithm {sample.algo!r}") from None
-    return replayer(sample)
-
-
-def _replay_parallel_search(sample: Sample) -> dict:
-    if not sample.hints:
-        raise ReplayError("empty trajectory")
-    mask = sample.hints[-1].values["leq_mask"]
-    rank = next((i for i, v in enumerate(mask) if v == 1), sample.n)
-    return {"rank": rank}
-
-
-def _replay_binary_search(sample: Sample) -> dict:
-    n = sample.n
-    items = sample.inputs["items"]
-    x = sample.inputs["x"]
-    lo, hi = 0, n
-    for idx, frame in enumerate(sample.hints):
-        if lo >= hi:
-            raise ReplayError(f"frame {idx}: window already closed")
-        mid = (lo + hi) // 2
-        if items[mid] <= x:
-            hi = mid
-        else:
-            lo = mid + 1
-        want = {
-            "low": [int(i < lo) for i in range(n)],
-            "high": [int(i >= hi) for i in range(n)],
-            "mid": [int(i == mid) for i in range(n)],
-        }
-        if frame.values != want:
-            raise ReplayError(f"frame {idx}: window mismatch")
-    if lo != hi:
-        raise ReplayError("trajectory ended before the window closed")
-    return {"rank": lo}
-
-
-def _apply_swaps(table: list[int], mask, parity: int | None, n: int, idx: int) -> None:
-    pos_of = {node: k for k, node in enumerate(table)}
-    pairs = {(min(u, v), max(u, v)) for u in range(n) for v in range(n) if mask[u][v]}
-    for u, v in sorted(pairs):
-        pu, pv = pos_of[u], pos_of[v]
-        if abs(pu - pv) != 1:
-            raise ReplayError(f"frame {idx}: swap of non-adjacent chain positions")
-        if parity is not None and min(pu, pv) % 2 != parity:
-            raise ReplayError(f"frame {idx}: swap against round parity")
-        table[pu], table[pv] = table[pv], table[pu]
-        pos_of[u], pos_of[v] = pv, pu
-
-
-def _replay_sort(sample: Sample, with_parity: bool) -> dict:
-    n = sample.n
-    table = list(range(n))
-    for idx, frame in enumerate(sample.hints):
-        parity = None
-        if with_parity:
-            parity = frame.values["parity"]
-            if parity != idx % 2:
-                raise ReplayError(f"frame {idx}: parity clock mismatch")
-        else:
-            schedule = sorting.bubble_schedule(n)
-            want_i, want_j = schedule[idx]
-            if frame.values["cursor_i"] != want_i or frame.values["cursor_j"] != want_j:
-                raise ReplayError(f"frame {idx}: cursor mismatch")
-        _apply_swaps(table, frame.values["swap_mask"], parity, n, idx)
-        pred = list(sorting.predecessors_from_table(tuple(table)))
-        if frame.values["pred"] != pred:
-            raise ReplayError(f"frame {idx}: pointer mismatch")
-    return {"pred": list(sorting.predecessors_from_table(tuple(table)))}
-
-
-def _replay_dcsc(sample: Sample) -> dict:
-    n = sample.n
-    adj = sample.inputs["adj_directed"]
-    out_adj = [[v for v in range(n) if adj[u][v] == 1.0] for u in range(n)]
-    in_adj = [[u for u in range(n) if adj[u][v] == 1.0] for v in range(n)]
-    done: set[int] = set()
-    fwd: set[int] = set()
-    bwd: set[int] = set()
-    ptr = list(range(n))
-    pivot: int | None = None
-    for idx, frame in enumerate(sample.hints):
-        alive = [u for u in range(n) if u not in done]
-        if not alive:
-            raise ReplayError(f"frame {idx}: trajectory continues after completion")
-        expected_pivot = alive[0]
-        got_fwd = {u for u in range(n) if frame.values["reach_fwd"][u] == 1}
-        got_bwd = {u for u in range(n) if frame.values["reach_bwd"][u] == 1}
-        got_und = {u for u in range(n) if frame.values["undiscovered"][u] == 1}
-        if pivot != expected_pivot:
-            # round initialization
-            pivot = expected_pivot
-            fwd = {pivot}
-            bwd = {pivot}
-            ptr[pivot] = pivot
-            if got_fwd != fwd or got_bwd != bwd or got_und != set(alive):
-                raise ReplayError(f"frame {idx}: bad round initialization")
-        else:
-            new_fwd = fwd | {
-                u for u in alive if u not in fwd and any(j in fwd for j in in_adj[u])
-            }
-            new_bwd = bwd | {
-                u for u in alive if u not in bwd and any(j in bwd for j in out_adj[u])
-            }
-            if new_fwd != fwd or new_bwd != bwd:
-                # search layer
-                for u in (new_fwd & new_bwd) - (fwd & bwd):
-                    ptr[u] = pivot
-                fwd, bwd = new_fwd, new_bwd
-                if got_fwd != fwd or got_bwd != bwd or got_und != set(alive):
-                    raise ReplayError(f"frame {idx}: bad search layer")
-            else:
-                # close: the intersection leaves the undiscovered set
-                members = fwd & bwd
-                done |= members
-                if got_und != set(alive) - members or got_fwd != fwd or got_bwd != bwd:
-                    raise ReplayError(f"frame {idx}: bad round close")
-                pivot = None
-        want_scc = [int(u in fwd and u in bwd) for u in range(n)]
-        if frame.values["in_scc"] != want_scc:
-            raise ReplayError(f"frame {idx}: membership mask mismatch")
-        if frame.values["scc_ptr"] != ptr:
-            raise ReplayError(f"frame {idx}: pointer mismatch")
-    if len(done) != n:
-        raise ReplayError("trajectory ended with unassigned nodes")
-    return {"scc_ptr": ptr}
-
-
-def _replay_kosaraju(sample: Sample) -> dict:
-    n = sample.n
-    if not sample.hints:
-        raise ReplayError("empty trajectory")
-    ptr = list(range(n))
-    for idx, frame in enumerate(sample.hints):
-        cur = frame.values["scc_ptr"]
-        for u in range(n):
-            if ptr[u] != u and cur[u] != ptr[u]:
-                raise ReplayError(f"frame {idx}: assignment of node {u} changed")
-        seen2 = frame.values["seen_second"]
-        for u in range(n):
-            if seen2[u] == 0 and cur[u] != u:
-                raise ReplayError(f"frame {idx}: pointer before discovery at {u}")
-        ptr = list(cur)
-    final = sample.hints[-1].values
-    if sorted(final["finish_order"]) != list(range(n)):
-        raise ReplayError("final finish order is not a permutation")
-    if any(v == 0 for v in final["seen_second"]):
-        raise ReplayError("trajectory ended before the second pass finished")
-    return {"scc_ptr": ptr}
-
-
-_REPLAYERS = {
-    "parallel_search": _replay_parallel_search,
-    "binary_search": _replay_binary_search,
-    "oets": lambda s: _replay_sort(s, with_parity=True),
-    "bubble_sort": lambda s: _replay_sort(s, with_parity=False),
-    "dcsc": _replay_dcsc,
-    "kosaraju": _replay_kosaraju,
-}
+    algo = _spec_of(sample)
+    if algo is None:
+        raise ReplayError(f"unknown algorithm {sample.algo!r}")
+    return algo.replay(sample)

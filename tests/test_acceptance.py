@@ -31,7 +31,14 @@ from pramtraj.harness import (
     generate_instance,
     sample_seed,
 )
-from pramtraj.machine import WriteRequest, mapped_edge_count, resolve_writes
+from pramtraj.machine import (
+    UNDEF,
+    MachineState,
+    NodeUpdate,
+    complete_graph,
+    mapped_edge_count,
+    step_machine,
+)
 from pramtraj.trajectory import (
     parse_ndjson,
     replay_sample,
@@ -208,16 +215,25 @@ def test_criterion_6_efficiency_separation():
     print("\nACCEPTANCE 6 PASS - parallel members strictly dominate eta and eps (mean and min) at n=32; a(t) <= 4 for binary/bubble")
 
 
+def priority_layer(targets, shared_size):
+    """One step_machine layer in which processor pid writes pid to address
+    ``targets[pid]`` (None: idle); returns the written cells by address."""
+    width = len(targets)
+    state = MachineState(((0.0,),) * width, (UNDEF,) * shared_size, 0)
+
+    def step(ctx):
+        addr = targets[ctx.pid]
+        return None if addr is None else NodeUpdate(writes=((addr, ctx.pid),))
+
+    new, _ = step_machine(state, step, complete_graph(width))
+    return {addr: cell for addr, cell in enumerate(new.shared) if cell is not UNDEF}
+
+
 def test_criterion_7_priority_crcw_semantics():
     # exhaustive: every request pattern for p <= 5 over two addresses
     for p in range(1, 6):
         for combo in itertools.product((None, 0, 1), repeat=p):
-            requests = [
-                WriteRequest(proc, addr, proc)
-                for proc, addr in enumerate(combo)
-                if addr is not None
-            ]
-            applied = dict(resolve_writes(requests))
+            applied = priority_layer(combo, 2)
             for addr in (0, 1):
                 writers = [proc for proc, a in enumerate(combo) if a == addr]
                 if writers:
@@ -229,18 +245,15 @@ def test_criterion_7_priority_crcw_semantics():
 
     rng = random.Random(1007)
     for _ in range(10_000):
-        requests = []
-        for proc in range(64):
-            if rng.random() < 0.5:
-                requests.append(WriteRequest(proc, rng.randrange(4), proc))
-        applied = dict(resolve_writes(requests))
+        targets = [rng.randrange(4) if rng.random() < 0.5 else None for _ in range(64)]
+        applied = priority_layer(targets, 4)
         for addr in range(4):
-            writers = [r.proc_id for r in requests if r.address == addr]
+            writers = [proc for proc, a in enumerate(targets) if a == addr]
             if writers:
                 assert applied[addr] == min(writers)
             else:
                 assert addr not in applied
-    print("\nACCEPTANCE 7 PASS - priority CRCW: lowest index wins (exhaustive p<=5, 10000 random cases at p=64)")
+    print("\nACCEPTANCE 7 PASS - priority CRCW in step_machine: lowest index wins (exhaustive p<=5, 10000 random cases at p=64)")
 
 
 def test_criterion_8_assumption_one_budget():

@@ -40,6 +40,43 @@ class TestGen:
         assert run_cli(["validate", "--in", str(out)]) == 1
         assert "mask domain" in capsys.readouterr().out
 
+    def _validate_corrupted(self, tmp_path, capsys, edit):
+        out = tmp_path / "d.ndjson"
+        run_cli(["gen", "--algo", "parallel_search", "--n", "8", "--samples", "2",
+                 "--seed", "0", "--out", str(out)])
+        lines = out.read_text().splitlines()
+        obj = json.loads(lines[0])
+        edit(obj)
+        lines[0] = json.dumps(obj, sort_keys=True)
+        out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli(["validate", "--in", str(out)])
+        return code, capsys.readouterr().out
+
+    def test_validate_reports_boxed_position(self, tmp_path, capsys):
+        def box(obj):
+            obj["inputs"]["pos"][3] = [obj["inputs"]["pos"][3]]
+
+        code, out = self._validate_corrupted(tmp_path, capsys, box)
+        assert code == 1
+        assert "line 1: inputs.pos: scalar must be finite" in out
+
+    def test_validate_reports_hint_values_list(self, tmp_path, capsys):
+        def listify(obj):
+            obj["hints"][0]["values"] = [[1], [0]]
+
+        code, out = self._validate_corrupted(tmp_path, capsys, listify)
+        assert code == 1
+        assert "line 1: hints[0]: values must be an object" in out
+
+    def test_validate_reports_inputs_list(self, tmp_path, capsys):
+        def listify(obj):
+            obj["inputs"] = [[0.5], [0.25]]
+
+        code, out = self._validate_corrupted(tmp_path, capsys, listify)
+        assert code == 1
+        assert "line 1: inputs: must be an object" in out
+
 
 class TestTrace:
     def test_oets_shows_two_swap_rounds(self, capsys):
@@ -102,12 +139,13 @@ class TestCompare:
         assert run_cli(["compare", "--pair", "search", "--n", "32",
                         "--samples", "50", "--seed", "7"]) == 0
         out = capsys.readouterr().out
+        # the analyze table: one row per algorithm, keyed by its first column
         rows = {line.split()[0]: line.split() for line in out.splitlines()[1:]}
         header = out.splitlines()[0].split()
-        eta_i = header.index("eta_mean")
+        eta_i = header.index("eta")
         eps_i = header.index("eps_mean")
-        assert float(rows["parallel"][eta_i]) > float(rows["sequential"][eta_i])
-        assert float(rows["parallel"][eps_i]) > float(rows["sequential"][eps_i])
+        assert float(rows["parallel_search"][eta_i]) > float(rows["binary_search"][eta_i])
+        assert float(rows["parallel_search"][eps_i]) > float(rows["binary_search"][eps_i])
 
     def test_unknown_pair(self):
         assert run_cli(["compare", "--pair", "graphs", "--n", "8",

@@ -5,9 +5,7 @@ from pramtraj.algorithms.search import SearchInstance, binary_search, parallel_s
 from pramtraj.algorithms.sorting import SortInstance, bubble_sort, oets_sort
 from pramtraj.efficiency import (
     capacity,
-    edge_efficiency,
     node_efficiency,
-    pair_metrics,
     render_table,
     report_ndjson,
     scaling_report,
@@ -80,33 +78,22 @@ class TestNodeEfficiency:
 
 class TestEdgeEfficiency:
     def test_parallel_search_star_share(self):
-        traces = traces_for("parallel_search", 8, 30)
-        eps_min, eps_mean = edge_efficiency(traces)
+        rec = scaling_report("parallel_search", [4, 8, 16], 30, 21).records[1]
         # layer 1 uses n of the 2n star edges, layer 2 none: exactly 1/4
-        assert eps_min == pytest.approx(0.25)
-        assert eps_mean == pytest.approx(0.25)
+        assert rec.n == 8
+        assert rec.eps_min == pytest.approx(0.25)
+        assert rec.eps_mean == pytest.approx(0.25)
 
     def test_oets_n8_class(self):
-        traces = traces_for("oets", 8, 30)
-        eps_min, eps_mean = edge_efficiency(traces)
+        rec = scaling_report("oets", [4, 8, 16], 30, 21).records[1]
         # even rounds use n pair edges of n(n-1), odd rounds n-2
-        assert 1 / 8 <= eps_min + 1e-12 <= eps_mean <= 1 / 7
-        assert eps_min == pytest.approx(1 / 8)
+        assert 1 / 8 <= rec.eps_min + 1e-12 <= rec.eps_mean <= 1 / 7
+        assert rec.eps_min == pytest.approx(1 / 8)
 
     def test_bubble_at_most_four_active_edges(self):
         for trace in traces_for("bubble_sort", 8, 15):
             for rec in trace.activity:
                 assert mapped_edge_count(trace, rec) <= 4
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            edge_efficiency([])
-
-    def test_mixed_traces_rejected(self):
-        a = traces_for("oets", 6, 1)
-        b = traces_for("bubble_sort", 6, 1)
-        with pytest.raises(ValueError):
-            edge_efficiency(a + b)
 
     def test_scc_share_counts_instance_edges_once(self):
         for trace in traces_for("dcsc", 10, 10):
@@ -209,10 +196,3 @@ class TestScaleInvariance:
             assert rank_a == rank_b
             assert a.depth == b.depth
             assert node_efficiency(a) == node_efficiency(b)
-
-
-def test_pair_metrics_shape():
-    rec = pair_metrics("oets", 8, 5, 3)
-    assert rec["algo"] == "oets" and rec["n"] == 8
-    assert 0 < rec["eta_min"] <= rec["eta_mean"]
-    assert 0 < rec["eps_min"] <= rec["eps_mean"] <= 1

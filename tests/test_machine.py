@@ -12,14 +12,12 @@ from pramtraj.machine import (
     StepLimitExceeded,
     UNDEF,
     UndefinedValueError,
-    WriteRequest,
     as_flag,
     as_index,
     as_scalar,
     complete_graph,
     fresh_state,
     probe_step_reads,
-    resolve_writes,
     run_machine,
     step_machine,
 )
@@ -45,16 +43,35 @@ class TestCells:
         assert UNDEF != 0 and UNDEF != 0.0 and UNDEF != False  # noqa: E712
 
 
+def _loop_graph(n):
+    return InterconnectionGraph(n, frozenset(), frozenset(range(n)))
+
+
+def _write_layer(width, shared_size, writes_by_pid):
+    """One step_machine layer in which processor pid issues the shared writes
+    ``writes_by_pid[pid]``; returns the cells it wrote, by address."""
+    state = MachineState(((0.0,),) * width, (UNDEF,) * shared_size, 0)
+
+    def step(ctx):
+        writes = writes_by_pid.get(ctx.pid)
+        return NodeUpdate(writes=writes) if writes else None
+
+    new, _ = step_machine(state, step, _loop_graph(width))
+    return {addr: cell for addr, cell in enumerate(new.shared) if cell is not UNDEF}
+
+
 class TestResolveWrites:
+    """Priority CRCW as step_machine resolves it: per address, the lowest
+    writing processor wins."""
+
     def test_lowest_index_wins(self):
-        reqs = [WriteRequest(2, 0, 7.0), WriteRequest(0, 0, 5.0)]
-        assert resolve_writes(reqs) == [(0, 5.0)]
+        assert _write_layer(3, 1, {2: ((0, 7.0),), 0: ((0, 5.0),)}) == {0: 5.0}
 
     def test_single_writer(self):
-        assert resolve_writes([WriteRequest(3, 1, 9.0)]) == [(1, 9.0)]
+        assert _write_layer(4, 2, {3: ((1, 9.0),)}) == {1: 9.0}
 
     def test_no_writes(self):
-        assert resolve_writes([]) == []
+        assert _write_layer(3, 2, {}) == {}
 
     def test_exhaustive_small(self):
         # all request patterns for p <= 3 processors over 2 addresses
@@ -62,12 +79,12 @@ class TestResolveWrites:
 
         for p in (1, 2, 3):
             for combo in itertools.product((None, 0, 1), repeat=p):
-                reqs = [
-                    WriteRequest(proc, addr, float(100 + proc))
+                writes = {
+                    proc: ((addr, float(100 + proc)),)
                     for proc, addr in enumerate(combo)
                     if addr is not None
-                ]
-                applied = dict(resolve_writes(reqs))
+                }
+                applied = _write_layer(p, 2, writes)
                 for addr in (0, 1):
                     writers = [proc for proc, a in enumerate(combo) if a == addr]
                     if writers:
@@ -82,18 +99,16 @@ class TestResolveWrites:
         )
     )
     def test_priority_property(self, pairs):
-        reqs = [WriteRequest(proc, addr, proc * 10 + addr) for proc, addr in pairs]
-        applied = dict(resolve_writes(reqs))
+        writes = {}
+        for proc, addr in pairs:
+            writes[proc] = writes.get(proc, ()) + ((addr, proc * 10 + addr),)
+        applied = _write_layer(20, 5, writes)
         by_addr = {}
         for proc, addr in pairs:
             by_addr.setdefault(addr, []).append(proc)
         assert set(applied) == set(by_addr)
         for addr, procs in by_addr.items():
             assert applied[addr] == min(procs) * 10 + addr
-
-
-def _loop_graph(n):
-    return InterconnectionGraph(n, frozenset(), frozenset(range(n)))
 
 
 class TestStepMachine:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pramtraj.algorithms.scc import DONE, PIVOT_ADDR, bidirectional_bfs, dcsc, kosaraju
+from pramtraj.algorithms.scc import DONE, PIVOT_ADDR, dcsc, kosaraju
 from pramtraj.graphs import Digraph, pointers_to_partition, tarjan_scc
 from pramtraj.harness import gen_digraph, sample_seed
 
@@ -30,21 +30,6 @@ def reachability_partition(g):
     return frozenset(groups)
 
 
-def bfs_oracle(g, source, alive, forward=True):
-    frontier = {source}
-    seen = {source}
-    while frontier:
-        nxt = set()
-        for u in frontier:
-            nbrs = g.out_neighbors(u) if forward else g.in_neighbors(u)
-            for v in nbrs:
-                if v in alive and v not in seen:
-                    seen.add(v)
-                    nxt.add(v)
-        frontier = nxt
-    return seen
-
-
 class TestTarjanOracle:
     def test_hand_cases(self):
         g = Digraph(3, frozenset({(0, 1), (1, 0), (1, 2)}))
@@ -59,45 +44,6 @@ class TestTarjanOracle:
     def test_against_transitive_closure(self, n, seed):
         g = gen_digraph(n, 3, seed)
         assert frozenset(tarjan_scc(g)) == reachability_partition(g)
-
-
-class TestBidirectionalBfs:
-    def test_path(self):
-        g = Digraph(3, frozenset({(0, 1), (1, 2)}))
-        desc, pred, trace = bidirectional_bfs(g, 0, {0, 1, 2})
-        assert desc == {0, 1, 2}
-        assert pred == {0}
-        assert trace.depth == 2
-
-    def test_isolated_source(self):
-        g = Digraph(4, frozenset({(1, 2)}))
-        desc, pred, trace = bidirectional_bfs(g, 0, {0, 1, 2, 3})
-        assert desc == {0} and pred == {0}
-        assert trace.depth == 0
-
-    def test_three_cycle(self):
-        g = Digraph(3, frozenset({(0, 1), (1, 2), (2, 0)}))
-        desc, pred, trace = bidirectional_bfs(g, 0, {0, 1, 2})
-        assert desc == pred == {0, 1, 2}
-
-    def test_alive_restriction(self):
-        # 0 -> 1 -> 2 with 1 dead: 2 is unreachable
-        g = Digraph(3, frozenset({(0, 1), (1, 2)}))
-        desc, pred, _ = bidirectional_bfs(g, 0, {0, 2})
-        assert desc == {0} and pred == {0}
-
-    @given(st.integers(2, 10), st.integers(0, 1_000))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_set_oracle_and_depth(self, n, seed):
-        g = gen_digraph(n, 3, seed)
-        alive = frozenset(range(n))
-        desc, pred, trace = bidirectional_bfs(g, 0, alive)
-        assert desc == bfs_oracle(g, 0, alive, forward=True)
-        assert pred == bfs_oracle(g, 0, alive, forward=False)
-        assert trace.depth <= len(alive)
-        # lockstep: one layer per step means new discoveries every layer
-        for rec in trace.activity:
-            assert rec.active_nodes
 
 
 class TestDcsc:

@@ -257,6 +257,24 @@ class TestReplay:
         with pytest.raises(ReplayError):
             replay_sample(Sample.from_obj(obj))
 
+    def test_parallel_search_replay_checks_every_frame(self):
+        for index in range(4):
+            sample = make_sample("parallel_search", n=8, index=index)
+            for t in range(len(sample.hints)):
+                for cell in range(sample.n):
+                    obj = copy.deepcopy(sample.to_obj())
+                    mask = obj["hints"][t]["values"]["leq_mask"]
+                    mask[cell] = 1 - mask[cell]
+                    with pytest.raises(ReplayError):
+                        replay_sample(Sample.from_obj(obj))
+
+    def test_parallel_search_replay_needs_two_frames(self):
+        sample = make_sample("parallel_search", n=8)
+        obj = copy.deepcopy(sample.to_obj())
+        obj["hints"] = obj["hints"][:1]
+        with pytest.raises(ReplayError):
+            replay_sample(Sample.from_obj(obj))
+
     def test_replay_detects_tampered_swaps(self):
         sample = make_sample("oets", n=6)
         obj = copy.deepcopy(sample.to_obj())
