@@ -21,10 +21,9 @@ def main() -> None:
     n_list = tuple(int(p) for p in args.n_list.split(","))
     for algo in ALGORITHMS:
         cfg = GenConfig(algo, n_list, args.samples, args.seed)
-        samples = build_samples(cfg)
         path = out_dir / f"{algo}.ndjson"
-        write_dataset(path, samples, algo)
-        print(f"{path}: {len(samples)} samples")
+        count = write_dataset(path, build_samples(cfg), algo)
+        print(f"{path}: {count} samples")
 
 
 if __name__ == "__main__":

@@ -308,7 +308,10 @@ def _replay_sort(sample, with_parity: bool) -> dict:
             want_i, want_j = schedule[idx]
             if frame.values["cursor_i"] != want_i or frame.values["cursor_j"] != want_j:
                 raise ReplayError(f"frame {idx}: cursor mismatch")
+        old_table = tuple(table)
         _apply_swaps(table, frame.values["swap_mask"], parity, n, idx)
+        if frame.values["swap_mask"] != _swap_mask(old_table, table, n):
+            raise ReplayError(f"frame {idx}: swap mask mismatch")
         pred = list(predecessors_from_table(tuple(table)))
         if frame.values["pred"] != pred:
             raise ReplayError(f"frame {idx}: pointer mismatch")

@@ -55,13 +55,12 @@ def cmd_gen(args) -> int:
         seed=args.seed if args.seed is not None else _default_seed(),
         max_degree=args.max_degree,
     )
-    samples = build_samples(cfg)
     out = Path(args.out)
     try:
-        write_dataset(out, samples, args.algo)
+        count = write_dataset(out, build_samples(cfg), args.algo)
     except OSError as err:
         raise BadInput(f"cannot write {out}: {err}") from None
-    print(f"wrote {len(samples)} samples to {out} (schema: {schema_path_for(out)})")
+    print(f"wrote {count} samples to {out} (schema: {schema_path_for(out)})")
     return 0
 
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 
-import numpy as np
-
 from .algorithms import run, spec_for
 from .harness import exhaustive_instances, generate_instance, sample_seed
 from .machine import StepLimitExceeded, Trace, mapped_edge_count, operated_edge_count
@@ -91,6 +89,8 @@ _EPS_CLASSES = {
 def _loglog_slope(ns, values) -> float | None:
     if any(v <= 0 for v in values):
         return None
+    import numpy as np  # imported here so that gen, validate and trace start without it
+
     return float(np.polyfit(np.log(ns), np.log(values), 1)[0])
 
 

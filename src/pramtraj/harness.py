@@ -8,14 +8,17 @@ sample index), never on batch size or generation order.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .algorithms import SPECS, run, spec_for
 # the seeded generators live beside their algorithms and are re-exported here
 from .algorithms.scc import gen_digraph
 from .algorithms.search import gen_search_instance
 from .algorithms.sorting import gen_permutation
+from .machine import StepLimitExceeded
 from .trajectory import Sample, encode_sample, serialize_ndjson, serialize_schema
 
 
@@ -62,26 +65,27 @@ def exhaustive_instances(algo_id: str, n: int):
     return enumerate_all(n)
 
 
-def build_samples(cfg: GenConfig) -> list[Sample]:
-    """Generate, run, and encode every sample of a job, in (n, index) order."""
-    samples = []
+def build_samples(cfg: GenConfig) -> Iterator[Sample]:
+    """Generate, run, and encode every sample of a job, in (n, index) order,
+    one at a time."""
     for n in cfg.n_list:
         for index in range(cfg.samples_per_n):
-            seed = sample_seed(cfg.seed, cfg.algo_id, n, index)
-            inst = generate_instance(cfg.algo_id, n, seed, cfg.max_degree)
-            output, trace = run(cfg.algo_id, inst)
-            samples.append(
-                encode_sample(
-                    cfg.algo_id,
-                    inst,
-                    trace,
-                    output,
-                    seed=seed,
-                    master=cfg.seed,
-                    index=index,
-                )
-            )
-    return samples
+            yield _build_sample(cfg, n, index)
+
+
+def _build_sample(cfg: GenConfig, n: int, index: int) -> Sample:
+    """One sample; its trace is freed on return, before the next is drawn."""
+    seed = sample_seed(cfg.seed, cfg.algo_id, n, index)
+    inst = generate_instance(cfg.algo_id, n, seed, cfg.max_degree)
+    try:
+        output, trace = run(cfg.algo_id, inst)
+    except StepLimitExceeded as err:
+        raise StepLimitExceeded(
+            f"{err} (algo {cfg.algo_id}, n {n}, master seed {cfg.seed}, index {index})"
+        ) from err
+    return encode_sample(
+        cfg.algo_id, inst, trace, output, seed=seed, master=cfg.seed, index=index
+    )
 
 
 def schema_path_for(path: Path) -> Path:
@@ -89,7 +93,26 @@ def schema_path_for(path: Path) -> Path:
     return path.with_suffix(".schema")
 
 
-def write_dataset(path: Path, samples: list[Sample], algo_id: str) -> None:
+def write_dataset(path: Path, samples: Iterable[Sample], algo_id: str) -> int:
+    """Write samples as canonical NDJSON, one line as each is drawn, then the
+    schema sidecar; returns the number of samples.
+
+    The lines go to a sibling ``.part`` file that replaces ``path`` only once
+    every sample is written, so a job that fails leaves no partial dataset.
+    """
     path = Path(path)
-    path.write_bytes(serialize_ndjson(samples))
+    part = path.with_name(path.name + ".part")
+    count = 0
+    try:
+        with part.open("wb") as out:
+            for sample in samples:
+                out.write(serialize_ndjson([sample]))
+                out.flush()
+                count += 1
+                del sample  # freed before the next sample is drawn, not after
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
     schema_path_for(path).write_bytes(serialize_schema(algo_id))
+    return count

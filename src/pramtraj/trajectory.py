@@ -268,16 +268,38 @@ def _canon(obj, out: list[str]) -> None:
 
 
 def dumps_canonical(obj) -> str:
+    """The canonical text of obj: the definition of the dataset format."""
     pieces: list[str] = []
     _canon(obj, pieces)
     return "".join(pieces)
 
 
+# The C encoder writes ints, strings, lists and str-keyed dicts exactly as
+# dumps_canonical does, but formats floats with repr, not 17 digits.
+_encode_ints = json.JSONEncoder(
+    ensure_ascii=False, allow_nan=False, separators=(",", ":"), sort_keys=True
+).encode
+
+# The only top-level field of a sample that carries floats: every scalar
+# probe is an input probe, and activity, seed, hints and outputs are ints.
+_FLOAT_FIELD = "inputs"
+
+
+def _ndjson_line(sample: Sample) -> str:
+    """dumps_canonical(sample.to_obj()) + "\\n", with each int-only field
+    written by one C encoder call."""
+    obj = sample.to_obj()
+    fields = []
+    for key in sorted(obj):
+        value = obj[key]
+        text = dumps_canonical(value) if key == _FLOAT_FIELD else _encode_ints(value)
+        fields.append(f"{_encode_ints(key)}:{text}")
+    return "{" + ",".join(fields) + "}\n"
+
+
 def serialize_ndjson(samples: Iterable[Sample]) -> bytes:
-    lines = [dumps_canonical(s.to_obj()) for s in samples]
-    if not lines:
-        return b""
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    """Canonical NDJSON: one dumps_canonical line per sample, LF-terminated."""
+    return "".join(_ndjson_line(s) for s in samples).encode("utf-8")
 
 
 def parse_ndjson(data: bytes | str) -> list[Sample]:

@@ -272,7 +272,7 @@ def test_criterion_8_assumption_one_budget():
 def test_criterion_9_dataset_integrity():
     for algo in ("parallel_search", "binary_search", "oets", "bubble_sort", "dcsc", "kosaraju"):
         cfg = GenConfig(algo, (4, 16), 3, 1009)
-        samples = build_samples(cfg)
+        samples = list(build_samples(cfg))
         for sample in samples:
             assert validate_sample(sample) == []
             assert replay_sample(sample) == sample.outputs

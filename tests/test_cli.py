@@ -1,7 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import pramtraj
+from pramtraj import harness
 from pramtraj.cli import cli_main
 from pramtraj.harness import schema_path_for
+from pramtraj.machine import StepLimitExceeded
 
 
 def run_cli(args):
@@ -161,6 +170,23 @@ class TestErrors:
         assert run_cli(["validate", "--in", "/nonexistent/d.ndjson"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_failed_gen_names_sample_and_writes_nothing(self, tmp_path, monkeypatch):
+        real_run = harness.run
+        calls = []
+
+        def run_then_fail(algo, inst):
+            calls.append(algo)
+            if len(calls) == 2:
+                raise StepLimitExceeded("halt predicate never fired")
+            return real_run(algo, inst)
+
+        monkeypatch.setattr(harness, "run", run_then_fail)
+        out = tmp_path / "d.ndjson"
+        with pytest.raises(StepLimitExceeded, match=r"\(algo oets, n 6, master seed 9, index 1\)"):
+            run_cli(["gen", "--algo", "oets", "--n", "6", "--samples", "3", "--seed", "9",
+                     "--out", str(out)])
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_subcommand(self):
         assert run_cli(["frobnicate"]) == 2
 
@@ -178,3 +204,11 @@ class TestEnvSeed:
         run_cli(["gen", "--algo", "oets", "--n", "5", "--samples", "2", "--seed", "4242",
                  "--out", str(out_flag)])
         assert out_env.read_bytes() == out_flag.read_bytes()
+
+
+class TestStartup:
+    def test_cli_import_leaves_numpy_out(self):
+        src = str(Path(pramtraj.__file__).resolve().parents[1])
+        code = "import sys, pramtraj.cli; sys.exit('numpy' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert done.returncode == 0

@@ -9,6 +9,7 @@ from pramtraj.harness import (
     gen_permutation,
     gen_search_instance,
     sample_seed,
+    write_dataset,
 )
 from pramtraj.trajectory import serialize_ndjson, validate_sample
 
@@ -111,8 +112,8 @@ class TestExhaustiveInstances:
 
 class TestPipeline:
     def test_generator_independence(self):
-        big = build_samples(GenConfig("oets", (5,), 6, 40))
-        small = build_samples(GenConfig("oets", (5,), 2, 40))
+        big = list(build_samples(GenConfig("oets", (5,), 6, 40)))
+        small = list(build_samples(GenConfig("oets", (5,), 2, 40)))
         assert big[:2] == small
 
     def test_datasets_validate_clean(self):
@@ -120,6 +121,20 @@ class TestPipeline:
             cfg = GenConfig(algo, (4, 9), 3, 17)
             for sample in build_samples(cfg):
                 assert validate_sample(sample) == []
+
+    def test_write_dataset_streams(self, tmp_path):
+        first, second = build_samples(GenConfig("oets", (6,), 2, 5))
+        on_disk = []
+
+        def draw():
+            yield first
+            on_disk.append(b"".join(p.read_bytes() for p in tmp_path.iterdir()))
+            yield second
+
+        out = tmp_path / "d.ndjson"
+        assert write_dataset(out, draw(), "oets") == 2
+        assert on_disk == [serialize_ndjson([first])]
+        assert out.read_bytes() == serialize_ndjson([first, second])
 
     def test_byte_identical_rebuild(self):
         cfg = GenConfig("dcsc", (6,), 4, 99)

@@ -1,10 +1,11 @@
 import copy
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pramtraj.algorithms import ALGORITHMS, run
+from pramtraj.algorithms import ALGORITHMS, SPECS, run
 from pramtraj.algorithms.search import SearchInstance, parallel_search
 from pramtraj.algorithms.sorting import SortInstance, oets_sort
 from pramtraj.algorithms.scc import dcsc
@@ -220,6 +221,48 @@ class TestSerialization:
             assert set(probes) == set(probe_spec(algo))
 
 
+class TestWriter:
+    """serialize_ndjson writes the bytes of dumps_canonical, the format's
+    definition, with the int-only fields going through the C encoder."""
+
+    @staticmethod
+    def reference(sample):
+        return (dumps_canonical(sample.to_obj()) + "\n").encode("utf-8")
+
+    def test_scalar_probes_are_inputs(self):
+        for spec in SPECS.values():
+            for probe in spec.probes:
+                if probe.dtype == "scalar":
+                    assert probe.stage == "input", (spec.name, probe.name)
+
+    def test_matches_canonical_for_every_algorithm(self):
+        for algo in ALGORITHMS:
+            for n in (1, 2, 7, 16):
+                for index, master in ((0, 0), (1, 11), (3, 2**40)):
+                    sample = make_sample(algo, n=n, index=index, master=master)
+                    assert serialize_ndjson([sample]) == self.reference(sample)
+
+    @given(st.sampled_from(ALGORITHMS), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_edge_floats_in_inputs(self, algo, data):
+        floats = st.sampled_from((-0.0, 1e16, 5e-324, 0.1, 1 / 3)) | st.floats(
+            allow_nan=False, allow_infinity=False
+        )
+
+        def redraw(value):
+            if isinstance(value, float):
+                return data.draw(floats)
+            if isinstance(value, list):
+                return [redraw(v) for v in value]
+            return value
+
+        sample = make_sample(algo, n=4)
+        inputs = {name: redraw(value) for name, value in sample.inputs.items()}
+        sample = dataclasses.replace(sample, inputs=inputs)
+        assert serialize_ndjson([sample]) == self.reference(sample)
+        assert serialize_ndjson([sample, sample]) == self.reference(sample) * 2
+
+
 class TestReplay:
     def test_replay_reproduces_outputs(self):
         for algo in ALGORITHMS:
@@ -283,3 +326,20 @@ class TestReplay:
         mask[3][0] = 1
         with pytest.raises(ReplayError):
             replay_sample(Sample.from_obj(obj))
+
+    def test_sorting_replay_rejects_every_swap_mask_flip(self):
+        # a flipped mask cell stays in the mask domain, so only replay can see it
+        for algo in ("oets", "bubble_sort"):
+            for index in range(4):
+                sample = make_sample(algo, n=8, index=index, master=0)
+                for frame in sample.hints:
+                    mask = frame.values["swap_mask"]
+                    for u in range(8):
+                        for v in range(8):
+                            mask[u][v] ^= 1
+                            try:
+                                with pytest.raises(ReplayError):
+                                    replay_sample(sample)
+                            finally:
+                                mask[u][v] ^= 1
+                assert replay_sample(sample) == sample.outputs
