@@ -17,7 +17,6 @@ step that exhausts the node, so a full run takes at most n+m steps per pass.
 from __future__ import annotations
 
 from random import Random
-from typing import Sequence
 
 from ..graphs import Digraph
 from ..machine import (
@@ -31,7 +30,7 @@ from ..machine import (
     run_machine,
     symmetric_graph,
 )
-from ..spec import AlgorithmSpec, HintFrame, ProbeSpec, ReplayError
+from ..spec import AlgorithmSpec, HintFrame, ProbeSpec
 
 # width-n local slots of the pivot loop
 FWD = 0
@@ -306,6 +305,16 @@ def _ptr_output(ptr: tuple[int, ...]) -> dict:
     return {"scc_ptr": list(ptr)}
 
 
+def _dcsc_frame(fwd: list[int], bwd: list[int], undiscovered: list[int], ptr: list[int]) -> dict:
+    return {
+        "reach_fwd": fwd,
+        "reach_bwd": bwd,
+        "in_scc": [a & b for a, b in zip(fwd, bwd)],
+        "undiscovered": undiscovered,
+        "scc_ptr": ptr,
+    }
+
+
 def _frames_dcsc(g: Digraph, trace: Trace) -> list[HintFrame]:
     n = g.n
     frames = []
@@ -313,102 +322,57 @@ def _frames_dcsc(g: Digraph, trace: Trace) -> list[HintFrame]:
         state = trace.states[t]
         pivot = as_index(state.shared[PIVOT_ADDR])
         local = state.local
-        fwd = [int(local[u][FWD] == pivot) for u in range(n)]
-        bwd = [int(local[u][BWD] == pivot) for u in range(n)]
-        frames.append(
-            HintFrame(
-                t,
-                {
-                    "reach_fwd": fwd,
-                    "reach_bwd": bwd,
-                    "in_scc": [a & b for a, b in zip(fwd, bwd)],
-                    "undiscovered": [int(not local[u][DONE]) for u in range(n)],
-                    "scc_ptr": [as_index(local[u][PTR]) for u in range(n)],
-                },
-            )
+        frame = _dcsc_frame(
+            [int(local[u][FWD] == pivot) for u in range(n)],
+            [int(local[u][BWD] == pivot) for u in range(n)],
+            [int(not local[u][DONE]) for u in range(n)],
+            [as_index(local[u][PTR]) for u in range(n)],
         )
+        frames.append(HintFrame(t, frame))
     return frames
 
 
-def _dcsc_invariants(hints: Sequence[HintFrame]) -> list[str]:
-    """The undiscovered set only shrinks; membership only grows within a round."""
-    out: list[str] = []
-    prev_und = None
-    prev_scc = None
-    for idx, frame in enumerate(hints):
-        und = frame.values["undiscovered"]
-        if prev_und is not None and any(a > b for a, b in zip(und, prev_und)):
-            out.append(f"hints[{idx}].undiscovered: monotonicity")
-        in_scc = frame.values["in_scc"]
-        # a search reset looks like a round initialization: both reach
-        # masks and the membership mask collapse to the same single node
-        reset = (
-            sum(in_scc) == 1
-            and frame.values["reach_fwd"] == in_scc
-            and frame.values["reach_bwd"] == in_scc
-        )
-        if prev_scc is not None and not reset:
-            if any(a > b for a, b in zip(prev_scc, in_scc)):
-                out.append(f"hints[{idx}].in_scc: monotonicity")
-        prev_und, prev_scc = und, in_scc
-    return out
-
-
-def _replay_dcsc(sample) -> dict:
+def _adjacency(sample) -> tuple[list[list[int]], list[list[int]]]:
+    """(out-neighbours, in-neighbours) of each node, read off ``adj_directed``."""
     n = sample.n
     adj = sample.inputs["adj_directed"]
-    out_adj = [[v for v in range(n) if adj[u][v] == 1.0] for u in range(n)]
-    in_adj = [[u for u in range(n) if adj[u][v] == 1.0] for v in range(n)]
-    done: set[int] = set()
-    fwd: set[int] = set()
-    bwd: set[int] = set()
+    succ = [[v for v in range(n) if adj[u][v] == 1.0] for u in range(n)]
+    pred = [[u for u in range(n) if adj[u][v] == 1.0] for v in range(n)]
+    return succ, pred
+
+
+def _reference_dcsc(sample) -> tuple[list[dict], dict]:
+    """Pivot rounds (Fleischer, Hendrickson and Pinar, 2000): the lowest
+    unassigned node starts a round, the forward and backward sets grow one
+    BFS layer per frame among unassigned nodes, and a last frame assigns
+    their intersection."""
+    n = sample.n
+    succ, pred = _adjacency(sample)
+    alive = set(range(n))
     ptr = list(range(n))
-    pivot: int | None = None
-    for idx, frame in enumerate(sample.hints):
-        alive = [u for u in range(n) if u not in done]
-        if not alive:
-            raise ReplayError(f"frame {idx}: trajectory continues after completion")
-        expected_pivot = alive[0]
-        got_fwd = {u for u in range(n) if frame.values["reach_fwd"][u] == 1}
-        got_bwd = {u for u in range(n) if frame.values["reach_bwd"][u] == 1}
-        got_und = {u for u in range(n) if frame.values["undiscovered"][u] == 1}
-        if pivot != expected_pivot:
-            # round initialization
-            pivot = expected_pivot
-            fwd = {pivot}
-            bwd = {pivot}
-            ptr[pivot] = pivot
-            if got_fwd != fwd or got_bwd != bwd or got_und != set(alive):
-                raise ReplayError(f"frame {idx}: bad round initialization")
-        else:
-            new_fwd = fwd | {
-                u for u in alive if u not in fwd and any(j in fwd for j in in_adj[u])
-            }
-            new_bwd = bwd | {
-                u for u in alive if u not in bwd and any(j in bwd for j in out_adj[u])
-            }
-            if new_fwd != fwd or new_bwd != bwd:
-                # search layer
-                for u in (new_fwd & new_bwd) - (fwd & bwd):
-                    ptr[u] = pivot
-                fwd, bwd = new_fwd, new_bwd
-                if got_fwd != fwd or got_bwd != bwd or got_und != set(alive):
-                    raise ReplayError(f"frame {idx}: bad search layer")
-            else:
-                # close: the intersection leaves the undiscovered set
-                members = fwd & bwd
-                done |= members
-                if got_und != set(alive) - members or got_fwd != fwd or got_bwd != bwd:
-                    raise ReplayError(f"frame {idx}: bad round close")
-                pivot = None
-        want_scc = [int(u in fwd and u in bwd) for u in range(n)]
-        if frame.values["in_scc"] != want_scc:
-            raise ReplayError(f"frame {idx}: membership mask mismatch")
-        if frame.values["scc_ptr"] != ptr:
-            raise ReplayError(f"frame {idx}: pointer mismatch")
-    if len(done) != n:
-        raise ReplayError("trajectory ended with unassigned nodes")
-    return {"scc_ptr": ptr}
+    frames = []
+
+    def emit() -> None:
+        masks = ([int(u in nodes) for u in range(n)] for nodes in (fwd, bwd, alive))
+        frames.append(_dcsc_frame(*masks, list(ptr)))
+
+    while alive:
+        pivot = min(alive)
+        fwd, bwd = {pivot}, {pivot}
+        emit()
+        while True:
+            grow_fwd = {u for u in alive - fwd if any(j in fwd for j in pred[u])}
+            grow_bwd = {u for u in alive - bwd if any(j in bwd for j in succ[u])}
+            if not grow_fwd and not grow_bwd:
+                break
+            fwd |= grow_fwd
+            bwd |= grow_bwd
+            for u in fwd & bwd:
+                ptr[u] = pivot
+            emit()
+        alive -= fwd & bwd
+        emit()
+    return frames, {"scc_ptr": ptr}
 
 
 def _note_dcsc(g: Digraph, trace: Trace, t: int) -> str:
@@ -445,40 +409,68 @@ def _frames_kosaraju(g: Digraph, trace: Trace) -> list[HintFrame]:
     return frames
 
 
-def _kosaraju_invariants(hints: Sequence[HintFrame]) -> list[str]:
-    """The three visit masks only grow."""
-    out: list[str] = []
-    for name in ("seen_first", "done_first", "seen_second"):
-        prev = None
-        for idx, frame in enumerate(hints):
-            cur = frame.values[name]
-            if prev is not None and any(a < b for a, b in zip(cur, prev)):
-                out.append(f"hints[{idx}].{name}: monotonicity")
-            prev = cur
-    return out
-
-
-def _replay_kosaraju(sample) -> dict:
+def _reference_kosaraju(sample) -> tuple[list[dict], dict]:
+    """Two DFS passes, one frame per DFS event: a root seed, one edge scan,
+    or a finish, with a finish folded into the event that exhausts the node
+    (a node with no edge to follow is finished as it is seen), plus the
+    frame that ends each pass.  Pass 1 seeds in index order on the graph,
+    pass 2 in decreasing finish order on the reversed graph."""
     n = sample.n
-    if not sample.hints:
-        raise ReplayError("empty trajectory")
-    ptr = list(range(n))
-    for idx, frame in enumerate(sample.hints):
-        cur = frame.values["scc_ptr"]
-        for u in range(n):
-            if ptr[u] != u and cur[u] != ptr[u]:
-                raise ReplayError(f"frame {idx}: assignment of node {u} changed")
-        seen2 = frame.values["seen_second"]
-        for u in range(n):
-            if seen2[u] == 0 and cur[u] != u:
-                raise ReplayError(f"frame {idx}: pointer before discovery at {u}")
-        ptr = list(cur)
-    final = sample.hints[-1].values
-    if sorted(final["finish_order"]) != list(range(n)):
-        raise ReplayError("final finish order is not a permutation")
-    if any(v == 0 for v in final["seen_second"]):
-        raise ReplayError("trajectory ended before the second pass finished")
-    return {"scc_ptr": ptr}
+    succ, pred = _adjacency(sample)
+    hint = {
+        "seen_first": [0] * n,
+        "done_first": [0] * n,
+        "seen_second": [0] * n,
+        "finish_order": list(range(n)),
+        "scc_ptr": list(range(n)),
+    }
+    seen_first, done_first, seen_second, finish_order, ptr = hint.values()
+    frames = []
+
+    def emit() -> None:
+        frames.append({name: list(value) for name, value in hint.items()})
+
+    def finish(u: int) -> None:
+        finish_order[u] = sum(done_first)
+        done_first[u] = 1
+
+    def visit_first(w: int, root: int) -> bool:
+        seen_first[w] = 1
+        if not succ[w]:
+            finish(w)
+        return bool(succ[w])
+
+    def visit_second(w: int, root: int) -> bool:
+        seen_second[w] = 1
+        ptr[w] = root
+        return bool(pred[w])
+
+    def tree(root: int, edges, seen: list[int], visit, close) -> None:
+        """One DFS tree; ``visit(w, root)`` marks w and says whether to
+        descend into it, ``close(u)`` runs as u leaves the stack."""
+        stack = [root] if visit(root, root) else []
+        emit()
+        scanned: dict[int, int] = {}
+        while stack:
+            u = stack[-1]
+            k = scanned.get(u, 0)
+            scanned[u] = k + 1
+            if k < len(edges[u]) and not seen[edges[u][k]]:
+                if visit(edges[u][k], root):
+                    stack.append(edges[u][k])
+            elif k + 1 >= len(edges[u]):
+                close(stack.pop())
+            emit()
+
+    for root in range(n):
+        if not seen_first[root]:
+            tree(root, succ, seen_first, visit_first, finish)
+    emit()
+    for root in sorted(range(n), key=finish_order.__getitem__, reverse=True):
+        if not seen_second[root]:
+            tree(root, pred, seen_second, visit_second, lambda u: None)
+    emit()
+    return frames, {"scc_ptr": ptr}
 
 
 def _note_kosaraju(g: Digraph, trace: Trace, t: int) -> str:
@@ -517,10 +509,9 @@ DCSC = AlgorithmSpec(
     frames=_frames_dcsc,
     inputs=_scc_inputs,
     outputs=_ptr_output,
-    replay=_replay_dcsc,
+    reference=_reference_dcsc,
     parse_inline=parse_digraph_inline,
     note=_note_dcsc,
-    invariants=_dcsc_invariants,
 )
 
 KOSARAJU = AlgorithmSpec(
@@ -541,10 +532,9 @@ KOSARAJU = AlgorithmSpec(
     frames=_frames_kosaraju,
     inputs=_scc_inputs,
     outputs=_ptr_output,
-    replay=_replay_kosaraju,
+    reference=_reference_kosaraju,
     parse_inline=parse_digraph_inline,
     note=_note_kosaraju,
-    invariants=_kosaraju_invariants,
 )
 
 # (parallel, sequential)

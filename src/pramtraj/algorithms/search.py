@@ -21,7 +21,7 @@ from ..machine import (
     MachineState,
     Trace,
 )
-from ..spec import AlgorithmSpec, HintFrame, ProbeSpec, ReplayError, increasing_unit_scalars
+from ..spec import AlgorithmSpec, HintFrame, ProbeSpec, increasing_unit_scalars
 
 ITEM = 0
 MASK = 1
@@ -178,16 +178,12 @@ def _frames_parallel_search(inst: SearchInstance, trace: Trace) -> list[HintFram
     return frames
 
 
-def _replay_parallel_search(sample) -> dict:
+def _reference_parallel_search(sample) -> tuple[list[dict], dict]:
     """Both layers carry the mask ``items[i] <= x``; the rank is its first one."""
-    if len(sample.hints) != 2:
-        raise ReplayError(f"parallel search takes 2 layers, got {len(sample.hints)}")
     x = sample.inputs["x"]
-    want = [int(item <= x) for item in sample.inputs["items"]]
-    for idx, frame in enumerate(sample.hints):
-        if frame.values["leq_mask"] != want:
-            raise ReplayError(f"frame {idx}: mask mismatch")
-    return {"rank": next((i for i, v in enumerate(want) if v), sample.n)}
+    mask = [int(item <= x) for item in sample.inputs["items"]]
+    rank = next((i for i, v in enumerate(mask) if v), sample.n)
+    return [{"leq_mask": mask}, {"leq_mask": mask}], {"rank": rank}
 
 
 def _window_masks(n: int, lo: int, hi: int, mid: int) -> dict:
@@ -209,24 +205,21 @@ def _frames_binary_search(inst: SearchInstance, trace: Trace) -> list[HintFrame]
     return frames
 
 
-def _replay_binary_search(sample) -> dict:
+def _reference_binary_search(sample) -> tuple[list[dict], dict]:
+    """One frame per probe of the halving loop over the window [lo, hi)."""
     n = sample.n
     items = sample.inputs["items"]
     x = sample.inputs["x"]
     lo, hi = 0, n
-    for idx, frame in enumerate(sample.hints):
-        if lo >= hi:
-            raise ReplayError(f"frame {idx}: window already closed")
+    frames = []
+    while lo < hi:
         mid = (lo + hi) // 2
         if items[mid] <= x:
             hi = mid
         else:
             lo = mid + 1
-        if frame.values != _window_masks(n, lo, hi, mid):
-            raise ReplayError(f"frame {idx}: window mismatch")
-    if lo != hi:
-        raise ReplayError("trajectory ended before the window closed")
-    return {"rank": lo}
+        frames.append(_window_masks(n, lo, hi, mid))
+    return frames, {"rank": lo}
 
 
 def _note_parallel_search(inst: SearchInstance, trace: Trace, t: int) -> str:
@@ -260,7 +253,7 @@ PARALLEL_SEARCH = AlgorithmSpec(
     frames=_frames_parallel_search,
     inputs=_search_inputs,
     outputs=_rank_output,
-    replay=_replay_parallel_search,
+    reference=_reference_parallel_search,
     parse_inline=parse_search_inline,
     note=_note_parallel_search,
 )
@@ -281,7 +274,7 @@ BINARY_SEARCH = AlgorithmSpec(
     frames=_frames_binary_search,
     inputs=_search_inputs,
     outputs=_rank_output,
-    replay=_replay_binary_search,
+    reference=_reference_binary_search,
     parse_inline=parse_search_inline,
     note=_note_binary_search,
 )

@@ -22,7 +22,7 @@ from ..machine import (
     complete_graph,
     run_machine,
 )
-from ..spec import AlgorithmSpec, HintFrame, ProbeSpec, ReplayError, increasing_unit_scalars
+from ..spec import AlgorithmSpec, HintFrame, ProbeSpec, increasing_unit_scalars
 
 ITEM = 0
 POSN = 1
@@ -254,20 +254,22 @@ def _swap_mask(old_table, new_table, n: int) -> list[list[int]]:
     return mask
 
 
+def _frame(old_table, new_table, n: int, cursor: dict) -> dict:
+    """Chain pointers and swaps of a layer that took the position table from
+    old_table to new_table, plus ``cursor``, the probes of the clock alone."""
+    return {
+        "pred": list(predecessors_from_table(tuple(new_table))),
+        "swap_mask": _swap_mask(old_table, new_table, n),
+        **cursor,
+    }
+
+
 def _frames(inst: SortInstance, trace: Trace, cursor) -> list[HintFrame]:
-    """One frame per layer: chain pointers and swaps, plus ``cursor(t)``, the
-    probes that are a function of the clock alone."""
+    """One frame per layer, ``cursor(t)`` giving the clock probes of layer t."""
     n = inst.n
     states = trace.states
     return [
-        HintFrame(
-            t,
-            {
-                "pred": list(predecessors_from_table(tuple(states[t].shared[:n]))),
-                "swap_mask": _swap_mask(states[t - 1].shared[:n], states[t].shared[:n], n),
-                **cursor(t),
-            },
-        )
+        HintFrame(t, _frame(states[t - 1].shared[:n], states[t].shared[:n], n, cursor(t)))
         for t in range(1, trace.depth + 1)
     ]
 
@@ -281,41 +283,38 @@ def _frames_bubble(inst: SortInstance, trace: Trace) -> list[HintFrame]:
     return _frames(inst, trace, lambda t: dict(zip(("cursor_i", "cursor_j"), schedule[t - 1])))
 
 
-def _apply_swaps(table: list[int], mask, parity: int | None, n: int, idx: int) -> None:
-    pos_of = {node: k for k, node in enumerate(table)}
-    pairs = {(min(u, v), max(u, v)) for u in range(n) for v in range(n) if mask[u][v]}
-    for u, v in sorted(pairs):
-        pu, pv = pos_of[u], pos_of[v]
-        if abs(pu - pv) != 1:
-            raise ReplayError(f"frame {idx}: swap of non-adjacent chain positions")
-        if parity is not None and min(pu, pv) % 2 != parity:
-            raise ReplayError(f"frame {idx}: swap against round parity")
-        table[pu], table[pv] = table[pv], table[pu]
-        pos_of[u], pos_of[v] = pv, pu
-
-
-def _replay_sort(sample, with_parity: bool) -> dict:
+def _reference_oets(sample) -> tuple[list[dict], dict]:
+    """Odd-even rounds on a position table, until two swap-free rounds in a
+    row or n rounds."""
     n = sample.n
+    items = sample.inputs["items"]
     table = list(range(n))
-    for idx, frame in enumerate(sample.hints):
-        parity = None
-        if with_parity:
-            parity = frame.values["parity"]
-            if parity != idx % 2:
-                raise ReplayError(f"frame {idx}: parity clock mismatch")
-        else:
-            schedule = bubble_schedule(n)
-            want_i, want_j = schedule[idx]
-            if frame.values["cursor_i"] != want_i or frame.values["cursor_j"] != want_j:
-                raise ReplayError(f"frame {idx}: cursor mismatch")
+    frames = []
+    quiet = 0
+    for r in range(n):
         old_table = tuple(table)
-        _apply_swaps(table, frame.values["swap_mask"], parity, n, idx)
-        if frame.values["swap_mask"] != _swap_mask(old_table, table, n):
-            raise ReplayError(f"frame {idx}: swap mask mismatch")
-        pred = list(predecessors_from_table(tuple(table)))
-        if frame.values["pred"] != pred:
-            raise ReplayError(f"frame {idx}: pointer mismatch")
-    return {"pred": list(predecessors_from_table(tuple(table)))}
+        for k in range(r % 2, n - 1, 2):
+            if items[table[k]] > items[table[k + 1]]:
+                table[k], table[k + 1] = table[k + 1], table[k]
+        frames.append(_frame(old_table, table, n, {"parity": r % 2}))
+        quiet = quiet + 1 if tuple(table) == old_table else 0
+        if quiet == 2:
+            break
+    return frames, {"pred": list(predecessors_from_table(tuple(table)))}
+
+
+def _reference_bubble(sample) -> tuple[list[dict], dict]:
+    """One compare-exchange per step of the fixed bubble schedule."""
+    n = sample.n
+    items = sample.inputs["items"]
+    table = list(range(n))
+    frames = []
+    for i, j in bubble_schedule(n):
+        old_table = tuple(table)
+        if items[table[j]] > items[table[j + 1]]:
+            table[j], table[j + 1] = table[j + 1], table[j]
+        frames.append(_frame(old_table, table, n, {"cursor_i": i, "cursor_j": j}))
+    return frames, {"pred": list(predecessors_from_table(tuple(table)))}
 
 
 def _note(inst: SortInstance, trace: Trace, t: int) -> str:
@@ -348,7 +347,7 @@ OETS = AlgorithmSpec(
     frames=_frames_oets,
     inputs=_sort_inputs,
     outputs=_pred_output,
-    replay=lambda sample: _replay_sort(sample, with_parity=True),
+    reference=_reference_oets,
     parse_inline=parse_sort_inline,
     note=_note,
 )
@@ -368,7 +367,7 @@ BUBBLE_SORT = AlgorithmSpec(
     frames=_frames_bubble,
     inputs=_sort_inputs,
     outputs=_pred_output,
-    replay=lambda sample: _replay_sort(sample, with_parity=False),
+    reference=_reference_bubble,
     parse_inline=parse_sort_inline,
     note=_note,
 )

@@ -1,7 +1,7 @@
 """Command-line interface: gen / trace / analyze / validate / compare.
 
-Exit codes: 0 success, 1 validation failure, 2 bad arguments.  The master
-seed defaults to the PRAMTRAJ_SEED environment variable.
+Exit codes: 0 success, 1 validation or machine failure, 2 bad arguments.
+The master seed defaults to the PRAMTRAJ_SEED environment variable.
 """
 
 from __future__ import annotations
@@ -20,10 +20,12 @@ from .efficiency import (
     size_record,
 )
 from .harness import GenConfig, build_samples, schema_path_for, write_dataset
+from .machine import MachineError
 from .trajectory import (
     DatasetFormatError,
     parse_ndjson,
     parse_schema,
+    serialize_schema,
     validate_sample,
 )
 
@@ -113,10 +115,14 @@ def cmd_validate(args) -> int:
     except OSError as err:
         raise BadInput(f"cannot read {err.filename}: {err.strerror}") from None
     try:
-        algo, probes = parse_schema(schema_data)
+        algo, _ = parse_schema(schema_data)
         samples = parse_ndjson(data)
     except DatasetFormatError as err:
         print(f"{path}: {err}")
+        return 1
+    # samples are checked against the registry's schema: the sidecar must be it
+    if algo not in ALGORITHMS or schema_data != serialize_schema(algo):
+        print(f"{schema_path}: schema does not match the registry's {algo}")
         return 1
     failures = 0
     for lineno, sample in enumerate(samples, start=1):
@@ -124,7 +130,7 @@ def cmd_validate(args) -> int:
             print(f"line {lineno}: algorithm {sample.algo!r} does not match schema {algo!r}")
             failures += 1
             continue
-        for violation in validate_sample(sample, probes):
+        for violation in validate_sample(sample):
             print(f"line {lineno}: {violation}")
             failures += 1
     if failures:
@@ -204,12 +210,12 @@ def cli_main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except BadInput as err:
+    except (BadInput, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:
+    except MachineError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        return 1
 
 
 def main() -> None:

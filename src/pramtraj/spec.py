@@ -2,23 +2,21 @@
 
 Each algorithm module defines one ``AlgorithmSpec`` beside its machine
 program: how to run it, how to draw or enumerate its inputs, its probe
-schema, how to read hint frames off a trace and replay them, how to parse an
-inline ``trace`` input and annotate a layer.  ``pramtraj.algorithms`` collects
-the specs into one registry; generation, encoding, validation, replay and
-analysis look the algorithm up there and carry no per-algorithm code.
+schema, how to read hint frames off a trace (what ``gen`` writes) and how to
+re-derive them without the machine (what ``validate`` compares them with),
+how to parse an inline ``trace`` input and annotate a layer.
+``pramtraj.algorithms`` collects the specs into one registry; generation,
+encoding, validation, replay and analysis look the algorithm up there and
+carry no per-algorithm code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from .machine import Trace
-
-
-class ReplayError(Exception):
-    """Hint frames do not form a consistent trajectory."""
 
 
 @dataclass(frozen=True)
@@ -57,10 +55,10 @@ class AlgorithmSpec:
     enumerates the whole input space of a tiny size (``None`` where that is
     not defined).  ``frames(inst, trace)`` reads one hint frame per layer,
     ``inputs(inst, pos)`` and ``outputs(output)`` build the payloads of a
-    sample, and ``replay(sample)`` re-derives the outputs from inputs and
-    frames, raising ``ReplayError`` on an inconsistent trajectory.
-    ``invariants(hints)`` lists violations of cross-frame laws that a schema
-    check cannot see.  ``parse_inline(text)`` reads a ``trace`` input and
+    sample, and ``reference(sample)`` returns ``(frames, outputs)``: the
+    ``values`` of every hint frame and the outputs, re-derived from the
+    sample's inputs and size alone.  It checks nothing and raises nothing on
+    a schema-valid sample.  ``parse_inline(text)`` reads a ``trace`` input and
     ``note(inst, trace, t)`` annotates layer ``t`` of a printed trace.
     """
 
@@ -73,10 +71,9 @@ class AlgorithmSpec:
     frames: Callable[[Any, Trace], list[HintFrame]]
     inputs: Callable[[Any, list[float]], dict]
     outputs: Callable[[Any], dict]
-    replay: Callable[[Any], dict]
+    reference: Callable[[Any], tuple[list[dict], dict]]
     parse_inline: Callable[[str], Any]
     note: Callable[[Any, Trace, int], str]
-    invariants: Callable[[Sequence[HintFrame]], list[str]] | None = None
 
 
 def increasing_unit_scalars(rng: Random, n: int) -> list[float]:

@@ -2,6 +2,7 @@
 
 A sample records one run: its inputs, one hint frame per machine layer read
 off the trace snapshots, the outputs, and the per-layer activity counts.
+Validation checks a sample against its probe schema, then replays it.
 Serialization is canonical: sorted keys, 17-significant-digit floats, LF
 lines -- two serializations of the same sample are byte-identical.
 """
@@ -11,21 +12,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .algorithms import SPECS, spec_for
 from .machine import Trace, mapped_edge_count, operated_edge_count
-from .spec import (
-    AlgorithmSpec,
-    HintFrame,
-    ProbeSpec,
-    ReplayError,
-    increasing_unit_scalars,
-)
+from .spec import AlgorithmSpec, HintFrame, ProbeSpec, increasing_unit_scalars
 
 
 class DatasetFormatError(Exception):
     """Malformed dataset stream; message carries the offending line number."""
+
+
+class ReplayError(Exception):
+    """Hint frames or outputs differ from the ones replayed from the inputs."""
 
 
 @dataclass(frozen=True)
@@ -124,10 +123,6 @@ def encode_sample(
 # validation
 
 
-def _is_mask_value(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v in (0, 1)
-
-
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -149,37 +144,38 @@ def _check_payload(probe: ProbeSpec, value, n: int, where: str, out: list[str]) 
         cells = [v for row in value for v in row]
     else:
         cells = [value]
+    # the type test goes first: it keeps bools, floats and lists out of set, min and max
     if probe.dtype == "mask":
-        if not all(_is_mask_value(v) for v in cells):
+        if not (set(map(type, cells)) <= {int} and set(cells) <= {0, 1}):
             out.append(f"{where}.{probe.name}: mask domain")
     elif probe.dtype == "categorical":
         top = categories(probe, n)
-        if not all(isinstance(v, int) and not isinstance(v, bool) and 0 <= v < top for v in cells):
+        if not (set(map(type, cells)) <= {int} and 0 <= min(cells) and max(cells) < top):
             out.append(f"{where}.{probe.name}: categorical range [0,{top})")
     else:
         if not all(_is_number(v) and v == v and abs(v) != float("inf") for v in cells):
             out.append(f"{where}.{probe.name}: scalar must be finite")
 
 
-def validate_sample(sample: Sample, spec: Sequence[ProbeSpec] | None = None) -> list[str]:
-    """Check one sample against its probe schema; returns violations.
+def validate_sample(sample: Sample) -> list[str]:
+    """Check one sample against its algorithm's probe schema and, when that
+    finds nothing, replay it (``replay_sample``); returns violations.
 
     Never raises on a malformed payload: a container of the wrong type is a
-    violation like any other.
+    violation like any other, a frame or output the replay does not
+    reproduce is one ``replay: ...`` violation.
     """
     out: list[str] = []
     algo = _spec_of(sample)
-    if spec is None:
-        if algo is None:
-            return [f"unknown algorithm {sample.algo!r}"]
-        spec = algo.probes
+    if algo is None:
+        return [f"unknown algorithm {sample.algo!r}"]
     n = sample.n
     if not isinstance(n, int) or n < 1:
         return ["n must be a positive integer"]
 
     by_stage: dict[str, list[ProbeSpec]] = {"input": [], "hint": [], "output": []}
-    for probe in spec:
-        by_stage.setdefault(probe.stage, []).append(probe)
+    for probe in algo.probes:
+        by_stage[probe.stage].append(probe)
 
     for stage, payload in (("input", sample.inputs), ("output", sample.outputs)):
         if not isinstance(payload, dict):
@@ -216,9 +212,15 @@ def validate_sample(sample: Sample, spec: Sequence[ProbeSpec] | None = None) -> 
         if len(set(pos)) != len(pos):
             out.append("inputs.pos: positional scalars must be distinct")
 
-    if not out and algo is not None and algo.invariants is not None:
-        out.extend(algo.invariants(sample.hints))
-    return out
+    if out:
+        return out
+    try:
+        outputs = replay_sample(sample)
+    except ReplayError as err:
+        return [f"replay: {err}"]
+    if outputs != sample.outputs:
+        return ["replay: outputs mismatch"]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +341,27 @@ def parse_schema(data: bytes | str) -> tuple[str, list[ProbeSpec]]:
 
 
 # ---------------------------------------------------------------------------
-# hint replay: reproduce the output from inputs + frames alone
+# replay: re-derive every hint frame and the outputs from the inputs alone
 
 
 def replay_sample(sample: Sample) -> dict:
-    """Re-derive the outputs by replaying the hint frames as a state machine.
+    """Re-derive every hint frame and the outputs from the inputs and size
+    alone with the algorithm's ``reference``; returns the replayed outputs.
 
-    Raises ReplayError when the frames are not a consistent trajectory.
+    The frames must match exactly: the same count, ``step == idx + 1`` and
+    equal values.  The first failure raises ReplayError naming the frame and
+    its first differing probe; on a schema-valid sample nothing else raises.
     """
     algo = _spec_of(sample)
     if algo is None:
         raise ReplayError(f"unknown algorithm {sample.algo!r}")
-    return algo.replay(sample)
+    frames, outputs = algo.reference(sample)
+    if len(sample.hints) != len(frames):
+        raise ReplayError(f"{len(sample.hints)} frames, the replay takes {len(frames)}")
+    for idx, (frame, want) in enumerate(zip(sample.hints, frames)):
+        if type(frame.step) is not int or frame.step != idx + 1:
+            raise ReplayError(f"frame {idx}: step {frame.step!r}, expected {idx + 1}")
+        if frame.values != want:
+            name = next((k for k in want if frame.values.get(k) != want[k]), "values")
+            raise ReplayError(f"frame {idx}: {name} mismatch")
+    return outputs

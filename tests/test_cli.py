@@ -4,8 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import pramtraj
 from pramtraj import harness
 from pramtraj.cli import cli_main
@@ -85,6 +83,60 @@ class TestGen:
         code, out = self._validate_corrupted(tmp_path, capsys, listify)
         assert code == 1
         assert "line 1: inputs: must be an object" in out
+
+    def test_validate_replays_every_frame(self, tmp_path, capsys):
+        out = tmp_path / "d.ndjson"
+        run_cli(["gen", "--algo", "kosaraju", "--n", "6", "--samples", "2", "--seed", "0",
+                 "--out", str(out)])
+        lines = out.read_text().splitlines()
+        obj = json.loads(lines[0])
+        order = obj["hints"][3]["values"]["finish_order"]
+        order[0] = (order[0] + 1) % 6
+        lines[0] = json.dumps(obj, sort_keys=True)
+        out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli(["validate", "--in", str(out)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "line 1: replay: frame 3: finish_order mismatch",
+            "1 violations in 2 samples",
+        ]
+
+    def test_validate_odd_inputs_without_traceback(self, tmp_path, capsys):
+        def diagonal(obj):
+            obj["inputs"]["adj_directed"][2][2] = 1.0
+
+        def half_edge(obj):
+            obj["inputs"]["adj_directed"][0][1] = 0.5
+
+        def ascending(obj):
+            obj["inputs"]["items"].sort()
+
+        def duplicates(obj):
+            items = obj["inputs"]["items"]
+            items[1] = items[4] = items[0]
+
+        for algo, edit in (("dcsc", diagonal), ("kosaraju", diagonal), ("dcsc", half_edge),
+                           ("kosaraju", half_edge), ("parallel_search", ascending),
+                           ("binary_search", ascending), ("oets", duplicates),
+                           ("bubble_sort", duplicates)):
+            out = tmp_path / f"{algo}-{edit.__name__}.ndjson"
+            run_cli(["gen", "--algo", algo, "--n", "6", "--samples", "3", "--seed", "0",
+                     "--out", str(out)])
+            objs = [json.loads(line) for line in out.read_text().splitlines()]
+            for obj in objs:
+                edit(obj)
+            out.write_text("".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs))
+            assert run_cli(["validate", "--in", str(out)]) in (0, 1), (algo, edit.__name__)
+
+    def test_validate_rejects_edited_schema(self, tmp_path, capsys):
+        out = tmp_path / "d.ndjson"
+        run_cli(["gen", "--algo", "oets", "--n", "5", "--samples", "2", "--seed", "1",
+                 "--out", str(out)])
+        schema = schema_path_for(out)
+        schema.write_text(schema.read_text().replace('"dtype":"mask"', '"dtype":"categorical"', 1))
+        capsys.readouterr()
+        assert run_cli(["validate", "--in", str(out)]) == 1
+        assert capsys.readouterr().out == f"{schema}: schema does not match the registry's oets\n"
 
 
 class TestTrace:
@@ -170,7 +222,7 @@ class TestErrors:
         assert run_cli(["validate", "--in", "/nonexistent/d.ndjson"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
-    def test_failed_gen_names_sample_and_writes_nothing(self, tmp_path, monkeypatch):
+    def test_failed_gen_names_sample_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
         real_run = harness.run
         calls = []
 
@@ -182,9 +234,11 @@ class TestErrors:
 
         monkeypatch.setattr(harness, "run", run_then_fail)
         out = tmp_path / "d.ndjson"
-        with pytest.raises(StepLimitExceeded, match=r"\(algo oets, n 6, master seed 9, index 1\)"):
-            run_cli(["gen", "--algo", "oets", "--n", "6", "--samples", "3", "--seed", "9",
-                     "--out", str(out)])
+        assert run_cli(["gen", "--algo", "oets", "--n", "6", "--samples", "3", "--seed", "9",
+                        "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "(algo oets, n 6, master seed 9, index 1)" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_subcommand(self):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from pramtraj.trajectory import (
     DatasetFormatError,
     ReplayError,
     Sample,
+    categories,
     dumps_canonical,
     encode_sample,
     parse_ndjson,
@@ -125,10 +127,11 @@ class TestValidate:
 
     def test_mask_domain_violation(self):
         sample = make_sample("parallel_search")
-        obj = self._corrupt(sample)
-        obj["hints"][0]["values"]["leq_mask"][0] = 2
-        bad = Sample.from_obj(obj)
-        assert any("mask domain" in v for v in validate_sample(bad))
+        for cell in (2, -1, True, 1.0, [1]):
+            obj = self._corrupt(sample)
+            obj["hints"][0]["values"]["leq_mask"][0] = cell
+            bad = Sample.from_obj(obj)
+            assert any("mask domain" in v for v in validate_sample(bad)), cell
 
     def test_undiscovered_monotonicity_violation(self):
         sample = make_sample("dcsc")
@@ -139,14 +142,26 @@ class TestValidate:
         node = frames[1]["values"]["undiscovered"].index(1)
         frames[0]["values"]["undiscovered"][node] = 0
         bad = Sample.from_obj(obj)
-        assert any("monotonicity" in v for v in validate_sample(bad))
+        assert validate_sample(bad) == ["replay: frame 0: undiscovered mismatch"]
 
     def test_categorical_range_violation(self):
         sample = make_sample("oets")
-        obj = self._corrupt(sample)
-        obj["hints"][0]["values"]["pred"][0] = sample.n
-        bad = Sample.from_obj(obj)
-        assert any("categorical range" in v for v in validate_sample(bad))
+        for cell in (sample.n, -1, True, 1.0, [1]):
+            obj = self._corrupt(sample)
+            obj["hints"][0]["values"]["pred"][0] = cell
+            bad = Sample.from_obj(obj)
+            assert any("categorical range" in v for v in validate_sample(bad)), cell
+
+    def test_output_mismatch_violation(self):
+        for algo in ALGORITHMS:
+            sample = make_sample(algo, n=6, master=0)
+            obj = self._corrupt(sample)
+            name, value = next(iter(obj["outputs"].items()))
+            if isinstance(value, list):
+                value[0] = (value[0] + 1) % 6
+            else:
+                obj["outputs"][name] = (value + 1) % 7
+            assert validate_sample(Sample.from_obj(obj)) == ["replay: outputs mismatch"], algo
 
     def test_hint_length_violation(self):
         sample = make_sample("bubble_sort")
@@ -158,6 +173,27 @@ class TestValidate:
     def test_validator_never_throws(self):
         bad = Sample("nonsense", 3, {}, {}, (), {}, {})
         assert validate_sample(bad)
+
+    def test_odd_inputs_never_throw(self):
+        # schema-clean inputs that gen never writes: the replay runs on them
+        # and reports a violation or nothing, but raises nothing
+        rng = Random(5)
+        for algo in ALGORITHMS:
+            for index in range(4):
+                sample = make_sample(algo, n=6, index=index, master=0)
+                for _ in range(30):
+                    obj = copy.deepcopy(sample.to_obj())
+                    name = rng.choice(sorted(obj["inputs"]))
+                    value = obj["inputs"][name]
+                    cell = rng.choice([0.0, 1.0, 0.5, -3.0, rng.random()])
+                    if isinstance(value, float):
+                        obj["inputs"][name] = cell
+                    elif isinstance(value[0], list):
+                        row = rng.randrange(6)
+                        value[row][rng.randrange(6)] = int(cell == 1.0) if name == "adj_undirected" else cell
+                    else:
+                        value[rng.randrange(6)] = cell
+                    assert isinstance(validate_sample(Sample.from_obj(obj)), list)
 
 
 class TestSerialization:
@@ -326,6 +362,36 @@ class TestReplay:
         mask[3][0] = 1
         with pytest.raises(ReplayError):
             replay_sample(Sample.from_obj(obj))
+
+    def test_every_hint_mutation_is_a_violation(self):
+        # every one-cell change of a hint that stays in its probe's domain
+        for algo in ALGORITHMS:
+            hints = [p for p in SPECS[algo].probes if p.stage == "hint"]
+            for index in range(2):
+                sample = make_sample(algo, n=6, index=index, master=0)
+                for idx, frame in enumerate(sample.hints):
+                    for probe in hints:
+                        value = frame.values[probe.name]
+                        if probe.location == "graph":
+                            rows, cols = [frame.values], [probe.name]
+                        else:
+                            rows = [value] if probe.location == "node" else value
+                            cols = range(sample.n)
+                        top = 2 if probe.dtype == "mask" else categories(probe, sample.n)
+                        for row in rows:
+                            for col in cols:
+                                old = row[col]
+                                for new in range(top):
+                                    if new == old:
+                                        continue
+                                    row[col] = new
+                                    try:
+                                        assert validate_sample(sample) == [
+                                            f"replay: frame {idx}: {probe.name} mismatch"
+                                        ], (algo, idx, probe.name, col, new)
+                                    finally:
+                                        row[col] = old
+                assert validate_sample(sample) == []
 
     def test_sorting_replay_rejects_every_swap_mask_flip(self):
         # a flipped mask cell stays in the mask domain, so only replay can see it
