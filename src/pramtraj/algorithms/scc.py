@@ -301,6 +301,26 @@ def _scc_inputs(g: Digraph, pos: list[float]) -> dict:
     return {"adj_directed": directed, "adj_undirected": undirected, "pos": pos}
 
 
+def _adjacency_violations(inputs: dict, n: int) -> list[str]:
+    """What schema-valid SCC inputs break of their domain: ``adj_directed``
+    holds only 0.0 and 1.0 with a zero diagonal, and ``adj_undirected`` is
+    the symmetric closure of its off-diagonal edges."""
+    directed = inputs["adj_directed"]
+    undirected = inputs["adj_undirected"]
+    out = []
+    if any(cell != 0.0 and cell != 1.0 for row in directed for cell in row):
+        out.append("inputs.adj_directed: cells must be 0.0 or 1.0")
+    if any(directed[u][u] != 0.0 for u in range(n)):
+        out.append("inputs.adj_directed: diagonal must be 0.0")
+    closure = [
+        [int(u != v and (directed[u][v] == 1.0 or directed[v][u] == 1.0)) for v in range(n)]
+        for u in range(n)
+    ]
+    if undirected != closure:
+        out.append("inputs.adj_undirected: must be the symmetric closure of adj_directed")
+    return out
+
+
 def _ptr_output(ptr: tuple[int, ...]) -> dict:
     return {"scc_ptr": list(ptr)}
 
@@ -512,6 +532,7 @@ DCSC = AlgorithmSpec(
     reference=_reference_dcsc,
     parse_inline=parse_digraph_inline,
     note=_note_dcsc,
+    input_violations=_adjacency_violations,
 )
 
 KOSARAJU = AlgorithmSpec(
@@ -535,6 +556,7 @@ KOSARAJU = AlgorithmSpec(
     reference=_reference_kosaraju,
     parse_inline=parse_digraph_inline,
     note=_note_kosaraju,
+    input_violations=_adjacency_violations,
 )
 
 # (parallel, sequential)

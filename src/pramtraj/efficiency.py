@@ -15,7 +15,13 @@ from dataclasses import dataclass, asdict
 
 from .algorithms import run, spec_for
 from .harness import exhaustive_instances, generate_instance, sample_seed
-from .machine import StepLimitExceeded, Trace, mapped_edge_count, operated_edge_count
+from .machine import (
+    StepLimitExceeded,
+    Trace,
+    collector_paused,
+    mapped_edge_count,
+    operated_edge_count,
+)
 from .trajectory import dumps_canonical
 
 
@@ -129,25 +135,27 @@ def size_record(
     edge_max, edge_sum, edge_steps, zero_depth = 0, 0, 0, 0
     width = None
     for inst_seed, inst in instances:
-        try:
-            _, trace = run(algo_id, inst)
-        except StepLimitExceeded as err:
-            raise StepLimitExceeded(f"{err} (instance seed {inst_seed})") from err
-        width = trace.width
-        depths.append(trace.depth)
-        caps.append(capacity(trace))
-        ops.append(sum(rec.op_count for rec in trace.activity))
-        ops_nodes.append(sum(len(rec.active_nodes) for rec in trace.activity))
-        shares = trace_edge_shares(trace)
-        eps.append(sum(shares) / len(shares) if shares else 0.0)
-        ms.append(operated_edge_count(trace))
-        counts = [mapped_edge_count(trace, rec) for rec in trace.activity]
-        if counts:
-            edge_max = max(edge_max, max(counts))
-            edge_sum += sum(counts)
-            edge_steps += len(counts)
-        if trace.depth == 0:
-            zero_depth += 1
+        with collector_paused():
+            try:
+                _, trace = run(algo_id, inst)
+            except StepLimitExceeded as err:
+                raise StepLimitExceeded(f"{err} (instance seed {inst_seed})") from err
+            width = trace.width
+            depths.append(trace.depth)
+            caps.append(capacity(trace))
+            ops.append(sum(rec.op_count for rec in trace.activity))
+            ops_nodes.append(sum(len(rec.active_nodes) for rec in trace.activity))
+            shares = trace_edge_shares(trace)
+            eps.append(sum(shares) / len(shares) if shares else 0.0)
+            ms.append(operated_edge_count(trace))
+            counts = [mapped_edge_count(trace, rec) for rec in trace.activity]
+            if counts:
+                edge_max = max(edge_max, max(counts))
+                edge_sum += sum(counts)
+                edge_steps += len(counts)
+            if trace.depth == 0:
+                zero_depth += 1
+            del trace  # freed while the collector is still off
     k = len(instances)
     cap_mean = sum(caps) / k
     return SizeRecord(

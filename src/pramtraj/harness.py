@@ -18,7 +18,7 @@ from .algorithms import SPECS, run, spec_for
 from .algorithms.scc import gen_digraph
 from .algorithms.search import gen_search_instance
 from .algorithms.sorting import gen_permutation
-from .machine import StepLimitExceeded
+from .machine import StepLimitExceeded, collector_paused
 from .trajectory import Sample, encode_sample, serialize_ndjson, serialize_schema
 
 
@@ -74,18 +74,22 @@ def build_samples(cfg: GenConfig) -> Iterator[Sample]:
 
 
 def _build_sample(cfg: GenConfig, n: int, index: int) -> Sample:
-    """One sample; its trace is freed on return, before the next is drawn."""
+    """One sample; its trace is freed before the collector is back on and
+    before the next sample is drawn."""
     seed = sample_seed(cfg.seed, cfg.algo_id, n, index)
     inst = generate_instance(cfg.algo_id, n, seed, cfg.max_degree)
-    try:
-        output, trace = run(cfg.algo_id, inst)
-    except StepLimitExceeded as err:
-        raise StepLimitExceeded(
-            f"{err} (algo {cfg.algo_id}, n {n}, master seed {cfg.seed}, index {index})"
-        ) from err
-    return encode_sample(
-        cfg.algo_id, inst, trace, output, seed=seed, master=cfg.seed, index=index
-    )
+    with collector_paused():
+        try:
+            output, trace = run(cfg.algo_id, inst)
+        except StepLimitExceeded as err:
+            raise StepLimitExceeded(
+                f"{err} (algo {cfg.algo_id}, n {n}, master seed {cfg.seed}, index {index})"
+            ) from err
+        sample = encode_sample(
+            cfg.algo_id, inst, trace, output, seed=seed, master=cfg.seed, index=index
+        )
+        del trace  # freed while the collector is still off
+    return sample
 
 
 def schema_path_for(path: Path) -> Path:

@@ -12,13 +12,19 @@ Cells are plain Python values: ``float`` (scalar), ``int`` (node index),
 ``bool`` (flag), or the ``UNDEF`` sentinel.  Reading a cell through a typed
 accessor enforces the variant; an ``UNDEF`` cell stores no information, so
 reading one never records an active edge.
+
+Traces are acyclic, so the cyclic garbage collector can never free any part
+of one; ``collector_paused`` keeps it off while a trace is alive instead of
+letting it rescan the growing trace at every collection.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 GRAPH = -1  # pseudo endpoint for node <-> graph-feature (shared memory) traffic
 
@@ -94,12 +100,6 @@ class MachineState(NamedTuple):
     @property
     def width(self) -> int:
         return len(self.local)
-
-
-def fresh_state(width: int, slots: int, shared_size: int) -> MachineState:
-    """All-UNDEF state; uninitialized reads then fail loudly."""
-    row = (UNDEF,) * slots
-    return MachineState((row,) * width, (UNDEF,) * shared_size, 0)
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,7 @@ StepFn = Callable[["NodeContext"], NodeUpdate | None]
 
 
 class NodeContext:
-    """Read interface handed to one processor for one step.
+    """Read interface handed to the processors of one step.
 
     ``own``    -- this processor's previous cell, structural (not an edge).
     ``read``   -- a neighbor's previous cell; validated against the
@@ -220,17 +220,26 @@ class NodeContext:
                   the cell holds a defined value.  ``read(pid, ...)`` needs a
                   self loop and records (pid, pid).
     ``shared`` -- shared memory; recorded as a graph-level pseudo edge.
+
+    ``step_machine`` builds one context per layer and points ``pid`` at each
+    processor in turn, clearing ``shared_read``; edge reads are appended
+    straight to ``edge_reads``, the layer's edge list.
     """
 
-    __slots__ = ("pid", "clock", "_local", "_shared", "_graph", "edge_reads", "shared_read")
+    __slots__ = (
+        "pid", "clock", "_local", "_shared", "_in_nbrs", "_self_loops", "edge_reads", "shared_read"
+    )
 
-    def __init__(self, state: MachineState, graph: InterconnectionGraph, pid: int) -> None:
-        self.pid = pid
+    def __init__(
+        self, state: MachineState, graph: InterconnectionGraph, edge_reads: list[tuple[int, int]]
+    ) -> None:
+        self.pid = 0
         self.clock = state.clock
         self._local = state.local
         self._shared = state.shared
-        self._graph = graph
-        self.edge_reads: list[tuple[int, int]] = []
+        self._in_nbrs = graph._in_nbrs
+        self._self_loops = graph.self_loops
+        self.edge_reads = edge_reads
         self.shared_read = False
 
     def own(self, slot: int) -> Cell:
@@ -251,9 +260,9 @@ class NodeContext:
     def read(self, j: int, slot: int) -> Cell:
         pid = self.pid
         if j == pid:
-            if pid not in self._graph.self_loops:
+            if pid not in self._self_loops:
                 raise NeighborhoodViolation(f"node {pid} has no self loop")
-        elif j not in self._graph._in_nbrs[pid]:
+        elif j not in self._in_nbrs[pid]:
             raise NeighborhoodViolation(f"node {pid} may not read node {j}")
         cell = self._local[j][slot]
         if cell is not UNDEF:
@@ -263,9 +272,9 @@ class NodeContext:
     def read_scalar(self, j: int, slot: int) -> float:
         pid = self.pid
         if j == pid:
-            if pid not in self._graph.self_loops:
+            if pid not in self._self_loops:
                 raise NeighborhoodViolation(f"node {pid} has no self loop")
-        elif j not in self._graph._in_nbrs[pid]:
+        elif j not in self._in_nbrs[pid]:
             raise NeighborhoodViolation(f"node {pid} may not read node {j}")
         cell = self._local[j][slot]
         if type(cell) is float:
@@ -316,6 +325,9 @@ def step_machine(
             pids = (a, b) if a < b else ((b, a) if b < a else (a,))
         else:
             pids = sorted(set(candidates))
+        if pids and (pids[0] < 0 or pids[-1] >= width):
+            bad = pids[0] if pids[0] < 0 else next(p for p in pids if p >= width)
+            raise MachineError(f"candidate {bad} out of range")
     new_local: list[tuple[Cell, ...]] | None = None
     # candidates run in ascending pid order, so the first write per address
     # is already the priority-CRCW winner
@@ -324,17 +336,17 @@ def step_machine(
     edges: list[tuple[int, int]] = []
     gedges: list[tuple[int, int]] = []
     shared_len = len(shared_cells)
+    ctx = NodeContext(state, graph, edges)
 
     for pid in pids:
-        if not 0 <= pid < width:
-            raise MachineError(f"candidate {pid} out of range")
-        ctx = NodeContext(state, graph, pid)
+        ctx.pid = pid
+        ctx.shared_read = False
+        mark = len(edges)
         update = step_fn(ctx)
         if update is None:
+            del edges[mark:]
             continue
         active.append(pid)
-        if ctx.edge_reads:
-            edges.extend(ctx.edge_reads)
         if ctx.shared_read:
             gedges.append((GRAPH, pid))
         local_update, writes = update
@@ -381,6 +393,24 @@ def step_machine(
     return next_state, record
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Keep the cyclic garbage collector off for the body, then restore the
+    state it had on entry, also when the body raises.
+
+    Wrap everything that holds a trace, so that the trace is freed before
+    the collector is back on: a trace still alive then would be walked whole
+    by the next collection.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def run_machine(
     initial: MachineState,
     step_fn: StepFn,
@@ -415,49 +445,6 @@ def run_machine(
         graph=graph,
         instance_edges=instance_edges,
     )
-
-
-class _RecordingContext(NodeContext):
-    """NodeContext that also logs (source, slot, value) per read; test support."""
-
-    __slots__ = ("log",)
-
-    def __init__(self, state: MachineState, graph: InterconnectionGraph, pid: int) -> None:
-        super().__init__(state, graph, pid)
-        self.log: list[tuple[int, int, Cell]] = []
-
-    def read(self, j: int, slot: int) -> Cell:
-        cell = super().read(j, slot)
-        self.log.append((j, slot, cell))
-        return cell
-
-    def read_scalar(self, j: int, slot: int) -> float:
-        cell = self.read(j, slot)
-        if type(cell) is float:
-            return cell
-        _bad_cell(cell, "scalar")
-
-
-def probe_step_reads(
-    state: MachineState,
-    step_fn: StepFn,
-    graph: InterconnectionGraph,
-    candidates: Iterable[int] | None = None,
-) -> dict[int, list[tuple[int, int, Cell]]]:
-    """Re-run one step capturing, per active node, every neighbor read.
-
-    Supports the active-edge soundness check: perturbing the source of a
-    recorded edge must be able to change the target's inputs, perturbing any
-    other defined cell must not.
-    """
-    width = len(state.local)
-    pids = range(width) if candidates is None else sorted(set(candidates))
-    reads: dict[int, list[tuple[int, int, Cell]]] = {}
-    for pid in pids:
-        ctx = _RecordingContext(state, graph, pid)
-        if step_fn(ctx) is not None:
-            reads[pid] = ctx.log
-    return reads
 
 
 def operated_edge_count(trace: Trace) -> int:

@@ -60,6 +60,8 @@ class AlgorithmSpec:
     sample's inputs and size alone.  It checks nothing and raises nothing on
     a schema-valid sample.  ``parse_inline(text)`` reads a ``trace`` input and
     ``note(inst, trace, t)`` annotates layer ``t`` of a printed trace.
+    ``input_violations(inputs, n)``, where set, lists what schema-valid
+    inputs break of the input domain that the probe schema cannot express.
     """
 
     name: str
@@ -74,6 +76,7 @@ class AlgorithmSpec:
     reference: Callable[[Any], tuple[list[dict], dict]]
     parse_inline: Callable[[str], Any]
     note: Callable[[Any, Trace, int], str]
+    input_violations: Callable[[dict, int], list[str]] | None = None
 
 
 def increasing_unit_scalars(rng: Random, n: int) -> list[float]:

@@ -158,8 +158,9 @@ def _check_payload(probe: ProbeSpec, value, n: int, where: str, out: list[str]) 
 
 
 def validate_sample(sample: Sample) -> list[str]:
-    """Check one sample against its algorithm's probe schema and, when that
-    finds nothing, replay it (``replay_sample``); returns violations.
+    """Check one sample against its algorithm's probe schema and input
+    domain and, when that finds nothing, replay it (``replay_sample``);
+    returns violations.
 
     Never raises on a malformed payload: a container of the wrong type is a
     violation like any other, a frame or output the replay does not
@@ -212,6 +213,8 @@ def validate_sample(sample: Sample) -> list[str]:
         if len(set(pos)) != len(pos):
             out.append("inputs.pos: positional scalars must be distinct")
 
+    if not out and algo.input_violations is not None:
+        out = algo.input_violations(sample.inputs, n)
     if out:
         return out
     try:

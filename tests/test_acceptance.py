@@ -7,11 +7,9 @@ criterion 8 asserts on.  Runtime limits are checked against process CPU time
 spread round-robin across the stated size ranges.
 """
 
-import gc
 import itertools
 import math
 import time
-from contextlib import contextmanager
 
 import pytest
 
@@ -35,6 +33,7 @@ from pramtraj.machine import (
     UNDEF,
     MachineState,
     NodeUpdate,
+    collector_paused,
     complete_graph,
     mapped_edge_count,
     step_machine,
@@ -57,20 +56,9 @@ def check_budget(trace):
         BUDGET["violations"] += 1
 
 
-@contextmanager
-def gc_paused():
-    """Machine traces are cycle-free; pausing the cycle collector keeps the
-    timed loops from re-scanning the suite's accumulated heap."""
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
-
-
 def test_criterion_1_search_oracle_equivalence():
     t0 = time.process_time()
-    with gc_paused():
+    with collector_paused():
         for i in range(2000):
             n = 1 + (i % 64)
             inst = gen_search_instance(n, sample_seed(1001, "search", n, i))
@@ -88,7 +76,7 @@ def test_criterion_1_search_oracle_equivalence():
 def test_criterion_2_sorting_oracle_equivalence():
     t0 = time.process_time()
     canon_by_n = {}
-    with gc_paused():
+    with collector_paused():
         for i in range(2000):
             n = 2 + (i % 63)
             inst = gen_permutation(n, sample_seed(1002, "sort", n, i))
@@ -119,7 +107,7 @@ def test_criterion_2_sorting_oracle_equivalence():
 
 def test_criterion_3_scc_oracle_equivalence():
     t0 = time.process_time()
-    with gc_paused():
+    with collector_paused():
         for i in range(500):
             n = 2 + (i % 63)
             g = gen_digraph(n, 3, sample_seed(1003, "scc", n, i))

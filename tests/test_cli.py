@@ -101,6 +101,38 @@ class TestGen:
             "1 violations in 2 samples",
         ]
 
+    def test_validate_reports_off_domain_adjacency(self, tmp_path, capsys):
+        def half_edge(obj):
+            obj["inputs"]["adj_directed"][0][1] = 0.5
+
+        def self_loop(obj):
+            obj["inputs"]["adj_directed"][2][2] = 1.0
+
+        def open_closure(obj):
+            row = obj["inputs"]["adj_undirected"][1]
+            row[4] = 1 - row[4]
+
+        expected = {
+            half_edge: "inputs.adj_directed: cells must be 0.0 or 1.0",
+            self_loop: "inputs.adj_directed: diagonal must be 0.0",
+            open_closure: "inputs.adj_undirected: must be the symmetric closure of adj_directed",
+        }
+        for algo in ("dcsc", "kosaraju"):
+            out = tmp_path / f"{algo}.ndjson"
+            run_cli(["gen", "--algo", algo, "--n", "6", "--samples", "1", "--seed", "0",
+                     "--out", str(out)])
+            clean = out.read_text()
+            for edit, message in expected.items():
+                obj = json.loads(clean)
+                edit(obj)
+                out.write_text(json.dumps(obj, sort_keys=True) + "\n")
+                capsys.readouterr()
+                assert run_cli(["validate", "--in", str(out)]) == 1, (algo, edit.__name__)
+                assert capsys.readouterr().out.splitlines() == [
+                    f"line 1: {message}",
+                    "1 violations in 1 samples",
+                ], (algo, edit.__name__)
+
     def test_validate_odd_inputs_without_traceback(self, tmp_path, capsys):
         def diagonal(obj):
             obj["inputs"]["adj_directed"][2][2] = 1.0

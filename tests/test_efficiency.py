@@ -1,5 +1,8 @@
+import gc
+
 import pytest
 
+from pramtraj import efficiency
 from pramtraj.algorithms import run
 from pramtraj.algorithms.search import SearchInstance, binary_search, parallel_search
 from pramtraj.algorithms.sorting import SortInstance, bubble_sort, oets_sort
@@ -9,6 +12,7 @@ from pramtraj.efficiency import (
     render_table,
     report_ndjson,
     scaling_report,
+    size_record,
     trace_edge_shares,
 )
 from pramtraj.harness import (
@@ -18,7 +22,7 @@ from pramtraj.harness import (
     generate_instance,
     sample_seed,
 )
-from pramtraj.machine import mapped_edge_count, operated_edge_count
+from pramtraj.machine import StepLimitExceeded, mapped_edge_count, operated_edge_count
 from pramtraj.trajectory import encode_sample
 
 
@@ -127,6 +131,27 @@ class TestScalingReport:
         b = scaling_report("oets", [4, 8, 16], 4, 9)
         assert a == b
         assert report_ndjson(a) == report_ndjson(b)
+
+    def test_collector_off_while_a_trace_is_alive(self, monkeypatch):
+        enabled = []
+
+        def traced_run(algo, inst):
+            enabled.append(gc.isenabled())
+            return run(algo, inst)
+
+        monkeypatch.setattr(efficiency, "run", traced_run)
+        size_record("oets", 6, 3, 4)
+        assert enabled == [False] * 3
+        assert gc.isenabled()
+
+    def test_collector_back_on_after_a_failed_run(self, monkeypatch):
+        def failing_run(algo, inst):
+            raise StepLimitExceeded("halt predicate never fired")
+
+        monkeypatch.setattr(efficiency, "run", failing_run)
+        with pytest.raises(StepLimitExceeded, match="instance seed"):
+            size_record("oets", 6, 3, 4)
+        assert gc.isenabled()
 
     def test_n_list_validation(self):
         with pytest.raises(ValueError):

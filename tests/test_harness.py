@@ -1,5 +1,8 @@
+import gc
+
 import pytest
 
+from pramtraj import harness
 from pramtraj.graphs import tarjan_scc
 from pramtraj.harness import (
     GenConfig,
@@ -11,6 +14,7 @@ from pramtraj.harness import (
     sample_seed,
     write_dataset,
 )
+from pramtraj.machine import StepLimitExceeded
 from pramtraj.trajectory import serialize_ndjson, validate_sample
 
 
@@ -141,6 +145,33 @@ class TestPipeline:
         a = serialize_ndjson(build_samples(cfg))
         b = serialize_ndjson(build_samples(cfg))
         assert a == b
+
+    def test_collector_off_while_a_trace_is_alive(self, monkeypatch):
+        real_run, real_encode = harness.run, harness.encode_sample
+        enabled = []
+
+        def run(algo, inst):
+            enabled.append(gc.isenabled())
+            return real_run(algo, inst)
+
+        def encode_sample(*args, **kwargs):
+            enabled.append(gc.isenabled())
+            return real_encode(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run", run)
+        monkeypatch.setattr(harness, "encode_sample", encode_sample)
+        assert len(list(build_samples(GenConfig("oets", (5,), 2, 3)))) == 2
+        assert enabled == [False] * 4
+        assert gc.isenabled()
+
+    def test_collector_back_on_after_a_failed_run(self, monkeypatch):
+        def run(algo, inst):
+            raise StepLimitExceeded("halt predicate never fired")
+
+        monkeypatch.setattr(harness, "run", run)
+        with pytest.raises(StepLimitExceeded, match="index 0"):
+            list(build_samples(GenConfig("oets", (5,), 2, 3)))
+        assert gc.isenabled()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

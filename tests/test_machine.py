@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from pramtraj.machine import (
     GRAPH,
     HOLD,
     InterconnectionGraph,
+    MachineError,
     MachineState,
     NeighborhoodViolation,
     NodeUpdate,
@@ -15,12 +18,13 @@ from pramtraj.machine import (
     as_flag,
     as_index,
     as_scalar,
+    collector_paused,
     complete_graph,
-    fresh_state,
-    probe_step_reads,
     run_machine,
     step_machine,
 )
+
+from machine_support import fresh_state, probe_step_reads
 
 
 class TestCells:
@@ -197,6 +201,106 @@ class TestStepMachine:
         _, rec = step_machine(state, peek, graph)
         assert rec.active_nodes == {1}
         assert rec.active_edges == frozenset()
+
+
+class TestRangeChecks:
+    """step_machine's three MachineError checks: candidates, local slots and
+    shared addresses must lie inside the machine."""
+
+    def _state(self):
+        return MachineState(((0.0,),) * 3, (UNDEF, UNDEF), 0)
+
+    @pytest.mark.parametrize("candidates", [(-1,), (3,), (0, 5, 1), (7, 0), (2, -4)])
+    def test_candidate_out_of_range(self, candidates):
+        bad = next(p for p in sorted(candidates) if not 0 <= p < 3)
+        with pytest.raises(MachineError, match=f"^candidate {bad} out of range$"):
+            step_machine(self._state(), lambda ctx: HOLD, _loop_graph(3), candidates)
+
+    def test_candidates_in_range_pass(self):
+        _, rec = step_machine(self._state(), lambda ctx: HOLD, _loop_graph(3), (2, 0))
+        assert rec.active_nodes == {0, 2}
+
+    @pytest.mark.parametrize("slot", [-1, 1, 4])
+    def test_local_slot_out_of_range(self, slot):
+        def step(ctx):
+            return NodeUpdate(local={slot: 1.0}) if ctx.pid == 1 else None
+
+        with pytest.raises(MachineError, match=f"^local slot {slot} out of range at node 1$"):
+            step_machine(self._state(), step, _loop_graph(3))
+
+    @pytest.mark.parametrize("addr", [-1, 2, 9])
+    def test_shared_address_out_of_range(self, addr):
+        def step(ctx):
+            return NodeUpdate(writes=((0, 1.0), (addr, 2.0))) if ctx.pid == 2 else None
+
+        with pytest.raises(MachineError, match=f"^shared address {addr} out of range at node 2$"):
+            step_machine(self._state(), step, _loop_graph(3))
+
+
+class TestContextIsolation:
+    """One context serves every processor of a layer; what one processor read
+    never leaks into another's record."""
+
+    def test_identity_processor_leaves_no_reads(self):
+        graph = complete_graph(3)
+        state = MachineState(((1.0,), (2.0,), (3.0,)), (4,), 0)
+        seen = {}
+
+        def step(ctx):
+            seen[ctx.pid] = ctx.shared_read
+            if ctx.pid == 0:
+                ctx.read(1, 0)
+                ctx.read(2, 0)
+                ctx.shared_index(0)
+                return None
+            if ctx.pid == 1:
+                ctx.read_scalar(2, 0)
+                return HOLD
+            ctx.shared(0)
+            ctx.read(0, 0)
+            return HOLD
+
+        _, rec = step_machine(state, step, graph)
+        assert seen == {0: False, 1: False, 2: False}
+        assert rec.active_nodes == {1, 2}
+        assert rec.active_edges == {(2, 1), (0, 2)}
+        assert rec.graph_edges == {(GRAPH, 2)}
+        assert rec.op_count == 2
+
+
+class TestCollectorPaused:
+    """collector_paused turns the cyclic collector off for its body and puts
+    back the state it found, however the body ends."""
+
+    def test_paused_inside_and_restored_after_a_run(self):
+        assert gc.isenabled()
+        with collector_paused():
+            assert not gc.isenabled()
+            trace = run_machine(fresh_state(1, 1, 1), lambda ctx: HOLD, _loop_graph(1),
+                                lambda s: s.clock >= 2, 2)
+        assert gc.isenabled()
+        assert trace.depth == 2
+
+    def test_restored_after_step_limit(self):
+        with pytest.raises(StepLimitExceeded):
+            with collector_paused():
+                run_machine(fresh_state(1, 1, 1), lambda ctx: None, _loop_graph(1),
+                            lambda s: False, 3)
+        assert gc.isenabled()
+
+    def test_stays_off_when_off_on_entry(self):
+        gc.disable()
+        try:
+            with collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+            with pytest.raises(StepLimitExceeded):
+                with collector_paused():
+                    run_machine(fresh_state(1, 1, 1), lambda ctx: None, _loop_graph(1),
+                                lambda s: False, 3)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestRunMachine:

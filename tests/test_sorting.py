@@ -157,7 +157,9 @@ def test_oets_round_reads_are_sound():
     # item changes what a pair member reads; perturbing an unrelated node's
     # item never does
     from pramtraj.algorithms.sorting import oets_machine
-    from pramtraj.machine import MachineState, probe_step_reads
+    from pramtraj.machine import MachineState
+
+    from machine_support import probe_step_reads
 
     inst = SortInstance(items=(4.0, 3.0, 2.0, 1.0))
     initial, step, candidates, _, graph = oets_machine(inst)

@@ -170,6 +170,30 @@ class TestValidate:
         bad = Sample.from_obj(obj)
         assert any("depth" in v for v in validate_sample(bad))
 
+    def test_scc_adjacency_domain(self):
+        for algo in ("dcsc", "kosaraju"):
+            sample = make_sample(algo, n=6, master=0)
+            for value in (0.5, -1.0, 2.0):
+                obj = self._corrupt(sample)
+                obj["inputs"]["adj_directed"][0][1] = value
+                assert validate_sample(Sample.from_obj(obj)) == [
+                    "inputs.adj_directed: cells must be 0.0 or 1.0"
+                ], (algo, value)
+            obj = self._corrupt(sample)
+            obj["inputs"]["adj_directed"][3][3] = 1.0
+            assert validate_sample(Sample.from_obj(obj)) == [
+                "inputs.adj_directed: diagonal must be 0.0"
+            ], algo
+            # an edge added to both matrices keeps the pair consistent and is
+            # left to the replay; one added to adj_undirected alone is not
+            u, v = next((u, v) for u in range(6) for v in range(6)
+                        if u != v and sample.inputs["adj_undirected"][u][v] == 0)
+            obj = self._corrupt(sample)
+            obj["inputs"]["adj_undirected"][u][v] = 1
+            assert validate_sample(Sample.from_obj(obj)) == [
+                "inputs.adj_undirected: must be the symmetric closure of adj_directed"
+            ], algo
+
     def test_validator_never_throws(self):
         bad = Sample("nonsense", 3, {}, {}, (), {}, {})
         assert validate_sample(bad)
