@@ -1,6 +1,6 @@
 """Priority-CRCW machine simulator, trajectory datasets, efficiency analytics."""
 
-from .graphs import Digraph, tarjan_scc
+from .graphs import Digraph
 from .machine import (
     ActivityRecord,
     InterconnectionGraph,

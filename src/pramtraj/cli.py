@@ -23,6 +23,8 @@ from .harness import GenConfig, build_samples, schema_path_for, write_dataset
 from .machine import MachineError
 from .trajectory import (
     DatasetFormatError,
+    chunk_lines,
+    line_is_clean,
     parse_ndjson,
     parse_schema,
     serialize_schema,
@@ -110,34 +112,68 @@ def cmd_validate(args) -> int:
     path = Path(args.in_path)
     schema_path = schema_path_for(path)
     try:
-        data = path.read_bytes()
-        schema_data = schema_path.read_bytes()
+        with path.open("rb") as stream:
+            schema_data = schema_path.read_bytes()
+            code, report = _validate_lines(path, schema_path, schema_data, stream)
     except OSError as err:
         raise BadInput(f"cannot read {err.filename}: {err.strerror}") from None
+    print("\n".join(report))
+    return code
+
+
+def _validate_lines(path: Path, schema_path: Path, schema_data: bytes, stream) -> tuple[int, list[str]]:
+    """Exit status and report of ``validate``, reading the dataset one line
+    at a time.
+
+    A format error anywhere, in the sidecar or on any line, is the whole
+    report; so is a sidecar that is not the registry's schema.  Otherwise
+    every violation of every line, then the verdict.
+    """
     try:
         algo, _ = parse_schema(schema_data)
-        samples = parse_ndjson(data)
     except DatasetFormatError as err:
-        print(f"{path}: {err}")
-        return 1
+        return 1, [f"{path}: {err}"]
     # samples are checked against the registry's schema: the sidecar must be it
-    if algo not in ALGORITHMS or schema_data != serialize_schema(algo):
-        print(f"{schema_path}: schema does not match the registry's {algo}")
-        return 1
-    failures = 0
-    for lineno, sample in enumerate(samples, start=1):
-        if sample.algo != algo:
-            print(f"line {lineno}: algorithm {sample.algo!r} does not match schema {algo!r}")
-            failures += 1
+    registered = algo in ALGORITHMS and schema_data == serialize_schema(algo)
+    messages = []
+    lineno = 0
+    try:
+        for chunk in stream:
+            lineno, found = _chunk_messages(chunk, lineno, algo, registered)
+            messages.extend(found)
+            del chunk  # dropped before the next line is read
+    except DatasetFormatError as err:
+        return 1, [f"{path}: {err}"]
+    if not registered:
+        return 1, [f"{schema_path}: schema does not match the registry's {algo}"]
+    if messages:
+        return 1, messages + [f"{len(messages)} violations in {lineno} samples"]
+    return 0, [f"ok: {lineno} samples, zero violations"]
+
+
+def _chunk_messages(chunk: bytes, lineno: int, algo: str, registered: bool) -> tuple[int, list[str]]:
+    """The number of the last line of one "\\n"-terminated chunk of the
+    dataset, which follows line ``lineno``, and the violations of its lines.
+    A chunk is one line unless it holds another line break that
+    str.splitlines honours; a line ``line_is_clean`` does not accept is
+    parsed and checked whole."""
+    if registered and line_is_clean(chunk, algo):
+        return lineno + 1, []
+    found = []
+    for line in chunk_lines(chunk, lineno + 1):
+        lineno += 1
+        try:
+            # "\n" is a blank line to parse_ndjson, as it is in a whole file
+            (sample,) = parse_ndjson(line or "\n")
+        except DatasetFormatError as err:
+            raise DatasetFormatError(lineno, err.reason) from None
+        if not registered:
             continue
-        for violation in validate_sample(sample):
-            print(f"line {lineno}: {violation}")
-            failures += 1
-    if failures:
-        print(f"{failures} violations in {len(samples)} samples")
-        return 1
-    print(f"ok: {len(samples)} samples, zero violations")
-    return 0
+        if sample.algo != algo:
+            found.append(f"line {lineno}: algorithm {sample.algo!r} does not match schema {algo!r}")
+            continue
+        found.extend(f"line {lineno}: {violation}" for violation in validate_sample(sample))
+    return lineno, found
 
 
 def cmd_compare(args) -> int:

@@ -41,10 +41,16 @@ def node_efficiency(trace: Trace, include_graph_ops: bool = True) -> float:
 
 
 def trace_edge_shares(trace: Trace) -> list[float]:
-    m = operated_edge_count(trace)
+    return _edge_shares(
+        [mapped_edge_count(trace, rec) for rec in trace.activity], operated_edge_count(trace)
+    )
+
+
+def _edge_shares(counts: list[int], m: int) -> list[float]:
+    """Active edges per layer as a share of the m operated edges."""
     if m == 0:
-        return [0.0 for _ in trace.activity]
-    return [mapped_edge_count(trace, rec) / m for rec in trace.activity]
+        return [0.0 for _ in counts]
+    return [count / m for count in counts]
 
 
 @dataclass(frozen=True)
@@ -145,10 +151,10 @@ def size_record(
             caps.append(capacity(trace))
             ops.append(sum(rec.op_count for rec in trace.activity))
             ops_nodes.append(sum(len(rec.active_nodes) for rec in trace.activity))
-            shares = trace_edge_shares(trace)
-            eps.append(sum(shares) / len(shares) if shares else 0.0)
-            ms.append(operated_edge_count(trace))
             counts = [mapped_edge_count(trace, rec) for rec in trace.activity]
+            ms.append(operated_edge_count(trace))
+            shares = _edge_shares(counts, ms[-1])
+            eps.append(sum(shares) / len(shares) if shares else 0.0)
             if counts:
                 edge_max = max(edge_max, max(counts))
                 edge_sum += sum(counts)

@@ -5,6 +5,13 @@ off the trace snapshots, the outputs, and the per-layer activity counts.
 Validation checks a sample against its probe schema, then replays it.
 Serialization is canonical: sorted keys, 17-significant-digit floats, LF
 lines -- two serializations of the same sample are byte-identical.
+
+``validate`` reads a dataset one line at a time.  ``line_is_clean`` accepts
+a canonical line whose hints are byte-equal to the canonical text of the
+replayed frames, after decoding and checking only its small fields; every
+other line is decoded (``chunk_lines``), parsed whole (``parse_ndjson``) and
+checked cell by cell (``validate_sample``), which is what reports a
+violation.
 """
 
 from __future__ import annotations
@@ -21,6 +28,10 @@ from .spec import AlgorithmSpec, HintFrame, ProbeSpec, increasing_unit_scalars
 
 class DatasetFormatError(Exception):
     """Malformed dataset stream; message carries the offending line number."""
+
+    def __init__(self, lineno: int, reason: object) -> None:
+        super().__init__(f"line {lineno}: {reason}")
+        self.reason = reason
 
 
 class ReplayError(Exception):
@@ -157,6 +168,35 @@ def _check_payload(probe: ProbeSpec, value, n: int, where: str, out: list[str]) 
             out.append(f"{where}.{probe.name}: scalar must be finite")
 
 
+def _probes_by_stage(algo: AlgorithmSpec) -> dict[str, list[ProbeSpec]]:
+    by_stage: dict[str, list[ProbeSpec]] = {"input": [], "hint": [], "output": []}
+    for probe in algo.probes:
+        by_stage[probe.stage].append(probe)
+    return by_stage
+
+
+def _check_io(by_stage: dict, sample: Sample, out: list[str]) -> None:
+    """The input and output payloads against their probe schemas."""
+    for stage, payload in (("input", sample.inputs), ("output", sample.outputs)):
+        if not isinstance(payload, dict):
+            out.append(f"{stage}s: must be an object")
+            continue
+        names = {p.name for p in by_stage[stage]}
+        got = set(payload)
+        if got != names:
+            out.append(f"{stage}s: expected {sorted(names)}, got {sorted(got)}")
+        for probe in by_stage[stage]:
+            if probe.name in payload:
+                _check_payload(probe, payload[probe.name], sample.n, f"{stage}s", out)
+
+
+def _check_pos(inputs, out: list[str]) -> None:
+    pos = inputs.get("pos") if isinstance(inputs, dict) else None
+    if isinstance(pos, list) and all(_is_number(v) for v in pos):
+        if len(set(pos)) != len(pos):
+            out.append("inputs.pos: positional scalars must be distinct")
+
+
 def validate_sample(sample: Sample) -> list[str]:
     """Check one sample against its algorithm's probe schema and input
     domain and, when that finds nothing, replay it (``replay_sample``);
@@ -174,21 +214,8 @@ def validate_sample(sample: Sample) -> list[str]:
     if not isinstance(n, int) or n < 1:
         return ["n must be a positive integer"]
 
-    by_stage: dict[str, list[ProbeSpec]] = {"input": [], "hint": [], "output": []}
-    for probe in algo.probes:
-        by_stage[probe.stage].append(probe)
-
-    for stage, payload in (("input", sample.inputs), ("output", sample.outputs)):
-        if not isinstance(payload, dict):
-            out.append(f"{stage}s: must be an object")
-            continue
-        names = {p.name for p in by_stage[stage]}
-        got = set(payload)
-        if got != names:
-            out.append(f"{stage}s: expected {sorted(names)}, got {sorted(got)}")
-        for probe in by_stage[stage]:
-            if probe.name in payload:
-                _check_payload(probe, payload[probe.name], n, f"{stage}s", out)
+    by_stage = _probes_by_stage(algo)
+    _check_io(by_stage, sample, out)
 
     steps = sample.activity.get("steps") if isinstance(sample.activity, dict) else None
     if not isinstance(steps, list):
@@ -208,10 +235,7 @@ def validate_sample(sample: Sample) -> list[str]:
         for probe in by_stage["hint"]:
             _check_payload(probe, frame.values[probe.name], n, where, out)
 
-    pos = sample.inputs.get("pos") if isinstance(sample.inputs, dict) else None
-    if isinstance(pos, list) and all(_is_number(v) for v in pos):
-        if len(set(pos)) != len(pos):
-            out.append("inputs.pos: positional scalars must be distinct")
+    _check_pos(sample.inputs, out)
 
     if not out and algo.input_violations is not None:
         out = algo.input_violations(sample.inputs, n)
@@ -312,13 +336,25 @@ def parse_ndjson(data: bytes | str) -> list[Sample]:
     samples = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
-            raise DatasetFormatError(f"line {lineno}: blank line")
+            raise DatasetFormatError(lineno, "blank line")
         try:
             obj = json.loads(line)
             samples.append(Sample.from_obj(obj))
-        except (json.JSONDecodeError, KeyError, TypeError) as err:
-            raise DatasetFormatError(f"line {lineno}: {err}") from None
+        except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as err:
+            raise DatasetFormatError(lineno, err) from None
     return samples
+
+
+def chunk_lines(chunk: bytes, lineno: int) -> list[str]:
+    """The lines of one "\\n"-terminated chunk of an NDJSON stream, split as
+    ``parse_ndjson`` splits the whole decoded stream: str.splitlines breaks
+    at every "\\n" and never inside "\\r\\n", so splitting chunk by chunk gives
+    the same lines.  Bytes that are not UTF-8 are a DatasetFormatError of
+    line ``lineno``, the chunk's first."""
+    try:
+        return chunk.decode("utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        raise DatasetFormatError(lineno, err) from None
 
 
 def serialize_schema(algo_id: str) -> bytes:
@@ -337,9 +373,9 @@ def parse_schema(data: bytes | str) -> tuple[str, list[ProbeSpec]]:
             probes.append(ProbeSpec(obj["name"], obj["stage"], obj["location"], obj["dtype"]))
             algo = obj["algo"]
         except (json.JSONDecodeError, KeyError, TypeError) as err:
-            raise DatasetFormatError(f"line {lineno}: {err}") from None
+            raise DatasetFormatError(lineno, err) from None
     if algo is None:
-        raise DatasetFormatError("line 1: empty schema")
+        raise DatasetFormatError(1, "empty schema")
     return algo, probes
 
 
@@ -368,3 +404,89 @@ def replay_sample(sample: Sample) -> dict:
             name = next((k for k in want if frame.values.get(k) != want[k]), "values")
             raise ReplayError(f"frame {idx}: {name} mismatch")
     return outputs
+
+
+# ---------------------------------------------------------------------------
+# the line check: a canonical line accepted without decoding its hints
+
+_HINTS = b',"hints":'
+_INPUTS = b',"inputs":{'
+_HEAD_KEYS = {"activity", "algo"}
+_TAIL_KEYS = {"inputs", "n", "outputs", "seed"}
+
+
+def _one_line(text: str) -> bool:
+    return text.splitlines() == [text]
+
+
+def line_is_clean(chunk: bytes, algo_id: str) -> bool:
+    """True only when the chunk is one line of a dataset of ``algo_id`` and
+    ``validate_sample`` finds nothing in its sample, decided without decoding
+    the line's hints.  A chunk is the bytes up to and including a "\\n".
+
+    The chunk is cut at its first ``,"hints":[`` and its last ``,"inputs":{``.
+    When the head (plus ``}``) and the tail (after ``{``) are UTF-8 with no
+    line break and parse to objects with exactly the keys before and after
+    ``hints``, the line parses to their union with the hints between the
+    cuts.  Every check ``validate_sample`` makes on the small fields runs on
+    them; the hints must then be byte-equal to the C encoder's text of the
+    replayed frames -- in-domain ints, so the per-cell walk and the frame
+    replay would find nothing -- and the outputs equal to the replayed ones,
+    types included.  False means "not decided here": the line goes through
+    ``parse_ndjson`` and ``validate_sample``.
+    """
+    start = chunk.find(_HINTS + b"[")
+    end = chunk.rfind(_INPUTS)
+    if start < 0 or end < start:
+        return False
+    try:
+        head_text = chunk[:start].decode("utf-8") + "}"
+        tail_text = "{" + chunk[end + 1 :].removesuffix(b"\n").decode("utf-8")
+        if not (_one_line(head_text) and _one_line(tail_text)):
+            return False
+        head = json.loads(head_text)
+        tail = json.loads(tail_text)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+        return False
+    if not (
+        type(head) is dict
+        and head.keys() == _HEAD_KEYS
+        and type(tail) is dict
+        and tail.keys() == _TAIL_KEYS
+        and head["algo"] == algo_id
+    ):
+        return False
+    algo = SPECS[algo_id]
+    sample = Sample(
+        algo=algo_id,
+        n=tail["n"],
+        seed=tail["seed"],
+        inputs=tail["inputs"],
+        hints=(),
+        outputs=tail["outputs"],
+        activity=head["activity"],
+    )
+    if type(sample.n) is not int or sample.n < 1:
+        return False
+    out: list[str] = []
+    _check_io(_probes_by_stage(algo), sample, out)
+    _check_pos(sample.inputs, out)
+    if out or (algo.input_violations is not None and algo.input_violations(sample.inputs, sample.n)):
+        return False
+    frames, outputs = algo.reference(sample)
+    steps = sample.activity.get("steps") if isinstance(sample.activity, dict) else None
+    if not (isinstance(steps, list) and len(steps) == len(frames)):
+        return False
+    # the encoder's text of the frame list, compared one frame at a time
+    at = start + len(_HINTS)
+    for t, values in enumerate(frames, 1):
+        text = (("," if t > 1 else "[") + _encode_ints({"step": t, "values": values})).encode()
+        if not chunk.startswith(text, at):
+            return False
+        at += len(text)
+    close = b"]" if frames else b"[]"
+    return (
+        at + len(close) == end
+        and chunk.startswith(close, at)
+        and _encode_ints(outputs) == _encode_ints(sample.outputs)
+    )

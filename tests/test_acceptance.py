@@ -18,7 +18,7 @@ from pramtraj.algorithms.search import binary_search, parallel_search
 from pramtraj.algorithms.sorting import SortInstance, bubble_sort, chain_order, oets_sort
 from pramtraj.algorithms.scc import dcsc, kosaraju
 from pramtraj.efficiency import node_efficiency, scaling_report, trace_edge_shares
-from pramtraj.graphs import pointers_to_partition, tarjan_scc
+from pramtraj.graphs import pointers_to_partition
 from pramtraj.harness import (
     GenConfig,
     build_samples,
@@ -44,6 +44,8 @@ from pramtraj.trajectory import (
     serialize_ndjson,
     validate_sample,
 )
+
+from scc_oracle import tarjan_scc
 
 # shared Assumption-1 ledger, asserted by criterion 8 after criteria 1-6 ran
 BUDGET = {"checked": 0, "violations": 0}

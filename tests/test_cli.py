@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pramtraj
@@ -169,6 +172,69 @@ class TestGen:
         capsys.readouterr()
         assert run_cli(["validate", "--in", str(out)]) == 1
         assert capsys.readouterr().out == f"{schema}: schema does not match the registry's oets\n"
+
+
+    def _validate_bytes(self, tmp_path, capsys, data, schema_edit=None):
+        out = tmp_path / "d.ndjson"
+        run_cli(["gen", "--algo", "oets", "--n", "5", "--samples", "3", "--seed", "2",
+                 "--out", str(out)])
+        lines = out.read_bytes().splitlines()
+        out.write_bytes(data(lines))
+        if schema_edit is not None:
+            schema = schema_path_for(out)
+            schema.write_bytes(schema_edit(schema.read_bytes()))
+        capsys.readouterr()
+        code = run_cli(["validate", "--in", str(out)])
+        return code, capsys.readouterr().out.replace(str(out), "D")
+
+    def test_validate_line_by_line_reports(self, tmp_path, capsys):
+        retype = lambda schema: schema.replace(b'"dtype":"mask"', b'"dtype":"categorical"', 1)
+        cases = [
+            (lambda ls: b"\n".join(ls[:2] + [b"{oops"]) + b"\n", None, 1,
+             "D: line 3: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"),
+            (lambda ls: b"\n".join(ls[:1] + [b""] + ls[1:]) + b"\n", None, 1, "D: line 2: blank line\n"),
+            (lambda ls: b"".join(line + b"\r\n" for line in ls), None, 0, "ok: 3 samples, zero violations\n"),
+            (lambda ls: b"", None, 0, "ok: 0 samples, zero violations\n"),
+            (lambda ls: b"\n".join(ls + [b"[1,"]) + b"\n", retype, 1,
+             "D: line 4: Expecting value: line 1 column 4 (char 3)\n"),
+            (lambda ls: b"\n".join(ls) + b"\n", retype, 1,
+             f"{tmp_path / 'd.schema'}: schema does not match the registry's oets\n"),
+            (lambda ls: b"\n".join(ls) + b"\n\n", None, 1, "D: line 4: blank line\n"),
+            (lambda ls: b"\n".join([ls[0], ls[1].replace(b'"parity":0', b'"parity":2', 1), ls[2]]), None, 1,
+             "line 2: hints[0].parity: mask domain\n1 violations in 3 samples\n"),
+        ]
+        for data, schema_edit, code, report in cases:
+            assert self._validate_bytes(tmp_path, capsys, data, schema_edit) == (code, report)
+
+    def test_validate_reports_undecodable_line(self, tmp_path, capsys):
+        # a byte that is not UTF-8 is a format error of its line, not a bad argument
+        def bad_byte(lines):
+            lines[1] = lines[1][:30] + b"\xff" + lines[1][31:]
+            return b"\n".join(lines) + b"\n"
+
+        assert self._validate_bytes(tmp_path, capsys, bad_byte) == (
+            1, "D: line 2: 'utf-8' codec can't decode byte 0xff in position 30: invalid start byte\n"
+        )
+
+    def test_validate_reports_deep_nesting(self, tmp_path, capsys):
+        code, out = self._validate_bytes(tmp_path, capsys, lambda ls: ls[0] + b"\n" + b"[" * 100_000)
+        assert (code, out.splitlines()[0].split(": maximum recursion depth")[0]) == (1, "D: line 2")
+
+    def test_validate_memory_stays_flat(self, tmp_path):
+        # the Python heap peak of validate is one sample's, not the file's
+        peaks = []
+        for samples in (1, 4):
+            out = tmp_path / f"b{samples}.ndjson"
+            run_cli(["gen", "--algo", "bubble_sort", "--n", "24", "--samples", str(samples),
+                     "--seed", "1", "--out", str(out)])
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert run_cli(["validate", "--in", str(out)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0], peaks
 
 
 class TestTrace:

@@ -3,7 +3,6 @@ import gc
 import pytest
 
 from pramtraj import harness
-from pramtraj.graphs import tarjan_scc
 from pramtraj.harness import (
     GenConfig,
     build_samples,
@@ -16,6 +15,8 @@ from pramtraj.harness import (
 )
 from pramtraj.machine import StepLimitExceeded
 from pramtraj.trajectory import serialize_ndjson, validate_sample
+
+from scc_oracle import tarjan_scc
 
 
 class TestSeedMixing:

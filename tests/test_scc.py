@@ -3,8 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pramtraj.algorithms.scc import DONE, PIVOT_ADDR, dcsc, kosaraju
-from pramtraj.graphs import Digraph, pointers_to_partition, tarjan_scc
+from pramtraj.graphs import Digraph, pointers_to_partition
 from pramtraj.harness import gen_digraph, sample_seed
+
+from scc_oracle import tarjan_scc
 
 
 def reachability_partition(g):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 from random import Random
 
 import pytest
@@ -12,13 +13,16 @@ from pramtraj.algorithms.sorting import SortInstance, oets_sort
 from pramtraj.algorithms.scc import dcsc
 from pramtraj.graphs import Digraph
 from pramtraj.harness import generate_instance, sample_seed
+from pramtraj.spec import HintFrame
 from pramtraj.trajectory import (
     DatasetFormatError,
     ReplayError,
     Sample,
     categories,
+    chunk_lines,
     dumps_canonical,
     encode_sample,
+    line_is_clean,
     parse_ndjson,
     parse_schema,
     probe_spec,
@@ -433,3 +437,149 @@ class TestReplay:
                             finally:
                                 mask[u][v] ^= 1
                 assert replay_sample(sample) == sample.outputs
+
+
+def compact(obj) -> bytes:
+    """One dataset line in the writer's separators (floats in repr)."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+
+
+def _cells(values: dict):
+    """(container, key) of every cell of a frame's values."""
+    for name, value in values.items():
+        if not isinstance(value, list):
+            yield values, name
+        elif isinstance(value[0], list):
+            yield from ((row, j) for row in value for j in range(len(row)))
+        else:
+            yield from ((value, j) for j in range(len(value)))
+
+
+def verdict(chunk: bytes) -> list[str]:
+    (line,) = chunk_lines(chunk, 1)
+    return validate_sample(parse_ndjson(line)[0])
+
+
+class TestLineCheck:
+    """line_is_clean accepts a line only where validate_sample finds nothing."""
+
+    def test_every_gen_line_is_accepted(self):
+        for algo in ALGORITHMS:
+            for n in (1, 2, 7, 16):
+                for index in range(2):
+                    chunk = serialize_ndjson([make_sample(algo, n=n, index=index, master=3)])
+                    assert line_is_clean(chunk, algo), (algo, n, index)
+                    assert line_is_clean(chunk.rstrip(b"\n"), algo)
+                    assert not line_is_clean(chunk, "dcsc" if algo == "oets" else "oets")
+
+    def test_reference_frames_pass_the_hint_schema(self):
+        # the premise of the byte comparison: a line whose hints are the
+        # replayed frames has nothing for the per-cell hint walk to find
+        rng = Random(7)
+        for algo in ALGORITHMS:
+            spec = SPECS[algo]
+            for n in (1, 2, 3, 5, 8, 16):
+                for index in range(3):
+                    sample = make_sample(algo, n=n, index=index, master=0)
+                    variants = [sample.inputs]
+                    for _ in range(4):
+                        inputs = copy.deepcopy(sample.inputs)
+                        name = rng.choice(sorted(inputs))
+                        value = inputs[name]
+                        cell = rng.choice([0.0, 1.0, 0.5, -3.0, rng.random()])
+                        if isinstance(value, float):
+                            inputs[name] = cell
+                        elif isinstance(value[0], list):
+                            value[rng.randrange(n)][rng.randrange(n)] = (
+                                int(cell == 1.0) if name == "adj_undirected" else cell
+                            )
+                        else:
+                            value[rng.randrange(n)] = cell
+                        variants.append(inputs)
+                    for inputs in variants:
+                        probe = dataclasses.replace(sample, inputs=inputs)
+                        if spec.input_violations and spec.input_violations(inputs, n):
+                            continue
+                        frames, outputs = spec.reference(probe)
+                        replayed = dataclasses.replace(
+                            probe,
+                            hints=tuple(HintFrame(t, v) for t, v in enumerate(frames, 1)),
+                            outputs=outputs,
+                            activity={"steps": [{}] * len(frames)},
+                        )
+                        assert validate_sample(replayed) == [], (algo, n, index)
+
+    def test_no_mutation_is_accepted_where_validate_finds_a_violation(self):
+        # hint cells set to 0, 1, 2, -1, 1.0, true and false (every value on
+        # every cell of the first frame, one value per cell, in turn, after
+        # it); an output cell set to 1.0 or moved; a repeated pos, a 0.5
+        # edge; n, activity and seed edits.  On lines in the writer's
+        # separators the two verdicts agree exactly.
+        values = (0, 1, 2, -1, 1.0, True, False)
+        checked = 0
+        for algo in ALGORITHMS:
+            obj = make_sample(algo, n=6, master=0).to_obj()
+            mutants = []
+            turn = 0
+            for idx, frame in enumerate(obj["hints"]):
+                for slots, key in _cells(frame["values"]):
+                    old = slots[key]
+                    for value in values if idx == 0 else (values[turn % len(values)],):
+                        slots[key] = value
+                        mutants.append(compact(obj))
+                    slots[key] = old
+                    turn += 1
+            name, value = next(iter(obj["outputs"].items()))
+            floated = [float(v) for v in value] if isinstance(value, list) else float(value)
+            moved = [(value[0] + 1) % 6] + value[1:] if isinstance(value, list) else (value + 1) % 7
+            edits = (
+                lambda o: o["outputs"].__setitem__(name, floated),
+                lambda o: o["outputs"].__setitem__(name, moved),
+                lambda o: o["inputs"]["pos"].__setitem__(1, o["inputs"]["pos"][0]),
+                lambda o: [row.__setitem__(1, 0.5) for row in o["inputs"].get("adj_directed", [])[:1]],
+                lambda o: o.__setitem__("n", 5),
+                lambda o: o.__setitem__("n", 6.0),
+                lambda o: o.__setitem__("n", True),
+                lambda o: o["activity"]["steps"].pop(),
+                lambda o: o["activity"].__setitem__("steps", {}),
+                lambda o: o.__setitem__("activity", []),
+                lambda o: o["seed"].__setitem__("value", "x"),
+                lambda o: o.__setitem__("seed", None),
+            )
+            for edit in edits:
+                mutant = copy.deepcopy(obj)
+                edit(mutant)
+                mutants.append(compact(mutant))
+            mutants.append(compact(obj))
+            for chunk in mutants:
+                assert line_is_clean(chunk, algo) == (verdict(chunk) == []), (algo, chunk[:200])
+            checked += len(mutants)
+        assert checked > 2500
+
+    def test_other_spellings_take_the_full_path(self):
+        for algo in ALGORITHMS:
+            sample = make_sample(algo, n=4, master=1)
+            chunk = serialize_ndjson([sample])
+            obj = sample.to_obj()
+            other_algo = "bubble_sort" if algo == "oets" else "oets"
+            others = [
+                json.dumps(obj, sort_keys=True).encode() + b"\n",
+                chunk.replace(b',"inputs":{', b',"hints":[],"inputs":{', 1),
+                chunk.replace(b'{"activity"', b'{"hints":[],"activity"', 1),
+                chunk[:-2] + b',"hints":[]}\n',
+                chunk[:-2] + b',"\\u0068ints":[]}\n',
+                chunk.replace(f'"algo":"{algo}"'.encode(), f'"algo":"{other_algo}"'.encode(), 1),
+                chunk[:-1] + b"\r\n",
+                chunk[:-1] + b"\x0b" + chunk,
+                chunk.replace(b'"seed":{', b'"seed":{"x":"\xe2\x80\xa8",', 1),
+                chunk.replace(b'"seed":{', b'"seed":{"x":"\xff",', 1),
+            ]
+            for other in others:
+                assert not line_is_clean(other, algo), (algo, other[:80])
+            # the head and the tail are parsed as json.loads parses them:
+            # spaces, and duplicate keys outside hints, are no concern
+            for same in (
+                chunk.replace(b'"algo":', b' "algo": "x", "algo":', 1),
+                chunk.replace(b'"seed":', b'"seed" :', 1),
+            ):
+                assert line_is_clean(same, algo) and verdict(same) == [], algo
