@@ -9,6 +9,7 @@ from .machine import (
     StepLimitExceeded,
     Trace,
     UNDEF,
+    activity_summary,
     run_machine,
     step_machine,
 )

@@ -1,11 +1,14 @@
 """Capacity, node efficiency, edge efficiency, and scaling reports.
 
-Capacity is width x depth of a trace.  Node efficiency divides the executed
+Every metric is a function of one run's activity summary
+(``machine.activity_summary``), the ``activity`` block of a dataset line, so
+a written dataset's metrics follow from its lines without re-running the
+machine.  Capacity is width x depth.  Node efficiency divides the executed
 operation count by capacity (the share of node-layer slots doing useful
 work); the graph-feature update counts as one extra operation per layer and
-is also reported excluded.  Edge efficiency is the per-trace mean share of
-active edges per layer, reported as the minimum (the worst-case estimator
-over the sampled inputs) and the mean.
+is also reported excluded (``eta_nodes``).  Edge efficiency is the per-run
+mean share of active edges per layer, reported as the minimum (the
+worst-case estimator over the sampled inputs) and the mean.
 """
 
 from __future__ import annotations
@@ -15,42 +18,27 @@ from dataclasses import dataclass, asdict
 
 from .algorithms import run, spec_for
 from .harness import exhaustive_instances, generate_instance, sample_seed
-from .machine import (
-    StepLimitExceeded,
-    Trace,
-    collector_paused,
-    mapped_edge_count,
-    operated_edge_count,
-)
+from .machine import StepLimitExceeded, activity_summary, collector_paused
 from .trajectory import dumps_canonical
 
 
-def capacity(trace: Trace) -> int:
-    return trace.width * trace.depth
+def capacity(activity: dict) -> int:
+    return activity["width"] * len(activity["steps"])
 
 
-def node_efficiency(trace: Trace, include_graph_ops: bool = True) -> float:
-    """Operations per node-layer slot; a zero-depth trace counts as 1."""
-    if trace.depth == 0:
+def node_efficiency(activity: dict) -> float:
+    """Operations per node-layer slot; a zero-depth run counts as 1."""
+    if not activity["steps"]:
         return 1.0
-    if include_graph_ops:
-        ops = sum(rec.op_count for rec in trace.activity)
-    else:
-        ops = sum(len(rec.active_nodes) for rec in trace.activity)
-    return ops / capacity(trace)
+    return sum(step["ops"] for step in activity["steps"]) / capacity(activity)
 
 
-def trace_edge_shares(trace: Trace) -> list[float]:
-    return _edge_shares(
-        [mapped_edge_count(trace, rec) for rec in trace.activity], operated_edge_count(trace)
-    )
-
-
-def _edge_shares(counts: list[int], m: int) -> list[float]:
+def edge_shares(activity: dict) -> list[float]:
     """Active edges per layer as a share of the m operated edges."""
+    m = activity["m"]
     if m == 0:
-        return [0.0 for _ in counts]
-    return [count / m for count in counts]
+        return [0.0 for _ in activity["steps"]]
+    return [step["edges"] / m for step in activity["steps"]]
 
 
 @dataclass(frozen=True)
@@ -137,47 +125,54 @@ def size_record(
     else:
         seeds = [sample_seed(seed, algo_id, n, i) for i in range(samples_per_n)]
         instances = [(s, generate_instance(algo_id, n, s, max_degree)) for s in seeds]
-    depths, caps, ops, ops_nodes, eps, ms = [], [], [], [], [], []
-    edge_max, edge_sum, edge_steps, zero_depth = 0, 0, 0, 0
-    width = None
+    # each run is reduced to its summary's figures at once, so a size holds
+    # one trace and one summary at a time
+    figures = []
     for inst_seed, inst in instances:
         with collector_paused():
             try:
                 _, trace = run(algo_id, inst)
             except StepLimitExceeded as err:
                 raise StepLimitExceeded(f"{err} (instance seed {inst_seed})") from err
-            width = trace.width
-            depths.append(trace.depth)
-            caps.append(capacity(trace))
-            ops.append(sum(rec.op_count for rec in trace.activity))
-            ops_nodes.append(sum(len(rec.active_nodes) for rec in trace.activity))
-            counts = [mapped_edge_count(trace, rec) for rec in trace.activity]
-            ms.append(operated_edge_count(trace))
-            shares = _edge_shares(counts, ms[-1])
-            eps.append(sum(shares) / len(shares) if shares else 0.0)
-            if counts:
-                edge_max = max(edge_max, max(counts))
-                edge_sum += sum(counts)
-                edge_steps += len(counts)
-            if trace.depth == 0:
-                zero_depth += 1
+            figures.append(_run_figures(activity_summary(trace)))
             del trace  # freed while the collector is still off
     k = len(instances)
+    widths, depths, caps, ops, nodes, ms, eps, edge_maxes, edge_sums = zip(*figures)
     cap_mean = sum(caps) / k
+    layers = sum(depths)
     return SizeRecord(
         n=n,
         m=sum(ms) / k,
-        width=width,
-        depth=sum(depths) / k,
+        width=widths[-1],
+        depth=layers / k,
         capacity=cap_mean,
         op_total=sum(ops) / k,
         eta=(sum(ops) / k) / cap_mean if cap_mean else 1.0,
-        eta_nodes=(sum(ops_nodes) / k) / cap_mean if cap_mean else 1.0,
+        eta_nodes=(sum(nodes) / k) / cap_mean if cap_mean else 1.0,
         eps_min=min(eps),
         eps_mean=sum(eps) / k,
-        edge_max=edge_max,
-        edge_mean=edge_sum / edge_steps if edge_steps else 0.0,
-        zero_depth=zero_depth,
+        edge_max=max(edge_maxes),
+        edge_mean=sum(edge_sums) / layers if layers else 0.0,
+        zero_depth=depths.count(0),
+    )
+
+
+def _run_figures(activity: dict) -> tuple:
+    """(width, depth, capacity, ops, active nodes, m, eps, edge max, edge
+    total) of one run's activity summary."""
+    steps = activity["steps"]
+    shares = edge_shares(activity)
+    edges = [step["edges"] for step in steps]
+    return (
+        activity["width"],
+        len(steps),
+        capacity(activity),
+        sum(step["ops"] for step in steps),
+        sum(step["nodes"] for step in steps),
+        activity["m"],
+        sum(shares) / len(shares) if shares else 0.0,
+        max(edges, default=0),
+        sum(edges),
     )
 
 

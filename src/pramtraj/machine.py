@@ -447,30 +447,43 @@ def run_machine(
     )
 
 
-def operated_edge_count(trace: Trace) -> int:
-    """Edge count of the operated graph: the instance's directed edges when
-    the trace carries them, otherwise the interconnection edges (self loops
-    are kept out of the denominator either way)."""
-    if trace.instance_edges is not None:
-        return len(trace.instance_edges)
-    return len(trace.graph.edges)
+def activity_summary(trace: Trace) -> dict:
+    """The per-layer counts of one run, as a dataset's ``activity`` block:
+    ``{"m", "steps": [{"edges", "nodes", "ops"}], "width"}``.
 
-
-def mapped_edge_count(trace: Trace, record: ActivityRecord) -> int:
-    """Active edges of one layer, counted against the operated graph.
-
-    Plain tasks count the recorded channels directly (self loops included
-    when an algorithm declared them).  Traces tied to a directed instance
-    fold each channel onto the instance edge it traverses, so an edge used
-    in both directions in one layer counts once and a(t) <= m holds.
+    ``m`` is the edge count of the operated graph: the instance's directed
+    edges when the trace carries them, otherwise the interconnection edges
+    (self loops are kept out of it either way).  A layer's ``edges`` counts
+    its active edges against that graph.  Plain tasks count the recorded
+    channels directly (self loops included when an algorithm declared them).
+    Traces tied to a directed instance fold each channel onto the instance
+    edge it traverses, so an edge used in both directions in one layer
+    counts once and edges <= m holds.
     """
-    if trace.instance_edges is None:
-        return len(record.active_edges)
-    edges = trace.instance_edges
-    used = set()
-    for u, v in record.active_edges:
-        if (u, v) in edges:
-            used.add((u, v))
-        elif (v, u) in edges:
-            used.add((v, u))
-    return len(used)
+    instance = trace.instance_edges
+    if instance is None:
+        m, edge_count = len(trace.graph.edges), len
+    else:
+        m = len(instance)
+
+        def edge_count(active: frozenset[tuple[int, int]]) -> int:
+            used = set()
+            for u, v in active:
+                if (u, v) in instance:
+                    used.add((u, v))
+                elif (v, u) in instance:
+                    used.add((v, u))
+            return len(used)
+
+    return {
+        "m": m,
+        "steps": [
+            {
+                "edges": edge_count(rec.active_edges),
+                "nodes": len(rec.active_nodes),
+                "ops": rec.op_count,
+            }
+            for rec in trace.activity
+        ],
+        "width": trace.width,
+    }

@@ -22,7 +22,7 @@ from random import Random
 from typing import Iterable, Mapping
 
 from .algorithms import SPECS, spec_for
-from .machine import Trace, mapped_edge_count, operated_edge_count
+from .machine import Trace, activity_summary
 from .spec import AlgorithmSpec, HintFrame, ProbeSpec, increasing_unit_scalars
 
 
@@ -107,18 +107,6 @@ def encode_sample(
     spec = spec_for(algo_id)
     n = inst.n
     pos = increasing_unit_scalars(Random(seed), n)
-    activity = {
-        "m": operated_edge_count(trace),
-        "steps": [
-            {
-                "edges": mapped_edge_count(trace, rec),
-                "nodes": len(rec.active_nodes),
-                "ops": rec.op_count,
-            }
-            for rec in trace.activity
-        ],
-        "width": trace.width,
-    }
     return Sample(
         algo=algo_id,
         n=n,
@@ -126,7 +114,7 @@ def encode_sample(
         inputs=spec.inputs(inst, pos),
         hints=tuple(spec.frames(inst, trace)),
         outputs=spec.outputs(output),
-        activity=activity,
+        activity=activity_summary(trace),
     )
 
 
@@ -211,7 +199,7 @@ def validate_sample(sample: Sample) -> list[str]:
     if algo is None:
         return [f"unknown algorithm {sample.algo!r}"]
     n = sample.n
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         return ["n must be a positive integer"]
 
     by_stage = _probes_by_stage(algo)

@@ -17,7 +17,7 @@ from pramtraj.algorithms import run
 from pramtraj.algorithms.search import binary_search, parallel_search
 from pramtraj.algorithms.sorting import SortInstance, bubble_sort, chain_order, oets_sort
 from pramtraj.algorithms.scc import dcsc, kosaraju
-from pramtraj.efficiency import node_efficiency, scaling_report, trace_edge_shares
+from pramtraj.efficiency import edge_shares, node_efficiency, scaling_report
 from pramtraj.graphs import pointers_to_partition
 from pramtraj.harness import (
     GenConfig,
@@ -33,9 +33,9 @@ from pramtraj.machine import (
     UNDEF,
     MachineState,
     NodeUpdate,
+    activity_summary,
     collector_paused,
     complete_graph,
-    mapped_edge_count,
     step_machine,
 )
 from pramtraj.trajectory import (
@@ -187,12 +187,13 @@ def test_criterion_6_efficiency_separation():
             inst = generate_instance(algo, n, seed)
             _, trace = run(algo, inst)
             check_budget(trace)
-            etas.append(node_efficiency(trace))
-            shares = trace_edge_shares(trace)
+            act = activity_summary(trace)
+            etas.append(node_efficiency(act))
+            shares = edge_shares(act)
             eps.append(sum(shares) / len(shares))
             if algo in ("binary_search", "bubble_sort"):
-                for rec in trace.activity:
-                    assert mapped_edge_count(trace, rec) <= 4
+                for step in act["steps"]:
+                    assert step["edges"] <= 4
         metrics[algo] = {
             "eta_mean": sum(etas) / samples,
             "eta_min": min(etas),
@@ -286,7 +287,7 @@ def test_criterion_10_exhaustive_worst_case_eps(capsys):
             shares = []
             for inst in exhaustive_instances(algo, rec.n):
                 _, trace = run(algo, inst)
-                per = trace_edge_shares(trace)
+                per = edge_shares(activity_summary(trace))
                 shares.append(sum(per) / len(per) if per else 0.0)
             assert rec.eps_min == pytest.approx(min(shares), abs=0.0)
             true_min[(algo, rec.n)] = min(shares)

@@ -163,6 +163,21 @@ class TestGen:
             out.write_text("".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs))
             assert run_cli(["validate", "--in", str(out)]) in (0, 1), (algo, edit.__name__)
 
+    def test_validate_rejects_boolean_size(self, tmp_path, capsys):
+        # true == 1, but a JSON boolean is not a size
+        out = tmp_path / "d.ndjson"
+        run_cli(["gen", "--algo", "oets", "--n", "1", "--samples", "1", "--seed", "0",
+                 "--out", str(out)])
+        line = out.read_bytes()
+        assert b'"n":1,' in line
+        out.write_bytes(line.replace(b'"n":1,', b'"n":true,'))
+        capsys.readouterr()
+        assert run_cli(["validate", "--in", str(out)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "line 1: n must be a positive integer",
+            "1 violations in 1 samples",
+        ]
+
     def test_validate_rejects_edited_schema(self, tmp_path, capsys):
         out = tmp_path / "d.ndjson"
         run_cli(["gen", "--algo", "oets", "--n", "5", "--samples", "2", "--seed", "1",

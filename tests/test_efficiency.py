@@ -8,12 +8,12 @@ from pramtraj.algorithms.search import SearchInstance, binary_search, parallel_s
 from pramtraj.algorithms.sorting import SortInstance, bubble_sort, oets_sort
 from pramtraj.efficiency import (
     capacity,
+    edge_shares,
     node_efficiency,
     render_table,
     report_ndjson,
     scaling_report,
     size_record,
-    trace_edge_shares,
 )
 from pramtraj.harness import (
     exhaustive_instances,
@@ -22,8 +22,8 @@ from pramtraj.harness import (
     generate_instance,
     sample_seed,
 )
-from pramtraj.machine import StepLimitExceeded, mapped_edge_count, operated_edge_count
-from pramtraj.trajectory import encode_sample
+from pramtraj.machine import StepLimitExceeded, activity_summary
+from pramtraj.trajectory import encode_sample, parse_ndjson, serialize_ndjson
 
 
 def traces_for(algo, n, count, master=21):
@@ -38,46 +38,47 @@ def traces_for(algo, n, count, master=21):
 class TestCapacity:
     def test_width_times_depth(self):
         _, trace = parallel_search(gen_search_instance(4, 1))
-        assert capacity(trace) == 5 * 2
+        assert capacity(activity_summary(trace)) == 5 * 2
 
     def test_parallel_search_n8(self):
         _, trace = parallel_search(gen_search_instance(8, 2))
-        assert capacity(trace) == 9 * 2
+        assert capacity(activity_summary(trace)) == 9 * 2
 
     def test_binary_search_n8_bounded(self):
         for i in range(20):
             _, trace = binary_search(gen_search_instance(8, i))
-            assert capacity(trace) <= 9 * 4
+            assert capacity(activity_summary(trace)) <= 9 * 4
 
 
 class TestNodeEfficiency:
     def test_parallel_search_at_least_half(self):
         for i in range(20):
             _, trace = parallel_search(gen_search_instance(12, i))
-            assert node_efficiency(trace) >= 0.5
+            assert node_efficiency(activity_summary(trace)) >= 0.5
 
     def test_binary_search_n16(self):
         for i in range(20):
             _, trace = binary_search(gen_search_instance(16, i))
-            assert node_efficiency(trace) <= 2 * 5 / (17 * 5)
+            assert node_efficiency(activity_summary(trace)) <= 2 * 5 / (17 * 5)
 
     def test_oets_reversed_high_efficiency(self):
         inst = SortInstance(items=tuple(float(9 - i) for i in range(9)))
         _, trace = oets_sort(inst)
-        assert node_efficiency(trace) >= 2 / 3
+        assert node_efficiency(activity_summary(trace)) >= 2 / 3
 
     def test_zero_depth_convention(self):
         _, trace = bubble_sort(SortInstance(items=(1.0,)))
         assert trace.depth == 0
-        assert node_efficiency(trace) == 1.0
+        assert node_efficiency(activity_summary(trace)) == 1.0
 
     def test_budget_bound_everywhere(self):
         for algo in ("parallel_search", "binary_search", "oets", "bubble_sort", "dcsc", "kosaraju"):
             for trace in traces_for(algo, 9, 5):
-                eta = node_efficiency(trace)
+                act = activity_summary(trace)
+                eta = node_efficiency(act)
                 assert 0.0 <= eta <= 1.0 + 1.0 / trace.width
                 ops = sum(r.op_count for r in trace.activity)
-                assert ops <= capacity(trace) + trace.depth
+                assert ops <= capacity(act) + trace.depth
 
 
 class TestEdgeEfficiency:
@@ -96,15 +97,16 @@ class TestEdgeEfficiency:
 
     def test_bubble_at_most_four_active_edges(self):
         for trace in traces_for("bubble_sort", 8, 15):
-            for rec in trace.activity:
-                assert mapped_edge_count(trace, rec) <= 4
+            for step in activity_summary(trace)["steps"]:
+                assert step["edges"] <= 4
 
     def test_scc_share_counts_instance_edges_once(self):
         for trace in traces_for("dcsc", 10, 10):
-            m = operated_edge_count(trace)
-            for rec in trace.activity:
-                assert mapped_edge_count(trace, rec) <= max(m, 1)
-            for share in trace_edge_shares(trace):
+            act = activity_summary(trace)
+            m = act["m"]
+            for step in act["steps"]:
+                assert step["edges"] <= max(m, 1)
+            for share in edge_shares(act):
                 assert 0.0 <= share <= 1.0
 
 
@@ -153,6 +155,22 @@ class TestScalingReport:
             size_record("oets", 6, 3, 4)
         assert gc.isenabled()
 
+    def test_memory_bounded_by_one_run(self):
+        # each run is reduced to figures as soon as it ends, so the peak of
+        # a size is one run's trace and summary, whatever its sample count
+        import tracemalloc
+
+        size_record("bubble_sort", 64, 1, 1)  # cached graphs are built outside the traced calls
+        peaks = {}
+        for samples in (1, 8):
+            tracemalloc.start()
+            try:
+                size_record("bubble_sort", 64, samples, 1)
+                peaks[samples] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] <= 1.2 * peaks[1], peaks
+
     def test_n_list_validation(self):
         with pytest.raises(ValueError):
             scaling_report("oets", [8, 4, 16], 2, 0)
@@ -172,7 +190,7 @@ class TestScalingReport:
             shares = []
             for inst in exhaustive_instances("oets", rec.n):
                 _, trace = run("oets", inst)
-                per = trace_edge_shares(trace)
+                per = edge_shares(activity_summary(trace))
                 shares.append(sum(per) / len(per))
             assert rec.eps_min == pytest.approx(min(shares))
 
@@ -185,16 +203,13 @@ class TestMetricsSurviveSerialization:
             inst = generate_instance(algo, n, seed)
             output, trace = run(algo, inst)
             sample = encode_sample(algo, inst, trace, output, seed=seed)
-            act = sample.activity
-            depth = len(act["steps"])
-            assert act["width"] * depth == capacity(trace)
-            ops = sum(s["ops"] for s in act["steps"])
-            if depth:
-                assert ops / (act["width"] * depth) == pytest.approx(node_efficiency(trace))
-            m = act["m"]
-            shares = [s["edges"] / m if m else 0.0 for s in act["steps"]]
-            want = trace_edge_shares(trace)
-            assert shares == pytest.approx(want)
+            want = activity_summary(trace)
+            assert sample.activity == want
+            # the metrics of a written line, read back from its bytes
+            act = parse_ndjson(serialize_ndjson([sample]))[0].activity
+            assert capacity(act) == capacity(want) == trace.width * trace.depth
+            assert node_efficiency(act) == node_efficiency(want)
+            assert edge_shares(act) == edge_shares(want)
 
 
 class TestScaleInvariance:
@@ -207,8 +222,9 @@ class TestScaleInvariance:
             assert a.depth == b.depth
             assert [r.active_nodes for r in a.activity] == [r.active_nodes for r in b.activity]
             assert [r.active_edges for r in a.activity] == [r.active_edges for r in b.activity]
-            assert node_efficiency(a) == node_efficiency(b)
-            assert trace_edge_shares(a) == trace_edge_shares(b)
+            act_a, act_b = activity_summary(a), activity_summary(b)
+            assert node_efficiency(act_a) == node_efficiency(act_b)
+            assert edge_shares(act_a) == edge_shares(act_b)
 
     def test_search_metrics_invariant_under_affine_values(self):
         inst = gen_search_instance(8, 13)
@@ -220,4 +236,4 @@ class TestScaleInvariance:
             rank_b, b = search_fn(shifted)
             assert rank_a == rank_b
             assert a.depth == b.depth
-            assert node_efficiency(a) == node_efficiency(b)
+            assert node_efficiency(activity_summary(a)) == node_efficiency(activity_summary(b))
