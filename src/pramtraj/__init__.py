@@ -29,6 +29,9 @@ from .algorithms import (
     run,
     spec_for,
 )
+from .algorithms.scc import gen_digraph
+from .algorithms.search import gen_search_instance
+from .algorithms.sorting import gen_permutation
 from .trajectory import (
     HintFrame,
     ProbeSpec,
@@ -46,12 +49,6 @@ from .efficiency import (
     node_efficiency,
     scaling_report,
 )
-from .harness import (
-    GenConfig,
-    gen_digraph,
-    gen_permutation,
-    gen_search_instance,
-    sample_seed,
-)
+from .harness import GenConfig, sample_seed
 
 __version__ = "0.1.0"

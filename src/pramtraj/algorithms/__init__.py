@@ -6,17 +6,10 @@ looks an algorithm up here and holds no per-algorithm table of its own.
 
 from __future__ import annotations
 
-from ..graphs import Digraph
 from ..spec import AlgorithmSpec
 from . import scc, search, sorting
 from .search import SearchInstance, binary_search, parallel_search
-from .sorting import (
-    SortInstance,
-    bubble_sort,
-    chain_order,
-    oets_sort,
-    predecessors_from_table,
-)
+from .sorting import SortInstance, bubble_sort, oets_sort
 from .scc import dcsc, kosaraju
 
 _PAIRS = (search.PAIR, sorting.PAIR, scc.PAIR)  # (parallel, sequential) per task
@@ -47,17 +40,14 @@ __all__ = [
     "PAIRS",
     "SPECS",
     "AlgorithmSpec",
-    "Digraph",
     "SearchInstance",
     "SortInstance",
     "binary_search",
     "bubble_sort",
-    "chain_order",
     "dcsc",
     "kosaraju",
     "oets_sort",
     "parallel_search",
-    "predecessors_from_table",
     "run",
     "spec_for",
 ]

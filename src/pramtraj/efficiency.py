@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, asdict
 
 from .algorithms import run, spec_for
-from .harness import exhaustive_instances, generate_instance, sample_seed
+from .harness import exhaustive_instances, generate_instance, sample_label, sample_seed
 from .machine import StepLimitExceeded, activity_summary, collector_paused
 from .trajectory import dumps_canonical
 
@@ -121,22 +121,26 @@ def size_record(
     eta is a ratio of means: mean operations over mean capacity.
     """
     if exhaustive:
-        instances = [(None, inst) for inst in exhaustive_instances(algo_id, n)]
+        master, instances = None, exhaustive_instances(algo_id, n)
     else:
+        if samples_per_n < 1:
+            raise ValueError("samples_per_n must be >= 1")
+        master = seed
         seeds = [sample_seed(seed, algo_id, n, i) for i in range(samples_per_n)]
-        instances = [(s, generate_instance(algo_id, n, s, max_degree)) for s in seeds]
+        instances = [generate_instance(algo_id, n, s, max_degree) for s in seeds]
     # each run is reduced to its summary's figures at once, so a size holds
     # one trace and one summary at a time
     figures = []
-    for inst_seed, inst in instances:
+    for index, inst in enumerate(instances):
         with collector_paused():
             try:
                 _, trace = run(algo_id, inst)
             except StepLimitExceeded as err:
-                raise StepLimitExceeded(f"{err} (instance seed {inst_seed})") from err
+                label = sample_label(algo_id, n, index, master)
+                raise StepLimitExceeded(f"{err} ({label})") from err
             figures.append(_run_figures(activity_summary(trace)))
             del trace  # freed while the collector is still off
-    k = len(instances)
+    k = len(figures)
     widths, depths, caps, ops, nodes, ms, eps, edge_maxes, edge_sums = zip(*figures)
     cap_mean = sum(caps) / k
     layers = sum(depths)

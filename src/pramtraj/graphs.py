@@ -1,4 +1,4 @@
-"""Directed graph instances and SCC partitions."""
+"""Directed graph instances of the SCC algorithms."""
 
 from __future__ import annotations
 
@@ -42,19 +42,3 @@ class Digraph:
 
     def in_neighbors(self, u: int) -> tuple[int, ...]:
         return self._in[u]
-
-    def reversed(self) -> "Digraph":
-        return Digraph(self.n, frozenset((v, u) for u, v in self.edges))
-
-    def undirected(self) -> "Digraph":
-        sym = frozenset((u, v) for u, v in self.edges) | frozenset(
-            (v, u) for u, v in self.edges
-        )
-        return Digraph(self.n, sym)
-
-
-def pointers_to_partition(scc_ptr: tuple[int, ...]) -> frozenset[frozenset[int]]:
-    groups: dict[int, set[int]] = {}
-    for node, rep in enumerate(scc_ptr):
-        groups.setdefault(rep, set()).add(node)
-    return frozenset(frozenset(s) for s in groups.values())

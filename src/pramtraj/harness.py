@@ -14,10 +14,6 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .algorithms import SPECS, run, spec_for
-# the seeded generators live beside their algorithms and are re-exported here
-from .algorithms.scc import gen_digraph
-from .algorithms.search import gen_search_instance
-from .algorithms.sorting import gen_permutation
 from .machine import StepLimitExceeded, collector_paused
 from .trajectory import Sample, encode_sample, serialize_ndjson, serialize_schema
 
@@ -47,6 +43,14 @@ def sample_seed(master: int, algo_id: str, n: int, index: int) -> int:
     """64-bit per-sample seed: blake2b over 'master|algo|n|index'."""
     text = f"{master}|{algo_id}|{n}|{index}".encode("ascii")
     return int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(), "big")
+
+
+def sample_label(algo_id: str, n: int, index: int, master: int | None) -> str:
+    """How a failure names one input: by master seed and sample index, or,
+    when ``master`` is None, by its index in the exhaustive enumeration."""
+    if master is None:
+        return f"algo {algo_id}, n {n}, exhaustive index {index}"
+    return f"algo {algo_id}, n {n}, master seed {master}, index {index}"
 
 
 def generate_instance(algo_id: str, n: int, seed: int, max_degree: int = 3):
@@ -82,9 +86,8 @@ def _build_sample(cfg: GenConfig, n: int, index: int) -> Sample:
         try:
             output, trace = run(cfg.algo_id, inst)
         except StepLimitExceeded as err:
-            raise StepLimitExceeded(
-                f"{err} (algo {cfg.algo_id}, n {n}, master seed {cfg.seed}, index {index})"
-            ) from err
+            label = sample_label(cfg.algo_id, n, index, cfg.seed)
+            raise StepLimitExceeded(f"{err} ({label})") from err
         sample = encode_sample(
             cfg.algo_id, inst, trace, output, seed=seed, master=cfg.seed, index=index
         )

@@ -6,7 +6,9 @@ per-processor transition function synchronously: every processor reads the
 *previous* state, all shared-memory writes of a step are resolved by the
 priority rule (lowest processor index wins each address), and the step's
 activity -- which nodes executed a non-identity operation, which edges
-carried information into them -- is recorded.
+carried information into them, how many operations ran -- is recorded.
+Shared memory is not a node and has no edges: a layer that writes it counts
+one extra operation, the graph-feature update, and nothing more.
 
 Cells are plain Python values: ``float`` (scalar), ``int`` (node index),
 ``bool`` (flag), or the ``UNDEF`` sentinel.  Reading a cell through a typed
@@ -25,9 +27,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
-
-GRAPH = -1  # pseudo endpoint for node <-> graph-feature (shared memory) traffic
-
 
 class MachineError(Exception):
     """Base class for machine-level failures."""
@@ -128,9 +127,6 @@ class InterconnectionGraph:
         frozen = {i: frozenset(s) for i, s in incoming.items()}
         object.__setattr__(self, "_in_nbrs", frozen)
 
-    def in_neighbors(self, i: int) -> frozenset[int]:
-        return self._in_nbrs[i]
-
 
 @lru_cache(maxsize=None)
 def complete_graph(n: int) -> InterconnectionGraph:
@@ -162,15 +158,13 @@ class ActivityRecord(NamedTuple):
 
     ``active_edges`` holds graph edges (including self loops) whose source
     cell was read, held a defined value, and fed an executed operation.
-    Node <-> shared-memory traffic is kept apart in ``graph_edges`` as
-    (GRAPH, i) reads and (i, GRAPH) write attempts; the shared-memory update
-    itself is budgeted as one extra operation (``graph_op``).
+    Shared memory is not a node: its reads and writes are no edges, and a
+    layer that writes it counts one extra operation (``graph_op``).
     """
 
     step: int
     active_nodes: frozenset[int]
     active_edges: frozenset[tuple[int, int]]
-    graph_edges: frozenset[tuple[int, int]]
     op_count: int
     graph_op: bool
 
@@ -179,7 +173,6 @@ class ActivityRecord(NamedTuple):
 class Trace:
     """Full record of one run: T+1 state snapshots, T activity records."""
 
-    algo_id: str
     width: int
     states: tuple[MachineState, ...]
     activity: tuple[ActivityRecord, ...]
@@ -219,16 +212,14 @@ class NodeContext:
                   interconnection graph and recorded as an active edge when
                   the cell holds a defined value.  ``read(pid, ...)`` needs a
                   self loop and records (pid, pid).
-    ``shared`` -- shared memory; recorded as a graph-level pseudo edge.
+    ``shared`` -- shared memory, the graph-level feature; records no edge.
 
     ``step_machine`` builds one context per layer and points ``pid`` at each
-    processor in turn, clearing ``shared_read``; edge reads are appended
-    straight to ``edge_reads``, the layer's edge list.
+    processor in turn; edge reads are appended straight to ``edge_reads``,
+    the layer's edge list.
     """
 
-    __slots__ = (
-        "pid", "clock", "_local", "_shared", "_in_nbrs", "_self_loops", "edge_reads", "shared_read"
-    )
+    __slots__ = ("pid", "clock", "_local", "_shared", "_in_nbrs", "_self_loops", "edge_reads")
 
     def __init__(
         self, state: MachineState, graph: InterconnectionGraph, edge_reads: list[tuple[int, int]]
@@ -240,7 +231,6 @@ class NodeContext:
         self._in_nbrs = graph._in_nbrs
         self._self_loops = graph.self_loops
         self.edge_reads = edge_reads
-        self.shared_read = False
 
     def own(self, slot: int) -> Cell:
         return self._local[self.pid][slot]
@@ -283,15 +273,11 @@ class NodeContext:
         _bad_cell(cell, "scalar")
 
     def shared(self, addr: int) -> Cell:
-        cell = self._shared[addr]
-        if cell is not UNDEF:
-            self.shared_read = True
-        return cell
+        return self._shared[addr]
 
     def shared_index(self, addr: int) -> int:
         cell = self._shared[addr]
         if type(cell) is int:
-            self.shared_read = True
             return cell
         _bad_cell(cell, "index")
 
@@ -334,21 +320,17 @@ def step_machine(
     winners: dict[int, Cell] | None = None
     active: list[int] = []
     edges: list[tuple[int, int]] = []
-    gedges: list[tuple[int, int]] = []
     shared_len = len(shared_cells)
     ctx = NodeContext(state, graph, edges)
 
     for pid in pids:
         ctx.pid = pid
-        ctx.shared_read = False
         mark = len(edges)
         update = step_fn(ctx)
         if update is None:
             del edges[mark:]
             continue
         active.append(pid)
-        if ctx.shared_read:
-            gedges.append((GRAPH, pid))
         local_update, writes = update
         if local_update:
             if new_local is None:
@@ -367,7 +349,6 @@ def step_machine(
                     raise MachineError(f"shared address {addr} out of range at node {pid}")
                 if addr not in winners:
                     winners[addr] = value
-                gedges.append((pid, GRAPH))
 
     if winners:
         cells = list(shared_cells)
@@ -386,7 +367,6 @@ def step_machine(
         state.clock + 1,
         frozenset(active) if active else _EMPTY,
         frozenset(edges) if edges else _EMPTY,
-        frozenset(gedges) if gedges else _EMPTY,
         len(active) + (1 if winners else 0),
         winners is not None,
     )
@@ -422,7 +402,8 @@ def run_machine(
     candidates_fn: Callable[[MachineState], Iterable[int]] | None = None,
     instance_edges: frozenset[tuple[int, int]] | None = None,
 ) -> Trace:
-    """Step until the halt predicate fires; deterministic for fixed inputs."""
+    """Step until the halt predicate fires; deterministic for fixed inputs.
+    ``algo_id`` names the run in the step-limit error."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     states = [initial]
@@ -438,7 +419,6 @@ def run_machine(
         states.append(state)
         activity.append(record)
     return Trace(
-        algo_id=algo_id,
         width=initial.width,
         states=tuple(states),
         activity=tuple(activity),

@@ -96,8 +96,8 @@ def encode_sample(
     output,
     *,
     seed: int,
-    master: int | None = None,
-    index: int = 0,
+    master: int,
+    index: int,
 ) -> Sample:
     """Turn one run into a dataset record.
 
@@ -110,7 +110,7 @@ def encode_sample(
     return Sample(
         algo=algo_id,
         n=n,
-        seed={"index": index, "master": master if master is not None else seed, "value": seed},
+        seed={"index": index, "master": master, "value": seed},
         inputs=spec.inputs(inst, pos),
         hints=tuple(spec.frames(inst, trace)),
         outputs=spec.outputs(output),

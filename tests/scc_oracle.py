@@ -1,4 +1,4 @@
-"""The SCC oracle of the tests."""
+"""The SCC oracle of the tests, and the partition an SCC output names."""
 
 from pramtraj.graphs import Digraph
 
@@ -54,3 +54,11 @@ def tarjan_scc(g: Digraph) -> list[frozenset[int]]:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])
     return components
+
+
+def pointers_to_partition(scc_ptr: tuple[int, ...]) -> frozenset[frozenset[int]]:
+    """The components named by per-node representative pointers."""
+    groups: dict[int, set[int]] = {}
+    for node, rep in enumerate(scc_ptr):
+        groups.setdefault(rep, set()).add(node)
+    return frozenset(frozenset(s) for s in groups.values())

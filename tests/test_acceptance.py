@@ -14,18 +14,14 @@ import time
 import pytest
 
 from pramtraj.algorithms import run
-from pramtraj.algorithms.search import binary_search, parallel_search
-from pramtraj.algorithms.sorting import SortInstance, bubble_sort, chain_order, oets_sort
-from pramtraj.algorithms.scc import dcsc, kosaraju
+from pramtraj.algorithms.search import binary_search, gen_search_instance, parallel_search
+from pramtraj.algorithms.sorting import SortInstance, bubble_sort, gen_permutation, oets_sort
+from pramtraj.algorithms.scc import dcsc, gen_digraph, kosaraju
 from pramtraj.efficiency import edge_shares, node_efficiency, scaling_report
-from pramtraj.graphs import pointers_to_partition
 from pramtraj.harness import (
     GenConfig,
     build_samples,
     exhaustive_instances,
-    gen_digraph,
-    gen_permutation,
-    gen_search_instance,
     generate_instance,
     sample_seed,
 )
@@ -45,7 +41,8 @@ from pramtraj.trajectory import (
     validate_sample,
 )
 
-from scc_oracle import tarjan_scc
+from scc_oracle import pointers_to_partition, tarjan_scc
+from sort_oracle import chain_order
 
 # shared Assumption-1 ledger, asserted by criterion 8 after criteria 1-6 ran
 BUDGET = {"checked": 0, "violations": 0}

@@ -7,8 +7,10 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import pytest
+
 import pramtraj
-from pramtraj import harness
+from pramtraj import efficiency, harness
 from pramtraj.cli import cli_main
 from pramtraj.harness import schema_path_for
 from pramtraj.machine import StepLimitExceeded
@@ -353,6 +355,36 @@ class TestErrors:
         assert err.startswith("error: ")
         assert "(algo oets, n 6, master seed 9, index 1)" in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--algo", "oets", "--n-list", "4,5,6"],
+        ["compare", "--pair", "sort", "--n", "4"],
+    ])
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_sample_count_must_be_positive(self, capsys, command, count):
+        assert run_cli(command + ["--samples", count, "--seed", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: samples_per_n must be >= 1\n")
+
+    # --exhaustive ignores --samples, so 0 passes the count check
+    @pytest.mark.parametrize("inputs, label", [
+        (["--samples", "3", "--seed", "9"], "master seed 9, index 1"),
+        (["--samples", "0", "--exhaustive"], "exhaustive index 1"),
+    ])
+    def test_failed_analyze_names_sample(self, monkeypatch, capsys, inputs, label):
+        real_run = efficiency.run
+        calls = []
+
+        def run_then_fail(algo, inst):
+            calls.append(algo)
+            if len(calls) == 2:
+                raise StepLimitExceeded("halt predicate never fired")
+            return real_run(algo, inst)
+
+        monkeypatch.setattr(efficiency, "run", run_then_fail)
+        assert run_cli(["analyze", "--algo", "oets", "--n-list", "4,5,6"] + inputs) == 1
+        assert capsys.readouterr() == (
+            "", f"error: halt predicate never fired (algo oets, n 4, {label})\n"
+        )
 
     def test_unknown_subcommand(self):
         assert run_cli(["frobnicate"]) == 2

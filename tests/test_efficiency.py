@@ -15,13 +15,9 @@ from pramtraj.efficiency import (
     scaling_report,
     size_record,
 )
-from pramtraj.harness import (
-    exhaustive_instances,
-    gen_permutation,
-    gen_search_instance,
-    generate_instance,
-    sample_seed,
-)
+from pramtraj.algorithms.search import gen_search_instance
+from pramtraj.algorithms.sorting import gen_permutation
+from pramtraj.harness import exhaustive_instances, generate_instance, sample_seed
 from pramtraj.machine import StepLimitExceeded, activity_summary
 from pramtraj.trajectory import encode_sample, parse_ndjson, serialize_ndjson
 
@@ -151,7 +147,7 @@ class TestScalingReport:
             raise StepLimitExceeded("halt predicate never fired")
 
         monkeypatch.setattr(efficiency, "run", failing_run)
-        with pytest.raises(StepLimitExceeded, match="instance seed"):
+        with pytest.raises(StepLimitExceeded, match=r"\(algo oets, n 6, master seed 4, index 0\)$"):
             size_record("oets", 6, 3, 4)
         assert gc.isenabled()
 
@@ -202,7 +198,7 @@ class TestMetricsSurviveSerialization:
             seed = sample_seed(5, algo, n, 0)
             inst = generate_instance(algo, n, seed)
             output, trace = run(algo, inst)
-            sample = encode_sample(algo, inst, trace, output, seed=seed)
+            sample = encode_sample(algo, inst, trace, output, seed=seed, master=5, index=0)
             want = activity_summary(trace)
             assert sample.activity == want
             # the metrics of a written line, read back from its bytes

@@ -1,9 +1,10 @@
 """Byte identity against pinned sha256 values.
 
 The constants are the sha256 of the dataset, schema and report bytes of
-each algorithm at small sizes. A change to any of them is a change of the
-dataset format or of the analysis output, and must be deliberate: recompute
-the constants and say so.
+each algorithm at small sizes, and of the `trace` output for one inline
+input. A change to any of them is a change of the dataset format or of the
+analysis or trace output, and must be deliberate: recompute the constants
+and say so.
 """
 
 import hashlib
@@ -11,6 +12,7 @@ import hashlib
 import pytest
 
 from pramtraj.algorithms import ALGORITHMS
+from pramtraj.cli import cli_main
 from pramtraj.efficiency import report_ndjson, scaling_report
 from pramtraj.harness import GenConfig, build_samples
 from pramtraj.trajectory import serialize_ndjson, serialize_schema
@@ -49,6 +51,24 @@ GOLDEN = {
     ),
 }
 
+# algo -> (inline input, `pramtraj trace` stdout)
+TRACE_GOLDEN = {
+    "parallel_search": (
+        "10,8,6,4,2;7", "91eca1b0a36eae502109014551daad02104e5e63774377a90edcd5097438fa21"
+    ),
+    "binary_search": (
+        "9,7,5,3,1;5", "6b20c71076e05c44bce84ca9f9513898715f770ca21eb7964c12447079aa216b"
+    ),
+    "oets": ("3,1,2", "b5b9096dd13cf7763d5f20974ebea24ab63c5f65c83e190361ce3c1d2b5800c1"),
+    "bubble_sort": ("4,1,3,2", "214d0f5c191e82cc53b52ca24d6d63ded2c945060fae8f8171cbbc1989f61a15"),
+    "dcsc": (
+        "3:0->1,1->0,1->2", "892837c576070a0bdd5162b238287254bfb6231540cf446db74c851d1235ce13"
+    ),
+    "kosaraju": (
+        "4:0->1,1->2,2->0,2->3", "1b4afa654553595933841267b477a754a3ae696f3a71dc3666ad049e60ac391d"
+    ),
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -70,3 +90,10 @@ def test_report_bytes(algo):
     if GOLDEN[algo][2] is not None:
         report = scaling_report(algo, [3, 4, 5], 1, 0, exhaustive=True)
         assert sha256(report_ndjson(report)) == GOLDEN[algo][2]
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_trace_bytes(algo, capsys):
+    text, digest = TRACE_GOLDEN[algo]
+    assert cli_main(["trace", "--algo", algo, "--input", text]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == digest

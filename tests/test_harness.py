@@ -3,13 +3,13 @@ import gc
 import pytest
 
 from pramtraj import harness
+from pramtraj.algorithms.scc import gen_digraph
+from pramtraj.algorithms.search import gen_search_instance
+from pramtraj.algorithms.sorting import gen_permutation
 from pramtraj.harness import (
     GenConfig,
     build_samples,
     exhaustive_instances,
-    gen_digraph,
-    gen_permutation,
-    gen_search_instance,
     sample_seed,
     write_dataset,
 )

@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pramtraj.algorithms.scc import DONE, PIVOT_ADDR, dcsc, kosaraju
-from pramtraj.graphs import Digraph, pointers_to_partition
-from pramtraj.harness import gen_digraph, sample_seed
+from pramtraj.algorithms.scc import DONE, PIVOT_ADDR, dcsc, gen_digraph, kosaraju
+from pramtraj.graphs import Digraph
+from pramtraj.harness import sample_seed
 
-from scc_oracle import tarjan_scc
+from scc_oracle import pointers_to_partition, tarjan_scc
 
 
 def reachability_partition(g):
@@ -154,7 +154,7 @@ def test_pairs_agree_on_partitions():
 
 def test_digraph_views():
     g = Digraph(3, frozenset({(0, 1), (1, 2)}))
-    assert g.reversed().edges == frozenset({(1, 0), (2, 1)})
-    assert g.undirected().edges == frozenset({(0, 1), (1, 0), (1, 2), (2, 1)})
+    assert [g.out_neighbors(u) for u in range(3)] == [(1,), (2,), ()]
+    assert [g.in_neighbors(u) for u in range(3)] == [(), (0,), (1,)]
     with pytest.raises(ValueError):
         Digraph(2, frozenset({(0, 0)}))

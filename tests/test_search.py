@@ -4,8 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pramtraj.algorithms.search import SearchInstance, binary_search, parallel_search
-from pramtraj.harness import gen_search_instance, sample_seed
+from pramtraj.algorithms.search import (
+    SearchInstance,
+    binary_search,
+    gen_search_instance,
+    parallel_search,
+)
+from pramtraj.harness import sample_seed
 
 
 def rank_oracle(items, x):

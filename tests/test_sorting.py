@@ -6,10 +6,11 @@ from pramtraj.algorithms.sorting import (
     SortInstance,
     bubble_schedule,
     bubble_sort,
-    chain_order,
+    gen_permutation,
     oets_sort,
 )
-from pramtraj.harness import gen_permutation
+
+from sort_oracle import chain_order
 
 
 def stable_order(items):

@@ -66,7 +66,7 @@ class TestEncode:
     def test_parallel_search_mask_frame(self):
         inst = SearchInstance(items=(9.0, 7.0, 5.0, 3.0, 1.0), x=5.0)
         rank, trace = parallel_search(inst)
-        sample = encode_sample("parallel_search", inst, trace, rank, seed=3)
+        sample = encode_sample("parallel_search", inst, trace, rank, seed=3, master=3, index=0)
         assert sample.hints[0].values["leq_mask"] == [0, 0, 1, 1, 1]
         assert sample.outputs == {"rank": 2}
         assert sample.n == 5 and len(sample.hints) == trace.depth
@@ -74,7 +74,7 @@ class TestEncode:
     def test_oets_sorted_input_all_masks_false(self):
         inst = SortInstance(items=(1.0, 2.0, 3.0))
         pred, trace = oets_sort(inst)
-        sample = encode_sample("oets", inst, trace, pred, seed=3)
+        sample = encode_sample("oets", inst, trace, pred, seed=3, master=3, index=0)
         for frame in sample.hints:
             assert all(v == 0 for row in frame.values["swap_mask"] for v in row)
         assert [f.values["parity"] for f in sample.hints] == [0, 1]
@@ -82,7 +82,7 @@ class TestEncode:
     def test_dcsc_three_cycle_final_frame(self):
         g = Digraph(3, frozenset({(0, 1), (1, 2), (2, 0)}))
         ptr, trace = dcsc(g)
-        sample = encode_sample("dcsc", g, trace, ptr, seed=3)
+        sample = encode_sample("dcsc", g, trace, ptr, seed=3, master=3, index=0)
         last = sample.hints[-1].values
         assert last["in_scc"] == [1, 1, 1]
         assert last["scc_ptr"] == [0, 0, 0]
@@ -110,7 +110,7 @@ class TestEncode:
         seed = sample_seed(11, algo, n, 0)
         inst = generate_instance(algo, n, seed)
         output, trace = run(algo, inst)
-        sample = encode_sample(algo, inst, trace, output, seed=seed)
+        sample = encode_sample(algo, inst, trace, output, seed=seed, master=11, index=0)
         steps = sample.activity["steps"]
         assert len(steps) == trace.depth
         assert sample.activity["width"] == trace.width
