@@ -7,6 +7,7 @@ qualifies, i.e. the query-node category).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from random import Random
 
@@ -40,6 +41,10 @@ class SearchInstance:
     def __post_init__(self) -> None:
         if len(self.items) < 1:
             raise ValueError("need at least one item")
+        if not all(map(math.isfinite, self.items)):
+            raise ValueError("items must be finite")
+        if not math.isfinite(self.x):
+            raise ValueError("the query must be finite")
         for a, b in zip(self.items, self.items[1:]):
             if not a > b:
                 raise ValueError("items must be strictly descending")

@@ -9,6 +9,7 @@ emitted output is the predecessor pointer per node along the final chain.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
@@ -37,6 +38,8 @@ class SortInstance:
     def __post_init__(self) -> None:
         if len(self.items) < 1:
             raise ValueError("need at least one item")
+        if not all(map(math.isfinite, self.items)):
+            raise ValueError("items must be finite")
 
     @property
     def n(self) -> int:

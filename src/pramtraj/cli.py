@@ -37,7 +37,11 @@ class BadInput(Exception):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("PRAMTRAJ_SEED", "0"))
+    text = os.environ.get("PRAMTRAJ_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise BadInput(f"PRAMTRAJ_SEED must be an integer, got {text!r}") from None
 
 
 def _parse_n_list(text: str) -> tuple[int, ...]:

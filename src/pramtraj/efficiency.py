@@ -87,11 +87,23 @@ _EPS_CLASSES = {
 
 
 def _loglog_slope(ns, values) -> float | None:
+    """Least-squares slope of log(value) on log(n): the centred sums
+    S(x - x_mean)(y - y_mean) / S(x - x_mean)^2, each taken by ``math.fsum``.
+
+    y is measured from its first value, which leaves the slope as it is and
+    makes a constant series fit to exactly 0.0.
+    """
     if any(v <= 0 for v in values):
         return None
-    import numpy as np  # imported here so that gen, validate and trace start without it
-
-    return float(np.polyfit(np.log(ns), np.log(values), 1)[0])
+    xs = [math.log(n) for n in ns]
+    y0 = math.log(values[0])
+    ys = [math.log(v) - y0 for v in values]
+    x_mean = math.fsum(xs) / len(xs)
+    y_mean = math.fsum(ys) / len(ys)
+    dxs = [x - x_mean for x in xs]
+    return math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys)) / math.fsum(
+        dx * dx for dx in dxs
+    )
 
 
 def _nearest_class(ns, ms, measured_slope, candidates) -> str | None:

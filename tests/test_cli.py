@@ -280,6 +280,23 @@ class TestTrace:
     def test_search_missing_query(self, capsys):
         assert run_cli(["trace", "--algo", "binary_search", "--input", "3,2,1"]) == 2
 
+    @pytest.mark.parametrize(
+        "algo, text, what",
+        [
+            ("oets", "1,nan,2", "items"),
+            ("bubble_sort", "1e999,1", "items"),
+            ("binary_search", "inf;1", "items"),
+            ("parallel_search", "3,2,1;nan", "query"),
+            ("binary_search", "3,2,1;-inf", "query"),
+        ],
+    )
+    def test_non_finite_inline_input(self, capsys, algo, text, what):
+        assert run_cli(["trace", "--algo", algo, "--input", text]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: bad --input for {algo}: ")
+        assert what in err and "must be finite" in err
+
 
 class TestAnalyze:
     def test_report_and_table(self, capsys):
@@ -404,6 +421,21 @@ class TestEnvSeed:
                  "--out", str(out_flag)])
         assert out_env.read_bytes() == out_flag.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--algo", "oets", "--n-list", "4,8,16", "--samples", "1"],
+            ["gen", "--algo", "oets", "--n", "4", "--samples", "1", "--out", "never.ndjson"],
+            ["compare", "--pair", "sort", "--n", "4", "--samples", "1"],
+        ],
+    )
+    def test_bad_pramtraj_seed_is_named(self, monkeypatch, capsys, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("PRAMTRAJ_SEED", "abc")
+        assert run_cli(argv) == 2
+        assert capsys.readouterr() == ("", "error: PRAMTRAJ_SEED must be an integer, got 'abc'\n")
+        assert not (tmp_path / "never.ndjson").exists()
+
 
 class TestStartup:
     def test_cli_import_leaves_numpy_out(self):
@@ -411,3 +443,17 @@ class TestStartup:
         code = "import sys, pramtraj.cli; sys.exit('numpy' in sys.modules)"
         done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), timeout=60)
         assert done.returncode == 0
+
+    def test_analyze_leaves_numpy_out(self):
+        src = str(Path(pramtraj.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "from pramtraj.cli import cli_main\n"
+            "code = cli_main(['analyze', '--algo', 'dcsc', '--n-list', '4,8,16', '--samples', '2', '--seed', '1'])\n"
+            "assert code == 0, code\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert '"summary"' in done.stdout

@@ -1,6 +1,8 @@
 import gc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pramtraj import efficiency
 from pramtraj.algorithms import run
@@ -104,6 +106,36 @@ class TestEdgeEfficiency:
                 assert step["edges"] <= max(m, 1)
             for share in edge_shares(act):
                 assert 0.0 <= share <= 1.0
+
+
+class TestLogLogSlope:
+    def test_constant_series_is_exactly_flat(self):
+        assert efficiency._loglog_slope([8, 16, 32, 64, 128], [2] * 5) == 0.0
+        assert efficiency._loglog_slope([3, 4, 5], [1.0] * 3) == 0.0
+
+    def test_nonpositive_value_has_no_slope(self):
+        assert efficiency._loglog_slope([4, 8, 16], [1.0, 0.0, 2.0]) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=10**6),
+                st.floats(min_value=1e-12, max_value=1e12, allow_nan=False),
+            ),
+            min_size=3,
+            max_size=8,
+            unique_by=lambda pair: pair[0],
+        )
+    )
+    def test_matches_numpy_polyfit(self, points):
+        np = pytest.importorskip("numpy")
+        points.sort()
+        ns = [n for n, _ in points]
+        values = [v for _, v in points]
+        want = float(np.polyfit(np.log(ns), np.log(values), 1)[0])
+        got = efficiency._loglog_slope(ns, values)
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
 class TestScalingReport:

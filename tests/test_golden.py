@@ -21,32 +21,32 @@ from pramtraj.trajectory import serialize_ndjson, serialize_schema
 GOLDEN = {
     "parallel_search": (
         "5c3edff4be4e025b4d6620c41c96c0089927c8eae6400addbaecfabc633e75f3",
-        "3dab8201b18d668219628d21f581b3a9ae4313dce4430e5f4655e516c36a4010",
-        "27928a26d7e5848b688151c1c42f8cf3b902c8ddbe35e91742b1df168517cc43",
+        "4126577cbdb63fda3e61797a45fdf1c3b2d925b901cf91543c21b6f6c092fcec",
+        "5102ababd335a25d8d81b396399964e7765fb68c860d3efb07caa861c8227618",
     ),
     "binary_search": (
         "7340ec899e9eabd8e638d104e09f0876b27b5c8843c9073802fe686660c68aeb",
-        "b0dc1cba3a96bc62350114e05acbf55c969f4b30d6a2edd8a38bb5e798530cf3",
-        "8dc55bf439c6a27c891bd68bfac46764d27fda7913a1a4cbb9a03e2c2126ff27",
+        "cb2f7c1878a79ed9e7f0a3d98f20e221ce56d2f4151ea4972cc831742e359bd1",
+        "66e64a916a8095a03bda78bfd9e5c9abdae0ead9357dd107123128e58e99f6f4",
     ),
     "oets": (
         "2021adefe5c5cb64172680d8c046849bc32f98ff54cbbaded0c91c42cf3181ce",
-        "78dbf0b3b4ec79d38598c67072a506a6745d285bbfbbae59998eabb9daaa3e4e",
-        "a2a65588b45449819a61fdf5bc7471ae94815e82915b78be92bae98c1c745765",
+        "ebc74e8777b5b303fc47d47ad8e17f3b46258cb38e837a0f07cfab5c9e148318",
+        "93f4c124c1e47afee336b2dd96ee32184db185535a94a00fd93a9f73f3e56cc7",
     ),
     "bubble_sort": (
         "0875c9eea16d7cf3f643becdd1e26ba242704e2a0c51db56603daa8ec4143259",
-        "59c3908249116f406d8ec1682d1e6920b42b9f3cd820fad7a68e4b819a32201c",
-        "aaf3830f162486b9ed8255c76d14016933ded4c6543e83e534384cc6cb2fdb7e",
+        "365642743ed3b2af02f1f33bb1a90c0d6936cd878d745adb1f8851f24b11a654",
+        "49d6f2fc1e9ad3b1edc89c16550bfc83a8bc6739906198b56beca15fdd4293af",
     ),
     "dcsc": (
         "f9124a2fb6621a1102d414d03765eb8773c45baac340b22ceec306c04c98b204",
-        "6953445d911a6827598f150f08967582decc3bbf84113297eb5d15ee81ecdeee",
+        "7ae45b9d8f5694f227084379f3f43ccdd2fc4d6bb84fd52b447d9e16339290a0",
         None,
     ),
     "kosaraju": (
         "0d4343a520491473015dad3444923cbb0bfe833194f575ee5fa0ec117199904e",
-        "faa25ccda3a411b662a996d12f6eee28a9a0756451cfcd04e5ee61f84d9d6424",
+        "cc9194b0c633e0973c5e9d7d6009a001cea67a53e1b1d20e2805fa820486520e",
         None,
     ),
 }
