@@ -30,7 +30,7 @@ from ..machine import (
     run_machine,
     symmetric_graph,
 )
-from ..spec import AlgorithmSpec, HintFrame, ProbeSpec
+from ..spec import AlgorithmSpec, ProbeSpec
 
 # width-n local slots of the pivot loop
 FWD = 0
@@ -335,21 +335,15 @@ def _dcsc_frame(fwd: list[int], bwd: list[int], undiscovered: list[int], ptr: li
     }
 
 
-def _frames_dcsc(g: Digraph, trace: Trace) -> list[HintFrame]:
-    n = g.n
-    frames = []
-    for t in range(1, trace.depth + 1):
-        state = trace.states[t]
-        pivot = as_index(state.shared[PIVOT_ADDR])
-        local = state.local
-        frame = _dcsc_frame(
-            [int(local[u][FWD] == pivot) for u in range(n)],
-            [int(local[u][BWD] == pivot) for u in range(n)],
-            [int(not local[u][DONE]) for u in range(n)],
-            [as_index(local[u][PTR]) for u in range(n)],
-        )
-        frames.append(HintFrame(t, frame))
-    return frames
+def _frame_dcsc(g: Digraph, before: MachineState, after: MachineState) -> dict:
+    pivot = as_index(after.shared[PIVOT_ADDR])
+    rows = after.local
+    return _dcsc_frame(
+        [int(row[FWD] == pivot) for row in rows],
+        [int(row[BWD] == pivot) for row in rows],
+        [int(not row[DONE]) for row in rows],
+        [as_index(row[PTR]) for row in rows],
+    )
 
 
 def _adjacency(sample) -> tuple[list[list[int]], list[list[int]]]:
@@ -395,38 +389,22 @@ def _reference_dcsc(sample) -> tuple[list[dict], dict]:
     return frames, {"scc_ptr": ptr}
 
 
-def _note_dcsc(g: Digraph, trace: Trace, t: int) -> str:
-    state = trace.states[t]
-    pivot = state.shared[PIVOT_ADDR]
-    assigned = sum(1 for row in state.local if row[DONE] is True)
+def _note_dcsc(g: Digraph, before: MachineState, after: MachineState) -> str:
+    pivot = after.shared[PIVOT_ADDR]
+    assigned = sum(1 for row in after.local if row[DONE] is True)
     return f"pivot={'?' if pivot is UNDEF else pivot} assigned={assigned}"
 
 
-def _frames_kosaraju(g: Digraph, trace: Trace) -> list[HintFrame]:
+def _frame_kosaraju(g: Digraph, before: MachineState, after: MachineState) -> dict:
     n = g.n
-    color1, order, color2, comp = _shared_layout(n)
-    frames = []
-    for t in range(1, trace.depth + 1):
-        shared = trace.states[t].shared
-        frames.append(
-            HintFrame(
-                t,
-                {
-                    "seen_first": [int(shared[color1 + u] is not UNDEF) for u in range(n)],
-                    "done_first": [int(shared[order + u] is not UNDEF) for u in range(n)],
-                    "seen_second": [int(shared[color2 + u] is not UNDEF) for u in range(n)],
-                    "finish_order": [
-                        as_index(shared[order + u]) if shared[order + u] is not UNDEF else u
-                        for u in range(n)
-                    ],
-                    "scc_ptr": [
-                        as_index(shared[comp + u]) if shared[comp + u] is not UNDEF else u
-                        for u in range(n)
-                    ],
-                },
-            )
-        )
-    return frames
+    seen1, order, seen2, comp = (after.shared[base : base + n] for base in _shared_layout(n))
+    return {
+        "seen_first": [int(cell is not UNDEF) for cell in seen1],
+        "done_first": [int(cell is not UNDEF) for cell in order],
+        "seen_second": [int(cell is not UNDEF) for cell in seen2],
+        "finish_order": [u if cell is UNDEF else as_index(cell) for u, cell in enumerate(order)],
+        "scc_ptr": [u if cell is UNDEF else as_index(cell) for u, cell in enumerate(comp)],
+    }
 
 
 def _reference_kosaraju(sample) -> tuple[list[dict], dict]:
@@ -493,10 +471,9 @@ def _reference_kosaraju(sample) -> tuple[list[dict], dict]:
     return frames, {"scc_ptr": ptr}
 
 
-def _note_kosaraju(g: Digraph, trace: Trace, t: int) -> str:
+def _note_kosaraju(g: Digraph, before: MachineState, after: MachineState) -> str:
     comp = _shared_layout(g.n)[3]
-    shared = trace.states[t].shared
-    done = sum(1 for u in range(g.n) if shared[comp + u] is not UNDEF)
+    done = sum(1 for cell in after.shared[comp : comp + g.n] if cell is not UNDEF)
     return f"assigned={done}"
 
 
@@ -526,7 +503,7 @@ DCSC = AlgorithmSpec(
         ProbeSpec("scc_ptr", "hint", "node", "categorical"),
         _PTR,
     ),
-    frames=_frames_dcsc,
+    frame=_frame_dcsc,
     inputs=_scc_inputs,
     outputs=_ptr_output,
     reference=_reference_dcsc,
@@ -550,7 +527,7 @@ KOSARAJU = AlgorithmSpec(
         ProbeSpec("scc_ptr", "hint", "node", "categorical"),
         _PTR,
     ),
-    frames=_frames_kosaraju,
+    frame=_frame_kosaraju,
     inputs=_scc_inputs,
     outputs=_ptr_output,
     reference=_reference_kosaraju,

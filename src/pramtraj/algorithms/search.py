@@ -22,7 +22,7 @@ from ..machine import (
     MachineState,
     Trace,
 )
-from ..spec import AlgorithmSpec, HintFrame, ProbeSpec, increasing_unit_scalars
+from ..spec import AlgorithmSpec, ProbeSpec, increasing_unit_scalars
 
 ITEM = 0
 MASK = 1
@@ -173,14 +173,8 @@ def _rank_output(rank: int) -> dict:
     return {"rank": rank}
 
 
-def _frames_parallel_search(inst: SearchInstance, trace: Trace) -> list[HintFrame]:
-    n = inst.n
-    frames = []
-    for t in range(1, trace.depth + 1):
-        local = trace.states[t].local
-        mask = [int(as_scalar(local[i][MASK]) == 0.0) for i in range(n)]
-        frames.append(HintFrame(t, {"leq_mask": mask}))
-    return frames
+def _frame_parallel_search(inst: SearchInstance, before: MachineState, after: MachineState) -> dict:
+    return {"leq_mask": [int(as_scalar(row[MASK]) == 0.0) for row in after.local[: inst.n]]}
 
 
 def _reference_parallel_search(sample) -> tuple[list[dict], dict]:
@@ -199,15 +193,10 @@ def _window_masks(n: int, lo: int, hi: int, mid: int) -> dict:
     }
 
 
-def _frames_binary_search(inst: SearchInstance, trace: Trace) -> list[HintFrame]:
-    frames = []
-    for t in range(1, trace.depth + 1):
-        shared = trace.states[t].shared
-        lo = as_index(shared[LO])
-        hi = as_index(shared[HI])
-        mid = as_index(shared[MID])
-        frames.append(HintFrame(t, _window_masks(inst.n, lo, hi, mid)))
-    return frames
+def _frame_binary_search(inst: SearchInstance, before: MachineState, after: MachineState) -> dict:
+    shared = after.shared
+    lo, hi, mid = as_index(shared[LO]), as_index(shared[HI]), as_index(shared[MID])
+    return _window_masks(inst.n, lo, hi, mid)
 
 
 def _reference_binary_search(sample) -> tuple[list[dict], dict]:
@@ -227,13 +216,13 @@ def _reference_binary_search(sample) -> tuple[list[dict], dict]:
     return frames, {"rank": lo}
 
 
-def _note_parallel_search(inst: SearchInstance, trace: Trace, t: int) -> str:
-    rank = trace.states[t].shared[0]
+def _note_parallel_search(inst: SearchInstance, before: MachineState, after: MachineState) -> str:
+    rank = after.shared[0]
     return f"rank={'?' if rank is UNDEF else rank}"
 
 
-def _note_binary_search(inst: SearchInstance, trace: Trace, t: int) -> str:
-    shared = trace.states[t].shared
+def _note_binary_search(inst: SearchInstance, before: MachineState, after: MachineState) -> str:
+    shared = after.shared
     return f"lo={shared[LO]} hi={shared[HI]} mid={shared[MID]}"
 
 
@@ -255,7 +244,7 @@ PARALLEL_SEARCH = AlgorithmSpec(
     generate=_generate,
     exhaustive=exhaustive_searches,
     probes=_INPUTS + (ProbeSpec("leq_mask", "hint", "node", "mask"), _RANK),
-    frames=_frames_parallel_search,
+    frame=_frame_parallel_search,
     inputs=_search_inputs,
     outputs=_rank_output,
     reference=_reference_parallel_search,
@@ -276,7 +265,7 @@ BINARY_SEARCH = AlgorithmSpec(
         ProbeSpec("mid", "hint", "node", "mask"),
         _RANK,
     ),
-    frames=_frames_binary_search,
+    frame=_frame_binary_search,
     inputs=_search_inputs,
     outputs=_rank_output,
     reference=_reference_binary_search,

@@ -23,7 +23,7 @@ from ..machine import (
     complete_graph,
     run_machine,
 )
-from ..spec import AlgorithmSpec, HintFrame, ProbeSpec, increasing_unit_scalars
+from ..spec import AlgorithmSpec, ProbeSpec, increasing_unit_scalars
 
 ITEM = 0
 POSN = 1
@@ -53,10 +53,6 @@ def predecessors_from_table(table: tuple[int, ...]) -> tuple[int, ...]:
     for k in range(1, len(table)):
         pred[table[k]] = table[k - 1]
     return tuple(pred)
-
-
-def _position_table(state: MachineState, n: int) -> tuple[int, ...]:
-    return state.shared[:n]
 
 
 def oets_machine(inst: SortInstance):
@@ -133,7 +129,7 @@ def oets_sort(inst: SortInstance) -> tuple[tuple[int, ...], Trace]:
         algo_id="oets",
         candidates_fn=candidates,
     )
-    pred = predecessors_from_table(_position_table(trace.states[-1], n))
+    pred = predecessors_from_table(trace.states[-1].shared[:n])
     return pred, trace
 
 
@@ -186,7 +182,7 @@ def bubble_sort(inst: SortInstance) -> tuple[tuple[int, ...], Trace]:
         algo_id="bubble_sort",
         candidates_fn=candidates,
     )
-    pred = predecessors_from_table(_position_table(trace.states[-1], n))
+    pred = predecessors_from_table(trace.states[-1].shared[:n])
     return pred, trace
 
 
@@ -231,41 +227,25 @@ def _swapped_pairs(old_table, new_table) -> list[tuple[int, int]]:
     ]
 
 
-def _swap_mask(old_table, new_table, n: int) -> list[list[int]]:
-    mask = [[0] * n for _ in range(n)]
-    for u, v in _swapped_pairs(old_table, new_table):
-        mask[u][v] = 1
-        mask[v][u] = 1
-    return mask
-
-
 def _frame(old_table, new_table, n: int, cursor: dict) -> dict:
     """Chain pointers and swaps of a layer that took the position table from
     old_table to new_table, plus ``cursor``, the probes of the clock alone."""
-    return {
-        "pred": list(predecessors_from_table(tuple(new_table))),
-        "swap_mask": _swap_mask(old_table, new_table, n),
-        **cursor,
-    }
+    swap_mask = [[0] * n for _ in range(n)]
+    for u, v in _swapped_pairs(old_table, new_table):
+        swap_mask[u][v] = swap_mask[v][u] = 1
+    pred = list(predecessors_from_table(tuple(new_table)))
+    return {"pred": pred, "swap_mask": swap_mask, **cursor}
 
 
-def _frames(inst: SortInstance, trace: Trace, cursor) -> list[HintFrame]:
-    """One frame per layer, ``cursor(t)`` giving the clock probes of layer t."""
+def _frame_oets(inst: SortInstance, before: MachineState, after: MachineState) -> dict:
     n = inst.n
-    states = trace.states
-    return [
-        HintFrame(t, _frame(states[t - 1].shared[:n], states[t].shared[:n], n, cursor(t)))
-        for t in range(1, trace.depth + 1)
-    ]
+    return _frame(before.shared[:n], after.shared[:n], n, {"parity": before.clock % 2})
 
 
-def _frames_oets(inst: SortInstance, trace: Trace) -> list[HintFrame]:
-    return _frames(inst, trace, lambda t: {"parity": (t - 1) % 2})
-
-
-def _frames_bubble(inst: SortInstance, trace: Trace) -> list[HintFrame]:
-    schedule = bubble_schedule(inst.n)
-    return _frames(inst, trace, lambda t: dict(zip(("cursor_i", "cursor_j"), schedule[t - 1])))
+def _frame_bubble(inst: SortInstance, before: MachineState, after: MachineState) -> dict:
+    n = inst.n
+    i, j = bubble_schedule(n)[before.clock]
+    return _frame(before.shared[:n], after.shared[:n], n, {"cursor_i": i, "cursor_j": j})
 
 
 def _reference_oets(sample) -> tuple[list[dict], dict]:
@@ -302,11 +282,11 @@ def _reference_bubble(sample) -> tuple[list[dict], dict]:
     return frames, {"pred": list(predecessors_from_table(tuple(table)))}
 
 
-def _note(inst: SortInstance, trace: Trace, t: int) -> str:
+def _note(inst: SortInstance, before: MachineState, after: MachineState) -> str:
     n = inst.n
-    table = trace.states[t].shared[:n]
+    table = after.shared[:n]
     order = [f"{inst.items[node]:g}" for node in table]
-    swaps = _swapped_pairs(trace.states[t - 1].shared[:n], table)
+    swaps = _swapped_pairs(before.shared[:n], table)
     return f"order=[{', '.join(order)}] swaps={swaps}"
 
 
@@ -329,7 +309,7 @@ OETS = AlgorithmSpec(
     generate=_generate,
     exhaustive=every_permutation,
     probes=_COMMON + (ProbeSpec("parity", "hint", "graph", "mask"), _PRED),
-    frames=_frames_oets,
+    frame=_frame_oets,
     inputs=_sort_inputs,
     outputs=_pred_output,
     reference=_reference_oets,
@@ -349,7 +329,7 @@ BUBBLE_SORT = AlgorithmSpec(
         ProbeSpec("cursor_j", "hint", "graph", "categorical"),
         _PRED,
     ),
-    frames=_frames_bubble,
+    frame=_frame_bubble,
     inputs=_sort_inputs,
     outputs=_pred_output,
     reference=_reference_bubble,

@@ -82,10 +82,11 @@ def cmd_trace(args) -> int:
     print(f"algo: {args.algo}")
     print(f"input: {args.input}")
     print(f"width={trace.width} depth={trace.depth}")
-    for rec in trace.activity:
+    states = trace.states
+    for before, after, rec in zip(states, states[1:], trace.activity):
         nodes = sorted(rec.active_nodes)
         edges = sorted(rec.active_edges)
-        note = spec.note(inst, trace, rec.step)
+        note = spec.note(inst, before, after)
         print(
             f"step {rec.step}: active={nodes} edges={edges} ops={rec.op_count}"
             f" graph_op={rec.graph_op} | {note}"

@@ -132,11 +132,11 @@ def size_record(
 
     eta is a ratio of means: mean operations over mean capacity.
     """
+    if samples_per_n < 1:
+        raise ValueError("samples_per_n must be >= 1")
     if exhaustive:
         master, instances = None, exhaustive_instances(algo_id, n)
     else:
-        if samples_per_n < 1:
-            raise ValueError("samples_per_n must be >= 1")
         master = seed
         seeds = [sample_seed(seed, algo_id, n, i) for i in range(samples_per_n)]
         instances = [generate_instance(algo_id, n, s, max_degree) for s in seeds]

@@ -96,8 +96,12 @@ def _build_sample(cfg: GenConfig, n: int, index: int) -> Sample:
 
 
 def schema_path_for(path: Path) -> Path:
-    """Sidecar path: same basename with a .schema suffix."""
-    return path.with_suffix(".schema")
+    """Sidecar path: same basename with a .schema suffix.  A ValueError for a
+    dataset path that would be its own sidecar."""
+    schema = path.with_suffix(".schema")
+    if schema == path:
+        raise ValueError(f"dataset {path} would be its own schema sidecar")
+    return schema
 
 
 def write_dataset(path: Path, samples: Iterable[Sample], algo_id: str) -> int:
@@ -108,6 +112,7 @@ def write_dataset(path: Path, samples: Iterable[Sample], algo_id: str) -> int:
     every sample is written, so a job that fails leaves no partial dataset.
     """
     path = Path(path)
+    schema = schema_path_for(path)
     part = path.with_name(path.name + ".part")
     count = 0
     try:
@@ -121,5 +126,5 @@ def write_dataset(path: Path, samples: Iterable[Sample], algo_id: str) -> int:
     except BaseException:
         part.unlink(missing_ok=True)
         raise
-    schema_path_for(path).write_bytes(serialize_schema(algo_id))
+    schema.write_bytes(serialize_schema(algo_id))
     return count

@@ -2,9 +2,10 @@
 
 Each algorithm module defines one ``AlgorithmSpec`` beside its machine
 program: how to run it, how to draw or enumerate its inputs, its probe
-schema, how to read hint frames off a trace (what ``gen`` writes) and how to
-re-derive them without the machine (what ``validate`` compares them with),
-how to parse an inline ``trace`` input and annotate a layer.
+schema, how to decode one layer's hint values (what ``gen`` writes) and
+re-derive every frame without the machine (what ``validate`` compares them
+with), how to parse an inline ``trace`` input and annotate one layer.  Only
+``trajectory.encode_sample`` and ``cli.cmd_trace`` walk a trace's layers.
 ``pramtraj.algorithms`` collects the specs into one registry; generation,
 encoding, validation, replay and analysis look the algorithm up there and
 carry no per-algorithm code.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Any, Callable
 
-from .machine import Trace
+from .machine import MachineState, Trace
 
 
 @dataclass(frozen=True)
@@ -53,13 +54,14 @@ class AlgorithmSpec:
 
     ``generate(n, seed, max_degree)`` draws one instance; ``exhaustive(n)``
     enumerates the whole input space of a tiny size (``None`` where that is
-    not defined).  ``frames(inst, trace)`` reads one hint frame per layer,
+    not defined).  ``frame(inst, before, after)`` decodes the hint values of
+    the layer that took machine state ``before`` to ``after``,
     ``inputs(inst, pos)`` and ``outputs(output)`` build the payloads of a
     sample, and ``reference(sample)`` returns ``(frames, outputs)``: the
     ``values`` of every hint frame and the outputs, re-derived from the
     sample's inputs and size alone.  It checks nothing and raises nothing on
     a schema-valid sample.  ``parse_inline(text)`` reads a ``trace`` input and
-    ``note(inst, trace, t)`` annotates layer ``t`` of a printed trace.
+    ``note(inst, before, after)`` annotates that layer in a printed trace.
     ``input_violations(inputs, n)``, where set, lists what schema-valid
     inputs break of the input domain that the probe schema cannot express.
     """
@@ -70,12 +72,12 @@ class AlgorithmSpec:
     generate: Callable[[int, int, int], Any]
     exhaustive: Callable[[int], list] | None
     probes: tuple[ProbeSpec, ...]
-    frames: Callable[[Any, Trace], list[HintFrame]]
+    frame: Callable[[Any, MachineState, MachineState], dict]
     inputs: Callable[[Any, list[float]], dict]
     outputs: Callable[[Any], dict]
     reference: Callable[[Any], tuple[list[dict], dict]]
     parse_inline: Callable[[str], Any]
-    note: Callable[[Any, Trace, int], str]
+    note: Callable[[Any, MachineState, MachineState], str]
     input_violations: Callable[[dict, int], list[str]] | None = None
 
 

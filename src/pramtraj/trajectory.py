@@ -1,7 +1,8 @@
 """Probe schemas, hint-annotated samples, validation, and NDJSON datasets.
 
-A sample records one run: its inputs, one hint frame per machine layer read
-off the trace snapshots, the outputs, and the per-layer activity counts.
+A sample records one run: its inputs, one hint frame per machine layer (the
+walk over a trace's layers is ``encode_sample``), the outputs, and the
+per-layer activity counts.
 Validation checks a sample against its probe schema, then replays it.
 Serialization is canonical: sorted keys, 17-significant-digit floats, LF
 lines -- two serializations of the same sample are byte-identical.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .algorithms import SPECS, spec_for
 from .machine import Trace, activity_summary
@@ -107,12 +108,16 @@ def encode_sample(
     spec = spec_for(algo_id)
     n = inst.n
     pos = increasing_unit_scalars(Random(seed), n)
+    states = trace.states  # frame t decodes the layer from states[t - 1] to states[t]
     return Sample(
         algo=algo_id,
         n=n,
         seed={"index": index, "master": master, "value": seed},
         inputs=spec.inputs(inst, pos),
-        hints=tuple(spec.frames(inst, trace)),
+        hints=tuple(
+            HintFrame(t, spec.frame(inst, before, after))
+            for t, (before, after) in enumerate(zip(states, states[1:]), 1)
+        ),
         outputs=spec.outputs(output),
         activity=activity_summary(trace),
     )
@@ -302,14 +307,27 @@ _encode_ints = json.JSONEncoder(
 _FLOAT_FIELD = "inputs"
 
 
+def _hint_pieces(frames: Iterable[tuple[int, dict]]) -> Iterator[str]:
+    """The canonical text of a hint list of (step, values) frames, piece by
+    piece: ``[``, each ``{"step":t,"values":...}`` after its comma, then ``]``."""
+    yield "["
+    for idx, (step, values) in enumerate(frames):
+        yield ("," if idx else "") + _encode_ints({"step": step, "values": values})
+    yield "]"
+
+
 def _ndjson_line(sample: Sample) -> str:
-    """dumps_canonical(sample.to_obj()) + "\\n", with each int-only field
-    written by one C encoder call."""
+    """dumps_canonical(sample.to_obj()) + "\\n": the hints by
+    ``_hint_pieces``, every other int-only field by one C encoder call."""
     obj = sample.to_obj()
     fields = []
     for key in sorted(obj):
-        value = obj[key]
-        text = dumps_canonical(value) if key == _FLOAT_FIELD else _encode_ints(value)
+        if key == "hints":
+            text = "".join(_hint_pieces((frame.step, frame.values) for frame in sample.hints))
+        elif key == _FLOAT_FIELD:
+            text = dumps_canonical(obj[key])
+        else:
+            text = _encode_ints(obj[key])
         fields.append(f"{_encode_ints(key)}:{text}")
     return "{" + ",".join(fields) + "}\n"
 
@@ -417,11 +435,11 @@ def line_is_clean(chunk: bytes, algo_id: str) -> bool:
     line break and parse to objects with exactly the keys before and after
     ``hints``, the line parses to their union with the hints between the
     cuts.  Every check ``validate_sample`` makes on the small fields runs on
-    them; the hints must then be byte-equal to the C encoder's text of the
-    replayed frames -- in-domain ints, so the per-cell walk and the frame
-    replay would find nothing -- and the outputs equal to the replayed ones,
-    types included.  False means "not decided here": the line goes through
-    ``parse_ndjson`` and ``validate_sample``.
+    them; the hints must then be byte-equal to the writer's text of the
+    replayed frames (``_hint_pieces``) -- in-domain ints, so the per-cell
+    walk and the frame replay would find nothing -- and the outputs equal to
+    the replayed ones, types included.  False means "not decided here": the
+    line goes through ``parse_ndjson`` and ``validate_sample``.
     """
     start = chunk.find(_HINTS + b"[")
     end = chunk.rfind(_INPUTS)
@@ -465,16 +483,10 @@ def line_is_clean(chunk: bytes, algo_id: str) -> bool:
     steps = sample.activity.get("steps") if isinstance(sample.activity, dict) else None
     if not (isinstance(steps, list) and len(steps) == len(frames)):
         return False
-    # the encoder's text of the frame list, compared one frame at a time
     at = start + len(_HINTS)
-    for t, values in enumerate(frames, 1):
-        text = (("," if t > 1 else "[") + _encode_ints({"step": t, "values": values})).encode()
+    for piece in _hint_pieces(enumerate(frames, 1)):
+        text = piece.encode()
         if not chunk.startswith(text, at):
             return False
         at += len(text)
-    close = b"]" if frames else b"[]"
-    return (
-        at + len(close) == end
-        and chunk.startswith(close, at)
-        and _encode_ints(outputs) == _encode_ints(sample.outputs)
-    )
+    return at == end and _encode_ints(outputs) == _encode_ints(sample.outputs)

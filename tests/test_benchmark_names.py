@@ -1,0 +1,68 @@
+"""The package names that the benchmark under perfbench/ patches and calls.
+
+A traced benchmark run (``perfbench/run.py --trace 1``) wraps the functions
+listed by ``perfbench/spans.py:patch_points`` and replays the clean samples
+with ``trajectory.Sample.from_obj`` and ``trajectory.replay_sample``.  These
+tests keep a refactor of ``src/`` from breaking either unnoticed.
+"""
+
+import importlib
+import importlib.util
+import json
+from pathlib import Path
+
+from pramtraj import trajectory
+from pramtraj.cli import cli_main
+
+
+def _load_spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _load_spans()
+
+
+def test_every_patch_point_is_the_function_its_layer_names():
+    for layer, module, attr, _ in spans.patch_points():
+        home, name = layer.rsplit(".", 1)
+        assert name == attr, layer
+        assert getattr(module, attr) is getattr(importlib.import_module(f"pramtraj.{home}"), name), (
+            layer,
+            module.__name__,
+        )
+
+
+def test_traced_jobs_record_every_stage(tmp_path, capsys):
+    out = tmp_path / "d.ndjson"
+    with spans.Tracer() as tracer:
+        assert cli_main(["gen", "--algo", "oets", "--n", "5", "--samples", "2", "--seed", "0",
+                         "--out", str(out)]) == 0
+    stats = spans.LayerStats(tracer.spans)
+    # one encode_sample and one serialize_ndjson([sample]) call per sample
+    assert stats.calls["trajectory.encode_sample.oets"] == 2
+    assert stats.calls["trajectory.serialize_ndjson.oets"] == 2
+    assert stats.a["trajectory.serialize_ndjson.oets"] == 2
+    assert stats.b["trajectory.serialize_ndjson.oets"] == out.stat().st_size
+    assert stats.calls["machine.step_machine"] > 0
+
+    # a line in other separators takes the full path: parse, validate, replay
+    line = json.dumps(json.loads(out.read_bytes().splitlines()[0]))
+    out.write_text(line + "\n")
+    with spans.Tracer() as tracer:
+        assert cli_main(["validate", "--in", str(out)]) == 0
+    stats = spans.LayerStats(tracer.spans)
+    for name in ("parse_ndjson", "validate_sample", "replay_sample"):
+        assert stats.calls[f"trajectory.{name}.oets"] == 1, name
+
+
+def test_samples_replay_as_the_benchmark_replays_them(tmp_path, capsys):
+    out = tmp_path / "d.ndjson"
+    assert cli_main(["gen", "--algo", "kosaraju", "--n", "5", "--samples", "2", "--seed", "0",
+                     "--out", str(out)]) == 0
+    for line in out.read_text().splitlines():
+        sample = trajectory.Sample.from_obj(json.loads(line))
+        assert trajectory.replay_sample(sample) == sample.outputs

@@ -6,14 +6,18 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import pramtraj
 from pramtraj import efficiency, harness
+from pramtraj.algorithms.sorting import gen_permutation, predecessors_from_table
 from pramtraj.cli import cli_main
 from pramtraj.harness import schema_path_for
 from pramtraj.machine import StepLimitExceeded
+from pramtraj.spec import increasing_unit_scalars
+from pramtraj.trajectory import Sample, serialize_ndjson, serialize_schema
 
 
 def run_cli(args):
@@ -253,6 +257,35 @@ class TestGen:
                 tracemalloc.stop()
         assert peaks[1] <= 1.2 * peaks[0], peaks
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the replay holds every frame at once")
+    def test_validate_memory_is_bounded_by_a_frameless_line(self, tmp_path):
+        # a bubble_sort n=60 line with no frames and no layers is 2.8 kB, yet
+        # the reference builds all n(n-1)/2 frames of n x n masks before their
+        # count is compared with the line's: the peak grows as n^4
+        n = 60
+        inst = gen_permutation(n, 1)
+        ranked = tuple(sorted(range(n), key=inst.items.__getitem__))
+        sample = Sample(
+            algo="bubble_sort",
+            n=n,
+            seed={"index": 0, "master": 0, "value": 1},
+            inputs={"items": list(inst.items), "pos": increasing_unit_scalars(Random(1), n)},
+            hints=(),
+            outputs={"pred": list(predecessors_from_table(ranked))},
+            activity={"m": n * (n - 1), "steps": [], "width": n},
+        )
+        out = tmp_path / "b.ndjson"
+        out.write_bytes(serialize_ndjson([sample]))
+        schema_path_for(out).write_bytes(serialize_schema("bubble_sort"))
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run_cli(["validate", "--in", str(out)]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000, peak
+
 
 class TestTrace:
     def test_oets_shows_two_swap_rounds(self, capsys):
@@ -376,16 +409,16 @@ class TestErrors:
     @pytest.mark.parametrize("command", [
         ["analyze", "--algo", "oets", "--n-list", "4,5,6"],
         ["compare", "--pair", "sort", "--n", "4"],
+        ["analyze", "--algo", "oets", "--n-list", "4,5,6", "--exhaustive"],
     ])
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_sample_count_must_be_positive(self, capsys, command, count):
         assert run_cli(command + ["--samples", count, "--seed", "0"]) == 2
         assert capsys.readouterr() == ("", "error: samples_per_n must be >= 1\n")
 
-    # --exhaustive ignores --samples, so 0 passes the count check
     @pytest.mark.parametrize("inputs, label", [
         (["--samples", "3", "--seed", "9"], "master seed 9, index 1"),
-        (["--samples", "0", "--exhaustive"], "exhaustive index 1"),
+        (["--samples", "1", "--exhaustive"], "exhaustive index 1"),
     ])
     def test_failed_analyze_names_sample(self, monkeypatch, capsys, inputs, label):
         real_run = efficiency.run
@@ -402,6 +435,17 @@ class TestErrors:
         assert capsys.readouterr() == (
             "", f"error: halt predicate never fired (algo oets, n 4, {label})\n"
         )
+
+    def test_dataset_cannot_be_its_own_sidecar(self, tmp_path, capsys):
+        path = tmp_path / "d.schema"
+        error = f"error: dataset {path} would be its own schema sidecar\n"
+        assert run_cli(["gen", "--algo", "oets", "--n", "4", "--samples", "2", "--seed", "0",
+                        "--out", str(path)]) == 2
+        assert capsys.readouterr() == ("", error)
+        assert list(tmp_path.iterdir()) == []
+        path.write_bytes(serialize_schema("oets"))
+        assert run_cli(["validate", "--in", str(path)]) == 2
+        assert capsys.readouterr() == ("", error)
 
     def test_unknown_subcommand(self):
         assert run_cli(["frobnicate"]) == 2
