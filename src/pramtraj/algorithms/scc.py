@@ -81,7 +81,7 @@ def dcsc(g: Digraph) -> tuple[tuple[int, ...], Trace]:
         )
 
     def step(ctx):
-        if as_flag(ctx.own(DONE)):
+        if ctx.own(DONE, bool):
             return None
         open_cell = ctx.shared(OPEN_ADDR)
         if open_cell is UNDEF or not as_flag(open_cell):
@@ -90,7 +90,7 @@ def dcsc(g: Digraph) -> tuple[tuple[int, ...], Trace]:
                 local={FWD: pivot, BWD: pivot, PTR: pivot},
                 writes=((PIVOT_ADDR, pivot), (OPEN_ADDR, True)),
             )
-        pivot = as_index(ctx.shared(PIVOT_ADDR))
+        pivot = ctx.shared(PIVOT_ADDR, int)
         fwd = ctx.own(FWD)
         bwd = ctx.own(BWD)
         if fwd == pivot and bwd == pivot:
@@ -150,7 +150,7 @@ def kosaraju(g: Digraph) -> tuple[tuple[int, ...], Trace]:
     phase = 3 * n + 2
     root = 3 * n + 3
 
-    graph = InterconnectionGraph(1, frozenset(), frozenset({0}))
+    graph = InterconnectionGraph(1, frozenset())
     local = [UNDEF] * (3 * n + 4)
     local[sp] = 0
     for u in range(n):
@@ -161,8 +161,8 @@ def kosaraju(g: Digraph) -> tuple[tuple[int, ...], Trace]:
     initial = MachineState((tuple(local),), (UNDEF,) * (4 * n), 0)
 
     def step(ctx):
-        ph = as_index(ctx.own(phase))
-        depth_sp = as_index(ctx.own(sp))
+        ph = ctx.own(phase, int)
+        depth_sp = ctx.own(sp, int)
         if ph == 1:
             if depth_sp == 0:
                 seed = next(
@@ -171,7 +171,7 @@ def kosaraju(g: Digraph) -> tuple[tuple[int, ...], Trace]:
                 if seed is None:
                     return NodeUpdate(local={phase: 2})
                 if not g.out_neighbors(seed):
-                    count = as_index(ctx.own(ctr))
+                    count = ctx.own(ctr, int)
                     return NodeUpdate(
                         local={ctr: count + 1},
                         writes=((color1 + seed, True), (order + seed, count)),
@@ -179,14 +179,14 @@ def kosaraju(g: Digraph) -> tuple[tuple[int, ...], Trace]:
                 return NodeUpdate(
                     local={stack: seed, sp: 1}, writes=((color1 + seed, True),)
                 )
-            u = as_index(ctx.own(stack + depth_sp - 1))
-            k = as_index(ctx.own(iter1 + u))
+            u = ctx.own(stack + depth_sp - 1, int)
+            k = ctx.own(iter1 + u, int)
             out = g.out_neighbors(u)
             if k < len(out):
                 w = out[k]
                 if ctx.shared(color1 + w) is UNDEF:
                     if not g.out_neighbors(w):
-                        count = as_index(ctx.own(ctr))
+                        count = ctx.own(ctr, int)
                         return NodeUpdate(
                             local={iter1 + u: k + 1, ctr: count + 1},
                             writes=((color1 + w, True), (order + w, count)),
@@ -196,13 +196,13 @@ def kosaraju(g: Digraph) -> tuple[tuple[int, ...], Trace]:
                         writes=((color1 + w, True),),
                     )
                 if k + 1 == len(out):
-                    count = as_index(ctx.own(ctr))
+                    count = ctx.own(ctr, int)
                     return NodeUpdate(
                         local={iter1 + u: k + 1, sp: depth_sp - 1, ctr: count + 1},
                         writes=((order + u, count),),
                     )
                 return NodeUpdate(local={iter1 + u: k + 1})
-            count = as_index(ctx.own(ctr))
+            count = ctx.own(ctr, int)
             return NodeUpdate(
                 local={sp: depth_sp - 1, ctr: count + 1}, writes=((order + u, count),)
             )
@@ -212,7 +212,7 @@ def kosaraju(g: Digraph) -> tuple[tuple[int, ...], Trace]:
                 best = -1
                 for v in range(n):
                     if ctx.shared(color2 + v) is UNDEF:
-                        rank = as_index(ctx.shared(order + v))
+                        rank = ctx.shared(order + v, int)
                         if rank > best:
                             best = rank
                             seed = v
@@ -224,10 +224,10 @@ def kosaraju(g: Digraph) -> tuple[tuple[int, ...], Trace]:
                 return NodeUpdate(
                     local={root: seed, stack: seed, sp: 1}, writes=writes
                 )
-            u = as_index(ctx.own(stack + depth_sp - 1))
-            k = as_index(ctx.own(iter2 + u))
+            u = ctx.own(stack + depth_sp - 1, int)
+            k = ctx.own(iter2 + u, int)
             out = g.in_neighbors(u)
-            current_root = as_index(ctx.own(root))
+            current_root = ctx.own(root, int)
             if k < len(out):
                 w = out[k]
                 if ctx.shared(color2 + w) is UNDEF:

@@ -72,12 +72,12 @@ def parallel_search(inst: SearchInstance) -> tuple[int, Trace]:
         if ctx.clock == 0:
             if ctx.pid == xnode:
                 return None
-            item = as_scalar(ctx.own(ITEM))
-            x = as_scalar(ctx.read(xnode, ITEM))
+            item = ctx.own(ITEM, float)
+            x = ctx.read(xnode, ITEM, float)
             return NodeUpdate(local={MASK: max(item - x, 0.0)})
         if ctx.pid == xnode:
             return NodeUpdate(writes=((0, xnode),))
-        if as_scalar(ctx.own(MASK)) == 0.0:
+        if ctx.own(MASK, float) == 0.0:
             return NodeUpdate(writes=((0, ctx.pid),))
         return None
 
@@ -107,13 +107,13 @@ def binary_search(inst: SearchInstance) -> tuple[int, Trace]:
         return ((lo + hi) // 2,)
 
     def step(ctx):
-        lo = as_index(ctx.shared(LO))
-        hi = as_index(ctx.shared(HI))
+        lo = ctx.shared(LO, int)
+        hi = ctx.shared(HI, int)
         mid = (lo + hi) // 2
         if ctx.pid != mid:
             return None
-        item = as_scalar(ctx.own(ITEM))
-        x = as_scalar(ctx.read(xnode, ITEM))
+        item = ctx.own(ITEM, float)
+        x = ctx.read(xnode, ITEM, float)
         if item <= x:
             hi = mid
         else:

@@ -75,21 +75,21 @@ def oets_machine(inst: SortInstance):
 
     def step(ctx):
         phase = ctx.clock % 2
-        pos = ctx.own_index(POSN)
-        mine = ctx.own_scalar(ITEM)
+        pos = ctx.own(POSN, int)
+        mine = ctx.own(ITEM, float)
         if (pos - phase) % 2 == 0:
             if pos + 1 >= n:
                 return None
-            partner = ctx.shared_index(pos + 1)
-            other = ctx.read_scalar(partner, ITEM)
+            partner = ctx.shared(pos + 1, int)
+            other = ctx.read(partner, ITEM, float)
             if mine > other:
                 return NodeUpdate(
                     local={POSN: pos + 1},
                     writes=((pos + 1, ctx.pid), (last_swap, ctx.clock)),
                 )
             return HOLD
-        partner = ctx.shared_index(pos - 1)
-        other = ctx.read_scalar(partner, ITEM)
+        partner = ctx.shared(pos - 1, int)
+        other = ctx.read(partner, ITEM, float)
         if other > mine:
             return NodeUpdate(
                 local={POSN: pos - 1},
@@ -158,16 +158,16 @@ def bubble_sort(inst: SortInstance) -> tuple[tuple[int, ...], Trace]:
 
     def step(ctx):
         _, j = schedule[ctx.clock]
-        pos = ctx.own_index(POSN)
-        mine = ctx.own_scalar(ITEM)
+        pos = ctx.own(POSN, int)
+        mine = ctx.own(ITEM, float)
         if pos == j:
-            partner = ctx.shared_index(j + 1)
-            other = ctx.read_scalar(partner, ITEM)
+            partner = ctx.shared(j + 1, int)
+            other = ctx.read(partner, ITEM, float)
             if mine > other:
                 return NodeUpdate(local={POSN: pos + 1}, writes=((j + 1, ctx.pid),))
             return HOLD
-        partner = ctx.shared_index(j)
-        other = ctx.read_scalar(partner, ITEM)
+        partner = ctx.shared(j, int)
+        other = ctx.read(partner, ITEM, float)
         if other > mine:
             return NodeUpdate(local={POSN: pos - 1}, writes=((j, ctx.pid),))
         return HOLD

@@ -134,6 +134,8 @@ def size_record(
     """
     if samples_per_n < 1:
         raise ValueError("samples_per_n must be >= 1")
+    if max_degree < 1:
+        raise ValueError("max_degree must be >= 1")
     if exhaustive:
         master, instances = None, exhaustive_instances(algo_id, n)
     else:

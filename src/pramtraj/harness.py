@@ -37,6 +37,8 @@ class GenConfig:
             raise ValueError("max_degree must be >= 1")
         if any(n < 1 for n in self.n_list):
             raise ValueError("n must be >= 1")
+        if len(set(self.n_list)) != len(self.n_list):
+            raise ValueError("n_list must not repeat a size")
 
 
 def sample_seed(master: int, algo_id: str, n: int, index: int) -> int:

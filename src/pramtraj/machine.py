@@ -10,10 +10,13 @@ carried information into them, how many operations ran -- is recorded.
 Shared memory is not a node and has no edges: a layer that writes it counts
 one extra operation, the graph-feature update, and nothing more.
 
-Cells are plain Python values: ``float`` (scalar), ``int`` (node index),
-``bool`` (flag), or the ``UNDEF`` sentinel.  Reading a cell through a typed
-accessor enforces the variant; an ``UNDEF`` cell stores no information, so
-reading one never records an active edge.
+A processor has three sources to read, one reader each: its own cells
+(``own``), an in-neighbour's cells (``read``) and shared memory (``shared``).
+Only ``read`` crosses an edge.  Cells are plain Python values: ``float``
+(scalar), ``int`` (node index), ``bool`` (flag), or the ``UNDEF`` sentinel.
+A reader given the expected type as ``kind`` enforces the variant; an
+``UNDEF`` cell stores no information, so reading one never records an
+active edge.
 
 Traces are acyclic, so the cyclic garbage collector can never free any part
 of one; ``collector_paused`` keeps it off while a trace is alive instead of
@@ -65,25 +68,30 @@ UNDEF = _Undef()
 Cell = Union[float, int, bool, _Undef]
 
 
+# the variant each cell type stands for, as errors name it
+_KIND_NAMES = {float: "scalar", int: "index", bool: "flag"}
+
+
 def as_scalar(cell: Cell) -> float:
     if type(cell) is float:
         return cell
-    _bad_cell(cell, "scalar")
+    _bad_cell(cell, float)
 
 
 def as_index(cell: Cell) -> int:
     if type(cell) is int:
         return cell
-    _bad_cell(cell, "index")
+    _bad_cell(cell, int)
 
 
 def as_flag(cell: Cell) -> bool:
     if type(cell) is bool:
         return cell
-    _bad_cell(cell, "flag")
+    _bad_cell(cell, bool)
 
 
-def _bad_cell(cell: Cell, wanted: str) -> None:
+def _bad_cell(cell: Cell, kind: type) -> None:
+    wanted = _KIND_NAMES[kind]
     if cell is UNDEF:
         raise UndefinedValueError(f"read of undefined cell where {wanted} expected")
     raise CellTypeError(f"cell {cell!r} is not a {wanted}")
@@ -103,11 +111,12 @@ class MachineState(NamedTuple):
 
 @dataclass(frozen=True)
 class InterconnectionGraph:
-    """Fixed communication topology; edge (i, j) lets j read i's state."""
+    """Fixed communication topology; edge (i, j) lets j read i's state.
+    There are no self edges: a processor reads its own cells through
+    ``NodeContext.own``."""
 
     n: int
     edges: frozenset[tuple[int, int]]
-    self_loops: frozenset[int] = frozenset()
     _in_nbrs: dict[int, frozenset[int]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
@@ -115,12 +124,9 @@ class InterconnectionGraph:
     def __post_init__(self) -> None:
         for i, j in self.edges:
             if i == j:
-                raise ValueError(f"self edge ({i},{j}); use self_loops instead")
+                raise ValueError(f"self edge ({i},{j}); a processor reads itself through own")
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
-        for i in self.self_loops:
-            if not 0 <= i < self.n:
-                raise ValueError(f"self loop at {i} out of range for n={self.n}")
         incoming: dict[int, set[int]] = {i: set() for i in range(self.n)}
         for i, j in self.edges:
             incoming[j].add(i)
@@ -131,7 +137,7 @@ class InterconnectionGraph:
 @lru_cache(maxsize=None)
 def complete_graph(n: int) -> InterconnectionGraph:
     edges = frozenset((i, j) for i in range(n) for j in range(n) if i != j)
-    return InterconnectionGraph(n, edges, frozenset(range(n)))
+    return InterconnectionGraph(n, edges)
 
 
 @lru_cache(maxsize=None)
@@ -141,25 +147,26 @@ def star_graph(n_leaves: int) -> InterconnectionGraph:
     edges = frozenset((hub, i) for i in range(n_leaves)) | frozenset(
         (i, hub) for i in range(n_leaves)
     )
-    return InterconnectionGraph(n_leaves + 1, edges, frozenset(range(n_leaves + 1)))
+    return InterconnectionGraph(n_leaves + 1, edges)
 
 
 def symmetric_graph(n: int, directed_edges: Iterable[tuple[int, int]]) -> InterconnectionGraph:
-    """Symmetric closure of a directed edge set, self loops everywhere."""
+    """Symmetric closure of a directed edge set."""
     sym: set[tuple[int, int]] = set()
     for u, v in directed_edges:
         sym.add((u, v))
         sym.add((v, u))
-    return InterconnectionGraph(n, frozenset(sym), frozenset(range(n)))
+    return InterconnectionGraph(n, frozenset(sym))
 
 
 class ActivityRecord(NamedTuple):
     """What happened at one layer.
 
-    ``active_edges`` holds graph edges (including self loops) whose source
-    cell was read, held a defined value, and fed an executed operation.
-    Shared memory is not a node: its reads and writes are no edges, and a
-    layer that writes it counts one extra operation (``graph_op``).
+    ``active_edges`` holds the graph edges whose source cell was read
+    through ``NodeContext.read``, held a defined value, and fed an executed
+    operation.  A processor's own cells are structural and shared memory is
+    not a node: reading either records no edge, and a layer that writes
+    shared memory counts one extra operation (``graph_op``).
     """
 
     step: int
@@ -205,21 +212,27 @@ StepFn = Callable[["NodeContext"], NodeUpdate | None]
 
 
 class NodeContext:
-    """Read interface handed to the processors of one step.
+    """Read interface handed to the processors of one step: one reader per
+    source, each returning the previous layer's cell.
 
-    ``own``    -- this processor's previous cell, structural (not an edge).
-    ``read``   -- a neighbor's previous cell; validated against the
-                  interconnection graph and recorded as an active edge when
-                  the cell holds a defined value.  ``read(pid, ...)`` needs a
-                  self loop and records (pid, pid).
+    ``own``    -- this processor's own cell; structural, never an edge.
+    ``read``   -- an in-neighbour's cell; validated against the
+                  interconnection graph (there are no self edges, so
+                  ``read(pid, ...)`` is a violation) and recorded as an active
+                  edge when it returns a defined value.
     ``shared`` -- shared memory, the graph-level feature; records no edge.
+
+    Each takes an optional ``kind``, ``float``, ``int`` or ``bool``: the cell
+    must then hold that variant, and ``UndefinedValueError`` (for ``UNDEF``)
+    or ``CellTypeError`` is raised otherwise, before any edge is recorded.
+    Without ``kind`` the cell is returned as it is, ``UNDEF`` included.
 
     ``step_machine`` builds one context per layer and points ``pid`` at each
     processor in turn; edge reads are appended straight to ``edge_reads``,
     the layer's edge list.
     """
 
-    __slots__ = ("pid", "clock", "_local", "_shared", "_in_nbrs", "_self_loops", "edge_reads")
+    __slots__ = ("pid", "clock", "_local", "_shared", "_in_nbrs", "edge_reads")
 
     def __init__(
         self, state: MachineState, graph: InterconnectionGraph, edge_reads: list[tuple[int, int]]
@@ -229,57 +242,32 @@ class NodeContext:
         self._local = state.local
         self._shared = state.shared
         self._in_nbrs = graph._in_nbrs
-        self._self_loops = graph.self_loops
         self.edge_reads = edge_reads
 
-    def own(self, slot: int) -> Cell:
-        return self._local[self.pid][slot]
-
-    def own_index(self, slot: int) -> int:
+    def own(self, slot: int, kind: type | None = None) -> Cell:
         cell = self._local[self.pid][slot]
-        if type(cell) is int:
+        if type(cell) is kind or kind is None:
             return cell
-        _bad_cell(cell, "index")
+        _bad_cell(cell, kind)
 
-    def own_scalar(self, slot: int) -> float:
-        cell = self._local[self.pid][slot]
-        if type(cell) is float:
-            return cell
-        _bad_cell(cell, "scalar")
-
-    def read(self, j: int, slot: int) -> Cell:
+    def read(self, j: int, slot: int, kind: type | None = None) -> Cell:
         pid = self.pid
-        if j == pid:
-            if pid not in self._self_loops:
-                raise NeighborhoodViolation(f"node {pid} has no self loop")
-        elif j not in self._in_nbrs[pid]:
+        if j not in self._in_nbrs[pid]:
             raise NeighborhoodViolation(f"node {pid} may not read node {j}")
         cell = self._local[j][slot]
-        if cell is not UNDEF:
-            self.edge_reads.append((j, pid))
+        if type(cell) is not kind:
+            if kind is not None:
+                _bad_cell(cell, kind)
+            if cell is UNDEF:
+                return cell
+        self.edge_reads.append((j, pid))
         return cell
 
-    def read_scalar(self, j: int, slot: int) -> float:
-        pid = self.pid
-        if j == pid:
-            if pid not in self._self_loops:
-                raise NeighborhoodViolation(f"node {pid} has no self loop")
-        elif j not in self._in_nbrs[pid]:
-            raise NeighborhoodViolation(f"node {pid} may not read node {j}")
-        cell = self._local[j][slot]
-        if type(cell) is float:
-            self.edge_reads.append((j, pid))
-            return cell
-        _bad_cell(cell, "scalar")
-
-    def shared(self, addr: int) -> Cell:
-        return self._shared[addr]
-
-    def shared_index(self, addr: int) -> int:
+    def shared(self, addr: int, kind: type | None = None) -> Cell:
         cell = self._shared[addr]
-        if type(cell) is int:
+        if type(cell) is kind or kind is None:
             return cell
-        _bad_cell(cell, "index")
+        _bad_cell(cell, kind)
 
 
 _EMPTY: frozenset = frozenset()
@@ -432,13 +420,13 @@ def activity_summary(trace: Trace) -> dict:
     ``{"m", "steps": [{"edges", "nodes", "ops"}], "width"}``.
 
     ``m`` is the edge count of the operated graph: the instance's directed
-    edges when the trace carries them, otherwise the interconnection edges
-    (self loops are kept out of it either way).  A layer's ``edges`` counts
-    its active edges against that graph.  Plain tasks count the recorded
-    channels directly (self loops included when an algorithm declared them).
-    Traces tied to a directed instance fold each channel onto the instance
-    edge it traverses, so an edge used in both directions in one layer
-    counts once and edges <= m holds.
+    edges when the trace carries them, otherwise the interconnection edges.
+    A layer's ``edges`` counts its active edges against that graph: the
+    neighbour reads of its executed operations, never a processor's reads of
+    its own cells or of shared memory.  Plain tasks count the recorded
+    channels directly.  Traces tied to a directed instance fold each channel
+    onto the instance edge it traverses, so an edge used in both directions
+    in one layer counts once and edges <= m holds.
     """
     instance = trace.instance_edges
     if instance is None:

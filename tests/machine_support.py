@@ -8,7 +8,6 @@ from pramtraj.machine import (
     MachineState,
     NodeContext,
     StepFn,
-    _bad_cell,
 )
 
 
@@ -28,16 +27,10 @@ class _RecordingContext(NodeContext):
         self.pid = pid
         self.log: list[tuple[int, int, Cell]] = []
 
-    def read(self, j: int, slot: int) -> Cell:
-        cell = super().read(j, slot)
+    def read(self, j: int, slot: int, kind: type | None = None) -> Cell:
+        cell = super().read(j, slot, kind)
         self.log.append((j, slot, cell))
         return cell
-
-    def read_scalar(self, j: int, slot: int) -> float:
-        cell = self.read(j, slot)
-        if type(cell) is float:
-            return cell
-        _bad_cell(cell, "scalar")
 
 
 def probe_step_reads(

@@ -11,7 +11,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from pramtraj import trajectory
+from pramtraj.algorithms import ALGORITHMS
 from pramtraj.cli import cli_main
 
 
@@ -57,6 +60,20 @@ def test_traced_jobs_record_every_stage(tmp_path, capsys):
     stats = spans.LayerStats(tracer.spans)
     for name in ("parse_ndjson", "validate_sample", "replay_sample"):
         assert stats.calls[f"trajectory.{name}.oets"] == 1, name
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_traced_layers_match_the_written_activity(tmp_path, capsys, algo):
+    # the benchmark's per-layer processor counts are the machine's: one
+    # step_machine call per layer, and its active count is the layer's nodes
+    out = tmp_path / "d.ndjson"
+    with spans.Tracer() as tracer:
+        assert cli_main(["gen", "--algo", algo, "--n-list", "3,6", "--samples", "2", "--seed", "0",
+                         "--out", str(out)]) == 0
+    stats = spans.LayerStats(tracer.spans)
+    steps = [json.loads(line)["activity"]["steps"] for line in out.read_text().splitlines()]
+    assert stats.calls["machine.step_machine"] == sum(map(len, steps)) > 0
+    assert stats.b["machine.step_machine"] == sum(step["nodes"] for run in steps for step in run)
 
 
 def test_samples_replay_as_the_benchmark_replays_them(tmp_path, capsys):

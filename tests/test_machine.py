@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from pramtraj.machine import (
     HOLD,
+    CellTypeError,
     InterconnectionGraph,
     MachineError,
     MachineState,
     NeighborhoodViolation,
+    NodeContext,
     NodeUpdate,
     StepLimitExceeded,
     UNDEF,
@@ -20,7 +22,9 @@ from pramtraj.machine import (
     collector_paused,
     complete_graph,
     run_machine,
+    star_graph,
     step_machine,
+    symmetric_graph,
 )
 
 from machine_support import fresh_state, probe_step_reads
@@ -46,8 +50,8 @@ class TestCells:
         assert UNDEF != 0 and UNDEF != 0.0 and UNDEF != False  # noqa: E712
 
 
-def _loop_graph(n):
-    return InterconnectionGraph(n, frozenset(), frozenset(range(n)))
+def _edgeless_graph(n):
+    return InterconnectionGraph(n, frozenset())
 
 
 def _write_layer(width, shared_size, writes_by_pid):
@@ -59,7 +63,7 @@ def _write_layer(width, shared_size, writes_by_pid):
         writes = writes_by_pid.get(ctx.pid)
         return NodeUpdate(writes=writes) if writes else None
 
-    new, _ = step_machine(state, step, _loop_graph(width))
+    new, _ = step_machine(state, step, _edgeless_graph(width))
     return {addr: cell for addr, cell in enumerate(new.shared) if cell is not UNDEF}
 
 
@@ -117,31 +121,31 @@ class TestResolveWrites:
 class TestStepMachine:
     def test_identity_step(self):
         state = MachineState(((1.0,), (2.0,)), (UNDEF,), 0)
-        new, rec = step_machine(state, lambda ctx: None, _loop_graph(2))
+        new, rec = step_machine(state, lambda ctx: None, _edgeless_graph(2))
         assert new.local == state.local and new.shared == state.shared
         assert new.clock == 1
         assert rec.active_nodes == frozenset()
         assert rec.active_edges == frozenset()
         assert rec.op_count == 0 and not rec.graph_op
 
-    def test_increment_own_cell_records_self_edge(self):
+    def test_increment_own_cell_records_no_edge(self):
         state = MachineState(((1.0,), (5.0,)), (), 0)
 
         def step(ctx):
             if ctx.pid != 1:
                 return None
-            value = as_scalar(ctx.read(1, 0))
+            value = ctx.own(0, float)
             return NodeUpdate(local={0: value + 1.0})
 
-        new, rec = step_machine(state, step, _loop_graph(2))
+        new, rec = step_machine(state, step, complete_graph(2))
         assert new.local[1] == (6.0,)
         assert rec.active_nodes == {1}
-        assert rec.active_edges == {(1, 1)}
+        assert rec.active_edges == frozenset()
         assert rec.op_count == 1
 
     def test_read_outside_neighborhood_rejected(self):
         state = MachineState(((1.0,), (2.0,), (3.0,)), (), 0)
-        graph = InterconnectionGraph(3, frozenset({(0, 1)}), frozenset())
+        graph = InterconnectionGraph(3, frozenset({(0, 1)}))
 
         def bad(ctx):
             if ctx.pid == 1:
@@ -151,16 +155,16 @@ class TestStepMachine:
         with pytest.raises(NeighborhoodViolation):
             step_machine(state, bad, graph)
 
-        def no_self_loop(ctx):
+        def reads_itself(ctx):
             ctx.read(ctx.pid, 0)
             return None
 
         with pytest.raises(NeighborhoodViolation):
-            step_machine(state, no_self_loop, graph)
+            step_machine(state, reads_itself, graph)
 
     def test_synchronous_exchange_reads_old_state(self):
         # both nodes overwrite with the partner's previous value in one layer
-        graph = InterconnectionGraph(2, frozenset({(0, 1), (1, 0)}), frozenset())
+        graph = InterconnectionGraph(2, frozenset({(0, 1), (1, 0)}))
         state = MachineState(((1.0,), (2.0,)), (), 0)
 
         def swap(ctx):
@@ -173,7 +177,7 @@ class TestStepMachine:
         assert rec.op_count == 2
 
     def test_priority_write_through_machine(self):
-        graph = _loop_graph(4)
+        graph = _edgeless_graph(4)
         state = MachineState(((0.0,),) * 4, (UNDEF,), 0)
 
         def race(ctx):
@@ -186,7 +190,7 @@ class TestStepMachine:
         assert rec.graph_op and rec.op_count == 3 + 1
 
     def test_undefined_cells_carry_no_information(self):
-        graph = InterconnectionGraph(2, frozenset({(0, 1)}), frozenset())
+        graph = InterconnectionGraph(2, frozenset({(0, 1)}))
         state = MachineState(((UNDEF,), (0.0,)), (), 0)
 
         def peek(ctx):
@@ -201,6 +205,75 @@ class TestStepMachine:
         assert rec.active_edges == frozenset()
 
 
+# one cell of each variant, in this slot / shared address order
+_CELLS = (1.5, 3, True, UNDEF)
+_KINDS = {float: ("scalar", 0), int: ("index", 1), bool: ("flag", 2)}
+
+
+def _reader_context():
+    """Processor 1 of a two-processor complete graph, both rows and shared
+    memory holding ``_CELLS``; returns the context and its edge list."""
+    edges = []
+    ctx = NodeContext(MachineState((_CELLS, _CELLS), _CELLS, 0), complete_graph(2), edges)
+    ctx.pid = 1
+    return ctx, edges
+
+
+_READERS = {
+    "own": lambda ctx, slot, kind: ctx.own(slot, kind),
+    "read": lambda ctx, slot, kind: ctx.read(0, slot, kind),
+    "shared": lambda ctx, slot, kind: ctx.shared(slot, kind),
+}
+
+
+class TestReaders:
+    """own, read and shared: the one reader per source, each checking the
+    variant it is given as ``kind``."""
+
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    @pytest.mark.parametrize("kind", [float, int, bool], ids=["float", "int", "bool"])
+    def test_kind_is_enforced(self, reader, kind):
+        read = _READERS[reader]
+        wanted, good = _KINDS[kind]
+        ctx, edges = _reader_context()
+        for slot, cell in enumerate(_CELLS):
+            if slot == good:
+                assert read(ctx, slot, kind) is cell
+            elif cell is UNDEF:
+                with pytest.raises(UndefinedValueError,
+                                   match=f"^read of undefined cell where {wanted} expected$"):
+                    read(ctx, slot, kind)
+            else:
+                with pytest.raises(CellTypeError, match=f"^cell {cell!r} is not a {wanted}$") as err:
+                    read(ctx, slot, kind)
+                assert type(err.value) is CellTypeError
+        # only the neighbour read that returned crossed an edge
+        assert edges == ([(0, 1)] if reader == "read" else [])
+
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    def test_untyped_reader_returns_any_cell(self, reader):
+        ctx, edges = _reader_context()
+        assert [_READERS[reader](ctx, slot, None) for slot in range(4)] == list(_CELLS)
+        # an UNDEF cell carries no information, so it crosses no edge
+        assert edges == ([(0, 1)] * 3 if reader == "read" else [])
+
+    @pytest.mark.parametrize("graph", [
+        complete_graph(3),
+        star_graph(2),
+        symmetric_graph(3, [(0, 1), (1, 2), (2, 0)]),
+    ], ids=["complete", "star", "symmetric"])
+    def test_reading_itself_is_a_violation(self, graph):
+        state = MachineState(((1.0,),) * 3, (), 0)
+
+        def step(ctx):
+            ctx.read(ctx.pid, 0)
+            return HOLD
+
+        for pid in range(3):
+            with pytest.raises(NeighborhoodViolation, match=f"^node {pid} may not read node {pid}$"):
+                step_machine(state, step, graph, (pid,))
+
+
 class TestRangeChecks:
     """step_machine's three MachineError checks: candidates, local slots and
     shared addresses must lie inside the machine."""
@@ -212,10 +285,10 @@ class TestRangeChecks:
     def test_candidate_out_of_range(self, candidates):
         bad = next(p for p in sorted(candidates) if not 0 <= p < 3)
         with pytest.raises(MachineError, match=f"^candidate {bad} out of range$"):
-            step_machine(self._state(), lambda ctx: HOLD, _loop_graph(3), candidates)
+            step_machine(self._state(), lambda ctx: HOLD, _edgeless_graph(3), candidates)
 
     def test_candidates_in_range_pass(self):
-        _, rec = step_machine(self._state(), lambda ctx: HOLD, _loop_graph(3), (2, 0))
+        _, rec = step_machine(self._state(), lambda ctx: HOLD, _edgeless_graph(3), (2, 0))
         assert rec.active_nodes == {0, 2}
 
     @pytest.mark.parametrize("slot", [-1, 1, 4])
@@ -224,7 +297,7 @@ class TestRangeChecks:
             return NodeUpdate(local={slot: 1.0}) if ctx.pid == 1 else None
 
         with pytest.raises(MachineError, match=f"^local slot {slot} out of range at node 1$"):
-            step_machine(self._state(), step, _loop_graph(3))
+            step_machine(self._state(), step, _edgeless_graph(3))
 
     @pytest.mark.parametrize("addr", [-1, 2, 9])
     def test_shared_address_out_of_range(self, addr):
@@ -232,7 +305,7 @@ class TestRangeChecks:
             return NodeUpdate(writes=((0, 1.0), (addr, 2.0))) if ctx.pid == 2 else None
 
         with pytest.raises(MachineError, match=f"^shared address {addr} out of range at node 2$"):
-            step_machine(self._state(), step, _loop_graph(3))
+            step_machine(self._state(), step, _edgeless_graph(3))
 
 
 class TestContextIsolation:
@@ -247,10 +320,10 @@ class TestContextIsolation:
             if ctx.pid == 0:
                 ctx.read(1, 0)
                 ctx.read(2, 0)
-                ctx.shared_index(0)
+                ctx.shared(0, int)
                 return None
             if ctx.pid == 1:
-                ctx.read_scalar(2, 0)
+                ctx.read(2, 0, float)
                 return HOLD
             ctx.shared(0)
             ctx.read(0, 0)
@@ -270,7 +343,7 @@ class TestCollectorPaused:
         assert gc.isenabled()
         with collector_paused():
             assert not gc.isenabled()
-            trace = run_machine(fresh_state(1, 1, 1), lambda ctx: HOLD, _loop_graph(1),
+            trace = run_machine(fresh_state(1, 1, 1), lambda ctx: HOLD, _edgeless_graph(1),
                                 lambda s: s.clock >= 2, 2)
         assert gc.isenabled()
         assert trace.depth == 2
@@ -278,7 +351,7 @@ class TestCollectorPaused:
     def test_restored_after_step_limit(self):
         with pytest.raises(StepLimitExceeded):
             with collector_paused():
-                run_machine(fresh_state(1, 1, 1), lambda ctx: None, _loop_graph(1),
+                run_machine(fresh_state(1, 1, 1), lambda ctx: None, _edgeless_graph(1),
                             lambda s: False, 3)
         assert gc.isenabled()
 
@@ -290,7 +363,7 @@ class TestCollectorPaused:
             assert not gc.isenabled()
             with pytest.raises(StepLimitExceeded):
                 with collector_paused():
-                    run_machine(fresh_state(1, 1, 1), lambda ctx: None, _loop_graph(1),
+                    run_machine(fresh_state(1, 1, 1), lambda ctx: None, _edgeless_graph(1),
                                 lambda s: False, 3)
             assert not gc.isenabled()
         finally:
@@ -300,17 +373,17 @@ class TestCollectorPaused:
 class TestRunMachine:
     def test_halt_on_initial_state(self):
         state = fresh_state(2, 1, 1)
-        trace = run_machine(state, lambda ctx: None, _loop_graph(2), lambda s: True, 5)
+        trace = run_machine(state, lambda ctx: None, _edgeless_graph(2), lambda s: True, 5)
         assert trace.depth == 0
         assert len(trace.states) == 1
 
     def test_step_limit_exceeded(self):
         state = fresh_state(1, 1, 1)
         with pytest.raises(StepLimitExceeded):
-            run_machine(state, lambda ctx: None, _loop_graph(1), lambda s: False, 3)
+            run_machine(state, lambda ctx: None, _edgeless_graph(1), lambda s: False, 3)
 
     def test_trace_is_deterministic(self):
-        graph = _loop_graph(3)
+        graph = _edgeless_graph(3)
 
         def step(ctx):
             if ctx.pid == ctx.clock % 3:
@@ -332,7 +405,7 @@ class TestRunMachine:
         assert a.activity == b.activity
 
     def test_clock_advances_by_one(self):
-        graph = _loop_graph(1)
+        graph = _edgeless_graph(1)
         trace = run_machine(
             MachineState(((0.0,),), (), 0),
             lambda ctx: HOLD,
@@ -352,7 +425,7 @@ class TestActiveEdgeSoundness:
 
     def test_perturbation(self):
         # node 1 reads node 0; node 2 holds a defined but unread cell
-        graph = InterconnectionGraph(3, frozenset({(0, 1), (2, 1)}), frozenset())
+        graph = InterconnectionGraph(3, frozenset({(0, 1), (2, 1)}))
         state = MachineState(((1.0,), (2.0,), (3.0,)), (), 0)
 
         def step(ctx):
@@ -405,6 +478,5 @@ def test_activity_stays_inside_the_interconnection():
         seed = sample_seed(33, algo, 9, 0)
         inst = generate_instance(algo, 9, seed)
         _, trace = run(algo, inst)
-        legal = trace.graph.edges | {(i, i) for i in trace.graph.self_loops}
         for rec in trace.activity:
-            assert rec.active_edges <= legal
+            assert rec.active_edges <= trace.graph.edges
