@@ -43,42 +43,49 @@ PIVOT_ADDR = 0
 OPEN_ADDR = 1
 
 
-def dcsc(g: Digraph) -> tuple[tuple[int, ...], Trace]:
-    """Pivot loop: double BFS among unassigned nodes, assign the intersection.
-
-    The pivot is always the minimal-index unassigned node; it becomes the
-    representative its component points at.  Recursion over the leftover
-    subsets is flattened into the sequential pivot loop, only the two
-    searches of a round run in parallel.
-    """
+def dcsc_machine(g: Digraph):
+    """Machine pieces for one pivot loop:
+    (initial state, step fn, candidates fn, halt fn, interconnection)."""
     n = g.n
     graph = symmetric_graph(n, g.edges)
     rows = tuple((UNDEF, UNDEF, u, False) for u in range(n))
     initial = MachineState(rows, (UNDEF, UNDEF), 0)
+    succ = [g.out_neighbors(u) for u in range(n)]
+    pred = [g.in_neighbors(u) for u in range(n)]
 
     def candidates(state):
+        """The lowest undone node alone while its round opens; then the
+        undone nodes one BFS layer past the rows reached this round (out of
+        a forward-reached row, into a backward-reached one); once no search
+        can grow, the intersection that closes the round."""
         local = state.local
-        undone = [u for u in range(n) if not local[u][DONE]]
-        if not undone:
+        pivot = next((u for u, row in enumerate(local) if not row[DONE]), None)
+        if pivot is None:
             return ()
-        pivot = undone[0]
         if local[pivot][FWD] != pivot:
             return (pivot,)
         frontier = set()
-        for u in undone:
-            if local[u][FWD] != pivot and any(
-                local[j][FWD] == pivot for j in g.in_neighbors(u)
-            ):
-                frontier.add(u)
-            if local[u][BWD] != pivot and any(
-                local[j][BWD] == pivot for j in g.out_neighbors(u)
-            ):
-                frontier.add(u)
+        for j, row in enumerate(local):
+            if row[FWD] == pivot:
+                for u in succ[j]:
+                    nxt = local[u]
+                    if nxt[FWD] != pivot and not nxt[DONE]:
+                        frontier.add(u)
+            if row[BWD] == pivot:
+                for u in pred[j]:
+                    nxt = local[u]
+                    if nxt[BWD] != pivot and not nxt[DONE]:
+                        frontier.add(u)
         if frontier:
             return sorted(frontier)
-        return tuple(
-            u for u in undone if local[u][FWD] == pivot and local[u][BWD] == pivot
-        )
+        return [
+            u
+            for u, row in enumerate(local)
+            if row[FWD] == pivot and row[BWD] == pivot and not row[DONE]
+        ]
+
+    def halt(state):
+        return all(row[DONE] for row in state.local)
 
     def step(ctx):
         if ctx.own(DONE, bool):
@@ -116,11 +123,24 @@ def dcsc(g: Digraph) -> tuple[tuple[int, ...], Trace]:
             update[PTR] = pivot
         return NodeUpdate(local=update)
 
+    return initial, step, candidates, halt, graph
+
+
+def dcsc(g: Digraph) -> tuple[tuple[int, ...], Trace]:
+    """Pivot loop: double BFS among unassigned nodes, assign the intersection.
+
+    The pivot is always the minimal-index unassigned node; it becomes the
+    representative its component points at.  Recursion over the leftover
+    subsets is flattened into the sequential pivot loop, only the two
+    searches of a round run in parallel.
+    """
+    n = g.n
+    initial, step, candidates, halt, graph = dcsc_machine(g)
     trace = run_machine(
         initial,
         step,
         graph,
-        lambda s: all(s.local[u][DONE] for u in range(n)),
+        halt,
         2 * n * n + 2 * n + 4,
         algo_id="dcsc",
         candidates_fn=candidates,
@@ -251,7 +271,6 @@ def kosaraju(g: Digraph) -> tuple[tuple[int, ...], Trace]:
         lambda s: s.local[0][phase] == 3,
         2 * (n + m) + 6,
         algo_id="kosaraju",
-        candidates_fn=lambda s: (0,),
         instance_edges=g.edges,
     )
     shared = trace.states[-1].shared

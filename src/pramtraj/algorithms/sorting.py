@@ -84,17 +84,13 @@ def oets_machine(inst: SortInstance):
             other = ctx.read(partner, ITEM, float)
             if mine > other:
                 return NodeUpdate(
-                    local={POSN: pos + 1},
-                    writes=((pos + 1, ctx.pid), (last_swap, ctx.clock)),
+                    {POSN: pos + 1}, ((pos + 1, ctx.pid), (last_swap, ctx.clock))
                 )
             return HOLD
         partner = ctx.shared(pos - 1, int)
         other = ctx.read(partner, ITEM, float)
         if other > mine:
-            return NodeUpdate(
-                local={POSN: pos - 1},
-                writes=((pos - 1, ctx.pid), (last_swap, ctx.clock)),
-            )
+            return NodeUpdate({POSN: pos - 1}, ((pos - 1, ctx.pid), (last_swap, ctx.clock)))
         return HOLD
 
     def halt(state):
@@ -164,12 +160,12 @@ def bubble_sort(inst: SortInstance) -> tuple[tuple[int, ...], Trace]:
             partner = ctx.shared(j + 1, int)
             other = ctx.read(partner, ITEM, float)
             if mine > other:
-                return NodeUpdate(local={POSN: pos + 1}, writes=((j + 1, ctx.pid),))
+                return NodeUpdate({POSN: pos + 1}, ((j + 1, ctx.pid),))
             return HOLD
         partner = ctx.shared(j, int)
         other = ctx.read(partner, ITEM, float)
         if other > mine:
-            return NodeUpdate(local={POSN: pos - 1}, writes=((j, ctx.pid),))
+            return NodeUpdate({POSN: pos - 1}, ((j, ctx.pid),))
         return HOLD
 
     total = len(schedule)

@@ -193,7 +193,8 @@ class Trace:
     def __post_init__(self) -> None:
         if len(self.states) != len(self.activity) + 1:
             raise ValueError("trace must hold depth+1 state snapshots")
-        if any(s.width != self.width for s in self.states):
+        width = self.width
+        if any(len(s.local) != width for s in self.states):
             raise ValueError("trace width must be constant across states")
 
 
@@ -271,6 +272,7 @@ class NodeContext:
 
 
 _EMPTY: frozenset = frozenset()
+_new_tuple = tuple.__new__
 
 
 def step_machine(
@@ -346,17 +348,21 @@ def step_machine(
     else:
         new_shared = shared_cells
 
-    next_state = MachineState(
-        tuple(new_local) if new_local is not None else local_rows,
-        new_shared,
-        state.clock + 1,
+    # tuple.__new__ skips the generated NamedTuple constructors' frames
+    clock = state.clock + 1
+    next_state = _new_tuple(
+        MachineState,
+        (tuple(new_local) if new_local is not None else local_rows, new_shared, clock),
     )
-    record = ActivityRecord(
-        state.clock + 1,
-        frozenset(active) if active else _EMPTY,
-        frozenset(edges) if edges else _EMPTY,
-        len(active) + (1 if winners else 0),
-        winners is not None,
+    record = _new_tuple(
+        ActivityRecord,
+        (
+            clock,
+            frozenset(active) if active else _EMPTY,
+            frozenset(edges) if edges else _EMPTY,
+            len(active) + (1 if winners else 0),
+            winners is not None,
+        ),
     )
     return next_state, record
 

@@ -1,5 +1,7 @@
-"""The SCC oracle of the tests, and the partition an SCC output names."""
+"""The SCC oracles of the tests: components, the partition an SCC output
+names, and dcsc's schedule by a scan of every node."""
 
+from pramtraj.algorithms.scc import BWD, DONE, FWD
 from pramtraj.graphs import Digraph
 
 
@@ -62,3 +64,26 @@ def pointers_to_partition(scc_ptr: tuple[int, ...]) -> frozenset[frozenset[int]]
     for node, rep in enumerate(scc_ptr):
         groups.setdefault(rep, set()).add(node)
     return frozenset(frozenset(s) for s in groups.values())
+
+
+def dcsc_candidates_scan(g: Digraph, state) -> list[int]:
+    """The processors dcsc offers at ``state``, found by scanning every
+    undone node and all of its neighbours: the lowest undone node while its
+    round opens, then each undone node that a search can reach in one more
+    layer, and when neither search can grow, the intersection."""
+    local = state.local
+    undone = [u for u in range(g.n) if not local[u][DONE]]
+    if not undone:
+        return []
+    pivot = undone[0]
+    if local[pivot][FWD] != pivot:
+        return [pivot]
+    frontier = set()
+    for u in undone:
+        if local[u][FWD] != pivot and any(local[j][FWD] == pivot for j in g.in_neighbors(u)):
+            frontier.add(u)
+        if local[u][BWD] != pivot and any(local[j][BWD] == pivot for j in g.out_neighbors(u)):
+            frontier.add(u)
+    if frontier:
+        return sorted(frontier)
+    return [u for u in undone if local[u][FWD] == pivot and local[u][BWD] == pivot]

@@ -14,6 +14,7 @@ from pramtraj.machine import (
     NodeContext,
     NodeUpdate,
     StepLimitExceeded,
+    Trace,
     UNDEF,
     UndefinedValueError,
     as_flag,
@@ -414,6 +415,32 @@ class TestRunMachine:
             3,
         )
         assert [s.clock for s in trace.states] == [0, 1, 2, 3]
+
+
+class TestTraceChecks:
+    def _trace(self):
+        return run_machine(
+            fresh_state(2, 1, 1), lambda ctx: HOLD, _edgeless_graph(2), lambda s: s.clock >= 2, 2
+        )
+
+    def test_a_run_passes(self):
+        trace = self._trace()
+        again = Trace(trace.width, trace.states, trace.activity, trace.graph)
+        assert again.depth == 2
+
+    def test_depth_plus_two_states_is_rejected(self):
+        trace = self._trace()
+        states = trace.states + (trace.states[-1],)
+        with pytest.raises(ValueError, match="depth\\+1"):
+            Trace(trace.width, states, trace.activity, trace.graph)
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_one_state_of_another_width_is_rejected(self, index):
+        trace = self._trace()
+        states = list(trace.states)
+        states[index] = fresh_state(3, 1, 1)
+        with pytest.raises(ValueError, match="width"):
+            Trace(trace.width, tuple(states), trace.activity, trace.graph)
 
 
 class TestActiveEdgeSoundness:

@@ -1,12 +1,15 @@
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pramtraj.algorithms.scc import DONE, PIVOT_ADDR, dcsc, gen_digraph, kosaraju
+from pramtraj.algorithms.scc import DONE, PIVOT_ADDR, dcsc, dcsc_machine, gen_digraph, kosaraju
 from pramtraj.graphs import Digraph
 from pramtraj.harness import sample_seed
+from pramtraj.machine import UNDEF, MachineState
 
-from scc_oracle import pointers_to_partition, tarjan_scc
+from scc_oracle import dcsc_candidates_scan, pointers_to_partition, tarjan_scc
 
 
 def reachability_partition(g):
@@ -103,6 +106,65 @@ class TestDcsc:
         g = gen_digraph(n, 3, seed)
         ptr, trace = dcsc(g)
         assert pointers_to_partition(ptr) == frozenset(tarjan_scc(g))
+
+
+def _schedule_graphs():
+    rng = Random(2000)
+    for seed in range(300):
+        yield gen_digraph(rng.randint(1, 64), rng.randint(1, 4), seed)
+    yield Digraph(12, frozenset())
+    yield Digraph(9, frozenset((u, v) for u in range(9) for v in range(9) if u != v))
+
+
+class TestDcscSchedule:
+    """dcsc's frontier schedule offers the processors that a scan of every
+    undone node and its neighbours finds."""
+
+    # 0 -> 1 -> 2 -> 0 is one component; 3 hangs off 2, and 4 points at 0
+    G = Digraph(5, frozenset({(0, 1), (1, 2), (2, 0), (2, 3), (4, 0)}))
+
+    def test_every_traced_state_matches_the_scan(self):
+        checked = 0
+        for g in _schedule_graphs():
+            candidates = dcsc_machine(g)[2]
+            _, trace = dcsc(g)
+            for state in trace.states:
+                assert list(candidates(state)) == dcsc_candidates_scan(g, state)
+                checked += 1
+        assert checked > 300
+
+    def _state(self, rows, pivot):
+        return MachineState(tuple(rows), (pivot, True), 0)
+
+    def _check(self, state, expected):
+        candidates = dcsc_machine(self.G)[2]
+        assert list(candidates(state)) == expected
+        assert dcsc_candidates_scan(self.G, state) == expected
+
+    def test_fresh_pivot(self):
+        rows = [(UNDEF, UNDEF, u, False) for u in range(5)]
+        self._check(self._state(rows, UNDEF), [0])
+        rows[0] = (0, 0, 0, False)
+        # forward out of 0 reaches 1, backward into 0 reaches 2 and 4
+        self._check(self._state(rows, 0), [1, 2, 4])
+
+    def test_empty_frontier_closes_on_the_intersection(self):
+        rows = [(0, 0, 0, False), (0, 0, 0, False), (0, 0, 0, False), (0, UNDEF, 3, False), (UNDEF, 0, 4, False)]
+        self._check(self._state(rows, 0), [0, 1, 2])
+
+    def test_done_nodes_are_never_offered(self):
+        # round 0 closed {0, 1, 2}, so 3 is the next pivot
+        rows = [(0, 0, 0, True), (0, 0, 0, True), (0, 0, 0, True), (UNDEF, UNDEF, 3, False), (UNDEF, 0, 4, False)]
+        self._check(self._state(rows, 0), [3])
+        # 3's only neighbour, 2, is done: the round closes on 3 alone
+        rows[3] = (3, 3, 3, False)
+        self._check(self._state(rows, 3), [3])
+
+    def test_every_node_done(self):
+        rows = [(0, 0, 0, True), (0, 0, 0, True), (0, 0, 0, True), (3, 3, 3, True), (4, 4, 4, True)]
+        state = self._state(rows, 4)
+        self._check(state, [])
+        assert dcsc_machine(self.G)[3](state)
 
 
 class TestKosaraju:
