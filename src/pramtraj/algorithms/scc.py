@@ -17,6 +17,7 @@ step that exhausts the node, so a full run takes at most n+m steps per pass.
 from __future__ import annotations
 
 from random import Random
+from typing import Iterator
 
 from ..graphs import Digraph
 from ..machine import (
@@ -30,7 +31,7 @@ from ..machine import (
     run_machine,
     symmetric_graph,
 )
-from ..spec import AlgorithmSpec, ProbeSpec
+from ..spec import AlgorithmSpec, ProbeSpec, Replay
 
 # width-n local slots of the pivot loop
 FWD = 0
@@ -365,34 +366,31 @@ def _frame_dcsc(g: Digraph, before: MachineState, after: MachineState) -> dict:
     )
 
 
-def _adjacency(sample) -> tuple[list[list[int]], list[list[int]]]:
+def _adjacency(inputs: dict, n: int) -> tuple[list[list[int]], list[list[int]]]:
     """(out-neighbours, in-neighbours) of each node, read off ``adj_directed``."""
-    n = sample.n
-    adj = sample.inputs["adj_directed"]
+    adj = inputs["adj_directed"]
     succ = [[v for v in range(n) if adj[u][v] == 1.0] for u in range(n)]
     pred = [[u for u in range(n) if adj[u][v] == 1.0] for v in range(n)]
     return succ, pred
 
 
-def _reference_dcsc(sample) -> tuple[list[dict], dict]:
+def _reference_dcsc(inputs: dict, n: int) -> Replay:
     """Pivot rounds (Fleischer, Hendrickson and Pinar, 2000): the lowest
     unassigned node starts a round, the forward and backward sets grow one
     BFS layer per frame among unassigned nodes, and a last frame assigns
     their intersection."""
-    n = sample.n
-    succ, pred = _adjacency(sample)
+    succ, pred = _adjacency(inputs, n)
     alive = set(range(n))
     ptr = list(range(n))
-    frames = []
 
-    def emit() -> None:
+    def frame() -> dict:
         masks = ([int(u in nodes) for u in range(n)] for nodes in (fwd, bwd, alive))
-        frames.append(_dcsc_frame(*masks, list(ptr)))
+        return _dcsc_frame(*masks, list(ptr))
 
     while alive:
         pivot = min(alive)
         fwd, bwd = {pivot}, {pivot}
-        emit()
+        yield frame()
         while True:
             grow_fwd = {u for u in alive - fwd if any(j in fwd for j in pred[u])}
             grow_bwd = {u for u in alive - bwd if any(j in bwd for j in succ[u])}
@@ -402,10 +400,10 @@ def _reference_dcsc(sample) -> tuple[list[dict], dict]:
             bwd |= grow_bwd
             for u in fwd & bwd:
                 ptr[u] = pivot
-            emit()
+            yield frame()
         alive -= fwd & bwd
-        emit()
-    return frames, {"scc_ptr": ptr}
+        yield frame()
+    return {"scc_ptr": ptr}
 
 
 def _note_dcsc(g: Digraph, before: MachineState, after: MachineState) -> str:
@@ -426,14 +424,13 @@ def _frame_kosaraju(g: Digraph, before: MachineState, after: MachineState) -> di
     }
 
 
-def _reference_kosaraju(sample) -> tuple[list[dict], dict]:
+def _reference_kosaraju(inputs: dict, n: int) -> Replay:
     """Two DFS passes, one frame per DFS event: a root seed, one edge scan,
     or a finish, with a finish folded into the event that exhausts the node
     (a node with no edge to follow is finished as it is seen), plus the
     frame that ends each pass.  Pass 1 seeds in index order on the graph,
     pass 2 in decreasing finish order on the reversed graph."""
-    n = sample.n
-    succ, pred = _adjacency(sample)
+    succ, pred = _adjacency(inputs, n)
     hint = {
         "seen_first": [0] * n,
         "done_first": [0] * n,
@@ -442,10 +439,9 @@ def _reference_kosaraju(sample) -> tuple[list[dict], dict]:
         "scc_ptr": list(range(n)),
     }
     seen_first, done_first, seen_second, finish_order, ptr = hint.values()
-    frames = []
 
-    def emit() -> None:
-        frames.append({name: list(value) for name, value in hint.items()})
+    def frame() -> dict:
+        return {name: list(value) for name, value in hint.items()}
 
     def finish(u: int) -> None:
         finish_order[u] = sum(done_first)
@@ -462,11 +458,11 @@ def _reference_kosaraju(sample) -> tuple[list[dict], dict]:
         ptr[w] = root
         return bool(pred[w])
 
-    def tree(root: int, edges, seen: list[int], visit, close) -> None:
-        """One DFS tree; ``visit(w, root)`` marks w and says whether to
-        descend into it, ``close(u)`` runs as u leaves the stack."""
+    def tree(root: int, edges, seen: list[int], visit, close) -> Iterator[dict]:
+        """The frames of one DFS tree; ``visit(w, root)`` marks w and says
+        whether to descend into it, ``close(u)`` runs as u leaves the stack."""
         stack = [root] if visit(root, root) else []
-        emit()
+        yield frame()
         scanned: dict[int, int] = {}
         while stack:
             u = stack[-1]
@@ -477,17 +473,17 @@ def _reference_kosaraju(sample) -> tuple[list[dict], dict]:
                     stack.append(edges[u][k])
             elif k + 1 >= len(edges[u]):
                 close(stack.pop())
-            emit()
+            yield frame()
 
     for root in range(n):
         if not seen_first[root]:
-            tree(root, succ, seen_first, visit_first, finish)
-    emit()
+            yield from tree(root, succ, seen_first, visit_first, finish)
+    yield frame()
     for root in sorted(range(n), key=finish_order.__getitem__, reverse=True):
         if not seen_second[root]:
-            tree(root, pred, seen_second, visit_second, lambda u: None)
-    emit()
-    return frames, {"scc_ptr": ptr}
+            yield from tree(root, pred, seen_second, visit_second, lambda u: None)
+    yield frame()
+    return {"scc_ptr": ptr}
 
 
 def _note_kosaraju(g: Digraph, before: MachineState, after: MachineState) -> str:

@@ -22,7 +22,7 @@ from ..machine import (
     MachineState,
     Trace,
 )
-from ..spec import AlgorithmSpec, ProbeSpec, increasing_unit_scalars
+from ..spec import AlgorithmSpec, ProbeSpec, Replay, increasing_unit_scalars
 
 ITEM = 0
 MASK = 1
@@ -177,12 +177,13 @@ def _frame_parallel_search(inst: SearchInstance, before: MachineState, after: Ma
     return {"leq_mask": [int(as_scalar(row[MASK]) == 0.0) for row in after.local[: inst.n]]}
 
 
-def _reference_parallel_search(sample) -> tuple[list[dict], dict]:
+def _reference_parallel_search(inputs: dict, n: int) -> Replay:
     """Both layers carry the mask ``items[i] <= x``; the rank is its first one."""
-    x = sample.inputs["x"]
-    mask = [int(item <= x) for item in sample.inputs["items"]]
-    rank = next((i for i, v in enumerate(mask) if v), sample.n)
-    return [{"leq_mask": mask}, {"leq_mask": mask}], {"rank": rank}
+    x = inputs["x"]
+    mask = [int(item <= x) for item in inputs["items"]]
+    yield {"leq_mask": mask}
+    yield {"leq_mask": mask}
+    return {"rank": next((i for i, v in enumerate(mask) if v), n)}
 
 
 def _window_masks(n: int, lo: int, hi: int, mid: int) -> dict:
@@ -199,21 +200,19 @@ def _frame_binary_search(inst: SearchInstance, before: MachineState, after: Mach
     return _window_masks(inst.n, lo, hi, mid)
 
 
-def _reference_binary_search(sample) -> tuple[list[dict], dict]:
+def _reference_binary_search(inputs: dict, n: int) -> Replay:
     """One frame per probe of the halving loop over the window [lo, hi)."""
-    n = sample.n
-    items = sample.inputs["items"]
-    x = sample.inputs["x"]
+    items = inputs["items"]
+    x = inputs["x"]
     lo, hi = 0, n
-    frames = []
     while lo < hi:
         mid = (lo + hi) // 2
         if items[mid] <= x:
             hi = mid
         else:
             lo = mid + 1
-        frames.append(_window_masks(n, lo, hi, mid))
-    return frames, {"rank": lo}
+        yield _window_masks(n, lo, hi, mid)
+    return {"rank": lo}
 
 
 def _note_parallel_search(inst: SearchInstance, before: MachineState, after: MachineState) -> str:

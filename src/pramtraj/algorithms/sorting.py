@@ -23,7 +23,7 @@ from ..machine import (
     complete_graph,
     run_machine,
 )
-from ..spec import AlgorithmSpec, ProbeSpec, increasing_unit_scalars
+from ..spec import AlgorithmSpec, ProbeSpec, Replay, increasing_unit_scalars
 
 ITEM = 0
 POSN = 1
@@ -244,38 +244,34 @@ def _frame_bubble(inst: SortInstance, before: MachineState, after: MachineState)
     return _frame(before.shared[:n], after.shared[:n], n, {"cursor_i": i, "cursor_j": j})
 
 
-def _reference_oets(sample) -> tuple[list[dict], dict]:
+def _reference_oets(inputs: dict, n: int) -> Replay:
     """Odd-even rounds on a position table, until two swap-free rounds in a
     row or n rounds."""
-    n = sample.n
-    items = sample.inputs["items"]
+    items = inputs["items"]
     table = list(range(n))
-    frames = []
     quiet = 0
     for r in range(n):
         old_table = tuple(table)
         for k in range(r % 2, n - 1, 2):
             if items[table[k]] > items[table[k + 1]]:
                 table[k], table[k + 1] = table[k + 1], table[k]
-        frames.append(_frame(old_table, table, n, {"parity": r % 2}))
+        yield _frame(old_table, table, n, {"parity": r % 2})
         quiet = quiet + 1 if tuple(table) == old_table else 0
         if quiet == 2:
             break
-    return frames, {"pred": list(predecessors_from_table(tuple(table)))}
+    return {"pred": list(predecessors_from_table(tuple(table)))}
 
 
-def _reference_bubble(sample) -> tuple[list[dict], dict]:
+def _reference_bubble(inputs: dict, n: int) -> Replay:
     """One compare-exchange per step of the fixed bubble schedule."""
-    n = sample.n
-    items = sample.inputs["items"]
+    items = inputs["items"]
     table = list(range(n))
-    frames = []
     for i, j in bubble_schedule(n):
         old_table = tuple(table)
         if items[table[j]] > items[table[j + 1]]:
             table[j], table[j + 1] = table[j + 1], table[j]
-        frames.append(_frame(old_table, table, n, {"cursor_i": i, "cursor_j": j}))
-    return frames, {"pred": list(predecessors_from_table(tuple(table)))}
+        yield _frame(old_table, table, n, {"cursor_i": i, "cursor_j": j})
+    return {"pred": list(predecessors_from_table(tuple(table)))}
 
 
 def _note(inst: SortInstance, before: MachineState, after: MachineState) -> str:

@@ -23,7 +23,6 @@ from .harness import GenConfig, build_samples, schema_path_for, write_dataset
 from .machine import MachineError
 from .trajectory import (
     DatasetFormatError,
-    chunk_lines,
     line_is_clean,
     parse_ndjson,
     parse_schema,
@@ -160,25 +159,19 @@ def _chunk_messages(chunk: bytes, lineno: int, algo: str, registered: bool) -> t
     """The number of the last line of one "\\n"-terminated chunk of the
     dataset, which follows line ``lineno``, and the violations of its lines.
     A chunk is one line unless it holds another line break that
-    str.splitlines honours; a line ``line_is_clean`` does not accept is
-    parsed and checked whole."""
+    str.splitlines honours, which splits a chunk as it splits the whole
+    file; a line ``line_is_clean`` does not accept is parsed and checked
+    whole."""
     if registered and line_is_clean(chunk, algo):
         return lineno + 1, []
+    samples = parse_ndjson(chunk, lineno + 1)
     found = []
-    for line in chunk_lines(chunk, lineno + 1):
-        lineno += 1
-        try:
-            # "\n" is a blank line to parse_ndjson, as it is in a whole file
-            (sample,) = parse_ndjson(line or "\n")
-        except DatasetFormatError as err:
-            raise DatasetFormatError(lineno, err.reason) from None
-        if not registered:
-            continue
+    for at, sample in enumerate(samples if registered else (), lineno + 1):
         if sample.algo != algo:
-            found.append(f"line {lineno}: algorithm {sample.algo!r} does not match schema {algo!r}")
-            continue
-        found.extend(f"line {lineno}: {violation}" for violation in validate_sample(sample))
-    return lineno, found
+            found.append(f"line {at}: algorithm {sample.algo!r} does not match schema {algo!r}")
+        else:
+            found.extend(f"line {at}: {violation}" for violation in validate_sample(sample))
+    return lineno + len(samples), found
 
 
 def cmd_compare(args) -> int:

@@ -3,19 +3,19 @@
 Each algorithm module defines one ``AlgorithmSpec`` beside its machine
 program: how to run it, how to draw or enumerate its inputs, its probe
 schema, how to decode one layer's hint values (what ``gen`` writes) and
-re-derive every frame without the machine (what ``validate`` compares them
-with), how to parse an inline ``trace`` input and annotate one layer.  Only
-``trajectory.encode_sample`` and ``cli.cmd_trace`` walk a trace's layers.
-``pramtraj.algorithms`` collects the specs into one registry; generation,
-encoding, validation, replay and analysis look the algorithm up there and
-carry no per-algorithm code.
+re-derive them one frame at a time without the machine (what ``validate``
+compares them with), how to parse an inline ``trace`` input and annotate one
+layer.  Only ``trajectory.encode_sample`` and ``cli.cmd_trace`` walk a
+trace's layers.  ``pramtraj.algorithms`` collects the specs into one
+registry; generation, encoding, validation, replay and analysis look the
+algorithm up there and carry no per-algorithm code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Any, Callable
+from typing import Any, Callable, Generator
 
 from .machine import MachineState, Trace
 
@@ -48,6 +48,10 @@ class HintFrame:
         return {"step": self.step, "values": self.values}
 
 
+# what a reference yields (the values of each frame) and returns (the outputs)
+Replay = Generator[dict, None, dict]
+
+
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """Everything the pipeline needs to know about one algorithm.
@@ -57,10 +61,11 @@ class AlgorithmSpec:
     not defined).  ``frame(inst, before, after)`` decodes the hint values of
     the layer that took machine state ``before`` to ``after``,
     ``inputs(inst, pos)`` and ``outputs(output)`` build the payloads of a
-    sample, and ``reference(sample)`` returns ``(frames, outputs)``: the
-    ``values`` of every hint frame and the outputs, re-derived from the
-    sample's inputs and size alone.  It checks nothing and raises nothing on
-    a schema-valid sample.  ``parse_inline(text)`` reads a ``trace`` input and
+    sample, and ``reference(inputs, n)`` re-derives a sample from its inputs
+    and size alone: a generator that yields the ``values`` of each hint frame
+    in turn and returns the outputs, so a caller holds one frame at a time
+    and stops pulling where it likes.  It checks nothing and raises nothing
+    on schema-valid inputs.  ``parse_inline(text)`` reads a ``trace`` input and
     ``note(inst, before, after)`` annotates that layer in a printed trace.
     ``input_violations(inputs, n)``, where set, lists what schema-valid
     inputs break of the input domain that the probe schema cannot express.
@@ -75,7 +80,7 @@ class AlgorithmSpec:
     frame: Callable[[Any, MachineState, MachineState], dict]
     inputs: Callable[[Any, list[float]], dict]
     outputs: Callable[[Any], dict]
-    reference: Callable[[Any], tuple[list[dict], dict]]
+    reference: Callable[[dict, int], Replay]
     parse_inline: Callable[[str], Any]
     note: Callable[[Any, MachineState, MachineState], str]
     input_violations: Callable[[dict, int], list[str]] | None = None

@@ -10,9 +10,10 @@ lines -- two serializations of the same sample are byte-identical.
 ``validate`` reads a dataset one line at a time.  ``line_is_clean`` accepts
 a canonical line whose hints are byte-equal to the canonical text of the
 replayed frames, after decoding and checking only its small fields; every
-other line is decoded (``chunk_lines``), parsed whole (``parse_ndjson``) and
-checked cell by cell (``validate_sample``), which is what reports a
-violation.
+other line is parsed whole (``parse_ndjson``) and checked cell by cell
+(``validate_sample``), which is what reports a violation.  Both compare the
+replayed frames as the reference yields them, so neither holds more than
+one.
 """
 
 from __future__ import annotations
@@ -161,33 +162,25 @@ def _check_payload(probe: ProbeSpec, value, n: int, where: str, out: list[str]) 
             out.append(f"{where}.{probe.name}: scalar must be finite")
 
 
-def _probes_by_stage(algo: AlgorithmSpec) -> dict[str, list[ProbeSpec]]:
-    by_stage: dict[str, list[ProbeSpec]] = {"input": [], "hint": [], "output": []}
-    for probe in algo.probes:
-        by_stage[probe.stage].append(probe)
-    return by_stage
-
-
-def _check_io(by_stage: dict, sample: Sample, out: list[str]) -> None:
-    """The input and output payloads against their probe schemas."""
-    for stage, payload in (("input", sample.inputs), ("output", sample.outputs)):
+def _field_violations(algo: AlgorithmSpec, n: int, inputs, outputs) -> list[str]:
+    """The input and output payloads against their probe schemas, and the
+    positional scalars, which must be distinct."""
+    out: list[str] = []
+    for stage, payload in (("input", inputs), ("output", outputs)):
         if not isinstance(payload, dict):
             out.append(f"{stage}s: must be an object")
             continue
-        names = {p.name for p in by_stage[stage]}
-        got = set(payload)
-        if got != names:
-            out.append(f"{stage}s: expected {sorted(names)}, got {sorted(got)}")
-        for probe in by_stage[stage]:
+        probes = [p for p in algo.probes if p.stage == stage]
+        names = {p.name for p in probes}
+        if set(payload) != names:
+            out.append(f"{stage}s: expected {sorted(names)}, got {sorted(payload)}")
+        for probe in probes:
             if probe.name in payload:
-                _check_payload(probe, payload[probe.name], sample.n, f"{stage}s", out)
-
-
-def _check_pos(inputs, out: list[str]) -> None:
+                _check_payload(probe, payload[probe.name], n, f"{stage}s", out)
     pos = inputs.get("pos") if isinstance(inputs, dict) else None
-    if isinstance(pos, list) and all(_is_number(v) for v in pos):
-        if len(set(pos)) != len(pos):
-            out.append("inputs.pos: positional scalars must be distinct")
+    if isinstance(pos, list) and all(_is_number(v) for v in pos) and len(set(pos)) != len(pos):
+        out.append("inputs.pos: positional scalars must be distinct")
+    return out
 
 
 def validate_sample(sample: Sample) -> list[str]:
@@ -199,7 +192,6 @@ def validate_sample(sample: Sample) -> list[str]:
     violation like any other, a frame or output the replay does not
     reproduce is one ``replay: ...`` violation.
     """
-    out: list[str] = []
     algo = _spec_of(sample)
     if algo is None:
         return [f"unknown algorithm {sample.algo!r}"]
@@ -207,16 +199,15 @@ def validate_sample(sample: Sample) -> list[str]:
     if type(n) is not int or n < 1:
         return ["n must be a positive integer"]
 
-    by_stage = _probes_by_stage(algo)
-    _check_io(by_stage, sample, out)
-
+    out = _field_violations(algo, n, sample.inputs, sample.outputs)
     steps = sample.activity.get("steps") if isinstance(sample.activity, dict) else None
     if not isinstance(steps, list):
         out.append("activity.steps missing")
     elif len(sample.hints) != len(steps):
         out.append(f"hints length {len(sample.hints)} != depth {len(steps)}")
 
-    hint_names = {p.name for p in by_stage["hint"]}
+    hint_probes = [p for p in algo.probes if p.stage == "hint"]
+    hint_names = {p.name for p in hint_probes}
     for idx, frame in enumerate(sample.hints):
         where = f"hints[{idx}]"
         if not isinstance(frame.values, dict):
@@ -225,10 +216,8 @@ def validate_sample(sample: Sample) -> list[str]:
         if set(frame.values) != hint_names:
             out.append(f"{where}: expected {sorted(hint_names)}, got {sorted(frame.values)}")
             continue
-        for probe in by_stage["hint"]:
+        for probe in hint_probes:
             _check_payload(probe, frame.values[probe.name], n, where, out)
-
-    _check_pos(sample.inputs, out)
 
     if not out and algo.input_violations is not None:
         out = algo.input_violations(sample.inputs, n)
@@ -302,11 +291,6 @@ _encode_ints = json.JSONEncoder(
     ensure_ascii=False, allow_nan=False, separators=(",", ":"), sort_keys=True
 ).encode
 
-# The only top-level field of a sample that carries floats: every scalar
-# probe is an input probe, and activity, seed, hints and outputs are ints.
-_FLOAT_FIELD = "inputs"
-
-
 def _hint_pieces(frames: Iterable[tuple[int, dict]]) -> Iterator[str]:
     """The canonical text of a hint list of (step, values) frames, piece by
     piece: ``[``, each ``{"step":t,"values":...}`` after its comma, then ``]``."""
@@ -317,19 +301,16 @@ def _hint_pieces(frames: Iterable[tuple[int, dict]]) -> Iterator[str]:
 
 
 def _ndjson_line(sample: Sample) -> str:
-    """dumps_canonical(sample.to_obj()) + "\\n": the hints by
-    ``_hint_pieces``, every other int-only field by one C encoder call."""
-    obj = sample.to_obj()
-    fields = []
-    for key in sorted(obj):
-        if key == "hints":
-            text = "".join(_hint_pieces((frame.step, frame.values) for frame in sample.hints))
-        elif key == _FLOAT_FIELD:
-            text = dumps_canonical(obj[key])
-        else:
-            text = _encode_ints(obj[key])
-        fields.append(f"{_encode_ints(key)}:{text}")
-    return "{" + ",".join(fields) + "}\n"
+    """dumps_canonical(sample.to_obj()) + "\\n", field by field in key order:
+    the hints by ``_hint_pieces``, the inputs by ``dumps_canonical`` (every
+    scalar probe is an input probe, so no other field carries a float) and
+    every other field by one C encoder call."""
+    hints = "".join(_hint_pieces((frame.step, frame.values) for frame in sample.hints))
+    return (
+        f'{{"activity":{_encode_ints(sample.activity)},"algo":{_encode_ints(sample.algo)}'
+        f',"hints":{hints},"inputs":{dumps_canonical(sample.inputs)},"n":{_encode_ints(sample.n)}'
+        f',"outputs":{_encode_ints(sample.outputs)},"seed":{_encode_ints(sample.seed)}}}\n'
+    )
 
 
 def serialize_ndjson(samples: Iterable[Sample]) -> bytes:
@@ -337,10 +318,16 @@ def serialize_ndjson(samples: Iterable[Sample]) -> bytes:
     return "".join(_ndjson_line(s) for s in samples).encode("utf-8")
 
 
-def parse_ndjson(data: bytes | str) -> list[Sample]:
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+def parse_ndjson(data: bytes | str, lineno: int = 1) -> list[Sample]:
+    """The samples of an NDJSON stream whose first line is line ``lineno``.
+    A line that is blank or not a sample, and bytes that are not UTF-8 (as
+    line ``lineno``), are a DatasetFormatError."""
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as err:
+        raise DatasetFormatError(lineno, err) from None
     samples = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=lineno):
         if not line.strip():
             raise DatasetFormatError(lineno, "blank line")
         try:
@@ -349,18 +336,6 @@ def parse_ndjson(data: bytes | str) -> list[Sample]:
         except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as err:
             raise DatasetFormatError(lineno, err) from None
     return samples
-
-
-def chunk_lines(chunk: bytes, lineno: int) -> list[str]:
-    """The lines of one "\\n"-terminated chunk of an NDJSON stream, split as
-    ``parse_ndjson`` splits the whole decoded stream: str.splitlines breaks
-    at every "\\n" and never inside "\\r\\n", so splitting chunk by chunk gives
-    the same lines.  Bytes that are not UTF-8 are a DatasetFormatError of
-    line ``lineno``, the chunk's first."""
-    try:
-        return chunk.decode("utf-8").splitlines()
-    except UnicodeDecodeError as err:
-        raise DatasetFormatError(lineno, err) from None
 
 
 def serialize_schema(algo_id: str) -> bytes:
@@ -389,27 +364,47 @@ def parse_schema(data: bytes | str) -> tuple[str, list[ProbeSpec]]:
 # replay: re-derive every hint frame and the outputs from the inputs alone
 
 
+def _replayed(algo: AlgorithmSpec, inputs: dict, n: int, count: int, outputs: list) -> Iterator[dict]:
+    """The replay of a line of ``count`` frames: yields the reference's
+    frames one at a time, then checks that the reference ends there and puts
+    the replayed outputs in ``outputs``.  It pulls at most ``count + 1``
+    frames; a replay of another length is a ReplayError."""
+    frames = algo.reference(inputs, n)
+    for idx in range(count):
+        values = next(frames, None)
+        if values is None:
+            raise ReplayError(f"{count} frames, the replay takes {idx}")
+        yield values
+    try:
+        next(frames)
+    except StopIteration as stop:
+        outputs.append(stop.value)
+        return
+    raise ReplayError(f"{count} frames, the replay takes more")
+
+
 def replay_sample(sample: Sample) -> dict:
     """Re-derive every hint frame and the outputs from the inputs and size
     alone with the algorithm's ``reference``; returns the replayed outputs.
 
     The frames must match exactly: the same count, ``step == idx + 1`` and
-    equal values.  The first failure raises ReplayError naming the frame and
-    its first differing probe; on a schema-valid sample nothing else raises.
+    equal values.  Each frame is compared as the replay derives it, and the
+    first failure raises ReplayError naming the frame and its first differing
+    probe, or the count; on a schema-valid sample nothing else raises.
     """
     algo = _spec_of(sample)
     if algo is None:
         raise ReplayError(f"unknown algorithm {sample.algo!r}")
-    frames, outputs = algo.reference(sample)
-    if len(sample.hints) != len(frames):
-        raise ReplayError(f"{len(sample.hints)} frames, the replay takes {len(frames)}")
-    for idx, (frame, want) in enumerate(zip(sample.hints, frames)):
+    outputs: list[dict] = []
+    replay = _replayed(algo, sample.inputs, sample.n, len(sample.hints), outputs)
+    # the replay goes first, so zip runs it to its end
+    for idx, (want, frame) in enumerate(zip(replay, sample.hints)):
         if type(frame.step) is not int or frame.step != idx + 1:
             raise ReplayError(f"frame {idx}: step {frame.step!r}, expected {idx + 1}")
         if frame.values != want:
             name = next((k for k in want if frame.values.get(k) != want[k]), "values")
             raise ReplayError(f"frame {idx}: {name} mismatch")
-    return outputs
+    return outputs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +431,11 @@ def line_is_clean(chunk: bytes, algo_id: str) -> bool:
     ``hints``, the line parses to their union with the hints between the
     cuts.  Every check ``validate_sample`` makes on the small fields runs on
     them; the hints must then be byte-equal to the writer's text of the
-    replayed frames (``_hint_pieces``) -- in-domain ints, so the per-cell
-    walk and the frame replay would find nothing -- and the outputs equal to
-    the replayed ones, types included.  False means "not decided here": the
-    line goes through ``parse_ndjson`` and ``validate_sample``.
+    replayed frames (``_hint_pieces``), compared frame by frame as the replay
+    yields them -- in-domain ints, so the per-cell walk and the frame replay
+    would find nothing -- and the outputs equal to the replayed ones, types
+    included.  False means "not decided here": the line goes through
+    ``parse_ndjson`` and ``validate_sample``.
     """
     start = chunk.find(_HINTS + b"[")
     end = chunk.rfind(_INPUTS)
@@ -463,30 +459,22 @@ def line_is_clean(chunk: bytes, algo_id: str) -> bool:
     ):
         return False
     algo = SPECS[algo_id]
-    sample = Sample(
-        algo=algo_id,
-        n=tail["n"],
-        seed=tail["seed"],
-        inputs=tail["inputs"],
-        hints=(),
-        outputs=tail["outputs"],
-        activity=head["activity"],
-    )
-    if type(sample.n) is not int or sample.n < 1:
+    n, inputs, activity = tail["n"], tail["inputs"], head["activity"]
+    steps = activity.get("steps") if isinstance(activity, dict) else None
+    if not (type(n) is int and n >= 1 and isinstance(steps, list)):
         return False
-    out: list[str] = []
-    _check_io(_probes_by_stage(algo), sample, out)
-    _check_pos(sample.inputs, out)
-    if out or (algo.input_violations is not None and algo.input_violations(sample.inputs, sample.n)):
+    if _field_violations(algo, n, inputs, tail["outputs"]) or (
+        algo.input_violations is not None and algo.input_violations(inputs, n)
+    ):
         return False
-    frames, outputs = algo.reference(sample)
-    steps = sample.activity.get("steps") if isinstance(sample.activity, dict) else None
-    if not (isinstance(steps, list) and len(steps) == len(frames)):
-        return False
+    outputs: list[dict] = []
     at = start + len(_HINTS)
-    for piece in _hint_pieces(enumerate(frames, 1)):
-        text = piece.encode()
-        if not chunk.startswith(text, at):
-            return False
-        at += len(text)
-    return at == end and _encode_ints(outputs) == _encode_ints(sample.outputs)
+    try:
+        for piece in _hint_pieces(enumerate(_replayed(algo, inputs, n, len(steps), outputs), 1)):
+            text = piece.encode()
+            if not chunk.startswith(text, at):
+                return False
+            at += len(text)
+    except ReplayError:
+        return False
+    return at == end and _encode_ints(outputs[0]) == _encode_ints(tail["outputs"])

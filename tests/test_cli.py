@@ -257,34 +257,33 @@ class TestGen:
                 tracemalloc.stop()
         assert peaks[1] <= 1.2 * peaks[0], peaks
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the replay holds every frame at once")
     def test_validate_memory_is_bounded_by_a_frameless_line(self, tmp_path):
-        # a bubble_sort n=60 line with no frames and no layers is 2.8 kB, yet
-        # the reference builds all n(n-1)/2 frames of n x n masks before their
-        # count is compared with the line's: the peak grows as n^4
-        n = 60
-        inst = gen_permutation(n, 1)
-        ranked = tuple(sorted(range(n), key=inst.items.__getitem__))
-        sample = Sample(
-            algo="bubble_sort",
-            n=n,
-            seed={"index": 0, "master": 0, "value": 1},
-            inputs={"items": list(inst.items), "pos": increasing_unit_scalars(Random(1), n)},
-            hints=(),
-            outputs={"pred": list(predecessors_from_table(ranked))},
-            activity={"m": n * (n - 1), "steps": [], "width": n},
-        )
-        out = tmp_path / "b.ndjson"
-        out.write_bytes(serialize_ndjson([sample]))
-        schema_path_for(out).write_bytes(serialize_schema("bubble_sort"))
-        tracemalloc.start()
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert run_cli(["validate", "--in", str(out)]) == 1
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5_000_000, peak
+        # a sorting line with no frames and no layers is a few kB; its replay
+        # would run to n(n-1)/2 (bubble_sort) or n (oets) frames of n x n
+        # masks, but it stops one frame past the line's count
+        for algo, n in (("bubble_sort", 60), ("oets", 200)):
+            inst = gen_permutation(n, 1)
+            ranked = tuple(sorted(range(n), key=inst.items.__getitem__))
+            sample = Sample(
+                algo=algo,
+                n=n,
+                seed={"index": 0, "master": 0, "value": 1},
+                inputs={"items": list(inst.items), "pos": increasing_unit_scalars(Random(1), n)},
+                hints=(),
+                outputs={"pred": list(predecessors_from_table(ranked))},
+                activity={"m": n * (n - 1), "steps": [], "width": n},
+            )
+            out = tmp_path / f"{algo}.ndjson"
+            out.write_bytes(serialize_ndjson([sample]))
+            schema_path_for(out).write_bytes(serialize_schema(algo))
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert run_cli(["validate", "--in", str(out)]) == 1
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 5_000_000, (algo, peak)
 
 
 class TestTrace:

@@ -19,7 +19,6 @@ from pramtraj.trajectory import (
     ReplayError,
     Sample,
     categories,
-    chunk_lines,
     dumps_canonical,
     encode_sample,
     line_is_clean,
@@ -41,6 +40,41 @@ def make_sample(algo, n=None, index=0, master=11):
     inst = generate_instance(algo, n, seed)
     output, trace = run(algo, inst)
     return encode_sample(algo, inst, trace, output, seed=seed, master=master, index=index)
+
+
+def drain(replay):
+    """(frames, outputs) of a reference's replay, run to its end."""
+    frames = []
+    while True:
+        try:
+            frames.append(next(replay))
+        except StopIteration as stop:
+            return frames, stop.value
+
+
+def counting(reference, pulled: list[int]):
+    """``reference``, adding to ``pulled[0]`` each frame it yields."""
+
+    def counted(inputs, n):
+        replay = reference(inputs, n)
+        while True:
+            try:
+                values = next(replay)
+            except StopIteration as stop:
+                return stop.value
+            pulled[0] += 1
+            yield values
+
+    return counted
+
+
+def with_frames(sample, keep: int):
+    """The sample with its first ``keep`` hint frames and activity steps."""
+    return dataclasses.replace(
+        sample,
+        hints=sample.hints[:keep],
+        activity={**sample.activity, "steps": sample.activity["steps"][:keep]},
+    )
 
 
 class TestProbeSpec:
@@ -357,6 +391,45 @@ class TestReplay:
             sample = make_sample(algo)
             assert sample.hints[-1].values[probe] == sample.outputs[probe]
 
+    def test_replay_count_must_match_the_line(self):
+        # hints and activity.steps one frame short, or one frame long with a
+        # copy of the last values at the next step: the only fault is the
+        # count, which the replay reports itself, not through the outputs
+        for algo in ALGORITHMS:
+            sample = make_sample(algo, n=6, master=0)
+            count = len(sample.hints)
+            longer = dataclasses.replace(
+                sample,
+                hints=sample.hints + (HintFrame(count + 1, sample.hints[-1].values),),
+                activity={**sample.activity, "steps": sample.activity["steps"] * 2},
+            )
+            for edited, message in (
+                (with_frames(sample, count - 1), f"replay: {count - 1} frames, the replay takes more"),
+                (with_frames(longer, count + 1), f"replay: {count + 1} frames, the replay takes {count}"),
+            ):
+                assert validate_sample(edited) == [message], algo
+                assert not line_is_clean(serialize_ndjson([edited]), algo), algo
+
+    def test_replay_pulls_at_most_one_frame_past_the_line(self, monkeypatch):
+        for algo in ALGORITHMS:
+            sample = make_sample(algo, n=16, master=0)
+            pulled = [0]
+            spec = dataclasses.replace(SPECS[algo], reference=counting(SPECS[algo].reference, pulled))
+            monkeypatch.setitem(SPECS, algo, spec)
+            for keep in (0, 1, len(sample.hints)):
+                edited = with_frames(sample, keep)
+                chunk = serialize_ndjson([edited])
+                pulled[0] = 0
+                assert line_is_clean(chunk, algo) == (keep == len(sample.hints)), (algo, keep)
+                assert pulled[0] <= keep + 1, (algo, keep, pulled[0])
+                pulled[0] = 0
+                if keep == len(sample.hints):
+                    assert replay_sample(edited) == sample.outputs
+                else:
+                    with pytest.raises(ReplayError, match="the replay takes more"):
+                        replay_sample(edited)
+                assert pulled[0] <= keep + 1, (algo, keep, pulled[0])
+
     def test_replay_detects_tampered_hints(self):
         sample = make_sample("binary_search")
         obj = copy.deepcopy(sample.to_obj())
@@ -456,8 +529,8 @@ def _cells(values: dict):
 
 
 def verdict(chunk: bytes) -> list[str]:
-    (line,) = chunk_lines(chunk, 1)
-    return validate_sample(parse_ndjson(line)[0])
+    (sample,) = parse_ndjson(chunk)
+    return validate_sample(sample)
 
 
 class TestLineCheck:
@@ -500,7 +573,7 @@ class TestLineCheck:
                         probe = dataclasses.replace(sample, inputs=inputs)
                         if spec.input_violations and spec.input_violations(inputs, n):
                             continue
-                        frames, outputs = spec.reference(probe)
+                        frames, outputs = drain(spec.reference(inputs, n))
                         replayed = dataclasses.replace(
                             probe,
                             hints=tuple(HintFrame(t, v) for t, v in enumerate(frames, 1)),
