@@ -14,12 +14,20 @@ other line is parsed whole (``parse_ndjson``) and checked cell by cell
 (``validate_sample``), which is what reports a violation.  Both compare the
 replayed frames as the reference yields them, so neither holds more than
 one.
+
+The writer (``serialize_ndjson``) and ``line_is_clean`` spell hint frames
+with one function, ``_hint_pieces``.  The rows of an edge-located hint probe
+(the sorts' dense n x n ``swap_mask``, almost all of whose rows are the
+all-zero row) are spelled from a cache of row text that lives for one line,
+keyed by each row's marshal bytes; every other value is one C encoder call.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 from dataclasses import dataclass
+from itertools import repeat
 from random import Random
 from typing import Iterable, Iterator, Mapping
 
@@ -162,9 +170,11 @@ def _check_payload(probe: ProbeSpec, value, n: int, where: str, out: list[str]) 
             out.append(f"{where}.{probe.name}: scalar must be finite")
 
 
-def _field_violations(algo: AlgorithmSpec, n: int, inputs, outputs) -> list[str]:
+def _field_violations(algo: AlgorithmSpec, n: int, inputs, outputs, seed) -> list[str]:
     """The input and output payloads against their probe schemas, and the
-    positional scalars, which must be distinct."""
+    positional scalars, which must be distinct and, when those checks find
+    nothing and ``seed.value`` is an int, the ones ``encode_sample`` draws
+    from it."""
     out: list[str] = []
     for stage, payload in (("input", inputs), ("output", outputs)):
         if not isinstance(payload, dict):
@@ -180,6 +190,9 @@ def _field_violations(algo: AlgorithmSpec, n: int, inputs, outputs) -> list[str]
     pos = inputs.get("pos") if isinstance(inputs, dict) else None
     if isinstance(pos, list) and all(_is_number(v) for v in pos) and len(set(pos)) != len(pos):
         out.append("inputs.pos: positional scalars must be distinct")
+    value = seed.get("value") if isinstance(seed, dict) else None
+    if not out and type(value) is int and inputs["pos"] != increasing_unit_scalars(Random(value), n):
+        out.append("inputs.pos: not drawn from seed.value")
     return out
 
 
@@ -199,7 +212,7 @@ def validate_sample(sample: Sample) -> list[str]:
     if type(n) is not int or n < 1:
         return ["n must be a positive integer"]
 
-    out = _field_violations(algo, n, sample.inputs, sample.outputs)
+    out = _field_violations(algo, n, sample.inputs, sample.outputs, sample.seed)
     steps = sample.activity.get("steps") if isinstance(sample.activity, dict) else None
     if not isinstance(steps, list):
         out.append("activity.steps missing")
@@ -291,12 +304,69 @@ _encode_ints = json.JSONEncoder(
     ensure_ascii=False, allow_nan=False, separators=(",", ":"), sort_keys=True
 ).encode
 
-def _hint_pieces(frames: Iterable[tuple[int, dict]]) -> Iterator[str]:
+# The hint probes of each algorithm that the writer spells row by row.
+_EDGE_HINTS = {
+    name: frozenset(p.name for p in spec.probes if p.stage == "hint" and p.location == "edge")
+    for name, spec in SPECS.items()
+}
+
+
+class _RowTexts(dict):
+    """Row text by the row's marshal bytes.  Equal bytes load to equal rows
+    of equal cell types, so ``[1,0]``, ``[true,0]`` and ``[1.0,0]`` never
+    share an entry, as ``tuple(row)`` keys would (``True == 1 == 1.0``)."""
+
+    def __missing__(self, key: bytes) -> str:
+        text = self[key] = _encode_ints(marshal.loads(key))
+        return text
+
+
+# version 2 writes no back-references, which follow object identity, so
+# equal rows marshal to equal bytes
+_MARSHAL_VERSION = 2
+
+
+def _spelled(step, values: dict, edges: frozenset, rows: _RowTexts) -> str:
+    """``_encode_ints({"step": step, "values": values})``, with the rows of
+    the edge probes taken from ``rows``."""
+    parts = ['{"step":', _encode_ints(step), ',"values":{']
+    try:
+        for idx, key in enumerate(sorted(values)):
+            value = values[key]
+            parts += ("," if idx else "", _encode_ints(key), ":")
+            if key in edges and type(value) is list:
+                texts = map(rows.__getitem__, map(marshal.dumps, value, repeat(_MARSHAL_VERSION)))
+                parts += ("[", ",".join(texts), "]")
+            else:
+                parts.append(_encode_ints(value))
+    except ValueError:  # a cell marshal cannot write: the C encoder spells the frame or says why not
+        return _encode_ints({"step": step, "values": values})
+    parts.append("}}")
+    return "".join(parts)
+
+
+def _hint_pieces(frames: Iterable[tuple[int, dict]], edges: frozenset) -> Iterator[str]:
     """The canonical text of a hint list of (step, values) frames, piece by
-    piece: ``[``, each ``{"step":t,"values":...}`` after its comma, then ``]``."""
+    piece: ``[``, each ``{"step":t,"values":...}`` and the comma before it,
+    then ``]``.
+
+    A frame is one C encoder call, unless it holds a probe named in
+    ``edges`` (the algorithm's edge-located hint probes): then that probe's
+    rows are spelled from a cache of row text that lives for this call and
+    the other values each by one C encoder call, in sorted key order.  Most
+    rows of a dense n x n mask are the all-zero row, so the n(n-1)/2 frames
+    of a bubble_sort line encode a few dozen distinct rows, not n rows a
+    frame.  The text is the same either way.
+    """
+    rows = _RowTexts()
     yield "["
     for idx, (step, values) in enumerate(frames):
-        yield ("," if idx else "") + _encode_ints({"step": step, "values": values})
+        if idx:
+            yield ","
+        if edges and type(values) is dict and not edges.isdisjoint(values):
+            yield _spelled(step, values, edges, rows)
+        else:
+            yield _encode_ints({"step": step, "values": values})
     yield "]"
 
 
@@ -305,7 +375,8 @@ def _ndjson_line(sample: Sample) -> str:
     the hints by ``_hint_pieces``, the inputs by ``dumps_canonical`` (every
     scalar probe is an input probe, so no other field carries a float) and
     every other field by one C encoder call."""
-    hints = "".join(_hint_pieces((frame.step, frame.values) for frame in sample.hints))
+    edges = _EDGE_HINTS.get(sample.algo, frozenset()) if isinstance(sample.algo, str) else frozenset()
+    hints = "".join(_hint_pieces(((frame.step, frame.values) for frame in sample.hints), edges))
     return (
         f'{{"activity":{_encode_ints(sample.activity)},"algo":{_encode_ints(sample.algo)}'
         f',"hints":{hints},"inputs":{dumps_canonical(sample.inputs)},"n":{_encode_ints(sample.n)}'
@@ -463,14 +534,15 @@ def line_is_clean(chunk: bytes, algo_id: str) -> bool:
     steps = activity.get("steps") if isinstance(activity, dict) else None
     if not (type(n) is int and n >= 1 and isinstance(steps, list)):
         return False
-    if _field_violations(algo, n, inputs, tail["outputs"]) or (
+    if _field_violations(algo, n, inputs, tail["outputs"], tail["seed"]) or (
         algo.input_violations is not None and algo.input_violations(inputs, n)
     ):
         return False
     outputs: list[dict] = []
     at = start + len(_HINTS)
     try:
-        for piece in _hint_pieces(enumerate(_replayed(algo, inputs, n, len(steps), outputs), 1)):
+        frames = enumerate(_replayed(algo, inputs, n, len(steps), outputs), 1)
+        for piece in _hint_pieces(frames, _EDGE_HINTS[algo_id]):
             text = piece.encode()
             if not chunk.startswith(text, at):
                 return False

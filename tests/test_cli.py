@@ -17,7 +17,7 @@ from pramtraj.cli import cli_main
 from pramtraj.harness import schema_path_for
 from pramtraj.machine import StepLimitExceeded
 from pramtraj.spec import increasing_unit_scalars
-from pramtraj.trajectory import Sample, serialize_ndjson, serialize_schema
+from pramtraj.trajectory import Sample, parse_ndjson, serialize_ndjson, serialize_schema
 
 
 def run_cli(args):
@@ -109,6 +109,42 @@ class TestGen:
             "line 1: replay: frame 3: finish_order mismatch",
             "1 violations in 2 samples",
         ]
+
+    def _validate_sample(self, tmp_path, capsys, algo, n, edit):
+        """validate on a one-line dataset of ``algo``, the line edited in
+        place and written back in the writer's spelling."""
+        out = tmp_path / "d.ndjson"
+        run_cli(["gen", "--algo", algo, "--n", str(n), "--samples", "1", "--seed", "0", "--out", str(out)])
+        (sample,) = parse_ndjson(out.read_bytes())
+        edit(sample)
+        out.write_bytes(serialize_ndjson([sample]))
+        capsys.readouterr()
+        code = run_cli(["validate", "--in", str(out)])
+        return code, capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("algo", ["oets", "bubble_sort"])
+    def test_validate_catches_a_flipped_cached_row(self, tmp_path, capsys, algo):
+        # an all-zero swap_mask row of the last frame gets one 1; the text of
+        # the unedited row is the one the writer's row cache already holds
+        def flip(sample):
+            mask = sample.hints[-1].values["swap_mask"]
+            row = next(r for r in range(len(mask)) if not any(mask[r]))
+            mask[row][(row + 3) % len(mask)] = 1
+
+        k = {"oets": 7, "bubble_sort": 27}[algo]
+        assert self._validate_sample(tmp_path, capsys, algo, 8, flip) == (1, [
+            f"line 1: replay: frame {k}: swap_mask mismatch",
+            "1 violations in 1 samples",
+        ])
+
+    def test_validate_checks_pos_against_the_seed(self, tmp_path, capsys):
+        def halve(sample):
+            sample.inputs["pos"][0] /= 2
+
+        assert self._validate_sample(tmp_path, capsys, "oets", 6, halve) == (1, [
+            "line 1: inputs.pos: not drawn from seed.value",
+            "1 violations in 1 samples",
+        ])
 
     def test_validate_reports_off_domain_adjacency(self, tmp_path, capsys):
         def half_edge(obj):

@@ -15,6 +15,8 @@ from pramtraj.graphs import Digraph
 from pramtraj.harness import generate_instance, sample_seed
 from pramtraj.spec import HintFrame
 from pramtraj.trajectory import (
+    _EDGE_HINTS,
+    _hint_pieces,
     DatasetFormatError,
     ReplayError,
     Sample,
@@ -162,6 +164,23 @@ class TestValidate:
     def _corrupt(self, sample):
         obj = copy.deepcopy(sample.to_obj())
         return obj
+
+    def test_pos_must_be_drawn_from_the_seed(self):
+        for algo in ALGORITHMS:
+            obj = make_sample(algo, n=6, master=0).to_obj()
+            for edit in (
+                lambda o: o["inputs"]["pos"].__setitem__(0, o["inputs"]["pos"][0] / 2),
+                lambda o: o["seed"].__setitem__("value", o["seed"]["value"] + 1),
+            ):
+                edited = copy.deepcopy(obj)
+                edit(edited)
+                sample = Sample.from_obj(edited)
+                assert validate_sample(sample) == ["inputs.pos: not drawn from seed.value"], algo
+                assert not line_is_clean(serialize_ndjson([sample]), algo), algo
+            # a seed.value that is not an int names no draw: pos goes unchecked
+            edited = copy.deepcopy(obj)
+            edited["seed"]["value"] = str(edited["seed"]["value"])
+            assert validate_sample(Sample.from_obj(edited)) == [], algo
 
     def test_mask_domain_violation(self):
         sample = make_sample("parallel_search")
@@ -359,6 +378,92 @@ class TestWriter:
         sample = dataclasses.replace(sample, inputs=inputs)
         assert serialize_ndjson([sample]) == self.reference(sample)
         assert serialize_ndjson([sample, sample]) == self.reference(sample) * 2
+
+
+def spelled(hints, edges) -> str:
+    """The writer's text of a hint list, edge-probe rows from its row cache."""
+    return "".join(_hint_pieces(((frame.step, frame.values) for frame in hints), edges))
+
+
+def canonical(hints) -> str:
+    return dumps_canonical([frame.to_obj() for frame in hints])
+
+
+# Cells spelled alike by the C encoder and dumps_canonical: the writer spells
+# a float by repr, which is safe because hints carry none (see
+# test_scalar_probes_are_inputs), so the floats here are ones whose repr is
+# their canonical text.  True == 1 == 1.0 and False == 0 == 0.0 == -0.0.
+_CELLS = (0, 1, 2, True, False, 0.0, -0.0, 1.0, 0.5)
+_MASK = frozenset({"swap_mask"})
+
+
+class _Cell(int):
+    """An int subclass: the C encoder and dumps_canonical spell it as an int."""
+
+
+class TestHintRows:
+    """The row cache of _hint_pieces changes no byte of the hint text."""
+
+    def test_edge_hints_are_the_sort_swap_masks(self):
+        assert {algo: set(names) for algo, names in _EDGE_HINTS.items() if names} == {
+            "oets": {"swap_mask"},
+            "bubble_sort": {"swap_mask"},
+        }
+
+    def test_every_sort_sample(self):
+        for algo in ("oets", "bubble_sort"):
+            for n in (1, 2, 7, 16):
+                for index, master in ((0, 0), (1, 11), (3, 2**40)):
+                    hints = make_sample(algo, n=n, index=index, master=master).hints
+                    assert spelled(hints, _EDGE_HINTS[algo]) == canonical(hints), (algo, n, index)
+
+    def test_equal_rows_of_other_cell_types_keep_their_own_text(self):
+        rows = ([1, 0], [True, 0], [1.0, 0], [0, 0], [False, False], [0.0, -0.0], [0, 0], [1, 0])
+        hints = [HintFrame(t, {"swap_mask": [list(row), list(row)], "pred": row}) for t, row in enumerate(rows, 1)]
+        text = spelled(hints, _MASK)
+        assert text == canonical(hints)
+        assert '"swap_mask":[[true,0],[true,0]]' in text and '"swap_mask":[[1.0,0],[1.0,0]]' in text
+
+    def test_frames_without_the_edge_probe_and_odd_payloads(self):
+        hints = [
+            HintFrame(1, {"pred": [0]}),
+            HintFrame(2, {"swap_mask": 3, "pred": [0]}),
+            HintFrame(3, {"swap_mask": [[0], "x", None, [[1]], {"b": 1, "a": [0]}]}),
+            HintFrame(4, [[1], [0]]),
+            HintFrame(5, {"swap_mask": [[0]]}),
+            HintFrame(6, {"swap_mask": [[_Cell(1), 0]]}),  # not marshallable: one C encoder call
+        ]
+        assert spelled(hints, _MASK) == canonical(hints)
+        assert spelled([], _MASK) == "[]"
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_rows(self, data):
+        n = data.draw(st.integers(1, 4))
+        pool = data.draw(st.lists(st.lists(st.sampled_from(_CELLS), min_size=n, max_size=n), min_size=1, max_size=4))
+        # a few distinct rows drawn many times, each as a list object of its own
+        matrix = st.lists(st.sampled_from(pool).map(list), min_size=n, max_size=n)
+        values = st.fixed_dictionaries(
+            {"pred": st.lists(st.integers(0, n - 1), min_size=n, max_size=n)},
+            optional={"swap_mask": matrix, "parity": st.sampled_from(_CELLS)},
+        )
+        frames = data.draw(st.lists(values, max_size=6))
+        hints = [HintFrame(t, v) for t, v in enumerate(frames, 1)]
+        assert spelled(hints, _MASK) == canonical(hints)
+
+    def test_a_flipped_cached_row_is_caught(self):
+        # one cell of an all-zero row of the last frame, whose text the cache
+        # holds from an earlier frame: the byte comparison and the replay see it
+        for algo in ("oets", "bubble_sort"):
+            sample = make_sample(algo, n=8, master=0)
+            k = len(sample.hints) - 1
+            mask = sample.hints[k].values["swap_mask"]
+            row = next(r for r in range(8) if not any(mask[r]))
+            assert any(mask[row] == earlier for frame in sample.hints[:k] for earlier in frame.values["swap_mask"])
+            mask[row][(row + 3) % 8] = 1
+            chunk = serialize_ndjson([sample])
+            assert not line_is_clean(chunk, algo), algo
+            assert verdict(chunk) == [f"replay: frame {k}: swap_mask mismatch"], algo
 
 
 class TestReplay:
@@ -580,7 +685,10 @@ class TestLineCheck:
                             outputs=outputs,
                             activity={"steps": [{}] * len(frames)},
                         )
-                        assert validate_sample(replayed) == [], (algo, n, index)
+                        # a redrawn pos is the one field check the replayed frames cannot mend
+                        drawn = inputs["pos"] == sample.inputs["pos"]
+                        expected = [] if drawn else ["inputs.pos: not drawn from seed.value"]
+                        assert validate_sample(replayed) == expected, (algo, n, index)
 
     def test_no_mutation_is_accepted_where_validate_finds_a_violation(self):
         # hint cells set to 0, 1, 2, -1, 1.0, true and false (every value on
