@@ -6,6 +6,7 @@ looks an algorithm up here and holds no per-algorithm table of its own.
 
 from __future__ import annotations
 
+from ..machine import Fold, fold_trace
 from ..spec import AlgorithmSpec
 from . import scc, search, sorting
 from .search import SearchInstance, binary_search, parallel_search
@@ -30,9 +31,10 @@ def spec_for(algo_id: str) -> AlgorithmSpec:
         raise ValueError(f"unknown algorithm {algo_id!r}") from None
 
 
-def run(algo_id: str, instance):
-    """Run one of the six algorithms; returns (output, trace)."""
-    return spec_for(algo_id).run(instance)
+def run(algo_id: str, instance, fold: Fold = fold_trace):
+    """Run one of the six algorithms; returns (output, the run folded by
+    ``fold``): a ``Trace`` by default, ``RunCounts`` with ``fold_counts``."""
+    return spec_for(algo_id).run(instance, fold)
 
 
 __all__ = [

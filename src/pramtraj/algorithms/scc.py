@@ -24,10 +24,13 @@ from ..machine import (
     InterconnectionGraph,
     MachineState,
     NodeUpdate,
+    Fold,
+    RunCounts,
     Trace,
     UNDEF,
     as_flag,
     as_index,
+    fold_trace,
     run_machine,
     symmetric_graph,
 )
@@ -127,7 +130,9 @@ def dcsc_machine(g: Digraph):
     return initial, step, candidates, halt, graph
 
 
-def dcsc(g: Digraph) -> tuple[tuple[int, ...], Trace]:
+def dcsc(
+    g: Digraph, fold: Fold = fold_trace
+) -> tuple[tuple[int, ...], Trace | RunCounts]:
     """Pivot loop: double BFS among unassigned nodes, assign the intersection.
 
     The pivot is always the minimal-index unassigned node; it becomes the
@@ -137,7 +142,7 @@ def dcsc(g: Digraph) -> tuple[tuple[int, ...], Trace]:
     """
     n = g.n
     initial, step, candidates, halt, graph = dcsc_machine(g)
-    trace = run_machine(
+    result = run_machine(
         initial,
         step,
         graph,
@@ -146,9 +151,10 @@ def dcsc(g: Digraph) -> tuple[tuple[int, ...], Trace]:
         algo_id="dcsc",
         candidates_fn=candidates,
         instance_edges=g.edges,
+        fold=fold,
     )
-    final = trace.states[-1].local
-    return tuple(as_index(final[u][PTR]) for u in range(n)), trace
+    final = result.final.local
+    return tuple(as_index(final[u][PTR]) for u in range(n)), result
 
 
 # width-1 machine layout for the DFS host: shared memory carries per-node
@@ -157,7 +163,9 @@ def _shared_layout(n: int):
     return 0, n, 2 * n, 3 * n  # COLOR1, ORDER, COLOR2, COMP block bases
 
 
-def kosaraju(g: Digraph) -> tuple[tuple[int, ...], Trace]:
+def kosaraju(
+    g: Digraph, fold: Fold = fold_trace
+) -> tuple[tuple[int, ...], Trace | RunCounts]:
     """Two DFS passes: finish order on g, component assignment on reversed g."""
     n = g.n
     m = g.m
@@ -265,7 +273,7 @@ def kosaraju(g: Digraph) -> tuple[tuple[int, ...], Trace]:
             return NodeUpdate(local={sp: depth_sp - 1})
         return None
 
-    trace = run_machine(
+    result = run_machine(
         initial,
         step,
         graph,
@@ -273,9 +281,10 @@ def kosaraju(g: Digraph) -> tuple[tuple[int, ...], Trace]:
         2 * (n + m) + 6,
         algo_id="kosaraju",
         instance_edges=g.edges,
+        fold=fold,
     )
-    shared = trace.states[-1].shared
-    return tuple(as_index(shared[comp + u]) for u in range(n)), trace
+    shared = result.final.shared
+    return tuple(as_index(shared[comp + u]) for u in range(n)), result
 
 
 def gen_digraph(n: int, max_degree: int, seed: int) -> Digraph:

@@ -17,9 +17,12 @@ from ..machine import (
     as_index,
     as_scalar,
     complete_graph,
+    fold_trace,
     run_machine,
     star_graph,
     MachineState,
+    Fold,
+    RunCounts,
     Trace,
 )
 from ..spec import AlgorithmSpec, ProbeSpec, Replay, increasing_unit_scalars
@@ -54,7 +57,9 @@ class SearchInstance:
         return len(self.items)
 
 
-def parallel_search(inst: SearchInstance) -> tuple[int, Trace]:
+def parallel_search(
+    inst: SearchInstance, fold: Fold = fold_trace
+) -> tuple[int, Trace | RunCounts]:
     """Constant-depth search: mask layer, then a priority write of the rank.
 
     Step 1: every item node computes ``max(item - x, 0)`` after reading the
@@ -81,19 +86,22 @@ def parallel_search(inst: SearchInstance) -> tuple[int, Trace]:
             return NodeUpdate(writes=((0, ctx.pid),))
         return None
 
-    trace = run_machine(
+    result = run_machine(
         initial,
         step,
         graph,
         lambda s: s.clock >= 2,
         2,
         algo_id="parallel_search",
+        fold=fold,
     )
-    rank = as_index(trace.states[-1].shared[0])
-    return rank, trace
+    rank = as_index(result.final.shared[0])
+    return rank, result
 
 
-def binary_search(inst: SearchInstance) -> tuple[int, Trace]:
+def binary_search(
+    inst: SearchInstance, fold: Fold = fold_trace
+) -> tuple[int, Trace | RunCounts]:
     """Halving search over the shared [lo, hi) window, one probe per layer."""
     n = inst.n
     xnode = n
@@ -123,7 +131,7 @@ def binary_search(inst: SearchInstance) -> tuple[int, Trace]:
             writes.append((RANK, lo))
         return NodeUpdate(writes=tuple(writes))
 
-    trace = run_machine(
+    result = run_machine(
         initial,
         step,
         graph,
@@ -131,9 +139,10 @@ def binary_search(inst: SearchInstance) -> tuple[int, Trace]:
         n + 1,
         algo_id="binary_search",
         candidates_fn=candidates,
+        fold=fold,
     )
-    rank = as_index(trace.states[-1].shared[RANK])
-    return rank, trace
+    rank = as_index(result.final.shared[RANK])
+    return rank, result
 
 
 def gen_search_instance(n: int, seed: int) -> SearchInstance:

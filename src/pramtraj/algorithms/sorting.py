@@ -18,9 +18,12 @@ from ..machine import (
     HOLD,
     MachineState,
     NodeUpdate,
+    Fold,
+    RunCounts,
     Trace,
     UNDEF,
     complete_graph,
+    fold_trace,
     run_machine,
 )
 from ..spec import AlgorithmSpec, ProbeSpec, Replay, increasing_unit_scalars
@@ -105,7 +108,9 @@ def oets_machine(inst: SortInstance):
     return initial, step, candidates, halt, graph
 
 
-def oets_sort(inst: SortInstance) -> tuple[tuple[int, ...], Trace]:
+def oets_sort(
+    inst: SortInstance, fold: Fold = fold_trace
+) -> tuple[tuple[int, ...], Trace | RunCounts]:
     """Odd-even transposition sort.
 
     Round r pairs adjacent chain positions starting at ``r % 2``; both pair
@@ -116,7 +121,7 @@ def oets_sort(inst: SortInstance) -> tuple[tuple[int, ...], Trace]:
     """
     n = inst.n
     initial, step, candidates, halt, graph = oets_machine(inst)
-    trace = run_machine(
+    result = run_machine(
         initial,
         step,
         graph,
@@ -124,9 +129,10 @@ def oets_sort(inst: SortInstance) -> tuple[tuple[int, ...], Trace]:
         n,
         algo_id="oets",
         candidates_fn=candidates,
+        fold=fold,
     )
-    pred = predecessors_from_table(trace.states[-1].shared[:n])
-    return pred, trace
+    pred = predecessors_from_table(result.final.shared[:n])
+    return pred, result
 
 
 @lru_cache(maxsize=None)
@@ -135,7 +141,9 @@ def bubble_schedule(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n - 1) for j in range(n - 1 - i))
 
 
-def bubble_sort(inst: SortInstance) -> tuple[tuple[int, ...], Trace]:
+def bubble_sort(
+    inst: SortInstance, fold: Fold = fold_trace
+) -> tuple[tuple[int, ...], Trace | RunCounts]:
     """One adjacent comparison per layer over the full fixed schedule.
 
     No early exit: depth is exactly n(n-1)/2, the reproducible worst case.
@@ -169,7 +177,7 @@ def bubble_sort(inst: SortInstance) -> tuple[tuple[int, ...], Trace]:
         return HOLD
 
     total = len(schedule)
-    trace = run_machine(
+    result = run_machine(
         initial,
         step,
         graph,
@@ -177,9 +185,10 @@ def bubble_sort(inst: SortInstance) -> tuple[tuple[int, ...], Trace]:
         max(total, 1),
         algo_id="bubble_sort",
         candidates_fn=candidates,
+        fold=fold,
     )
-    pred = predecessors_from_table(trace.states[-1].shared[:n])
-    return pred, trace
+    pred = predecessors_from_table(result.final.shared[:n])
+    return pred, result
 
 
 def gen_permutation(n: int, seed: int) -> SortInstance:

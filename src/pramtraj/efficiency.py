@@ -3,12 +3,18 @@
 Every metric is a function of one run's activity summary
 (``machine.activity_summary``), the ``activity`` block of a dataset line, so
 a written dataset's metrics follow from its lines without re-running the
-machine.  Capacity is width x depth.  Node efficiency divides the executed
-operation count by capacity (the share of node-layer slots doing useful
-work); the graph-feature update counts as one extra operation per layer and
-is also reported excluded (``eta_nodes``).  Edge efficiency is the per-run
-mean share of active edges per layer, reported as the minimum (the
-worst-case estimator over the sampled inputs) and the mean.
+machine.  ``size_record`` builds no summary: it folds each run into
+``machine.RunCounts`` one layer at a time (``machine.fold_counts``, which
+counts a layer by the summary's own rule, ``machine.layer_counter``), so a
+run holds one machine state and its per-layer edge counts, and it reads the
+same figures off those counts.
+
+Capacity is width x depth.  Node efficiency divides the executed operation
+count by capacity (the share of node-layer slots doing useful work); the
+graph-feature update counts as one extra operation per layer and is also
+reported excluded (``eta_nodes``).  Edge efficiency is the per-run mean
+share of active edges per layer, reported as the minimum (the worst-case
+estimator over the sampled inputs) and the mean.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass, asdict
 
 from .algorithms import run, spec_for
 from .harness import exhaustive_instances, generate_instance, sample_label, sample_seed
-from .machine import StepLimitExceeded, activity_summary, collector_paused
+from .machine import RunCounts, StepLimitExceeded, fold_counts
 from .trajectory import dumps_canonical
 
 
@@ -140,20 +146,22 @@ def size_record(
         master, instances = None, exhaustive_instances(algo_id, n)
     else:
         master = seed
-        seeds = [sample_seed(seed, algo_id, n, i) for i in range(samples_per_n)]
-        instances = [generate_instance(algo_id, n, s, max_degree) for s in seeds]
-    # each run is reduced to its summary's figures at once, so a size holds
-    # one trace and one summary at a time
+        # drawn as they are run, so a size holds one instance at a time
+        instances = (
+            generate_instance(algo_id, n, sample_seed(seed, algo_id, n, i), max_degree)
+            for i in range(samples_per_n)
+        )
+    # each run is folded into its counts layer by layer, so a size holds one
+    # machine state and one run's per-layer edge counts at a time
     figures = []
     for index, inst in enumerate(instances):
-        with collector_paused():
-            try:
-                _, trace = run(algo_id, inst)
-            except StepLimitExceeded as err:
-                label = sample_label(algo_id, n, index, master)
-                raise StepLimitExceeded(f"{err} ({label})") from err
-            figures.append(_run_figures(activity_summary(trace)))
-            del trace  # freed while the collector is still off
+        try:
+            _, counts = run(algo_id, inst, fold=fold_counts)
+        except StepLimitExceeded as err:
+            label = sample_label(algo_id, n, index, master)
+            raise StepLimitExceeded(f"{err} ({label})") from err
+        figures.append(_run_figures(counts))
+        del counts  # freed before the next run, not after
     k = len(figures)
     widths, depths, caps, ops, nodes, ms, eps, edge_maxes, edge_sums = zip(*figures)
     cap_mean = sum(caps) / k
@@ -175,20 +183,22 @@ def size_record(
     )
 
 
-def _run_figures(activity: dict) -> tuple:
+def _run_figures(counts: RunCounts) -> tuple:
     """(width, depth, capacity, ops, active nodes, m, eps, edge max, edge
-    total) of one run's activity summary."""
-    steps = activity["steps"]
-    shares = edge_shares(activity)
-    edges = [step["edges"] for step in steps]
+    total) of one run: the figures ``capacity`` and ``edge_shares`` give on
+    its activity summary.  eps is ``sum`` over the per-layer shares in layer
+    order, as the mean of ``edge_shares`` is."""
+    edges, m = counts.edges, counts.m
+    depth = len(edges)
+    eps = sum(e / m for e in edges) / depth if m and depth else 0.0
     return (
-        activity["width"],
-        len(steps),
-        capacity(activity),
-        sum(step["ops"] for step in steps),
-        sum(step["nodes"] for step in steps),
-        activity["m"],
-        sum(shares) / len(shares) if shares else 0.0,
+        counts.width,
+        depth,
+        counts.width * depth,
+        counts.ops,
+        counts.nodes,
+        m,
+        eps,
         max(edges, default=0),
         sum(edges),
     )

@@ -18,9 +18,13 @@ A reader given the expected type as ``kind`` enforces the variant; an
 ``UNDEF`` cell stores no information, so reading one never records an
 active edge.
 
-Traces are acyclic, so the cyclic garbage collector can never free any part
-of one; ``collector_paused`` keeps it off while a trace is alive instead of
-letting it rescan the growing trace at every collection.
+``layers`` steps one run and yields each layer; ``run_machine`` folds them
+into a ``Trace`` (every state, for decoding hint frames) or, with
+``fold_counts``, into ``RunCounts`` (one state and the counts the metrics
+need).  Traces are acyclic, so the cyclic garbage collector can never free
+any part of one; ``collector_paused`` keeps it off while a trace is alive
+instead of letting it rescan the growing trace at every collection.  A run
+folded into counts holds no trace, so it runs with the collector on.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 class MachineError(Exception):
     """Base class for machine-level failures."""
@@ -189,6 +193,10 @@ class Trace:
     @property
     def depth(self) -> int:
         return len(self.activity)
+
+    @property
+    def final(self) -> MachineState:
+        return self.states[-1]
 
     def __post_init__(self) -> None:
         if len(self.states) != len(self.activity) + 1:
@@ -385,7 +393,10 @@ def collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-def run_machine(
+Layer = tuple[MachineState, MachineState, ActivityRecord]
+
+
+def layers(
     initial: MachineState,
     step_fn: StepFn,
     graph: InterconnectionGraph,
@@ -394,23 +405,37 @@ def run_machine(
     *,
     algo_id: str = "",
     candidates_fn: Callable[[MachineState], Iterable[int]] | None = None,
-    instance_edges: frozenset[tuple[int, int]] | None = None,
-) -> Trace:
-    """Step until the halt predicate fires; deterministic for fixed inputs.
-    ``algo_id`` names the run in the step-limit error."""
+) -> Iterator[Layer]:
+    """Step one run until the halt predicate fires, yielding ``(before,
+    after, record)`` per layer; deterministic for fixed inputs.  ``algo_id``
+    names the run in the step-limit error."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    states = [initial]
-    activity: list[ActivityRecord] = []
     state = initial
+    depth = 0
     while not halt_predicate(state):
-        if len(activity) >= max_steps:
+        if depth >= max_steps:
             raise StepLimitExceeded(
                 f"{algo_id or 'run'} did not halt within {max_steps} steps"
             )
         cands = candidates_fn(state) if candidates_fn is not None else None
-        state, record = step_machine(state, step_fn, graph, cands)
-        states.append(state)
+        after, record = step_machine(state, step_fn, graph, cands)
+        yield state, after, record
+        state = after
+        depth += 1
+
+
+def fold_trace(
+    initial: MachineState,
+    stream: Iterable[Layer],
+    graph: InterconnectionGraph,
+    instance_edges: frozenset[tuple[int, int]] | None,
+) -> Trace:
+    """Every state and record of a run, as a ``Trace``."""
+    states = [initial]
+    activity: list[ActivityRecord] = []
+    for _, after, record in stream:
+        states.append(after)
         activity.append(record)
     return Trace(
         width=initial.width,
@@ -421,43 +446,112 @@ def run_machine(
     )
 
 
-def activity_summary(trace: Trace) -> dict:
-    """The per-layer counts of one run, as a dataset's ``activity`` block:
-    ``{"m", "steps": [{"edges", "nodes", "ops"}], "width"}``.
+def layer_counter(
+    graph: InterconnectionGraph, instance_edges: frozenset[tuple[int, int]] | None
+) -> tuple[int, Callable[[ActivityRecord], tuple[int, int, int]]]:
+    """``m`` of a run, and the rule that counts one of its layers as
+    ``(edges, nodes, ops)``.
 
     ``m`` is the edge count of the operated graph: the instance's directed
-    edges when the trace carries them, otherwise the interconnection edges.
-    A layer's ``edges`` counts its active edges against that graph: the
+    edges when the run has them, otherwise the interconnection edges.  A
+    layer's ``edges`` counts its active edges against that graph: the
     neighbour reads of its executed operations, never a processor's reads of
     its own cells or of shared memory.  Plain tasks count the recorded
-    channels directly.  Traces tied to a directed instance fold each channel
+    channels directly.  Runs tied to a directed instance fold each channel
     onto the instance edge it traverses, so an edge used in both directions
     in one layer counts once and edges <= m holds.
     """
-    instance = trace.instance_edges
-    if instance is None:
-        m, edge_count = len(trace.graph.edges), len
-    else:
-        m = len(instance)
+    if instance_edges is None:
 
-        def edge_count(active: frozenset[tuple[int, int]]) -> int:
-            used = set()
-            for u, v in active:
-                if (u, v) in instance:
-                    used.add((u, v))
-                elif (v, u) in instance:
-                    used.add((v, u))
-            return len(used)
+        def count(record: ActivityRecord) -> tuple[int, int, int]:
+            return len(record.active_edges), len(record.active_nodes), record.op_count
 
-    return {
-        "m": m,
-        "steps": [
-            {
-                "edges": edge_count(rec.active_edges),
-                "nodes": len(rec.active_nodes),
-                "ops": rec.op_count,
-            }
-            for rec in trace.activity
-        ],
-        "width": trace.width,
-    }
+        return len(graph.edges), count
+
+    def count(record: ActivityRecord) -> tuple[int, int, int]:
+        used = set()
+        for u, v in record.active_edges:
+            if (u, v) in instance_edges:
+                used.add((u, v))
+            elif (v, u) in instance_edges:
+                used.add((v, u))
+        return len(used), len(record.active_nodes), record.op_count
+
+    return len(instance_edges), count
+
+
+class RunCounts(NamedTuple):
+    """The counts of one run that its metrics need, and its final state:
+    the per-layer ``edges`` in layer order, the ``ops`` and active ``nodes``
+    summed over its layers.  ``len(edges)`` is the depth."""
+
+    width: int
+    m: int
+    final: MachineState
+    ops: int
+    nodes: int
+    edges: list[int]
+
+
+def fold_counts(
+    initial: MachineState,
+    stream: Iterable[Layer],
+    graph: InterconnectionGraph,
+    instance_edges: frozenset[tuple[int, int]] | None,
+) -> RunCounts:
+    """The counts of a run, taken one layer at a time: no state or record
+    outlives its layer, so a run holds one state whatever its depth."""
+    m, count = layer_counter(graph, instance_edges)
+    final = initial
+    ops = nodes = 0
+    edges: list[int] = []
+    for _, final, record in stream:
+        layer_edges, layer_nodes, layer_ops = count(record)
+        edges.append(layer_edges)
+        nodes += layer_nodes
+        ops += layer_ops
+    return RunCounts(initial.width, m, final, ops, nodes, edges)
+
+
+# reduces a run, given its initial state, layers, graph and instance edges
+Fold = Callable[
+    [MachineState, Iterable[Layer], InterconnectionGraph, frozenset[tuple[int, int]] | None], Any
+]
+
+
+def run_machine(
+    initial: MachineState,
+    step_fn: StepFn,
+    graph: InterconnectionGraph,
+    halt_predicate: Callable[[MachineState], bool],
+    max_steps: int,
+    *,
+    algo_id: str = "",
+    candidates_fn: Callable[[MachineState], Iterable[int]] | None = None,
+    instance_edges: frozenset[tuple[int, int]] | None = None,
+    fold: Fold = fold_trace,
+) -> Trace | RunCounts:
+    """One run's ``layers``, folded by ``fold``: a ``Trace`` by default,
+    ``RunCounts`` with ``fold_counts``."""
+    stream = layers(
+        initial,
+        step_fn,
+        graph,
+        halt_predicate,
+        max_steps,
+        algo_id=algo_id,
+        candidates_fn=candidates_fn,
+    )
+    return fold(initial, stream, graph, instance_edges)
+
+
+def activity_summary(trace: Trace) -> dict:
+    """The per-layer counts of one run, as a dataset's ``activity`` block:
+    ``{"m", "steps": [{"edges", "nodes", "ops"}], "width"}``, each layer
+    counted by ``layer_counter``."""
+    m, count = layer_counter(trace.graph, trace.instance_edges)
+    steps = []
+    for record in trace.activity:
+        edges, nodes, ops = count(record)
+        steps.append({"edges": edges, "nodes": nodes, "ops": ops})
+    return {"m": m, "steps": steps, "width": trace.width}

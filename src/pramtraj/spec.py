@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Any, Callable, Generator
 
-from .machine import MachineState, Trace
+from .machine import Fold, MachineState, RunCounts, Trace
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,8 @@ Replay = Generator[dict, None, dict]
 class AlgorithmSpec:
     """Everything the pipeline needs to know about one algorithm.
 
+    ``run(inst, fold)`` runs the machine and returns the output and the run
+    as ``fold`` reduces it (see ``machine.run_machine``);
     ``generate(n, seed, max_degree)`` draws one instance; ``exhaustive(n)``
     enumerates the whole input space of a tiny size (``None`` where that is
     not defined).  ``frame(inst, before, after)`` decodes the hint values of
@@ -73,7 +75,7 @@ class AlgorithmSpec:
 
     name: str
     family: str
-    run: Callable[[Any], tuple[Any, Trace]]
+    run: Callable[[Any, Fold], tuple[Any, Trace | RunCounts]]
     generate: Callable[[int, int, int], Any]
     exhaustive: Callable[[int], list] | None
     probes: tuple[ProbeSpec, ...]

@@ -481,11 +481,11 @@ class TestErrors:
         real_run = efficiency.run
         calls = []
 
-        def run_then_fail(algo, inst):
+        def run_then_fail(algo, inst, fold):
             calls.append(algo)
             if len(calls) == 2:
                 raise StepLimitExceeded("halt predicate never fired")
-            return real_run(algo, inst)
+            return real_run(algo, inst, fold)
 
         monkeypatch.setattr(efficiency, "run", run_then_fail)
         assert run_cli(["analyze", "--algo", "oets", "--n-list", "4,5,6"] + inputs) == 1

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pramtraj import efficiency
-from pramtraj.algorithms import run
+from pramtraj.algorithms import ALGORITHMS, run, spec_for
+from pramtraj.algorithms.scc import gen_digraph
 from pramtraj.algorithms.search import SearchInstance, binary_search, parallel_search
 from pramtraj.algorithms.sorting import SortInstance, bubble_sort, oets_sort
 from pramtraj.efficiency import (
@@ -19,8 +20,9 @@ from pramtraj.efficiency import (
 )
 from pramtraj.algorithms.search import gen_search_instance
 from pramtraj.algorithms.sorting import gen_permutation
+from pramtraj.graphs import Digraph
 from pramtraj.harness import exhaustive_instances, generate_instance, sample_seed
-from pramtraj.machine import StepLimitExceeded, activity_summary
+from pramtraj.machine import StepLimitExceeded, activity_summary, fold_counts
 from pramtraj.trajectory import encode_sample, parse_ndjson, serialize_ndjson
 
 
@@ -162,20 +164,8 @@ class TestScalingReport:
         assert a == b
         assert report_ndjson(a) == report_ndjson(b)
 
-    def test_collector_off_while_a_trace_is_alive(self, monkeypatch):
-        enabled = []
-
-        def traced_run(algo, inst):
-            enabled.append(gc.isenabled())
-            return run(algo, inst)
-
-        monkeypatch.setattr(efficiency, "run", traced_run)
-        size_record("oets", 6, 3, 4)
-        assert enabled == [False] * 3
-        assert gc.isenabled()
-
     def test_collector_back_on_after_a_failed_run(self, monkeypatch):
-        def failing_run(algo, inst):
+        def failing_run(algo, inst, fold):
             raise StepLimitExceeded("halt predicate never fired")
 
         monkeypatch.setattr(efficiency, "run", failing_run)
@@ -185,7 +175,7 @@ class TestScalingReport:
 
     def test_memory_bounded_by_one_run(self):
         # each run is reduced to figures as soon as it ends, so the peak of
-        # a size is one run's trace and summary, whatever its sample count
+        # a size is one run's counts, whatever its sample count
         import tracemalloc
 
         size_record("bubble_sort", 64, 1, 1)  # cached graphs are built outside the traced calls
@@ -198,6 +188,20 @@ class TestScalingReport:
             finally:
                 tracemalloc.stop()
         assert peaks[8] <= 1.2 * peaks[1], peaks
+
+    def test_memory_bounded_by_one_state(self):
+        # a run is folded into its counts layer by layer and builds no trace,
+        # so the 8,128 layers of one bubble_sort n=128 run hold about one state
+        import tracemalloc
+
+        size_record("bubble_sort", 128, 1, 1)  # fills the graph and schedule caches
+        tracemalloc.start()
+        try:
+            size_record("bubble_sort", 128, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak
 
     def test_n_list_validation(self):
         with pytest.raises(ValueError):
@@ -221,6 +225,77 @@ class TestScalingReport:
                 per = edge_shares(activity_summary(trace))
                 shares.append(sum(per) / len(per))
             assert rec.eps_min == pytest.approx(min(shares))
+
+
+def summary_figures(activity: dict) -> tuple:
+    """The figures of one run read off its full activity summary with the
+    public metric functions: the reference for the count fold."""
+    steps = activity["steps"]
+    shares = edge_shares(activity)
+    edges = [step["edges"] for step in steps]
+    return (
+        activity["width"],
+        len(steps),
+        capacity(activity),
+        sum(step["ops"] for step in steps),
+        sum(step["nodes"] for step in steps),
+        activity["m"],
+        sum(shares) / len(shares) if shares else 0.0,
+        max(edges, default=0),
+        sum(edges),
+    )
+
+
+def assert_fold_matches_trace(algo, inst) -> None:
+    output, trace = run(algo, inst)
+    counted_output, counts = run(algo, inst, fold=fold_counts)
+    assert counted_output == output
+    assert counts.final == trace.final
+    activity = activity_summary(trace)
+    assert counts.edges == [step["edges"] for step in activity["steps"]]
+    assert efficiency._run_figures(counts) == summary_figures(activity)
+
+
+class TestCountFold:
+    """``size_record`` folds each run into counts; its figures equal those of
+    the full trace's activity summary."""
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_sampled_inputs(self, algo):
+        for n in (1, 2, 5, 16):
+            for master in (0, 7, 21):
+                for index in range(2):
+                    inst = generate_instance(algo, n, sample_seed(master, algo, n, index))
+                    assert_fold_matches_trace(algo, inst)
+
+    @pytest.mark.parametrize("algo", [a for a in ALGORITHMS if spec_for(a).exhaustive])
+    def test_every_exhaustive_input(self, algo):
+        for n in range(1, 6):
+            for inst in exhaustive_instances(algo, n):
+                assert_fold_matches_trace(algo, inst)
+
+    @pytest.mark.parametrize("algo", ["dcsc", "kosaraju"])
+    def test_scc_edges_held_both_ways(self, algo):
+        graphs = [
+            Digraph(2, frozenset({(0, 1), (1, 0)})),
+            Digraph(4, frozenset({(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 0)})),
+            Digraph(5, frozenset({(0, 1), (1, 2), (2, 1), (2, 0), (3, 4), (4, 3), (4, 0)})),
+        ]
+        graphs += [
+            g
+            for g in (gen_digraph(n, 3, seed) for n in (6, 9) for seed in range(20))
+            if any((v, u) in g.edges for u, v in g.edges)
+        ]
+        assert len(graphs) > 10
+        folded = False
+        for g in graphs:
+            assert_fold_matches_trace(algo, g)
+            _, trace = run(algo, g)
+            steps = activity_summary(trace)["steps"]
+            folded |= any(len(r.active_edges) > s["edges"] for r, s in zip(trace.activity, steps))
+        if algo == "dcsc":  # kosaraju's width-1 host has no channel to fold
+            # a channel and its reverse fell on one instance edge in some layer
+            assert folded
 
 
 class TestMetricsSurviveSerialization:

@@ -1,10 +1,10 @@
 """Byte identity against pinned sha256 values.
 
 The constants are the sha256 of the dataset, schema and report bytes of
-each algorithm at small sizes, and of the `trace` output for one inline
-input. A change to any of them is a change of the dataset format or of the
-analysis or trace output, and must be deliberate: recompute the constants
-and say so.
+each algorithm at small sizes, of its report at the benchmark's `analyze`
+grid, and of the `trace` output for one inline input. A change to any of
+them is a change of the dataset format or of the analysis or trace output,
+and must be deliberate: recompute the constants and say so.
 """
 
 import hashlib
@@ -51,6 +51,18 @@ GOLDEN = {
     ),
 }
 
+# algo -> report of the benchmark's `analyze` job: sizes 8..128, 8 samples,
+# seed 1. Sizes this large sum thousands of per-layer edge shares, so a
+# change in their summation order shows here.
+GRID_GOLDEN = {
+    "parallel_search": "a39e001c092b25976e893a9243d19f631cd035cfbd8c8c172208797126f6d4b2",
+    "binary_search": "ceec32ce2efe5c7e1b486914792735d00118a238d9d3c21e398e3c8938a89fcf",
+    "oets": "77a1cf6ab260e26d174a272c85ec6654504f6646dfae36aa8479399dd250d5c1",
+    "bubble_sort": "a17e4d173120b677a7c723db06e1f8a9806462c89ae5906d8f61b9f4d123c061",
+    "dcsc": "b08761e425f3cc78836007fded68a201a8cd1520bcf9b1d3b1972cd380bd2de4",
+    "kosaraju": "e5ed2ed7bc4b2397108f54a352a392a835da1c43dc6cb44241f233250cd6b61d",
+}
+
 # algo -> (inline input, `pramtraj trace` stdout)
 TRACE_GOLDEN = {
     "parallel_search": (
@@ -90,6 +102,12 @@ def test_report_bytes(algo):
     if GOLDEN[algo][2] is not None:
         report = scaling_report(algo, [3, 4, 5], 1, 0, exhaustive=True)
         assert sha256(report_ndjson(report)) == GOLDEN[algo][2]
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_benchmark_grid_report_bytes(algo):
+    report = scaling_report(algo, [8, 16, 32, 64, 128], 8, 1)
+    assert sha256(report_ndjson(report)) == GRID_GOLDEN[algo]
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)

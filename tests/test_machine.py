@@ -22,6 +22,9 @@ from pramtraj.machine import (
     as_scalar,
     collector_paused,
     complete_graph,
+    fold_counts,
+    fold_trace,
+    layers,
     run_machine,
     star_graph,
     step_machine,
@@ -404,6 +407,31 @@ class TestRunMachine:
         a, b = make(), make()
         assert a.states == b.states
         assert a.activity == b.activity
+
+    @pytest.mark.parametrize("fold", [fold_trace, fold_counts])
+    def test_either_fold_names_the_run_that_did_not_halt(self, fold):
+        state = fresh_state(1, 1, 1)
+        with pytest.raises(StepLimitExceeded, match="^probe did not halt within 3 steps$"):
+            run_machine(state, lambda ctx: None, _edgeless_graph(1), lambda s: False, 3,
+                        algo_id="probe", fold=fold)
+        with pytest.raises(ValueError, match="max_steps must be >= 1"):
+            run_machine(state, lambda ctx: None, _edgeless_graph(1), lambda s: True, 0, fold=fold)
+
+    def test_layers_chain_the_states_of_the_trace(self):
+        def step(ctx):
+            return NodeUpdate(local={0: float(ctx.clock)}) if ctx.pid == ctx.clock % 2 else None
+
+        initial = MachineState(((0.5,),) * 2, (), 0)
+        args = (initial, step, _edgeless_graph(2), lambda s: s.clock >= 3, 3)
+        stream = list(layers(*args))
+        trace = run_machine(*args)
+        assert [before for before, _, _ in stream] == list(trace.states[:-1])
+        assert [after for _, after, _ in stream] == list(trace.states[1:])
+        assert [record for _, _, record in stream] == list(trace.activity)
+        counts = run_machine(*args, fold=fold_counts)
+        assert counts.final == trace.final
+        assert (counts.width, counts.m, counts.ops, counts.nodes) == (2, 0, 3, 3)
+        assert counts.edges == [0, 0, 0]
 
     def test_clock_advances_by_one(self):
         graph = _edgeless_graph(1)
