@@ -151,35 +151,45 @@ def size_record(
             generate_instance(algo_id, n, sample_seed(seed, algo_id, n, i), max_degree)
             for i in range(samples_per_n)
         )
-    # each run is folded into its counts layer by layer, so a size holds one
-    # machine state and one run's per-layer edge counts at a time
-    figures = []
+    # each run is folded into its counts layer by layer and its figures into
+    # the size's running totals, so a size holds one machine state and one
+    # run's per-layer edge counts at a time, plus one eps per run: eps stays
+    # a list so that ``sum`` adds it in run order
+    layers = caps = ops = nodes = ms = edge_max = edge_total = zero_depth = 0
+    eps: list[float] = []
     for index, inst in enumerate(instances):
         try:
             _, counts = run(algo_id, inst, fold=fold_counts)
         except StepLimitExceeded as err:
             label = sample_label(algo_id, n, index, master)
             raise StepLimitExceeded(f"{err} ({label})") from err
-        figures.append(_run_figures(counts))
+        width, depth, cap, op, node, m, run_eps, run_edge_max, run_edges = _run_figures(counts)
         del counts  # freed before the next run, not after
-    k = len(figures)
-    widths, depths, caps, ops, nodes, ms, eps, edge_maxes, edge_sums = zip(*figures)
-    cap_mean = sum(caps) / k
-    layers = sum(depths)
+        layers += depth
+        caps += cap
+        ops += op
+        nodes += node
+        ms += m
+        eps.append(run_eps)
+        edge_max = max(edge_max, run_edge_max)
+        edge_total += run_edges
+        zero_depth += depth == 0
+    k = len(eps)
+    cap_mean = caps / k
     return SizeRecord(
         n=n,
-        m=sum(ms) / k,
-        width=widths[-1],
+        m=ms / k,
+        width=width,
         depth=layers / k,
         capacity=cap_mean,
-        op_total=sum(ops) / k,
-        eta=(sum(ops) / k) / cap_mean if cap_mean else 1.0,
-        eta_nodes=(sum(nodes) / k) / cap_mean if cap_mean else 1.0,
+        op_total=ops / k,
+        eta=(ops / k) / cap_mean if cap_mean else 1.0,
+        eta_nodes=(nodes / k) / cap_mean if cap_mean else 1.0,
         eps_min=min(eps),
         eps_mean=sum(eps) / k,
-        edge_max=max(edge_maxes),
-        edge_mean=sum(edge_sums) / layers if layers else 0.0,
-        zero_depth=depths.count(0),
+        edge_max=edge_max,
+        edge_mean=edge_total / layers if layers else 0.0,
+        zero_depth=zero_depth,
     )
 
 

@@ -174,13 +174,14 @@ class TestScalingReport:
         assert gc.isenabled()
 
     def test_memory_bounded_by_one_run(self):
-        # each run is reduced to figures as soon as it ends, so the peak of
-        # a size is one run's counts, whatever its sample count
+        # each run is folded into running totals as soon as it ends, so the
+        # peak of a size is one run's counts plus one eps per run, whatever
+        # its sample count
         import tracemalloc
 
-        size_record("bubble_sort", 64, 1, 1)  # cached graphs are built outside the traced calls
+        size_record("bubble_sort", 64, 1, 1)  # fills the comparison-schedule cache outside the traced calls
         peaks = {}
-        for samples in (1, 8):
+        for samples in (1, 8, 32):
             tracemalloc.start()
             try:
                 size_record("bubble_sort", 64, samples, 1)
@@ -188,13 +189,14 @@ class TestScalingReport:
             finally:
                 tracemalloc.stop()
         assert peaks[8] <= 1.2 * peaks[1], peaks
+        assert peaks[32] <= 1.2 * peaks[1], peaks
 
     def test_memory_bounded_by_one_state(self):
         # a run is folded into its counts layer by layer and builds no trace,
         # so the 8,128 layers of one bubble_sort n=128 run hold about one state
         import tracemalloc
 
-        size_record("bubble_sort", 128, 1, 1)  # fills the graph and schedule caches
+        size_record("bubble_sort", 128, 1, 1)  # fills the comparison-schedule cache
         tracemalloc.start()
         try:
             size_record("bubble_sort", 128, 1, 1)

@@ -1,8 +1,13 @@
 import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from pramtraj import harness
+from pramtraj.algorithms import ALGORITHMS
 from pramtraj.algorithms.scc import gen_digraph
 from pramtraj.algorithms.search import gen_search_instance
 from pramtraj.algorithms.sorting import gen_permutation
@@ -32,6 +37,34 @@ class TestSeedMixing:
         for idx in range(50):
             s = sample_seed(123, "dcsc", 16, idx)
             assert 0 <= s < 2**64
+
+    def test_equals_hashlib_blake2b(self):
+        # the seed hash comes from _blake2, without hashlib; every seed must
+        # stay the value hashlib's blake2b gives
+        import hashlib
+
+        for master in (0, 1, 7, 2**31, 2**64 + 3):
+            for algo in ALGORITHMS:
+                for n in (1, 5, 16, 129):
+                    for index in (0, 1, 99):
+                        text = f"{master}|{algo}|{n}|{index}".encode("ascii")
+                        digest = hashlib.blake2b(text, digest_size=8).digest()
+                        assert sample_seed(master, algo, n, index) == int.from_bytes(digest, "big")
+
+    def test_jobs_leave_openssl_unloaded(self, tmp_path):
+        # hashlib would load _hashlib, OpenSSL's binding, into every process
+        src = str(Path(harness.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "from pramtraj.cli import cli_main\n"
+            "out = sys.argv[1]\n"
+            "assert cli_main(['gen', '--algo', 'oets', '--n', '5', '--samples', '2', '--seed', '1', '--out', out]) == 0\n"
+            "assert cli_main(['analyze', '--algo', 'binary_search', '--n-list', '4,8,16', '--samples', '2', '--seed', '1']) == 0\n"
+            "sys.exit('_hashlib' in sys.modules)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "d.ndjson")],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 class TestSearchGenerator:

@@ -506,8 +506,76 @@ def test_interconnection_graph_validation():
     with pytest.raises(ValueError):
         InterconnectionGraph(2, frozenset({(0, 5)}))
     g = complete_graph(4)
-    assert g._in_nbrs[0] == {1, 2, 3}
+    assert _readable(g, 0, range(-5, 9)) == {1, 2, 3}
     assert len(g.edges) == 12
+
+
+def _readable(graph, pid, probes):
+    """The nodes among ``probes`` that node ``pid`` of ``graph`` may read;
+    every other probe must raise ``NeighborhoodViolation``."""
+    state = MachineState(((1.0,),) * graph.n, (), 0)
+    allowed = set()
+    for j in probes:
+        def step(ctx):
+            ctx.read(j, 0)
+            return HOLD
+
+        try:
+            step_machine(state, step, graph, (pid,))
+        except NeighborhoodViolation as err:
+            assert str(err) == f"node {pid} may not read node {j}"
+        else:
+            allowed.add(j)
+    return allowed
+
+
+class TestCompleteGraph:
+    """``complete_graph(n)`` is described by its rule, not built; it reads,
+    counts, compares and hashes as the graph of all n(n-1) pairs would."""
+
+    @staticmethod
+    def _built(n):
+        return InterconnectionGraph(n, frozenset((i, j) for i in range(n) for j in range(n) if i != j))
+
+    def test_footprint_is_linear(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            graph = complete_graph.__wrapped__(512)  # cold: past the cache
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(graph.edges) == 512 * 511
+        assert peak < 64_000, peak
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_reads(self, n):
+        graph = complete_graph(n)
+        for pid in range(n):
+            assert _readable(graph, pid, range(-n - 2, 2 * n + 2)) == set(range(n)) - {pid}
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_edges(self, n):
+        edges = complete_graph(n).edges
+        built = self._built(n).edges
+        assert len(edges) == n * (n - 1) == len(built)
+        assert set(edges) == built
+        pairs = [(i, j) for i in range(-2, n + 2) for j in range(-2, n + 2)]
+        pairs += [(1.0, 0), (0, 1.0), (True, 0), (0.5, 1), ("0", "1")]
+        for pair in pairs:
+            assert (pair in edges) is (pair in built), pair
+        for other in (3, None, "ab", (0,), (0, 1, 2), ([0], 1), [0, 1], frozenset({0, 1})):
+            assert (other in edges) is False, other
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_equal_and_hashable(self, n):
+        graph, built = complete_graph(n), self._built(n)
+        assert graph == built and built == graph
+        assert graph.edges == built.edges and built.edges == graph.edges
+        assert hash(graph) == hash(built)
+        assert {graph: n}[built] == n
+        assert graph != self._built(n + 1)
 
 
 def test_every_algorithm_recomputes_bit_exactly():
