@@ -6,6 +6,7 @@ from .machine import (
     InterconnectionGraph,
     MachineState,
     NodeUpdate,
+    Program,
     StepLimitExceeded,
     Trace,
     UNDEF,

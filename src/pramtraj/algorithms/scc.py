@@ -25,6 +25,7 @@ from ..machine import (
     MachineState,
     NodeUpdate,
     Fold,
+    Program,
     RunCounts,
     Trace,
     UNDEF,
@@ -47,13 +48,15 @@ PIVOT_ADDR = 0
 OPEN_ADDR = 1
 
 
-def dcsc_machine(g: Digraph):
-    """Machine pieces for one pivot loop:
-    (initial state, step fn, candidates fn, halt fn, interconnection)."""
+def dcsc_program(g: Digraph) -> Program:
+    """Pivot loop: double BFS among unassigned nodes, assign the intersection.
+
+    The pivot is always the minimal-index unassigned node; it becomes the
+    representative its component points at.  Recursion over the leftover
+    subsets is flattened into the sequential pivot loop, only the two
+    searches of a round run in parallel.
+    """
     n = g.n
-    graph = symmetric_graph(n, g.edges)
-    rows = tuple((UNDEF, UNDEF, u, False) for u in range(n))
-    initial = MachineState(rows, (UNDEF, UNDEF), 0)
     succ = [g.out_neighbors(u) for u in range(n)]
     pred = [g.in_neighbors(u) for u in range(n)]
 
@@ -127,34 +130,21 @@ def dcsc_machine(g: Digraph):
             update[PTR] = pivot
         return NodeUpdate(local=update)
 
-    return initial, step, candidates, halt, graph
-
-
-def dcsc(
-    g: Digraph, fold: Fold = fold_trace
-) -> tuple[tuple[int, ...], Trace | RunCounts]:
-    """Pivot loop: double BFS among unassigned nodes, assign the intersection.
-
-    The pivot is always the minimal-index unassigned node; it becomes the
-    representative its component points at.  Recursion over the leftover
-    subsets is flattened into the sequential pivot loop, only the two
-    searches of a round run in parallel.
-    """
-    n = g.n
-    initial, step, candidates, halt, graph = dcsc_machine(g)
-    result = run_machine(
-        initial,
+    return Program(
+        "dcsc",
+        MachineState(tuple((UNDEF, UNDEF, u, False) for u in range(n)), (UNDEF, UNDEF), 0),
         step,
-        graph,
+        symmetric_graph(n, g.edges),
         halt,
         2 * n * n + 2 * n + 4,
-        algo_id="dcsc",
-        candidates_fn=candidates,
-        instance_edges=g.edges,
-        fold=fold,
+        lambda s: tuple(as_index(row[PTR]) for row in s.local),
+        candidates,
+        g.edges,
     )
-    final = result.final.local
-    return tuple(as_index(final[u][PTR]) for u in range(n)), result
+
+
+def dcsc(g: Digraph, fold: Fold = fold_trace) -> tuple[tuple[int, ...], Trace | RunCounts]:
+    return run_machine(dcsc_program(g), fold)
 
 
 # width-1 machine layout for the DFS host: shared memory carries per-node
@@ -163,31 +153,16 @@ def _shared_layout(n: int):
     return 0, n, 2 * n, 3 * n  # COLOR1, ORDER, COLOR2, COMP block bases
 
 
-def kosaraju(
-    g: Digraph, fold: Fold = fold_trace
-) -> tuple[tuple[int, ...], Trace | RunCounts]:
+def kosaraju_program(g: Digraph) -> Program:
     """Two DFS passes: finish order on g, component assignment on reversed g."""
     n = g.n
-    m = g.m
     color1, order, color2, comp = _shared_layout(n)
-    # local slots
-    stack = 0
-    sp = n
-    iter1 = n + 1
-    iter2 = 2 * n + 1
-    ctr = 3 * n + 1
-    phase = 3 * n + 2
-    root = 3 * n + 3
-
-    graph = InterconnectionGraph(1, frozenset())
-    local = [UNDEF] * (3 * n + 4)
-    local[sp] = 0
-    for u in range(n):
-        local[iter1 + u] = 0
-        local[iter2 + u] = 0
-    local[ctr] = 0
-    local[phase] = 1
-    initial = MachineState((tuple(local),), (UNDEF,) * (4 * n), 0)
+    # local slots: the DFS stack and its pointer, each node's scan cursor in
+    # either pass, the finish counter, the pass and the current root
+    stack, sp, iter1, iter2 = 0, n, n + 1, 2 * n + 1
+    ctr, phase, root = 3 * n + 1, 3 * n + 2, 3 * n + 3
+    # an empty stack, sp, the cursors and ctr at 0, in pass 1, with no root
+    local = (UNDEF,) * n + (0,) * (2 * n + 2) + (1, UNDEF)
 
     def step(ctx):
         ph = ctx.own(phase, int)
@@ -273,18 +248,20 @@ def kosaraju(
             return NodeUpdate(local={sp: depth_sp - 1})
         return None
 
-    result = run_machine(
-        initial,
+    return Program(
+        "kosaraju",
+        MachineState((local,), (UNDEF,) * (4 * n), 0),
         step,
-        graph,
+        InterconnectionGraph(1, frozenset()),
         lambda s: s.local[0][phase] == 3,
-        2 * (n + m) + 6,
-        algo_id="kosaraju",
+        2 * (n + g.m) + 6,
+        lambda s: tuple(as_index(s.shared[comp + u]) for u in range(n)),
         instance_edges=g.edges,
-        fold=fold,
     )
-    shared = result.final.shared
-    return tuple(as_index(shared[comp + u]) for u in range(n)), result
+
+
+def kosaraju(g: Digraph, fold: Fold = fold_trace) -> tuple[tuple[int, ...], Trace | RunCounts]:
+    return run_machine(kosaraju_program(g), fold)
 
 
 def gen_digraph(n: int, max_degree: int, seed: int) -> Digraph:

@@ -22,6 +22,7 @@ from ..machine import (
     star_graph,
     MachineState,
     Fold,
+    Program,
     RunCounts,
     Trace,
 )
@@ -57,9 +58,7 @@ class SearchInstance:
         return len(self.items)
 
 
-def parallel_search(
-    inst: SearchInstance, fold: Fold = fold_trace
-) -> tuple[int, Trace | RunCounts]:
+def parallel_search_program(inst: SearchInstance) -> Program:
     """Constant-depth search: mask layer, then a priority write of the rank.
 
     Step 1: every item node computes ``max(item - x, 0)`` after reading the
@@ -69,9 +68,7 @@ def parallel_search(
     """
     n = inst.n
     xnode = n
-    graph = star_graph(n)
     local = tuple((item, UNDEF) for item in inst.items) + ((inst.x, UNDEF),)
-    initial = MachineState(local, (UNDEF,), 0)
 
     def step(ctx):
         if ctx.clock == 0:
@@ -86,33 +83,29 @@ def parallel_search(
             return NodeUpdate(writes=((0, ctx.pid),))
         return None
 
-    result = run_machine(
-        initial,
+    return Program(
+        "parallel_search",
+        MachineState(local, (UNDEF,), 0),
         step,
-        graph,
+        star_graph(n),
         lambda s: s.clock >= 2,
         2,
-        algo_id="parallel_search",
-        fold=fold,
+        lambda s: as_index(s.shared[0]),
     )
-    rank = as_index(result.final.shared[0])
-    return rank, result
 
 
-def binary_search(
-    inst: SearchInstance, fold: Fold = fold_trace
-) -> tuple[int, Trace | RunCounts]:
+def parallel_search(inst: SearchInstance, fold: Fold = fold_trace) -> tuple[int, Trace | RunCounts]:
+    return run_machine(parallel_search_program(inst), fold)
+
+
+def binary_search_program(inst: SearchInstance) -> Program:
     """Halving search over the shared [lo, hi) window, one probe per layer."""
     n = inst.n
     xnode = n
-    graph = complete_graph(n + 1)
     local = tuple((item,) for item in inst.items) + ((inst.x,),)
-    initial = MachineState(local, (0, n, UNDEF, UNDEF), 0)
 
     def candidates(state):
-        lo = state.shared[LO]
-        hi = state.shared[HI]
-        return ((lo + hi) // 2,)
+        return ((state.shared[LO] + state.shared[HI]) // 2,)
 
     def step(ctx):
         lo = ctx.shared(LO, int)
@@ -131,18 +124,20 @@ def binary_search(
             writes.append((RANK, lo))
         return NodeUpdate(writes=tuple(writes))
 
-    result = run_machine(
-        initial,
+    return Program(
+        "binary_search",
+        MachineState(local, (0, n, UNDEF, UNDEF), 0),
         step,
-        graph,
+        complete_graph(n + 1),
         lambda s: s.shared[LO] == s.shared[HI],
         n + 1,
-        algo_id="binary_search",
-        candidates_fn=candidates,
-        fold=fold,
+        lambda s: as_index(s.shared[RANK]),
+        candidates,
     )
-    rank = as_index(result.final.shared[RANK])
-    return rank, result
+
+
+def binary_search(inst: SearchInstance, fold: Fold = fold_trace) -> tuple[int, Trace | RunCounts]:
+    return run_machine(binary_search_program(inst), fold)
 
 
 def gen_search_instance(n: int, seed: int) -> SearchInstance:

@@ -19,6 +19,7 @@ from ..machine import (
     MachineState,
     NodeUpdate,
     Fold,
+    Program,
     RunCounts,
     Trace,
     UNDEF,
@@ -58,23 +59,28 @@ def predecessors_from_table(table: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(pred)
 
 
-def oets_machine(inst: SortInstance):
-    """Machine pieces for one odd-even transposition run:
-    (initial state, step fn, candidates fn, halt fn, interconnection)."""
+def _pred_of_table(state: MachineState) -> tuple[int, ...]:
+    """The output of a sort: chain pointers of the final position table."""
+    return predecessors_from_table(state.shared[: len(state.local)])
+
+
+def oets_program(inst: SortInstance) -> Program:
+    """Odd-even transposition sort.
+
+    Round r pairs adjacent chain positions starting at ``r % 2``; both pair
+    members compare across the pair's two directed edges and swap positions
+    when out of order.  Swapping pairs stamp the round index into a shared
+    cell so the halt predicate can see two consecutive swap-free rounds;
+    rounds are capped at n either way.
+    """
     n = inst.n
-    graph = complete_graph(n)
     last_swap = n  # shared address behind the position table
     local = tuple((item, i) for i, item in enumerate(inst.items))
-    initial = MachineState(local, tuple(range(n)) + (UNDEF,), 0)
 
     def candidates(state):
+        # the nodes at positions phase, phase + 1, ... that have a partner
         phase = state.clock % 2
-        table = state.shared
-        out = []
-        for k in range(phase, n - 1, 2):
-            out.append(table[k])
-            out.append(table[k + 1])
-        return out
+        return state.shared[phase : phase + (n - phase) // 2 * 2]
 
     def step(ctx):
         phase = ctx.clock % 2
@@ -105,45 +111,24 @@ def oets_machine(inst: SortInstance):
         last = state.shared[last_swap]
         return last is UNDEF or last <= c - 3
 
-    return initial, step, candidates, halt, graph
+    initial = MachineState(local, tuple(range(n)) + (UNDEF,), 0)
+    return Program("oets", initial, step, complete_graph(n), halt, n, _pred_of_table, candidates)
 
 
-def oets_sort(
-    inst: SortInstance, fold: Fold = fold_trace
-) -> tuple[tuple[int, ...], Trace | RunCounts]:
-    """Odd-even transposition sort.
-
-    Round r pairs adjacent chain positions starting at ``r % 2``; both pair
-    members compare across the pair's two directed edges and swap positions
-    when out of order.  Swapping pairs stamp the round index into a shared
-    cell so the halt predicate can see two consecutive swap-free rounds;
-    rounds are capped at n either way.
-    """
-    n = inst.n
-    initial, step, candidates, halt, graph = oets_machine(inst)
-    result = run_machine(
-        initial,
-        step,
-        graph,
-        halt,
-        n,
-        algo_id="oets",
-        candidates_fn=candidates,
-        fold=fold,
-    )
-    pred = predecessors_from_table(result.final.shared[:n])
-    return pred, result
+def oets_sort(inst: SortInstance, fold: Fold = fold_trace) -> tuple[tuple[int, ...], Trace | RunCounts]:
+    return run_machine(oets_program(inst), fold)
 
 
 @lru_cache(maxsize=None)
-def bubble_schedule(n: int) -> tuple[tuple[int, int], ...]:
-    """Fixed comparison schedule: pass i probes positions (j, j+1)."""
-    return tuple((i, j) for i in range(n - 1) for j in range(n - 1 - i))
+def bubble_schedule(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Fixed comparison schedule as ``(passes, slots)``: layer t of pass
+    ``passes[t]`` probes positions ``(slots[t], slots[t] + 1)``."""
+    passes = tuple(i for i in range(n - 1) for _ in range(n - 1 - i))
+    slots = tuple(j for i in range(n - 1) for j in range(n - 1 - i))
+    return passes, slots
 
 
-def bubble_sort(
-    inst: SortInstance, fold: Fold = fold_trace
-) -> tuple[tuple[int, ...], Trace | RunCounts]:
+def bubble_program(inst: SortInstance) -> Program:
     """One adjacent comparison per layer over the full fixed schedule.
 
     No early exit: depth is exactly n(n-1)/2, the reproducible worst case.
@@ -151,17 +136,15 @@ def bubble_sort(
     the clock via the schedule.
     """
     n = inst.n
-    graph = complete_graph(n)
-    schedule = bubble_schedule(n)
+    slots = bubble_schedule(n)[1]
     local = tuple((item, i) for i, item in enumerate(inst.items))
-    initial = MachineState(local, tuple(range(n)), 0)
 
     def candidates(state):
-        _, j = schedule[state.clock]
+        j = slots[state.clock]
         return (state.shared[j], state.shared[j + 1])
 
     def step(ctx):
-        _, j = schedule[ctx.clock]
+        j = slots[ctx.clock]
         pos = ctx.own(POSN, int)
         mine = ctx.own(ITEM, float)
         if pos == j:
@@ -176,19 +159,21 @@ def bubble_sort(
             return NodeUpdate({POSN: pos - 1}, ((j, ctx.pid),))
         return HOLD
 
-    total = len(schedule)
-    result = run_machine(
-        initial,
+    total = len(slots)
+    return Program(
+        "bubble_sort",
+        MachineState(local, tuple(range(n)), 0),
         step,
-        graph,
+        complete_graph(n),
         lambda s: s.clock >= total,
         max(total, 1),
-        algo_id="bubble_sort",
-        candidates_fn=candidates,
-        fold=fold,
+        _pred_of_table,
+        candidates,
     )
-    pred = predecessors_from_table(result.final.shared[:n])
-    return pred, result
+
+
+def bubble_sort(inst: SortInstance, fold: Fold = fold_trace) -> tuple[tuple[int, ...], Trace | RunCounts]:
+    return run_machine(bubble_program(inst), fold)
 
 
 def gen_permutation(n: int, seed: int) -> SortInstance:
@@ -249,8 +234,9 @@ def _frame_oets(inst: SortInstance, before: MachineState, after: MachineState) -
 
 def _frame_bubble(inst: SortInstance, before: MachineState, after: MachineState) -> dict:
     n = inst.n
-    i, j = bubble_schedule(n)[before.clock]
-    return _frame(before.shared[:n], after.shared[:n], n, {"cursor_i": i, "cursor_j": j})
+    passes, slots = bubble_schedule(n)
+    cursor = {"cursor_i": passes[before.clock], "cursor_j": slots[before.clock]}
+    return _frame(before.shared[:n], after.shared[:n], n, cursor)
 
 
 def _reference_oets(inputs: dict, n: int) -> Replay:
@@ -275,7 +261,7 @@ def _reference_bubble(inputs: dict, n: int) -> Replay:
     """One compare-exchange per step of the fixed bubble schedule."""
     items = inputs["items"]
     table = list(range(n))
-    for i, j in bubble_schedule(n):
+    for i, j in zip(*bubble_schedule(n)):
         old_table = tuple(table)
         if items[table[j]] > items[table[j + 1]]:
             table[j], table[j + 1] = table[j + 1], table[j]

@@ -1,11 +1,9 @@
 """Seeded input generators and the dataset production pipeline.
 
 Per-sample seeds are mixed as ``blake2b(master|algo|n|index)`` truncated to
-64 bits, so an instance depends only on (master seed, algorithm, size,
-sample index), never on batch size or generation order.  ``blake2b`` is
-taken from CPython's built-in ``_blake2`` module, the same function
-``hashlib.blake2b`` names; importing ``hashlib`` would also load OpenSSL
-(about 3.5 MB of resident memory) for no hash this package uses.
+64 bits (``spec.sample_seed``), so an instance depends only on (master
+seed, algorithm, size, sample index), never on batch size or generation
+order.
 """
 
 from __future__ import annotations
@@ -15,10 +13,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from _blake2 import blake2b
-
 from .algorithms import SPECS, run, spec_for
 from .machine import StepLimitExceeded, collector_paused
+from .spec import sample_seed
 from .trajectory import Sample, encode_sample, serialize_ndjson, serialize_schema
 
 
@@ -43,12 +40,6 @@ class GenConfig:
             raise ValueError("n must be >= 1")
         if len(set(self.n_list)) != len(self.n_list):
             raise ValueError("n_list must not repeat a size")
-
-
-def sample_seed(master: int, algo_id: str, n: int, index: int) -> int:
-    """64-bit per-sample seed: blake2b over 'master|algo|n|index'."""
-    text = f"{master}|{algo_id}|{n}|{index}".encode("ascii")
-    return int.from_bytes(blake2b(text, digest_size=8).digest(), "big")
 
 
 def sample_label(algo_id: str, n: int, index: int, master: int | None) -> str:

@@ -18,13 +18,17 @@ A reader given the expected type as ``kind`` enforces the variant; an
 ``UNDEF`` cell stores no information, so reading one never records an
 active edge.
 
-``layers`` steps one run and yields each layer; ``run_machine`` folds them
-into a ``Trace`` (every state, for decoding hint frames) or, with
-``fold_counts``, into ``RunCounts`` (one state and the counts the metrics
-need).  Traces are acyclic, so the cyclic garbage collector can never free
-any part of one; ``collector_paused`` keeps it off while a trace is alive
-instead of letting it rescan the growing trace at every collection.  A run
-folded into counts holds no trace, so it runs with the collector on.
+An algorithm describes one run as a ``Program``: initial state, step,
+graph, halt predicate, step budget, optional candidates and instance edges,
+and ``output``, which reads the result off the final state.  ``layers``
+steps a program and yields each layer; ``run_machine`` folds them into a
+``Trace`` (every state, for decoding hint frames) or, with ``fold_counts``,
+into ``RunCounts`` (one state and the counts the metrics need), and returns
+the program's output with the folded run.  Traces are acyclic, so the
+cyclic garbage collector can never free any part of one;
+``collector_paused`` keeps it off while a trace is alive instead of letting
+it rescan the growing trace at every collection.  A run folded into counts
+holds no trace, so it runs with the collector on.
 
 An ``InterconnectionGraph`` holds its edges and, per node, the frozenset of
 in-neighbours ``read`` checks against.  Star and symmetric graphs store
@@ -443,28 +447,37 @@ def collector_paused() -> Iterator[None]:
 Layer = tuple[MachineState, MachineState, ActivityRecord]
 
 
-def layers(
-    initial: MachineState,
-    step_fn: StepFn,
-    graph: InterconnectionGraph,
-    halt_predicate: Callable[[MachineState], bool],
-    max_steps: int,
-    *,
-    algo_id: str = "",
-    candidates_fn: Callable[[MachineState], Iterable[int]] | None = None,
-) -> Iterator[Layer]:
+class Program(NamedTuple):
+    """One run of an algorithm, described whole: from ``initial`` on
+    ``graph``, apply ``step`` to the processors ``candidates(state)`` offers
+    (all when ``None``) until ``halt(state)``, within ``max_steps`` layers;
+    ``algo_id`` names the run in the step-limit error.  ``output(final)``
+    reads the result off the final state; ``instance_edges``, where set, are
+    the instance's directed edges that activity is counted against."""
+
+    algo_id: str
+    initial: MachineState
+    step: StepFn
+    graph: InterconnectionGraph
+    halt: Callable[[MachineState], bool]
+    max_steps: int
+    output: Callable[[MachineState], Any]
+    candidates: Callable[[MachineState], Iterable[int]] | None = None
+    instance_edges: frozenset[tuple[int, int]] | None = None
+
+
+def layers(program: Program) -> Iterator[Layer]:
     """Step one run until the halt predicate fires, yielding ``(before,
-    after, record)`` per layer; deterministic for fixed inputs.  ``algo_id``
-    names the run in the step-limit error."""
+    after, record)`` per layer; deterministic for fixed inputs."""
+    step_fn, graph, halt, max_steps = program.step, program.graph, program.halt, program.max_steps
+    candidates_fn = program.candidates
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    state = initial
+    state = program.initial
     depth = 0
-    while not halt_predicate(state):
+    while not halt(state):
         if depth >= max_steps:
-            raise StepLimitExceeded(
-                f"{algo_id or 'run'} did not halt within {max_steps} steps"
-            )
+            raise StepLimitExceeded(f"{program.algo_id} did not halt within {max_steps} steps")
         cands = candidates_fn(state) if candidates_fn is not None else None
         after, record = step_machine(state, step_fn, graph, cands)
         yield state, after, record
@@ -472,25 +485,15 @@ def layers(
         depth += 1
 
 
-def fold_trace(
-    initial: MachineState,
-    stream: Iterable[Layer],
-    graph: InterconnectionGraph,
-    instance_edges: frozenset[tuple[int, int]] | None,
-) -> Trace:
+def fold_trace(program: Program, stream: Iterable[Layer]) -> Trace:
     """Every state and record of a run, as a ``Trace``."""
-    states = [initial]
+    states = [program.initial]
     activity: list[ActivityRecord] = []
     for _, after, record in stream:
         states.append(after)
         activity.append(record)
-    return Trace(
-        width=initial.width,
-        states=tuple(states),
-        activity=tuple(activity),
-        graph=graph,
-        instance_edges=instance_edges,
-    )
+    width, graph, edges = program.initial.width, program.graph, program.instance_edges
+    return Trace(width, tuple(states), tuple(activity), graph, edges)
 
 
 def layer_counter(
@@ -540,16 +543,11 @@ class RunCounts(NamedTuple):
     edges: list[int]
 
 
-def fold_counts(
-    initial: MachineState,
-    stream: Iterable[Layer],
-    graph: InterconnectionGraph,
-    instance_edges: frozenset[tuple[int, int]] | None,
-) -> RunCounts:
+def fold_counts(program: Program, stream: Iterable[Layer]) -> RunCounts:
     """The counts of a run, taken one layer at a time: no state or record
     outlives its layer, so a run holds one state whatever its depth."""
-    m, count = layer_counter(graph, instance_edges)
-    final = initial
+    m, count = layer_counter(program.graph, program.instance_edges)
+    final = program.initial
     ops = nodes = 0
     edges: list[int] = []
     for _, final, record in stream:
@@ -557,39 +555,18 @@ def fold_counts(
         edges.append(layer_edges)
         nodes += layer_nodes
         ops += layer_ops
-    return RunCounts(initial.width, m, final, ops, nodes, edges)
+    return RunCounts(program.initial.width, m, final, ops, nodes, edges)
 
 
-# reduces a run, given its initial state, layers, graph and instance edges
-Fold = Callable[
-    [MachineState, Iterable[Layer], InterconnectionGraph, frozenset[tuple[int, int]] | None], Any
-]
+Fold = Callable[[Program, Iterable[Layer]], Any]
 
 
-def run_machine(
-    initial: MachineState,
-    step_fn: StepFn,
-    graph: InterconnectionGraph,
-    halt_predicate: Callable[[MachineState], bool],
-    max_steps: int,
-    *,
-    algo_id: str = "",
-    candidates_fn: Callable[[MachineState], Iterable[int]] | None = None,
-    instance_edges: frozenset[tuple[int, int]] | None = None,
-    fold: Fold = fold_trace,
-) -> Trace | RunCounts:
-    """One run's ``layers``, folded by ``fold``: a ``Trace`` by default,
-    ``RunCounts`` with ``fold_counts``."""
-    stream = layers(
-        initial,
-        step_fn,
-        graph,
-        halt_predicate,
-        max_steps,
-        algo_id=algo_id,
-        candidates_fn=candidates_fn,
-    )
-    return fold(initial, stream, graph, instance_edges)
+def run_machine(program: Program, fold: Fold = fold_trace) -> tuple[Any, Trace | RunCounts]:
+    """Run ``program`` and read its output off the final state: returns
+    ``(output, folded)``, the run's ``layers`` folded by ``fold`` into a
+    ``Trace`` by default, into ``RunCounts`` with ``fold_counts``."""
+    folded = fold(program, layers(program))
+    return program.output(folded.final), folded
 
 
 def activity_summary(trace: Trace) -> dict:

@@ -1,12 +1,13 @@
 """The description of one algorithm that the rest of the pipeline reads.
 
-Each algorithm module defines one ``AlgorithmSpec`` beside its machine
-program: how to run it, how to draw or enumerate its inputs, its probe
-schema, how to decode one layer's hint values (what ``gen`` writes) and
-re-derive them one frame at a time without the machine (what ``validate``
-compares them with), how to parse an inline ``trace`` input and annotate one
-layer.  Only ``trajectory.encode_sample`` and ``cli.cmd_trace`` walk a
-trace's layers.  ``pramtraj.algorithms`` collects the specs into one
+Each algorithm module defines one ``AlgorithmSpec`` beside the function
+that makes its machine program (``<name>_program(inst) ->
+machine.Program``): how to run it, how to draw or enumerate its inputs, its
+probe schema, how to decode one layer's hint values (what ``gen`` writes)
+and re-derive them one frame at a time without the machine (what
+``validate`` compares them with), how to parse an inline ``trace`` input and
+annotate one layer.  Only ``trajectory.encode_sample`` and ``cli.cmd_trace``
+walk a trace's layers.  ``pramtraj.algorithms`` collects the specs into one
 registry; generation, encoding, validation, replay and analysis look the
 algorithm up there and carry no per-algorithm code.
 """
@@ -16,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 from typing import Any, Callable, Generator
+
+from _blake2 import blake2b
 
 from .machine import Fold, MachineState, RunCounts, Trace
 
@@ -44,9 +47,6 @@ class HintFrame:
     step: int
     values: dict
 
-    def to_obj(self) -> dict:
-        return {"step": self.step, "values": self.values}
-
 
 # what a reference yields (the values of each frame) and returns (the outputs)
 Replay = Generator[dict, None, dict]
@@ -56,8 +56,9 @@ Replay = Generator[dict, None, dict]
 class AlgorithmSpec:
     """Everything the pipeline needs to know about one algorithm.
 
-    ``run(inst, fold)`` runs the machine and returns the output and the run
-    as ``fold`` reduces it (see ``machine.run_machine``);
+    ``run(inst, fold)`` builds the algorithm's ``machine.Program`` for
+    ``inst``, runs it with ``machine.run_machine`` and returns the output and
+    the run as ``fold`` reduces it;
     ``generate(n, seed, max_degree)`` draws one instance; ``exhaustive(n)``
     enumerates the whole input space of a tiny size (``None`` where that is
     not defined).  ``frame(inst, before, after)`` decodes the hint values of
@@ -92,3 +93,11 @@ def increasing_unit_scalars(rng: Random, n: int) -> list[float]:
     """n distinct values in [0,1), strictly increasing (rank rescaling)."""
     draws = sorted(rng.random() for _ in range(n))
     return [(k + draws[k]) / n for k in range(n)]
+
+
+def sample_seed(master: int, algo_id: str, n: int, index: int) -> int:
+    """64-bit per-sample seed: blake2b over 'master|algo|n|index'.  It comes
+    from CPython's built-in ``_blake2``, the function ``hashlib.blake2b``
+    names: ``hashlib`` would also load OpenSSL (about 3.5 MB resident)."""
+    text = f"{master}|{algo_id}|{n}|{index}".encode("ascii")
+    return int.from_bytes(blake2b(text, digest_size=8).digest(), "big")

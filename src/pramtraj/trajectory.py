@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .algorithms import SPECS, spec_for
 from .machine import Trace, activity_summary
-from .spec import AlgorithmSpec, HintFrame, ProbeSpec, increasing_unit_scalars
+from .spec import AlgorithmSpec, HintFrame, ProbeSpec, increasing_unit_scalars, sample_seed
 
 
 class DatasetFormatError(Exception):
@@ -57,17 +57,6 @@ class Sample:
     hints: tuple[HintFrame, ...]
     outputs: dict
     activity: dict
-
-    def to_obj(self) -> dict:
-        return {
-            "activity": self.activity,
-            "algo": self.algo,
-            "hints": [frame.to_obj() for frame in self.hints],
-            "inputs": self.inputs,
-            "n": self.n,
-            "outputs": self.outputs,
-            "seed": self.seed,
-        }
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "Sample":
@@ -170,11 +159,36 @@ def _check_payload(probe: ProbeSpec, value, n: int, where: str, out: list[str]) 
             out.append(f"{where}.{probe.name}: scalar must be finite")
 
 
-def _field_violations(algo: AlgorithmSpec, n: int, inputs, outputs, seed) -> list[str]:
-    """The input and output payloads against their probe schemas, and the
-    positional scalars, which must be distinct and, when those checks find
-    nothing and ``seed.value`` is an int, the ones ``encode_sample`` draws
-    from it."""
+# the least value of each int field of the seed and activity blocks (None: any int)
+_SEED_FIELDS = {"index": 0, "master": None, "value": None}
+_ACTIVITY_FIELDS = {"m": 0, "width": 0}
+_STEP_FIELDS = {"edges": 0, "nodes": 0, "ops": 0}
+
+
+def _int_fields(obj, fields: dict, where: str, out: list[str], others=frozenset()) -> bool:
+    """Whether ``obj`` breaks its shape, each break put in ``out``: it must
+    be an object with exactly the keys of ``fields`` and ``others``, and each
+    key of ``fields`` an int no less than its bound."""
+    if type(obj) is not dict:
+        out.append(f"{where}: must be an object")
+        return True
+    found = len(out)
+    keys = fields.keys() | others
+    if obj.keys() != keys:
+        out.append(f"{where}: expected {sorted(keys)}, got {sorted(obj)}")
+    for key, least in fields.items():
+        value = obj.get(key, 0)
+        if type(value) is not int or (least is not None and value < least):
+            bound = "an int" if least is None else f"an int >= {least}"
+            out.append(f"{where}.{key}: must be {bound}")
+    return len(out) > found
+
+
+def _field_violations(algo: AlgorithmSpec, n: int, inputs, outputs, seed, activity) -> list[str]:
+    """The input and output payloads against their probe schemas, the seed
+    and activity blocks' shapes, and distinct positional scalars; when that
+    finds nothing, ``pos`` must be what ``encode_sample`` draws from
+    ``seed.value``, and that the ``sample_seed`` of its master and index."""
     out: list[str] = []
     for stage, payload in (("input", inputs), ("output", outputs)):
         if not isinstance(payload, dict):
@@ -190,10 +204,22 @@ def _field_violations(algo: AlgorithmSpec, n: int, inputs, outputs, seed) -> lis
     pos = inputs.get("pos") if isinstance(inputs, dict) else None
     if isinstance(pos, list) and all(_is_number(v) for v in pos) and len(set(pos)) != len(pos):
         out.append("inputs.pos: positional scalars must be distinct")
-    value = seed.get("value") if isinstance(seed, dict) else None
-    if not out and type(value) is int and inputs["pos"] != increasing_unit_scalars(Random(value), n):
-        out.append("inputs.pos: not drawn from seed.value")
-    return out
+    _int_fields(seed, _SEED_FIELDS, "seed", out)
+    _int_fields(activity, _ACTIVITY_FIELDS, "activity", out, frozenset({"steps"}))
+    steps = activity.get("steps") if type(activity) is dict else None
+    if not isinstance(steps, list):
+        out.append("activity.steps missing")
+    else:
+        for idx, step in enumerate(steps):
+            if _int_fields(step, _STEP_FIELDS, f"activity.steps[{idx}]", out):
+                break  # only the first bad layer: a line may have thousands
+    if out:
+        return out
+    if inputs["pos"] != increasing_unit_scalars(Random(seed["value"]), n):
+        return ["inputs.pos: not drawn from seed.value"]
+    if seed["value"] != sample_seed(seed["master"], algo.name, n, seed["index"]):
+        return ["seed.value: not derived from seed.master, algo, n and seed.index"]
+    return []
 
 
 def validate_sample(sample: Sample) -> list[str]:
@@ -212,11 +238,9 @@ def validate_sample(sample: Sample) -> list[str]:
     if type(n) is not int or n < 1:
         return ["n must be a positive integer"]
 
-    out = _field_violations(algo, n, sample.inputs, sample.outputs, sample.seed)
+    out = _field_violations(algo, n, sample.inputs, sample.outputs, sample.seed, sample.activity)
     steps = sample.activity.get("steps") if isinstance(sample.activity, dict) else None
-    if not isinstance(steps, list):
-        out.append("activity.steps missing")
-    elif len(sample.hints) != len(steps):
+    if isinstance(steps, list) and len(sample.hints) != len(steps):
         out.append(f"hints length {len(sample.hints)} != depth {len(steps)}")
 
     hint_probes = [p for p in algo.probes if p.stage == "hint"]
@@ -371,10 +395,10 @@ def _hint_pieces(frames: Iterable[tuple[int, dict]], edges: frozenset) -> Iterat
 
 
 def _ndjson_line(sample: Sample) -> str:
-    """dumps_canonical(sample.to_obj()) + "\\n", field by field in key order:
-    the hints by ``_hint_pieces``, the inputs by ``dumps_canonical`` (every
-    scalar probe is an input probe, so no other field carries a float) and
-    every other field by one C encoder call."""
+    """dumps_canonical of the object ``Sample.from_obj`` reads, + "\\n", field
+    by field in key order: the hints by ``_hint_pieces``, the inputs by
+    ``dumps_canonical`` (every scalar probe is an input probe, so no other
+    field carries a float) and every other field by one C encoder call."""
     edges = _EDGE_HINTS.get(sample.algo, frozenset()) if isinstance(sample.algo, str) else frozenset()
     hints = "".join(_hint_pieces(((frame.step, frame.values) for frame in sample.hints), edges))
     return (
@@ -531,17 +555,16 @@ def line_is_clean(chunk: bytes, algo_id: str) -> bool:
         return False
     algo = SPECS[algo_id]
     n, inputs, activity = tail["n"], tail["inputs"], head["activity"]
-    steps = activity.get("steps") if isinstance(activity, dict) else None
-    if not (type(n) is int and n >= 1 and isinstance(steps, list)):
+    if not (type(n) is int and n >= 1):
         return False
-    if _field_violations(algo, n, inputs, tail["outputs"], tail["seed"]) or (
+    if _field_violations(algo, n, inputs, tail["outputs"], tail["seed"], activity) or (
         algo.input_violations is not None and algo.input_violations(inputs, n)
     ):
         return False
     outputs: list[dict] = []
     at = start + len(_HINTS)
     try:
-        frames = enumerate(_replayed(algo, inputs, n, len(steps), outputs), 1)
+        frames = enumerate(_replayed(algo, inputs, n, len(activity["steps"]), outputs), 1)
         for piece in _hint_pieces(frames, _EDGE_HINTS[algo_id]):
             text = piece.encode()
             if not chunk.startswith(text, at):

@@ -76,6 +76,17 @@ def test_traced_layers_match_the_written_activity(tmp_path, capsys, algo):
     assert stats.b["machine.step_machine"] == sum(step["nodes"] for run in steps for step in run)
 
 
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_every_run_goes_through_its_module_run_machine(tmp_path, capsys, algo):
+    # the benchmark times machine.run_machine where each algorithm module
+    # calls it: one call per sample, so two sizes of two samples make four
+    out = tmp_path / "d.ndjson"
+    with spans.Tracer() as tracer:
+        assert cli_main(["gen", "--algo", algo, "--n-list", "3,6", "--samples", "2", "--seed", "0",
+                         "--out", str(out)]) == 0
+    assert spans.LayerStats(tracer.spans).calls["machine.run_machine"] == 4
+
+
 def test_samples_replay_as_the_benchmark_replays_them(tmp_path, capsys):
     out = tmp_path / "d.ndjson"
     assert cli_main(["gen", "--algo", "kosaraju", "--n", "5", "--samples", "2", "--seed", "0",

@@ -14,7 +14,7 @@ import pramtraj
 from pramtraj import efficiency, harness
 from pramtraj.algorithms.sorting import gen_permutation, predecessors_from_table
 from pramtraj.cli import cli_main
-from pramtraj.harness import schema_path_for
+from pramtraj.harness import sample_seed, schema_path_for
 from pramtraj.machine import StepLimitExceeded
 from pramtraj.spec import increasing_unit_scalars
 from pramtraj.trajectory import Sample, parse_ndjson, serialize_ndjson, serialize_schema
@@ -145,6 +145,40 @@ class TestGen:
             "line 1: inputs.pos: not drawn from seed.value",
             "1 violations in 1 samples",
         ])
+
+    _PROVENANCE = "seed.value: not derived from seed.master, algo, n and seed.index"
+
+    @pytest.mark.parametrize("edit, violation", [
+        pytest.param(lambda o: o.__setitem__("seed", None), "seed: must be an object", id="seed-null"),
+        pytest.param(lambda o: o["seed"].pop("value"),
+                     "seed: expected ['index', 'master', 'value'], got ['index', 'master']", id="no-value"),
+        pytest.param(lambda o: o["seed"].__setitem__("index", 99), _PROVENANCE, id="index-99"),
+        pytest.param(lambda o: o["seed"].__setitem__("index", "x"), "seed.index: must be an int >= 0",
+                     id="index-str"),
+        pytest.param(lambda o: o["seed"].__setitem__("index", -1), "seed.index: must be an int >= 0",
+                     id="index-negative"),
+        pytest.param(lambda o: o["seed"].__setitem__("master", 1), _PROVENANCE, id="master-1"),
+        pytest.param(lambda o: o["seed"].__setitem__("extra", 0),
+                     "seed: expected ['index', 'master', 'value'], got ['extra', 'index', 'master', 'value']",
+                     id="extra-key"),
+        pytest.param(lambda o: o.__setitem__("activity", {"steps": o["activity"]["steps"]}),
+                     "activity: expected ['m', 'steps', 'width'], got ['steps']", id="steps-only"),
+        pytest.param(lambda o: o["activity"].__setitem__("m", -1), "activity.m: must be an int >= 0",
+                     id="m-negative"),
+        pytest.param(lambda o: o["activity"].__setitem__("steps", [{"x": 1}] * len(o["hints"])),
+                     "activity.steps[0]: expected ['edges', 'nodes', 'ops'], got ['x']", id="step-keys"),
+        pytest.param(lambda o: o["activity"]["steps"][2].__setitem__("ops", True),
+                     "activity.steps[2].ops: must be an int >= 0", id="step-bool"),
+    ])
+    def test_validate_checks_the_seed_and_activity_blocks(self, tmp_path, capsys, edit, violation):
+        out = tmp_path / "d.ndjson"
+        run_cli(["gen", "--algo", "oets", "--n", "6", "--samples", "1", "--seed", "0", "--out", str(out)])
+        obj = json.loads(out.read_bytes())
+        edit(obj)
+        out.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+        capsys.readouterr()
+        assert run_cli(["validate", "--in", str(out)]) == 1
+        assert capsys.readouterr().out.splitlines() == [f"line 1: {violation}", "1 violations in 1 samples"]
 
     def test_validate_reports_off_domain_adjacency(self, tmp_path, capsys):
         def half_edge(obj):
@@ -300,11 +334,12 @@ class TestGen:
         for algo, n in (("bubble_sort", 60), ("oets", 200)):
             inst = gen_permutation(n, 1)
             ranked = tuple(sorted(range(n), key=inst.items.__getitem__))
+            seed = sample_seed(0, algo, n, 0)
             sample = Sample(
                 algo=algo,
                 n=n,
-                seed={"index": 0, "master": 0, "value": 1},
-                inputs={"items": list(inst.items), "pos": increasing_unit_scalars(Random(1), n)},
+                seed={"index": 0, "master": 0, "value": seed},
+                inputs={"items": list(inst.items), "pos": increasing_unit_scalars(Random(seed), n)},
                 hints=(),
                 outputs={"pred": list(predecessors_from_table(ranked))},
                 activity={"m": n * (n - 1), "steps": [], "width": n},
@@ -314,11 +349,12 @@ class TestGen:
             schema_path_for(out).write_bytes(serialize_schema(algo))
             tracemalloc.start()
             try:
-                with contextlib.redirect_stdout(io.StringIO()):
+                with contextlib.redirect_stdout(io.StringIO()) as report:
                     assert run_cli(["validate", "--in", str(out)]) == 1
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            assert "line 1: replay: 0 frames, the replay takes more" in report.getvalue(), algo
             assert peak < 5_000_000, (algo, peak)
 
 

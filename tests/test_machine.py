@@ -13,6 +13,7 @@ from pramtraj.machine import (
     NeighborhoodViolation,
     NodeContext,
     NodeUpdate,
+    Program,
     StepLimitExceeded,
     Trace,
     UNDEF,
@@ -56,6 +57,11 @@ class TestCells:
 
 def _edgeless_graph(n):
     return InterconnectionGraph(n, frozenset())
+
+
+def _program(initial, step, graph, halt, max_steps):
+    """A test run named "probe" whose output is its final state."""
+    return Program("probe", initial, step, graph, halt, max_steps, lambda s: s)
 
 
 def _write_layer(width, shared_size, writes_by_pid):
@@ -347,16 +353,16 @@ class TestCollectorPaused:
         assert gc.isenabled()
         with collector_paused():
             assert not gc.isenabled()
-            trace = run_machine(fresh_state(1, 1, 1), lambda ctx: HOLD, _edgeless_graph(1),
-                                lambda s: s.clock >= 2, 2)
+            _, trace = run_machine(_program(fresh_state(1, 1, 1), lambda ctx: HOLD,
+                                            _edgeless_graph(1), lambda s: s.clock >= 2, 2))
         assert gc.isenabled()
         assert trace.depth == 2
 
     def test_restored_after_step_limit(self):
         with pytest.raises(StepLimitExceeded):
             with collector_paused():
-                run_machine(fresh_state(1, 1, 1), lambda ctx: None, _edgeless_graph(1),
-                            lambda s: False, 3)
+                run_machine(_program(fresh_state(1, 1, 1), lambda ctx: None, _edgeless_graph(1),
+                                     lambda s: False, 3))
         assert gc.isenabled()
 
     def test_stays_off_when_off_on_entry(self):
@@ -367,8 +373,8 @@ class TestCollectorPaused:
             assert not gc.isenabled()
             with pytest.raises(StepLimitExceeded):
                 with collector_paused():
-                    run_machine(fresh_state(1, 1, 1), lambda ctx: None, _edgeless_graph(1),
-                                lambda s: False, 3)
+                    run_machine(_program(fresh_state(1, 1, 1), lambda ctx: None,
+                                         _edgeless_graph(1), lambda s: False, 3))
             assert not gc.isenabled()
         finally:
             gc.enable()
@@ -377,14 +383,16 @@ class TestCollectorPaused:
 class TestRunMachine:
     def test_halt_on_initial_state(self):
         state = fresh_state(2, 1, 1)
-        trace = run_machine(state, lambda ctx: None, _edgeless_graph(2), lambda s: True, 5)
+        final, trace = run_machine(_program(state, lambda ctx: None, _edgeless_graph(2),
+                                            lambda s: True, 5))
+        assert final is state
         assert trace.depth == 0
         assert len(trace.states) == 1
 
     def test_step_limit_exceeded(self):
         state = fresh_state(1, 1, 1)
         with pytest.raises(StepLimitExceeded):
-            run_machine(state, lambda ctx: None, _edgeless_graph(1), lambda s: False, 3)
+            run_machine(_program(state, lambda ctx: None, _edgeless_graph(1), lambda s: False, 3))
 
     def test_trace_is_deterministic(self):
         graph = _edgeless_graph(3)
@@ -396,13 +404,9 @@ class TestRunMachine:
 
         def make():
             return run_machine(
-                MachineState(((0.5,),) * 3, (UNDEF,), 0),
-                step,
-                graph,
-                lambda s: s.clock >= 4,
-                8,
-                algo_id="probe",
-            )
+                _program(MachineState(((0.5,),) * 3, (UNDEF,), 0), step, graph,
+                         lambda s: s.clock >= 4, 8)
+            )[1]
 
         a, b = make(), make()
         assert a.states == b.states
@@ -412,35 +416,33 @@ class TestRunMachine:
     def test_either_fold_names_the_run_that_did_not_halt(self, fold):
         state = fresh_state(1, 1, 1)
         with pytest.raises(StepLimitExceeded, match="^probe did not halt within 3 steps$"):
-            run_machine(state, lambda ctx: None, _edgeless_graph(1), lambda s: False, 3,
-                        algo_id="probe", fold=fold)
+            run_machine(_program(state, lambda ctx: None, _edgeless_graph(1), lambda s: False, 3),
+                        fold)
         with pytest.raises(ValueError, match="max_steps must be >= 1"):
-            run_machine(state, lambda ctx: None, _edgeless_graph(1), lambda s: True, 0, fold=fold)
+            run_machine(_program(state, lambda ctx: None, _edgeless_graph(1), lambda s: True, 0),
+                        fold)
 
     def test_layers_chain_the_states_of_the_trace(self):
         def step(ctx):
             return NodeUpdate(local={0: float(ctx.clock)}) if ctx.pid == ctx.clock % 2 else None
 
         initial = MachineState(((0.5,),) * 2, (), 0)
-        args = (initial, step, _edgeless_graph(2), lambda s: s.clock >= 3, 3)
-        stream = list(layers(*args))
-        trace = run_machine(*args)
+        program = _program(initial, step, _edgeless_graph(2), lambda s: s.clock >= 3, 3)
+        stream = list(layers(program))
+        final, trace = run_machine(program)
+        assert final == trace.final
         assert [before for before, _, _ in stream] == list(trace.states[:-1])
         assert [after for _, after, _ in stream] == list(trace.states[1:])
         assert [record for _, _, record in stream] == list(trace.activity)
-        counts = run_machine(*args, fold=fold_counts)
-        assert counts.final == trace.final
+        final, counts = run_machine(program, fold_counts)
+        assert final == counts.final == trace.final
         assert (counts.width, counts.m, counts.ops, counts.nodes) == (2, 0, 3, 3)
         assert counts.edges == [0, 0, 0]
 
     def test_clock_advances_by_one(self):
         graph = _edgeless_graph(1)
-        trace = run_machine(
-            MachineState(((0.0,),), (), 0),
-            lambda ctx: HOLD,
-            graph,
-            lambda s: s.clock >= 3,
-            3,
+        _, trace = run_machine(
+            _program(MachineState(((0.0,),), (), 0), lambda ctx: HOLD, graph, lambda s: s.clock >= 3, 3)
         )
         assert [s.clock for s in trace.states] == [0, 1, 2, 3]
 
@@ -448,8 +450,8 @@ class TestRunMachine:
 class TestTraceChecks:
     def _trace(self):
         return run_machine(
-            fresh_state(2, 1, 1), lambda ctx: HOLD, _edgeless_graph(2), lambda s: s.clock >= 2, 2
-        )
+            _program(fresh_state(2, 1, 1), lambda ctx: HOLD, _edgeless_graph(2), lambda s: s.clock >= 2, 2)
+        )[1]
 
     def test_a_run_passes(self):
         trace = self._trace()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pramtraj.algorithms.scc import DONE, PIVOT_ADDR, dcsc, dcsc_machine, gen_digraph, kosaraju
+from pramtraj.algorithms.scc import DONE, PIVOT_ADDR, dcsc, dcsc_program, gen_digraph, kosaraju
 from pramtraj.graphs import Digraph
 from pramtraj.harness import sample_seed
 from pramtraj.machine import UNDEF, MachineState
@@ -126,7 +126,7 @@ class TestDcscSchedule:
     def test_every_traced_state_matches_the_scan(self):
         checked = 0
         for g in _schedule_graphs():
-            candidates = dcsc_machine(g)[2]
+            candidates = dcsc_program(g).candidates
             _, trace = dcsc(g)
             for state in trace.states:
                 assert list(candidates(state)) == dcsc_candidates_scan(g, state)
@@ -137,7 +137,7 @@ class TestDcscSchedule:
         return MachineState(tuple(rows), (pivot, True), 0)
 
     def _check(self, state, expected):
-        candidates = dcsc_machine(self.G)[2]
+        candidates = dcsc_program(self.G).candidates
         assert list(candidates(state)) == expected
         assert dcsc_candidates_scan(self.G, state) == expected
 
@@ -164,7 +164,7 @@ class TestDcscSchedule:
         rows = [(0, 0, 0, True), (0, 0, 0, True), (0, 0, 0, True), (3, 3, 3, True), (4, 4, 4, True)]
         state = self._state(rows, 4)
         self._check(state, [])
-        assert dcsc_machine(self.G)[3](state)
+        assert dcsc_program(self.G).halt(state)
 
 
 class TestKosaraju:

@@ -104,9 +104,9 @@ class TestBubble:
     def test_activity_is_exactly_the_compared_pair(self):
         inst = gen_permutation(8, 41)
         _, trace = bubble_sort(inst)
-        schedule = bubble_schedule(8)
+        slots = bubble_schedule(8)[1]
         for rec in trace.activity:
-            _, j = schedule[rec.step - 1]
+            j = slots[rec.step - 1]
             table = trace.states[rec.step - 1].shared
             assert rec.active_nodes == {table[j], table[j + 1]}
             assert len(rec.active_edges) <= 4
@@ -157,14 +157,15 @@ def test_oets_round_reads_are_sound():
     # active-edge soundness on the real round step: perturbing the partner's
     # item changes what a pair member reads; perturbing an unrelated node's
     # item never does
-    from pramtraj.algorithms.sorting import oets_machine
+    from pramtraj.algorithms.sorting import oets_program
     from pramtraj.machine import MachineState
 
     from machine_support import probe_step_reads
 
     inst = SortInstance(items=(4.0, 3.0, 2.0, 1.0))
-    initial, step, candidates, _, graph = oets_machine(inst)
-    pair_members = tuple(candidates(initial))
+    program = oets_program(inst)
+    initial, step, graph = program.initial, program.step, program.graph
+    pair_members = tuple(program.candidates(initial))
 
     def reads(state):
         return probe_step_reads(state, step, graph, pair_members)

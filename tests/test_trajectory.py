@@ -44,6 +44,11 @@ def make_sample(algo, n=None, index=0, master=11):
     return encode_sample(algo, inst, trace, output, seed=seed, master=master, index=index)
 
 
+def as_obj(sample):
+    """The object form of a sample, as its written line parses."""
+    return json.loads(serialize_ndjson([sample]))
+
+
 def drain(replay):
     """(frames, outputs) of a reference's replay, run to its end."""
     frames = []
@@ -162,12 +167,11 @@ class TestValidate:
             assert validate_sample(sample) == []
 
     def _corrupt(self, sample):
-        obj = copy.deepcopy(sample.to_obj())
-        return obj
+        return as_obj(sample)
 
     def test_pos_must_be_drawn_from_the_seed(self):
         for algo in ALGORITHMS:
-            obj = make_sample(algo, n=6, master=0).to_obj()
+            obj = as_obj(make_sample(algo, n=6, master=0))
             for edit in (
                 lambda o: o["inputs"]["pos"].__setitem__(0, o["inputs"]["pos"][0] / 2),
                 lambda o: o["seed"].__setitem__("value", o["seed"]["value"] + 1),
@@ -177,10 +181,23 @@ class TestValidate:
                 sample = Sample.from_obj(edited)
                 assert validate_sample(sample) == ["inputs.pos: not drawn from seed.value"], algo
                 assert not line_is_clean(serialize_ndjson([sample]), algo), algo
-            # a seed.value that is not an int names no draw: pos goes unchecked
+            # a seed.value that is not an int names no draw: the seed is reported, not pos
             edited = copy.deepcopy(obj)
             edited["seed"]["value"] = str(edited["seed"]["value"])
-            assert validate_sample(Sample.from_obj(edited)) == [], algo
+            assert validate_sample(Sample.from_obj(edited)) == ["seed.value: must be an int"], algo
+
+    def test_seed_must_be_the_sample_seed_of_its_master_and_index(self):
+        for algo in ALGORITHMS:
+            obj = as_obj(make_sample(algo, n=6, index=1, master=0))
+            assert verdict(compact(obj)) == [] and line_is_clean(compact(obj), algo), algo
+            for key, value in (("index", 0), ("index", 2), ("master", 1), ("master", -1)):
+                edited = copy.deepcopy(obj)
+                edited["seed"][key] = value
+                chunk = compact(edited)
+                assert verdict(chunk) == [
+                    "seed.value: not derived from seed.master, algo, n and seed.index"
+                ], (algo, key, value)
+                assert not line_is_clean(chunk, algo), (algo, key, value)
 
     def test_mask_domain_violation(self):
         sample = make_sample("parallel_search")
@@ -263,7 +280,7 @@ class TestValidate:
             for index in range(4):
                 sample = make_sample(algo, n=6, index=index, master=0)
                 for _ in range(30):
-                    obj = copy.deepcopy(sample.to_obj())
+                    obj = as_obj(sample)
                     name = rng.choice(sorted(obj["inputs"]))
                     value = obj["inputs"][name]
                     cell = rng.choice([0.0, 1.0, 0.5, -3.0, rng.random()])
@@ -344,7 +361,11 @@ class TestWriter:
 
     @staticmethod
     def reference(sample):
-        return (dumps_canonical(sample.to_obj()) + "\n").encode("utf-8")
+        """dumps_canonical of the object the written line parses to, which
+        reads back as the sample itself (as in test_round_trip_identity)."""
+        obj = as_obj(sample)
+        assert Sample.from_obj(obj) == sample
+        return (dumps_canonical(obj) + "\n").encode("utf-8")
 
     def test_scalar_probes_are_inputs(self):
         for spec in SPECS.values():
@@ -386,7 +407,7 @@ def spelled(hints, edges) -> str:
 
 
 def canonical(hints) -> str:
-    return dumps_canonical([frame.to_obj() for frame in hints])
+    return dumps_canonical([{"step": frame.step, "values": frame.values} for frame in hints])
 
 
 # Cells spelled alike by the C encoder and dumps_canonical: the writer spells
@@ -537,7 +558,7 @@ class TestReplay:
 
     def test_replay_detects_tampered_hints(self):
         sample = make_sample("binary_search")
-        obj = copy.deepcopy(sample.to_obj())
+        obj = as_obj(sample)
         obj["hints"][0]["values"]["mid"] = [0] * sample.n
         with pytest.raises(ReplayError):
             replay_sample(Sample.from_obj(obj))
@@ -547,7 +568,7 @@ class TestReplay:
             sample = make_sample("parallel_search", n=8, index=index)
             for t in range(len(sample.hints)):
                 for cell in range(sample.n):
-                    obj = copy.deepcopy(sample.to_obj())
+                    obj = as_obj(sample)
                     mask = obj["hints"][t]["values"]["leq_mask"]
                     mask[cell] = 1 - mask[cell]
                     with pytest.raises(ReplayError):
@@ -555,14 +576,14 @@ class TestReplay:
 
     def test_parallel_search_replay_needs_two_frames(self):
         sample = make_sample("parallel_search", n=8)
-        obj = copy.deepcopy(sample.to_obj())
+        obj = as_obj(sample)
         obj["hints"] = obj["hints"][:1]
         with pytest.raises(ReplayError):
             replay_sample(Sample.from_obj(obj))
 
     def test_replay_detects_tampered_swaps(self):
         sample = make_sample("oets", n=6)
-        obj = copy.deepcopy(sample.to_obj())
+        obj = as_obj(sample)
         mask = obj["hints"][0]["values"]["swap_mask"]
         mask[0][3] = 1
         mask[3][0] = 1
@@ -683,7 +704,11 @@ class TestLineCheck:
                             probe,
                             hints=tuple(HintFrame(t, v) for t, v in enumerate(frames, 1)),
                             outputs=outputs,
-                            activity={"steps": [{}] * len(frames)},
+                            activity={
+                                "m": 0,
+                                "steps": [{"edges": 0, "nodes": 0, "ops": 0}] * len(frames),
+                                "width": 0,
+                            },
                         )
                         # a redrawn pos is the one field check the replayed frames cannot mend
                         drawn = inputs["pos"] == sample.inputs["pos"]
@@ -699,7 +724,7 @@ class TestLineCheck:
         values = (0, 1, 2, -1, 1.0, True, False)
         checked = 0
         for algo in ALGORITHMS:
-            obj = make_sample(algo, n=6, master=0).to_obj()
+            obj = as_obj(make_sample(algo, n=6, master=0))
             mutants = []
             turn = 0
             for idx, frame in enumerate(obj["hints"]):
@@ -741,7 +766,7 @@ class TestLineCheck:
         for algo in ALGORITHMS:
             sample = make_sample(algo, n=4, master=1)
             chunk = serialize_ndjson([sample])
-            obj = sample.to_obj()
+            obj = as_obj(sample)
             other_algo = "bubble_sort" if algo == "oets" else "oets"
             others = [
                 json.dumps(obj, sort_keys=True).encode() + b"\n",
