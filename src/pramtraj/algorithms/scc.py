@@ -9,13 +9,15 @@ round never needs a mass reset: a node counts as discovered exactly when its
 cell equals the current pivot.
 
 The sequential member is hosted on a width-1 machine (a single processor
-walking the graph kept in shared memory).  Each step is one DFS event: a
-root seed, one edge scan, or a node finish, with finishes folded into the
-step that exhausts the node, so a full run takes at most n+m steps per pass.
+walking the graph kept in shared memory).  Each step is one DFS event of
+either pass, both run by one step: a root seed, one edge scan, or a node
+finish, with finishes folded into the step that exhausts the node, so a
+full run takes at most n+m steps per pass.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from random import Random
 from typing import Iterator
 
@@ -105,29 +107,23 @@ def dcsc_program(g: Digraph) -> Program:
                 writes=((PIVOT_ADDR, pivot), (OPEN_ADDR, True)),
             )
         pivot = ctx.shared(PIVOT_ADDR, int)
-        fwd = ctx.own(FWD)
-        bwd = ctx.own(BWD)
-        if fwd == pivot and bwd == pivot:
-            return NodeUpdate(local={DONE: True}, writes=((OPEN_ADDR, False),))
+        pid = ctx.pid
         update = {}
-        if fwd != pivot:
-            hit = False
-            for j in g.in_neighbors(ctx.pid):
-                if ctx.read(j, FWD) == pivot:
-                    hit = True
-            if hit:
-                update[FWD] = pivot
-        if bwd != pivot:
-            hit = False
-            for j in g.out_neighbors(ctx.pid):
-                if ctx.read(j, BWD) == pivot:
-                    hit = True
-            if hit:
-                update[BWD] = pivot
+        reached = 0
+        # forward: reached from an in-neighbour; backward: reaching an
+        # out-neighbour.  Every neighbour is read, as each read is an
+        # active edge.
+        for slot, sources in ((FWD, pred[pid]), (BWD, succ[pid])):
+            if ctx.own(slot) != pivot:
+                if pivot not in [ctx.read(j, slot) for j in sources]:
+                    continue
+                update[slot] = pivot
+            reached += 1
+        if reached < 2:
+            return NodeUpdate(local=update) if update else None
         if not update:
-            return None
-        if update.get(FWD, fwd) == pivot and update.get(BWD, bwd) == pivot:
-            update[PTR] = pivot
+            return NodeUpdate(local={DONE: True}, writes=((OPEN_ADDR, False),))
+        update[PTR] = pivot
         return NodeUpdate(local=update)
 
     return Program(
@@ -163,90 +159,69 @@ def kosaraju_program(g: Digraph) -> Program:
     ctr, phase, root = 3 * n + 1, 3 * n + 2, 3 * n + 3
     # an empty stack, sp, the cursors and ctr at 0, in pass 1, with no root
     local = (UNDEF,) * n + (0,) * (2 * n + 2) + (1, UNDEF)
+    # per pass: the edges to follow, the seen block and the cursor block
+    passes = (
+        ([g.out_neighbors(u) for u in range(n)], color1, iter1),
+        ([g.in_neighbors(u) for u in range(n)], color2, iter2),
+    )
 
     def step(ctx):
         ph = ctx.own(phase, int)
-        depth_sp = ctx.own(sp, int)
-        if ph == 1:
-            if depth_sp == 0:
-                seed = next(
-                    (v for v in range(n) if ctx.shared(color1 + v) is UNDEF), None
-                )
-                if seed is None:
-                    return NodeUpdate(local={phase: 2})
-                if not g.out_neighbors(seed):
-                    count = ctx.own(ctr, int)
-                    return NodeUpdate(
-                        local={ctr: count + 1},
-                        writes=((color1 + seed, True), (order + seed, count)),
-                    )
-                return NodeUpdate(
-                    local={stack: seed, sp: 1}, writes=((color1 + seed, True),)
-                )
-            u = ctx.own(stack + depth_sp - 1, int)
-            k = ctx.own(iter1 + u, int)
-            out = g.out_neighbors(u)
-            if k < len(out):
-                w = out[k]
-                if ctx.shared(color1 + w) is UNDEF:
-                    if not g.out_neighbors(w):
-                        count = ctx.own(ctr, int)
-                        return NodeUpdate(
-                            local={iter1 + u: k + 1, ctr: count + 1},
-                            writes=((color1 + w, True), (order + w, count)),
-                        )
-                    return NodeUpdate(
-                        local={iter1 + u: k + 1, stack + depth_sp: w, sp: depth_sp + 1},
-                        writes=((color1 + w, True),),
-                    )
-                if k + 1 == len(out):
-                    count = ctx.own(ctr, int)
-                    return NodeUpdate(
-                        local={iter1 + u: k + 1, sp: depth_sp - 1, ctr: count + 1},
-                        writes=((order + u, count),),
-                    )
-                return NodeUpdate(local={iter1 + u: k + 1})
-            count = ctx.own(ctr, int)
-            return NodeUpdate(
-                local={sp: depth_sp - 1, ctr: count + 1}, writes=((order + u, count),)
-            )
-        if ph == 2:
-            if depth_sp == 0:
-                seed = None
-                best = -1
+        if ph == 3:
+            return None
+        edges, seen, cursor = passes[ph - 1]
+        top = ctx.own(sp, int)
+        local = {}
+        writes = []
+
+        def enter(w, tree):
+            """Mark w seen (in pass 2, as a member of tree's component), then
+            push it, or let it leave at once when it has no edge to follow."""
+            writes.append((seen + w, True))
+            if ph == 2:
+                writes.append((comp + w, tree))
+            if edges[w]:
+                local[stack + top] = w
+                local[sp] = top + 1
+            else:
+                leave(w)
+
+        def leave(u):
+            """Number u's finish in pass 1; in pass 2 a leave writes nothing."""
+            if ph == 1:
+                count = ctx.own(ctr, int)
+                local[ctr] = count + 1
+                writes.append((order + u, count))
+
+        if top == 0:
+            # seed: pass 1 at the first unseen node, pass 2 at the unseen
+            # node that finished last; with none left, the pass ends
+            if ph == 1:
+                seed = next((v for v in range(n) if ctx.shared(seen + v) is UNDEF), None)
+            else:
+                seed, last = None, -1
                 for v in range(n):
-                    if ctx.shared(color2 + v) is UNDEF:
-                        rank = ctx.shared(order + v, int)
-                        if rank > best:
-                            best = rank
-                            seed = v
-                if seed is None:
-                    return NodeUpdate(local={phase: 3})
-                writes = ((color2 + seed, True), (comp + seed, seed))
-                if not g.in_neighbors(seed):
-                    return NodeUpdate(local={root: seed}, writes=writes)
-                return NodeUpdate(
-                    local={root: seed, stack: seed, sp: 1}, writes=writes
-                )
-            u = ctx.own(stack + depth_sp - 1, int)
-            k = ctx.own(iter2 + u, int)
-            out = g.in_neighbors(u)
-            current_root = ctx.own(root, int)
+                    if ctx.shared(seen + v) is UNDEF and ctx.shared(order + v, int) > last:
+                        seed, last = v, ctx.shared(order + v, int)
+            if seed is None:
+                return NodeUpdate(local={phase: ph + 1})
+            if ph == 2:
+                local[root] = seed
+            enter(seed, seed)
+        else:
+            # scan the top node's next edge; the scan that exhausts it, or
+            # the return to it after its last edge, pops it
+            u = ctx.own(stack + top - 1, int)
+            k = ctx.own(cursor + u, int)
+            out = edges[u]
             if k < len(out):
-                w = out[k]
-                if ctx.shared(color2 + w) is UNDEF:
-                    writes = ((color2 + w, True), (comp + w, current_root))
-                    if not g.in_neighbors(w):
-                        return NodeUpdate(local={iter2 + u: k + 1}, writes=writes)
-                    return NodeUpdate(
-                        local={iter2 + u: k + 1, stack + depth_sp: w, sp: depth_sp + 1},
-                        writes=writes,
-                    )
-                if k + 1 == len(out):
-                    return NodeUpdate(local={iter2 + u: k + 1, sp: depth_sp - 1})
-                return NodeUpdate(local={iter2 + u: k + 1})
-            return NodeUpdate(local={sp: depth_sp - 1})
-        return None
+                local[cursor + u] = k + 1
+            if k < len(out) and ctx.shared(seen + out[k]) is UNDEF:
+                enter(out[k], ctx.own(root))
+            elif k + 1 >= len(out):
+                local[sp] = top - 1
+                leave(u)
+        return NodeUpdate(local, writes)
 
     return Program(
         "kosaraju",
@@ -513,12 +488,11 @@ DCSC = AlgorithmSpec(
     input_violations=_adjacency_violations,
 )
 
-KOSARAJU = AlgorithmSpec(
+# kosaraju shares dcsc's task: the same instances, inputs and outputs
+KOSARAJU = replace(
+    DCSC,
     name="kosaraju",
-    family="scc",
     run=kosaraju,
-    generate=_generate,
-    exhaustive=None,
     probes=_INPUTS
     + (
         ProbeSpec("seen_first", "hint", "node", "mask"),
@@ -529,12 +503,8 @@ KOSARAJU = AlgorithmSpec(
         _PTR,
     ),
     frame=_frame_kosaraju,
-    inputs=_scc_inputs,
-    outputs=_ptr_output,
     reference=_reference_kosaraju,
-    parse_inline=parse_digraph_inline,
     note=_note_kosaraju,
-    input_violations=_adjacency_violations,
 )
 
 # (parallel, sequential)

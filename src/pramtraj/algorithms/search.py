@@ -8,7 +8,7 @@ qualifies, i.e. the query-node category).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from random import Random
 
 from ..machine import (
@@ -255,12 +255,11 @@ PARALLEL_SEARCH = AlgorithmSpec(
     note=_note_parallel_search,
 )
 
-BINARY_SEARCH = AlgorithmSpec(
+# binary_search shares parallel_search's task: the same instances, inputs and outputs
+BINARY_SEARCH = replace(
+    PARALLEL_SEARCH,
     name="binary_search",
-    family="search",
     run=binary_search,
-    generate=_generate,
-    exhaustive=exhaustive_searches,
     probes=_INPUTS
     + (
         ProbeSpec("low", "hint", "node", "mask"),
@@ -269,10 +268,7 @@ BINARY_SEARCH = AlgorithmSpec(
         _RANK,
     ),
     frame=_frame_binary_search,
-    inputs=_search_inputs,
-    outputs=_rank_output,
     reference=_reference_binary_search,
-    parse_inline=parse_search_inline,
     note=_note_binary_search,
 )
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from random import Random
 
@@ -304,12 +304,11 @@ OETS = AlgorithmSpec(
     note=_note,
 )
 
-BUBBLE_SORT = AlgorithmSpec(
+# bubble_sort shares oets's task: the same instances, inputs and outputs
+BUBBLE_SORT = replace(
+    OETS,
     name="bubble_sort",
-    family="sort",
     run=bubble_sort,
-    generate=_generate,
-    exhaustive=every_permutation,
     probes=_COMMON
     + (
         ProbeSpec("cursor_i", "hint", "graph", "categorical"),
@@ -317,11 +316,7 @@ BUBBLE_SORT = AlgorithmSpec(
         _PRED,
     ),
     frame=_frame_bubble,
-    inputs=_sort_inputs,
-    outputs=_pred_output,
     reference=_reference_bubble,
-    parse_inline=parse_sort_inline,
-    note=_note,
 )
 
 # (parallel, sequential)

@@ -3,11 +3,11 @@
 Every metric is a function of one run's activity summary
 (``machine.activity_summary``), the ``activity`` block of a dataset line, so
 a written dataset's metrics follow from its lines without re-running the
-machine.  ``size_record`` builds no summary: it folds each run into
-``machine.RunCounts`` one layer at a time (``machine.fold_counts``, which
-counts a layer by the summary's own rule, ``machine.layer_counter``), so a
-run holds one machine state and its per-layer edge counts, and it reads the
-same figures off those counts.
+machine.  ``size_record`` builds no summary: it folds each run straight
+into its figures, ``machine.RunCounts``, one layer at a time
+(``machine.fold_counts``, which counts a layer by the summary's own rule,
+``machine.layer_counter``), so a run holds one machine state, and it adds
+those figures into the size's running totals.
 
 Capacity is width x depth.  Node efficiency divides the executed operation
 count by capacity (the share of node-layer slots doing useful work); the
@@ -24,7 +24,7 @@ from dataclasses import dataclass, asdict
 
 from .algorithms import run, spec_for
 from .harness import exhaustive_instances, generate_instance, sample_label, sample_seed
-from .machine import RunCounts, StepLimitExceeded, fold_counts
+from .machine import StepLimitExceeded, fold_counts
 from .trajectory import dumps_canonical
 
 
@@ -151,30 +151,30 @@ def size_record(
             generate_instance(algo_id, n, sample_seed(seed, algo_id, n, i), max_degree)
             for i in range(samples_per_n)
         )
-    # each run is folded into its counts layer by layer and its figures into
-    # the size's running totals, so a size holds one machine state and one
-    # run's per-layer edge counts at a time, plus one eps per run: eps stays
-    # a list so that ``sum`` adds it in run order
+    # each run is folded into its figures layer by layer and they into the
+    # size's running totals, so a size holds one machine state at a time;
+    # eps adds in run order, as ``sum`` over a list of them would; k ends
+    # as the run count
     layers = caps = ops = nodes = ms = edge_max = edge_total = zero_depth = 0
-    eps: list[float] = []
-    for index, inst in enumerate(instances):
+    eps_min, eps_total = math.inf, 0.0
+    for k, inst in enumerate(instances, 1):
         try:
             _, counts = run(algo_id, inst, fold=fold_counts)
         except StepLimitExceeded as err:
-            label = sample_label(algo_id, n, index, master)
+            label = sample_label(algo_id, n, k - 1, master)
             raise StepLimitExceeded(f"{err} ({label})") from err
-        width, depth, cap, op, node, m, run_eps, run_edge_max, run_edges = _run_figures(counts)
+        width = counts.width
+        layers += counts.depth
+        caps += width * counts.depth
+        ops += counts.ops
+        nodes += counts.nodes
+        ms += counts.m
+        eps_min = min(eps_min, counts.eps)
+        eps_total += counts.eps
+        edge_max = max(edge_max, counts.edge_max)
+        edge_total += counts.edges
+        zero_depth += counts.depth == 0
         del counts  # freed before the next run, not after
-        layers += depth
-        caps += cap
-        ops += op
-        nodes += node
-        ms += m
-        eps.append(run_eps)
-        edge_max = max(edge_max, run_edge_max)
-        edge_total += run_edges
-        zero_depth += depth == 0
-    k = len(eps)
     cap_mean = caps / k
     return SizeRecord(
         n=n,
@@ -185,32 +185,11 @@ def size_record(
         op_total=ops / k,
         eta=(ops / k) / cap_mean if cap_mean else 1.0,
         eta_nodes=(nodes / k) / cap_mean if cap_mean else 1.0,
-        eps_min=min(eps),
-        eps_mean=sum(eps) / k,
+        eps_min=eps_min,
+        eps_mean=eps_total / k,
         edge_max=edge_max,
         edge_mean=edge_total / layers if layers else 0.0,
         zero_depth=zero_depth,
-    )
-
-
-def _run_figures(counts: RunCounts) -> tuple:
-    """(width, depth, capacity, ops, active nodes, m, eps, edge max, edge
-    total) of one run: the figures ``capacity`` and ``edge_shares`` give on
-    its activity summary.  eps is ``sum`` over the per-layer shares in layer
-    order, as the mean of ``edge_shares`` is."""
-    edges, m = counts.edges, counts.m
-    depth = len(edges)
-    eps = sum(e / m for e in edges) / depth if m and depth else 0.0
-    return (
-        counts.width,
-        depth,
-        counts.width * depth,
-        counts.ops,
-        counts.nodes,
-        m,
-        eps,
-        max(edges, default=0),
-        sum(edges),
     )
 
 

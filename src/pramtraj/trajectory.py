@@ -415,8 +415,9 @@ def serialize_ndjson(samples: Iterable[Sample]) -> bytes:
 
 def parse_ndjson(data: bytes | str, lineno: int = 1) -> list[Sample]:
     """The samples of an NDJSON stream whose first line is line ``lineno``.
-    A line that is blank or not a sample, and bytes that are not UTF-8 (as
-    line ``lineno``), are a DatasetFormatError."""
+    A line that is blank or not a sample (JSON that does not parse, an int
+    too long to convert included), and bytes that are not UTF-8 (as line
+    ``lineno``), are a DatasetFormatError."""
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as err:
@@ -428,7 +429,7 @@ def parse_ndjson(data: bytes | str, lineno: int = 1) -> list[Sample]:
         try:
             obj = json.loads(line)
             samples.append(Sample.from_obj(obj))
-        except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as err:
+        except (ValueError, RecursionError, KeyError, TypeError) as err:
             raise DatasetFormatError(lineno, err) from None
     return samples
 
@@ -448,7 +449,7 @@ def parse_schema(data: bytes | str) -> tuple[str, list[ProbeSpec]]:
             obj = json.loads(line)
             probes.append(ProbeSpec(obj["name"], obj["stage"], obj["location"], obj["dtype"]))
             algo = obj["algo"]
-        except (json.JSONDecodeError, KeyError, TypeError) as err:
+        except (ValueError, RecursionError, KeyError, TypeError) as err:
             raise DatasetFormatError(lineno, err) from None
     if algo is None:
         raise DatasetFormatError(1, "empty schema")
@@ -543,7 +544,7 @@ def line_is_clean(chunk: bytes, algo_id: str) -> bool:
             return False
         head = json.loads(head_text)
         tail = json.loads(tail_text)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+    except (ValueError, RecursionError):
         return False
     if not (
         type(head) is dict

@@ -311,6 +311,20 @@ class TestGen:
         code, out = self._validate_bytes(tmp_path, capsys, lambda ls: ls[0] + b"\n" + b"[" * 100_000)
         assert (code, out.splitlines()[0].split(": maximum recursion depth")[0]) == (1, "D: line 2")
 
+    def test_validate_reports_overlong_int(self, tmp_path, capsys):
+        # an int too long for json to convert is a format error of its line
+        def long_master(lines):
+            head, _, tail = lines[0].partition(b'"master":2')
+            return head + b'"master":' + b"7" * 5000 + tail + b"\n"
+
+        code, out = self._validate_bytes(tmp_path, capsys, long_master)
+        assert (code, out.split(" (4300 digits)")[0]) == (1, "D: line 1: Exceeds the limit")
+
+    def test_validate_reports_deeply_nested_schema(self, tmp_path, capsys):
+        keep = lambda ls: b"\n".join(ls) + b"\n"
+        code, out = self._validate_bytes(tmp_path, capsys, keep, lambda schema: b"[" * 100_000)
+        assert (code, out.split(": maximum recursion depth")[0]) == (1, "D: line 1")
+
     def test_validate_memory_stays_flat(self, tmp_path):
         # the Python heap peak of validate is one sample's, not the file's
         peaks = []

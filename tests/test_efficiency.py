@@ -175,21 +175,25 @@ class TestScalingReport:
 
     def test_memory_bounded_by_one_run(self):
         # each run is folded into running totals as soon as it ends, so the
-        # peak of a size is one run's counts plus one eps per run, whatever
-        # its sample count
+        # peak of a size is one run's figures, whatever its sample count.
+        # A full collection empties the interpreter's free lists of floats
+        # and tuples before each traced call: objects left there untraced
+        # by earlier calls would otherwise be reused by the first run and
+        # replaced by traced ones over later runs, about 3 KB at 32 samples.
         import tracemalloc
 
         size_record("bubble_sort", 64, 1, 1)  # fills the comparison-schedule cache outside the traced calls
         peaks = {}
         for samples in (1, 8, 32):
+            gc.collect()
             tracemalloc.start()
             try:
                 size_record("bubble_sort", 64, samples, 1)
                 peaks[samples] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[8] <= 1.2 * peaks[1], peaks
-        assert peaks[32] <= 1.2 * peaks[1], peaks
+        assert peaks[8] <= 1.1 * peaks[1], peaks
+        assert peaks[32] <= 1.1 * peaks[1], peaks
 
     def test_memory_bounded_by_one_state(self):
         # a run is folded into its counts layer by layer and builds no trace,
@@ -254,8 +258,10 @@ def assert_fold_matches_trace(algo, inst) -> None:
     assert counted_output == output
     assert counts.final == trace.final
     activity = activity_summary(trace)
-    assert counts.edges == [step["edges"] for step in activity["steps"]]
-    assert efficiency._run_figures(counts) == summary_figures(activity)
+    depth = counts.depth
+    figures = (counts.width, depth, counts.width * depth, counts.ops, counts.nodes, counts.m,
+               counts.eps, counts.edge_max, counts.edges)
+    assert figures == summary_figures(activity)
 
 
 class TestCountFold:

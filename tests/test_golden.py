@@ -2,7 +2,8 @@
 
 The constants are the sha256 of the dataset, schema and report bytes of
 each algorithm at small sizes, of its report at the benchmark's `analyze`
-grid, and of the `trace` output for one inline input. A change to any of
+grid, of the `trace` output for one inline input, and of the dataset lines
+of both SCC algorithms on every digraph with up to four nodes. A change to any of
 them is a change of the dataset format or of the analysis or trace output,
 and must be deliberate: recompute the constants and say so.
 """
@@ -11,11 +12,13 @@ import hashlib
 
 import pytest
 
-from pramtraj.algorithms import ALGORITHMS
+from pramtraj.algorithms import ALGORITHMS, run
 from pramtraj.cli import cli_main
 from pramtraj.efficiency import report_ndjson, scaling_report
+from pramtraj.graphs import Digraph
 from pramtraj.harness import GenConfig, build_samples
-from pramtraj.trajectory import serialize_ndjson, serialize_schema
+from pramtraj.spec import sample_seed
+from pramtraj.trajectory import encode_sample, line_is_clean, serialize_ndjson, serialize_schema
 
 # algo -> (dataset + schema, sampled report, exhaustive report or None)
 GOLDEN = {
@@ -81,6 +84,13 @@ TRACE_GOLDEN = {
     ),
 }
 
+# algo -> the dataset lines of every digraph on n = 1..4 nodes, in order of
+# n, then of the edge mask (see ``small_digraphs``)
+SMALL_DIGRAPH_GOLDEN = {
+    "dcsc": "d049974858dcd04f5fa92f5d72377dd67c51a108b93d9a761560b7d7e981cf00",
+    "kosaraju": "68ecd83d0bac5ff006cee66e4b23c2ce90d1b51d17dd357b26bf50ccf1a85eec",
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -115,3 +125,26 @@ def test_trace_bytes(algo, capsys):
     text, digest = TRACE_GOLDEN[algo]
     assert cli_main(["trace", "--algo", algo, "--input", text]) == 0
     assert sha256(capsys.readouterr().out.encode("utf-8")) == digest
+
+
+def small_digraphs():
+    """Every digraph on n = 1..4 nodes: the edges of ``mask`` are its set
+    bits over the ordered pairs of distinct nodes."""
+    for n in range(1, 5):
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        for mask in range(1 << len(pairs)):
+            edges = frozenset(pair for k, pair in enumerate(pairs) if mask >> k & 1)
+            yield n, mask, Digraph(n, edges)
+
+
+@pytest.mark.parametrize("algo", sorted(SMALL_DIGRAPH_GOLDEN))
+def test_every_small_digraph(algo):
+    digest = hashlib.sha256()
+    for n, mask, g in small_digraphs():
+        out, trace = run(algo, g)
+        seed = sample_seed(0, algo, n, mask)
+        sample = encode_sample(algo, g, trace, out, seed=seed, master=0, index=mask)
+        line = serialize_ndjson([sample])
+        assert line_is_clean(line, algo), (n, mask)
+        digest.update(line)
+    assert digest.hexdigest() == SMALL_DIGRAPH_GOLDEN[algo]

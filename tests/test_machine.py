@@ -437,7 +437,7 @@ class TestRunMachine:
         final, counts = run_machine(program, fold_counts)
         assert final == counts.final == trace.final
         assert (counts.width, counts.m, counts.ops, counts.nodes) == (2, 0, 3, 3)
-        assert counts.edges == [0, 0, 0]
+        assert (counts.depth, counts.edges) == (3, 0)
 
     def test_clock_advances_by_one(self):
         graph = _edgeless_graph(1)
