@@ -44,12 +44,7 @@ from .trajectory import (
     serialize_ndjson,
     validate_sample,
 )
-from .efficiency import (
-    EfficiencyReport,
-    capacity,
-    node_efficiency,
-    scaling_report,
-)
+from .efficiency import EfficiencyReport, scaling_report
 from .harness import GenConfig, sample_seed
 
 __version__ = "0.1.0"

@@ -136,7 +136,7 @@ def _validate_lines(path: Path, schema_path: Path, schema_data: bytes, stream) -
     try:
         algo, _ = parse_schema(schema_data)
     except DatasetFormatError as err:
-        return 1, [f"{path}: {err}"]
+        return 1, [f"{schema_path}: {err}"]
     # samples are checked against the registry's schema: the sidecar must be it
     registered = algo in ALGORITHMS and schema_data == serialize_schema(algo)
     messages = []

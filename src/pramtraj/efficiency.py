@@ -1,20 +1,24 @@
 """Capacity, node efficiency, edge efficiency, and scaling reports.
 
-Every metric is a function of one run's activity summary
-(``machine.activity_summary``), the ``activity`` block of a dataset line, so
-a written dataset's metrics follow from its lines without re-running the
+Every metric is a ratio of a run's integer counts, the ones the
+``activity`` block of a dataset line holds (``machine.activity_summary``),
+so a written dataset's metrics follow from its lines without re-running the
 machine.  ``size_record`` builds no summary: it folds each run straight
-into its figures, ``machine.RunCounts``, one layer at a time
+into its counts, ``machine.RunCounts``, one layer at a time
 (``machine.fold_counts``, which counts a layer by the summary's own rule,
 ``machine.layer_counter``), so a run holds one machine state, and it adds
-those figures into the size's running totals.
+those counts into the size's integer totals.  Each float of a
+``SizeRecord`` is one division of those totals, so it is the correctly
+rounded value of its rational, whatever the order of the runs and the
+interpreter.
 
 Capacity is width x depth.  Node efficiency divides the executed operation
 count by capacity (the share of node-layer slots doing useful work); the
 graph-feature update counts as one extra operation per layer and is also
-reported excluded (``eta_nodes``).  Edge efficiency is the per-run mean
-share of active edges per layer, reported as the minimum (the worst-case
-estimator over the sampled inputs) and the mean.
+reported excluded (``eta_nodes``).  A run's edge efficiency is the mean
+share of its m edges active in a layer, ``edges / (m x depth)``, reported
+as the minimum over the sampled inputs (the worst-case estimator) and the
+mean.
 """
 
 from __future__ import annotations
@@ -23,28 +27,9 @@ import math
 from dataclasses import dataclass, asdict
 
 from .algorithms import run, spec_for
-from .harness import exhaustive_instances, generate_instance, sample_label, sample_seed
-from .machine import StepLimitExceeded, fold_counts
+from .harness import exhaustive_instances, generate_instance, labelled_failure, sample_seed
+from .machine import fold_counts
 from .trajectory import dumps_canonical
-
-
-def capacity(activity: dict) -> int:
-    return activity["width"] * len(activity["steps"])
-
-
-def node_efficiency(activity: dict) -> float:
-    """Operations per node-layer slot; a zero-depth run counts as 1."""
-    if not activity["steps"]:
-        return 1.0
-    return sum(step["ops"] for step in activity["steps"]) / capacity(activity)
-
-
-def edge_shares(activity: dict) -> list[float]:
-    """Active edges per layer as a share of the m operated edges."""
-    m = activity["m"]
-    if m == 0:
-        return [0.0 for _ in activity["steps"]]
-    return [step["edges"] / m for step in activity["steps"]]
 
 
 @dataclass(frozen=True)
@@ -136,7 +121,10 @@ def size_record(
 ) -> SizeRecord:
     """Run the algorithm on one size's inputs and aggregate their metrics.
 
-    eta is a ratio of means: mean operations over mean capacity.
+    eta is a ratio of means: mean operations over mean capacity.  eps_mean
+    is the exact sum of the runs' rationals ``edges / (m x depth)`` divided
+    once by the run count, and eps_min the least of them, compared by
+    cross-multiplication.
     """
     if samples_per_n < 1:
         raise ValueError("samples_per_n must be >= 1")
@@ -151,42 +139,42 @@ def size_record(
             generate_instance(algo_id, n, sample_seed(seed, algo_id, n, i), max_degree)
             for i in range(samples_per_n)
         )
-    # each run is folded into its figures layer by layer and they into the
-    # size's running totals, so a size holds one machine state at a time;
-    # eps adds in run order, as ``sum`` over a list of them would; k ends
-    # as the run count
+    # each run is folded into its counts layer by layer and they into the
+    # size's integer totals, so a size holds one machine state at a time;
+    # eps_min starts at 1/0, above every run's; k ends as the run count
     layers = caps = ops = nodes = ms = edge_max = edge_total = zero_depth = 0
-    eps_min, eps_total = math.inf, 0.0
+    eps_num, eps_den, min_num, min_den = 0, 1, 1, 0
     for k, inst in enumerate(instances, 1):
-        try:
+        with labelled_failure(algo_id, n, k - 1, master):
             _, counts = run(algo_id, inst, fold=fold_counts)
-        except StepLimitExceeded as err:
-            label = sample_label(algo_id, n, k - 1, master)
-            raise StepLimitExceeded(f"{err} ({label})") from err
         width = counts.width
         layers += counts.depth
         caps += width * counts.depth
         ops += counts.ops
         nodes += counts.nodes
         ms += counts.m
-        eps_min = min(eps_min, counts.eps)
-        eps_total += counts.eps
+        # edges is 0 whenever m x depth is
+        num, den = counts.edges, counts.m * counts.depth or 1
+        if num * min_den < min_num * den:
+            min_num, min_den = num, den
+        eps_num, eps_den = eps_num * den + num * eps_den, eps_den * den
+        common = math.gcd(eps_num, eps_den)
+        eps_num, eps_den = eps_num // common, eps_den // common
         edge_max = max(edge_max, counts.edge_max)
         edge_total += counts.edges
         zero_depth += counts.depth == 0
         del counts  # freed before the next run, not after
-    cap_mean = caps / k
     return SizeRecord(
         n=n,
         m=ms / k,
         width=width,
         depth=layers / k,
-        capacity=cap_mean,
+        capacity=caps / k,
         op_total=ops / k,
-        eta=(ops / k) / cap_mean if cap_mean else 1.0,
-        eta_nodes=(nodes / k) / cap_mean if cap_mean else 1.0,
-        eps_min=eps_min,
-        eps_mean=eps_total / k,
+        eta=ops / caps if caps else 1.0,
+        eta_nodes=nodes / caps if caps else 1.0,
+        eps_min=min_num / min_den,
+        eps_mean=eps_num / (eps_den * k),
         edge_max=edge_max,
         edge_mean=edge_total / layers if layers else 0.0,
         zero_depth=zero_depth,

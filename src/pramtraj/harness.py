@@ -9,12 +9,13 @@ order.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .algorithms import SPECS, run, spec_for
-from .machine import StepLimitExceeded, collector_paused
+from .machine import MachineError, collector_paused
 from .spec import sample_seed
 from .trajectory import Sample, encode_sample, serialize_ndjson, serialize_schema
 
@@ -42,12 +43,16 @@ class GenConfig:
             raise ValueError("n_list must not repeat a size")
 
 
-def sample_label(algo_id: str, n: int, index: int, master: int | None) -> str:
-    """How a failure names one input: by master seed and sample index, or,
-    when ``master`` is None, by its index in the exhaustive enumeration."""
-    if master is None:
-        return f"algo {algo_id}, n {n}, exhaustive index {index}"
-    return f"algo {algo_id}, n {n}, master seed {master}, index {index}"
+@contextmanager
+def labelled_failure(algo_id: str, n: int, index: int, master: int | None):
+    """Re-raise a machine failure in the block as an error of the same type
+    whose message ends by naming the input: by master seed and sample index,
+    or, when ``master`` is None, by its index in the exhaustive enumeration."""
+    try:
+        yield
+    except MachineError as err:
+        where = "exhaustive index" if master is None else f"master seed {master}, index"
+        raise type(err)(f"{err} (algo {algo_id}, n {n}, {where} {index})") from err
 
 
 def generate_instance(algo_id: str, n: int, seed: int, max_degree: int = 3):
@@ -79,12 +84,8 @@ def _build_sample(cfg: GenConfig, n: int, index: int) -> Sample:
     before the next sample is drawn."""
     seed = sample_seed(cfg.seed, cfg.algo_id, n, index)
     inst = generate_instance(cfg.algo_id, n, seed, cfg.max_degree)
-    with collector_paused():
-        try:
-            output, trace = run(cfg.algo_id, inst)
-        except StepLimitExceeded as err:
-            label = sample_label(cfg.algo_id, n, index, cfg.seed)
-            raise StepLimitExceeded(f"{err} ({label})") from err
+    with collector_paused(), labelled_failure(cfg.algo_id, n, index, cfg.seed):
+        output, trace = run(cfg.algo_id, inst)
         sample = encode_sample(
             cfg.algo_id, inst, trace, output, seed=seed, master=cfg.seed, index=index
         )

@@ -23,8 +23,8 @@ graph, halt predicate, step budget, optional candidates and instance edges,
 and ``output``, which reads the result off the final state.  ``layers``
 steps a program and yields each layer; ``run_machine`` folds them into a
 ``Trace`` (every state, for decoding hint frames) or, with ``fold_counts``,
-into ``RunCounts`` (one state and the run's figures: depth, totals, the
-largest layer's edges and eps, with no per-layer list), and returns
+into ``RunCounts`` (one state and the run's integer counts: depth, totals
+and the largest layer's edges, with no per-layer list), and returns
 the program's output with the folded run.  Traces are acyclic, so the
 cyclic garbage collector can never free any part of one;
 ``collector_paused`` keeps it off while a trace is alive instead of letting
@@ -532,11 +532,11 @@ def layer_counter(
 
 
 class RunCounts(NamedTuple):
-    """The figures of one run that its metrics need, and its final state:
-    its ``depth``, the ``ops`` and active ``nodes`` summed over its layers,
-    the total of its layers' active ``edges`` and the largest one
-    (``edge_max``), and ``eps``, the mean share of the ``m`` edges active in
-    a layer (0.0 for a zero-depth run or one with m = 0)."""
+    """The integer counts of one run that its metrics need, and its final
+    state: its ``depth``, the ``ops`` and active ``nodes`` summed over its
+    layers, and the total of its layers' active ``edges`` and the largest
+    one (``edge_max``).  Its edge efficiency is the rational
+    ``edges / (m x depth)``, 0 for a zero-depth run or one with m = 0."""
 
     width: int
     m: int
@@ -546,18 +546,14 @@ class RunCounts(NamedTuple):
     nodes: int
     edges: int
     edge_max: int
-    eps: float
 
 
 def fold_counts(program: Program, stream: Iterable[Layer]) -> RunCounts:
-    """The figures of a run, taken one layer at a time: no state or record
-    outlives its layer, so a run holds one state whatever its depth.  eps
-    sums the layers' shares ``edges / m`` from the first layer on, the order
-    in which ``sum`` adds the shares of an activity summary."""
+    """The counts of a run, taken one layer at a time: no state or record
+    outlives its layer, so a run holds one state whatever its depth."""
     m, count = layer_counter(program.graph, program.instance_edges)
     final = program.initial
     depth = ops = nodes = edges = edge_max = 0
-    share = 0.0
     for _, final, record in stream:
         layer_edges, layer_nodes, layer_ops = count(record)
         depth += 1
@@ -565,10 +561,7 @@ def fold_counts(program: Program, stream: Iterable[Layer]) -> RunCounts:
         nodes += layer_nodes
         edges += layer_edges
         edge_max = max(edge_max, layer_edges)
-        if m:
-            share += layer_edges / m
-    eps = share / depth if depth else 0.0
-    return RunCounts(program.initial.width, m, final, depth, ops, nodes, edges, edge_max, eps)
+    return RunCounts(program.initial.width, m, final, depth, ops, nodes, edges, edge_max)
 
 
 Fold = Callable[[Program, Iterable[Layer]], Any]

@@ -441,7 +441,13 @@ def serialize_schema(algo_id: str) -> bytes:
 
 
 def parse_schema(data: bytes | str) -> tuple[str, list[ProbeSpec]]:
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    """The algorithm and probes of a schema sidecar.  Bytes that are not
+    UTF-8, a line that is not a probe, and an empty sidecar are a
+    DatasetFormatError that names the line."""
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as err:
+        raise DatasetFormatError(data.count(b"\n", 0, err.start) + 1, err) from None
     algo = None
     probes = []
     for lineno, line in enumerate(text.splitlines(), start=1):

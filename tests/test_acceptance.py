@@ -11,13 +11,11 @@ import itertools
 import math
 import time
 
-import pytest
-
 from pramtraj.algorithms import run
 from pramtraj.algorithms.search import binary_search, gen_search_instance, parallel_search
 from pramtraj.algorithms.sorting import SortInstance, bubble_sort, gen_permutation, oets_sort
 from pramtraj.algorithms.scc import dcsc, gen_digraph, kosaraju
-from pramtraj.efficiency import edge_shares, node_efficiency, scaling_report
+from pramtraj.efficiency import scaling_report
 from pramtraj.harness import (
     GenConfig,
     build_samples,
@@ -41,6 +39,7 @@ from pramtraj.trajectory import (
     validate_sample,
 )
 
+from metric_oracle import edge_efficiency, node_efficiency
 from scc_oracle import pointers_to_partition, tarjan_scc
 from sort_oracle import chain_order
 
@@ -186,8 +185,7 @@ def test_criterion_6_efficiency_separation():
             check_budget(trace)
             act = activity_summary(trace)
             etas.append(node_efficiency(act))
-            shares = edge_shares(act)
-            eps.append(sum(shares) / len(shares))
+            eps.append(edge_efficiency(act))
             if algo in ("binary_search", "bubble_sort"):
                 for step in act["steps"]:
                     assert step["edges"] <= 4
@@ -281,13 +279,10 @@ def test_criterion_10_exhaustive_worst_case_eps(capsys):
         n_list = [4, 5, 6]
         report = scaling_report(algo, n_list, 1, 1010, exhaustive=True)
         for rec in report.records:
-            shares = []
-            for inst in exhaustive_instances(algo, rec.n):
-                _, trace = run(algo, inst)
-                per = edge_shares(activity_summary(trace))
-                shares.append(sum(per) / len(per) if per else 0.0)
-            assert rec.eps_min == pytest.approx(min(shares), abs=0.0)
-            true_min[(algo, rec.n)] = min(shares)
+            eps = [edge_efficiency(activity_summary(run(algo, inst)[1]))
+                   for inst in exhaustive_instances(algo, rec.n)]
+            true_min[(algo, rec.n)] = float(min(eps))
+            assert rec.eps_min == true_min[(algo, rec.n)]
             checked += 1
     # the same minimum must surface through the CLI surface
     assert cli_main(["analyze", "--algo", "oets", "--n-list", "4,5,6",
@@ -296,5 +291,5 @@ def test_criterion_10_exhaustive_worst_case_eps(capsys):
     for line in out.splitlines():
         if line.startswith("{") and "summary" not in line:
             rec = json.loads(line)
-            assert rec["eps_min"] == pytest.approx(true_min[("oets", rec["n"])], abs=0.0)
+            assert rec["eps_min"] == true_min[("oets", rec["n"])]
     print(f"\nACCEPTANCE 10 PASS - exhaustive eps_min equals the true minimum over the input space ({checked} (algo,n) cells, CLI cross-checked)")

@@ -15,7 +15,7 @@ from pramtraj import efficiency, harness
 from pramtraj.algorithms.sorting import gen_permutation, predecessors_from_table
 from pramtraj.cli import cli_main
 from pramtraj.harness import sample_seed, schema_path_for
-from pramtraj.machine import StepLimitExceeded
+from pramtraj.machine import CellTypeError, StepLimitExceeded
 from pramtraj.spec import increasing_unit_scalars
 from pramtraj.trajectory import Sample, parse_ndjson, serialize_ndjson, serialize_schema
 
@@ -291,6 +291,13 @@ class TestGen:
             (lambda ls: b"\n".join(ls) + b"\n", retype, 1,
              f"{tmp_path / 'd.schema'}: schema does not match the registry's oets\n"),
             (lambda ls: b"\n".join(ls) + b"\n\n", None, 1, "D: line 4: blank line\n"),
+            # a sidecar byte that is not UTF-8 is a format error of its line
+            (lambda ls: b"\n".join(ls) + b"\n", lambda schema: b"\xff", 1,
+             f"{tmp_path / 'd.schema'}: line 1: 'utf-8' codec can't decode byte 0xff in position 0: "
+             "invalid start byte\n"),
+            (lambda ls: b"\n".join(ls) + b"\n", lambda schema: b"{}\n{}\n\xff", 1,
+             f"{tmp_path / 'd.schema'}: line 3: 'utf-8' codec can't decode byte 0xff in position 6: "
+             "invalid start byte\n"),
             (lambda ls: b"\n".join([ls[0], ls[1].replace(b'"parity":0', b'"parity":2', 1), ls[2]]), None, 1,
              "line 2: hints[0].parity: mask domain\n1 violations in 3 samples\n"),
         ]
@@ -323,7 +330,7 @@ class TestGen:
     def test_validate_reports_deeply_nested_schema(self, tmp_path, capsys):
         keep = lambda ls: b"\n".join(ls) + b"\n"
         code, out = self._validate_bytes(tmp_path, capsys, keep, lambda schema: b"[" * 100_000)
-        assert (code, out.split(": maximum recursion depth")[0]) == (1, "D: line 1")
+        assert (code, out.split(": maximum recursion depth")[0]) == (1, f"{tmp_path / 'd.schema'}: line 1")
 
     def test_validate_memory_stays_flat(self, tmp_path):
         # the Python heap peak of validate is one sample's, not the file's
@@ -542,6 +549,29 @@ class TestErrors:
         assert capsys.readouterr() == (
             "", f"error: halt predicate never fired (algo oets, n 4, {label})\n"
         )
+
+    @pytest.mark.parametrize("command", [
+        ["gen", "--algo", "oets", "--n", "4", "--samples", "2", "--out", "d.ndjson"],
+        ["analyze", "--algo", "oets", "--n-list", "4,5,6", "--samples", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_any_machine_failure_names_sample(self, tmp_path, monkeypatch, capsys, command):
+        # every machine error, not only a step limit, is relabelled with its
+        # type kept, and is a machine failure (exit 1)
+        def fail(*args, **kwargs):
+            raise CellTypeError("cell UNDEF is not a scalar")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(harness, "run", fail)
+        monkeypatch.setattr(efficiency, "run", fail)
+        assert run_cli(command + ["--seed", "9"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: cell UNDEF is not a scalar (algo oets, n 4, master seed 9, index 0)\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(CellTypeError, match=r"\(algo oets, n 4, master seed 9, index 0\)$"):
+            list(harness.build_samples(harness.GenConfig("oets", (4,), 2, 9)))
+        with pytest.raises(CellTypeError, match=r"\(algo oets, n 4, exhaustive index 0\)$"):
+            efficiency.size_record("oets", 4, 1, 0, exhaustive=True)
 
     def test_dataset_cannot_be_its_own_sidecar(self, tmp_path, capsys):
         path = tmp_path / "d.schema"

@@ -1,4 +1,6 @@
 import gc
+from dataclasses import asdict
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,21 +11,28 @@ from pramtraj.algorithms import ALGORITHMS, run, spec_for
 from pramtraj.algorithms.scc import gen_digraph
 from pramtraj.algorithms.search import SearchInstance, binary_search, parallel_search
 from pramtraj.algorithms.sorting import SortInstance, bubble_sort, oets_sort
-from pramtraj.efficiency import (
-    capacity,
-    edge_shares,
-    node_efficiency,
-    render_table,
-    report_ndjson,
-    scaling_report,
-    size_record,
-)
+from pramtraj.efficiency import render_table, report_ndjson, scaling_report, size_record
 from pramtraj.algorithms.search import gen_search_instance
 from pramtraj.algorithms.sorting import gen_permutation
 from pramtraj.graphs import Digraph
-from pramtraj.harness import exhaustive_instances, generate_instance, sample_seed
+from pramtraj.harness import (
+    GenConfig,
+    build_samples,
+    exhaustive_instances,
+    generate_instance,
+    sample_seed,
+)
 from pramtraj.machine import StepLimitExceeded, activity_summary, fold_counts
 from pramtraj.trajectory import encode_sample, parse_ndjson, serialize_ndjson
+
+from metric_oracle import (
+    capacity,
+    edge_efficiency,
+    edge_shares,
+    node_efficiency,
+    run_counts,
+    size_figures,
+)
 
 
 def traces_for(algo, n, count, master=21):
@@ -54,17 +63,17 @@ class TestNodeEfficiency:
     def test_parallel_search_at_least_half(self):
         for i in range(20):
             _, trace = parallel_search(gen_search_instance(12, i))
-            assert node_efficiency(activity_summary(trace)) >= 0.5
+            assert node_efficiency(activity_summary(trace)) >= Fraction(1, 2)
 
     def test_binary_search_n16(self):
         for i in range(20):
             _, trace = binary_search(gen_search_instance(16, i))
-            assert node_efficiency(activity_summary(trace)) <= 2 * 5 / (17 * 5)
+            assert node_efficiency(activity_summary(trace)) <= Fraction(2 * 5, 17 * 5)
 
     def test_oets_reversed_high_efficiency(self):
         inst = SortInstance(items=tuple(float(9 - i) for i in range(9)))
         _, trace = oets_sort(inst)
-        assert node_efficiency(activity_summary(trace)) >= 2 / 3
+        assert node_efficiency(activity_summary(trace)) >= Fraction(2, 3)
 
     def test_zero_depth_convention(self):
         _, trace = bubble_sort(SortInstance(items=(1.0,)))
@@ -76,7 +85,7 @@ class TestNodeEfficiency:
             for trace in traces_for(algo, 9, 5):
                 act = activity_summary(trace)
                 eta = node_efficiency(act)
-                assert 0.0 <= eta <= 1.0 + 1.0 / trace.width
+                assert 0 <= eta <= 1 + Fraction(1, trace.width)
                 ops = sum(r.op_count for r in trace.activity)
                 assert ops <= capacity(act) + trace.depth
 
@@ -86,14 +95,12 @@ class TestEdgeEfficiency:
         rec = scaling_report("parallel_search", [4, 8, 16], 30, 21).records[1]
         # layer 1 uses n of the 2n star edges, layer 2 none: exactly 1/4
         assert rec.n == 8
-        assert rec.eps_min == pytest.approx(0.25)
-        assert rec.eps_mean == pytest.approx(0.25)
+        assert rec.eps_min == rec.eps_mean == 0.25
 
     def test_oets_n8_class(self):
         rec = scaling_report("oets", [4, 8, 16], 30, 21).records[1]
         # even rounds use n pair edges of n(n-1), odd rounds n-2
-        assert 1 / 8 <= rec.eps_min + 1e-12 <= rec.eps_mean <= 1 / 7
-        assert rec.eps_min == pytest.approx(1 / 8)
+        assert 1 / 8 == rec.eps_min <= rec.eps_mean <= 1 / 7
 
     def test_bubble_at_most_four_active_edges(self):
         for trace in traces_for("bubble_sort", 8, 15):
@@ -107,7 +114,7 @@ class TestEdgeEfficiency:
             for step in act["steps"]:
                 assert step["edges"] <= max(m, 1)
             for share in edge_shares(act):
-                assert 0.0 <= share <= 1.0
+                assert 0 <= share <= 1
 
 
 class TestLogLogSlope:
@@ -225,31 +232,33 @@ class TestScalingReport:
     def test_exhaustive_matches_enumeration(self):
         rep = scaling_report("oets", [3, 4, 5], 1, 0, exhaustive=True)
         for rec in rep.records:
-            shares = []
-            for inst in exhaustive_instances("oets", rec.n):
-                _, trace = run("oets", inst)
-                per = edge_shares(activity_summary(trace))
-                shares.append(sum(per) / len(per))
-            assert rec.eps_min == pytest.approx(min(shares))
+            eps = [edge_efficiency(activity_summary(run("oets", inst)[1]))
+                   for inst in exhaustive_instances("oets", rec.n)]
+            assert rec.eps_min == float(min(eps))
 
 
-def summary_figures(activity: dict) -> tuple:
-    """The figures of one run read off its full activity summary with the
-    public metric functions: the reference for the count fold."""
-    steps = activity["steps"]
-    shares = edge_shares(activity)
-    edges = [step["edges"] for step in steps]
-    return (
-        activity["width"],
-        len(steps),
-        capacity(activity),
-        sum(step["ops"] for step in steps),
-        sum(step["nodes"] for step in steps),
-        activity["m"],
-        sum(shares) / len(shares) if shares else 0.0,
-        max(edges, default=0),
-        sum(edges),
-    )
+class TestExactFigures:
+    """Every field of a size record equals the one the metric oracle reads
+    off the runs' activity blocks: each float is its correctly rounded
+    exact value, whatever the interpreter's float summation."""
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_sampled_grid(self, algo):
+        n_list, samples, seed = (4, 8, 16), 3, 5
+        activities = {n: [] for n in n_list}
+        for sample in build_samples(GenConfig(algo, n_list, samples, seed)):
+            activities[sample.n].append(sample.activity)
+        report = scaling_report(algo, list(n_list), samples, seed)
+        for rec in report.records:
+            assert asdict(rec) == size_figures(rec.n, activities[rec.n])
+
+    @pytest.mark.parametrize("algo", [a for a in ALGORITHMS if spec_for(a).exhaustive])
+    def test_exhaustive_grid(self, algo):
+        report = scaling_report(algo, [3, 4, 5], 1, 0, exhaustive=True)
+        for rec in report.records:
+            activities = [activity_summary(run(algo, inst)[1])
+                          for inst in exhaustive_instances(algo, rec.n)]
+            assert asdict(rec) == size_figures(rec.n, activities)
 
 
 def assert_fold_matches_trace(algo, inst) -> None:
@@ -258,10 +267,10 @@ def assert_fold_matches_trace(algo, inst) -> None:
     assert counted_output == output
     assert counts.final == trace.final
     activity = activity_summary(trace)
-    depth = counts.depth
-    figures = (counts.width, depth, counts.width * depth, counts.ops, counts.nodes, counts.m,
-               counts.eps, counts.edge_max, counts.edges)
-    assert figures == summary_figures(activity)
+    assert counts._asdict() == {"final": counts.final, **run_counts(activity)}
+    # the rational that size_record takes as a run's eps is its mean layer share
+    slots = counts.m * counts.depth
+    assert (Fraction(counts.edges, slots) if slots else 0) == edge_efficiency(activity)
 
 
 class TestCountFold:

@@ -24,45 +24,45 @@ from pramtraj.trajectory import encode_sample, line_is_clean, serialize_ndjson, 
 GOLDEN = {
     "parallel_search": (
         "5c3edff4be4e025b4d6620c41c96c0089927c8eae6400addbaecfabc633e75f3",
-        "4126577cbdb63fda3e61797a45fdf1c3b2d925b901cf91543c21b6f6c092fcec",
+        "e115dc2e67f01f539439aac73c5b3e5111307b317f7e8f4cc5d32e665ec24ce4",
         "5102ababd335a25d8d81b396399964e7765fb68c860d3efb07caa861c8227618",
     ),
     "binary_search": (
         "7340ec899e9eabd8e638d104e09f0876b27b5c8843c9073802fe686660c68aeb",
-        "cb2f7c1878a79ed9e7f0a3d98f20e221ce56d2f4151ea4972cc831742e359bd1",
-        "66e64a916a8095a03bda78bfd9e5c9abdae0ead9357dd107123128e58e99f6f4",
+        "7b406d047a1512c2c5422d5bf12c75b2e740c1d8fc829ceec11732291b8f474d",
+        "4134f237f02ce087cf0c5e35b6b27e24583820e488f55f9b9927af28a9b9af60",
     ),
     "oets": (
         "2021adefe5c5cb64172680d8c046849bc32f98ff54cbbaded0c91c42cf3181ce",
-        "ebc74e8777b5b303fc47d47ad8e17f3b46258cb38e837a0f07cfab5c9e148318",
-        "93f4c124c1e47afee336b2dd96ee32184db185535a94a00fd93a9f73f3e56cc7",
+        "900ced9dd6b4f9ff2b3147c4761e1398b99295b4c94e9186d6256d21b9807506",
+        "e1e223db448be1e38565f339906863b726aa742a64854826fa62160efa4c2c96",
     ),
     "bubble_sort": (
         "0875c9eea16d7cf3f643becdd1e26ba242704e2a0c51db56603daa8ec4143259",
-        "365642743ed3b2af02f1f33bb1a90c0d6936cd878d745adb1f8851f24b11a654",
-        "49d6f2fc1e9ad3b1edc89c16550bfc83a8bc6739906198b56beca15fdd4293af",
+        "160f813b8ca2cc802ff506be57736cc3c3fb4d0b8727653408ca09a7b3f8d4eb",
+        "e3389adc65bdf57ed1d3377aeb8b5747302ea64968e08592eecd676a8f4bb03e",
     ),
     "dcsc": (
         "f9124a2fb6621a1102d414d03765eb8773c45baac340b22ceec306c04c98b204",
-        "7ae45b9d8f5694f227084379f3f43ccdd2fc4d6bb84fd52b447d9e16339290a0",
+        "b33f4e3394241187125f6b49b721ec40144b127e9389e6b1228fc297703a896e",
         None,
     ),
     "kosaraju": (
         "0d4343a520491473015dad3444923cbb0bfe833194f575ee5fa0ec117199904e",
-        "cc9194b0c633e0973c5e9d7d6009a001cea67a53e1b1d20e2805fa820486520e",
+        "36e8a61f7bea54dea49ff64a97e49bb5cb5014e8f14eec104d50d6bb909d42b4",
         None,
     ),
 }
 
 # algo -> report of the benchmark's `analyze` job: sizes 8..128, 8 samples,
-# seed 1. Sizes this large sum thousands of per-layer edge shares, so a
-# change in their summation order shows here.
+# seed 1. A run here has up to thousands of layers, so a figure rounded
+# more than once, or in an order of float sums, shows here.
 GRID_GOLDEN = {
     "parallel_search": "a39e001c092b25976e893a9243d19f631cd035cfbd8c8c172208797126f6d4b2",
-    "binary_search": "ceec32ce2efe5c7e1b486914792735d00118a238d9d3c21e398e3c8938a89fcf",
-    "oets": "77a1cf6ab260e26d174a272c85ec6654504f6646dfae36aa8479399dd250d5c1",
-    "bubble_sort": "a17e4d173120b677a7c723db06e1f8a9806462c89ae5906d8f61b9f4d123c061",
-    "dcsc": "b08761e425f3cc78836007fded68a201a8cd1520bcf9b1d3b1972cd380bd2de4",
+    "binary_search": "6a5c124b30447224a0a50173dff3ced65f209de2944a176547940dcb586daac2",
+    "oets": "f027f0d8dee9cfc6ba693d9565d910b91c150426b092f05d957ebdb2d832e152",
+    "bubble_sort": "a0a4a1c6c9385d7c44770c982b94811f72ca0337facd9c06a79b1108e63b1cd9",
+    "dcsc": "2129c422a997ff20e792801b646d6bb03254ec05510bc57146bf4e6d4766cc00",
     "kosaraju": "e5ed2ed7bc4b2397108f54a352a392a835da1c43dc6cb44241f233250cd6b61d",
 }
 
