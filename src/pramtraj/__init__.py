@@ -1,4 +1,11 @@
-"""Priority-CRCW machine simulator, trajectory datasets, efficiency analytics."""
+"""Priority-CRCW machine simulator, trajectory datasets, efficiency analytics.
+
+Every record type is a ``typing.NamedTuple``.  One whose fields are checked
+(``SearchInstance``, ``SortInstance``, ``Digraph``, ``InterconnectionGraph``,
+``Trace``, ``GenConfig``) subclasses a NamedTuple of its fields, and its
+``__init__`` checks what ``__new__`` stored; ``_replace`` and ``_make`` skip
+that check, so no code calls them on such a record.
+"""
 
 from .graphs import Digraph
 from .machine import (

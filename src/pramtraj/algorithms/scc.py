@@ -17,7 +17,6 @@ full run takes at most n+m steps per pass.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from random import Random
 from typing import Iterator
 
@@ -489,8 +488,7 @@ DCSC = AlgorithmSpec(
 )
 
 # kosaraju shares dcsc's task: the same instances, inputs and outputs
-KOSARAJU = replace(
-    DCSC,
+KOSARAJU = DCSC._replace(
     name="kosaraju",
     run=kosaraju,
     probes=_INPUTS

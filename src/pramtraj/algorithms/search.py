@@ -8,8 +8,8 @@ qualifies, i.e. the query-node category).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from random import Random
+from typing import NamedTuple
 
 from ..machine import (
     NodeUpdate,
@@ -35,14 +35,17 @@ MASK = 1
 LO, HI, MID, RANK = 0, 1, 2, 3
 
 
-@dataclass(frozen=True)
-class SearchInstance:
-    """Strictly descending items plus a query value."""
-
+class _SearchFields(NamedTuple):
     items: tuple[float, ...]
     x: float
 
-    def __post_init__(self) -> None:
+
+class SearchInstance(_SearchFields):
+    """Strictly descending items plus a query value."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if len(self.items) < 1:
             raise ValueError("need at least one item")
         if not all(map(math.isfinite, self.items)):
@@ -256,8 +259,7 @@ PARALLEL_SEARCH = AlgorithmSpec(
 )
 
 # binary_search shares parallel_search's task: the same instances, inputs and outputs
-BINARY_SEARCH = replace(
-    PARALLEL_SEARCH,
+BINARY_SEARCH = PARALLEL_SEARCH._replace(
     name="binary_search",
     run=binary_search,
     probes=_INPUTS

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from random import Random
+from typing import NamedTuple
 
 from ..machine import (
     HOLD,
@@ -33,13 +33,16 @@ ITEM = 0
 POSN = 1
 
 
-@dataclass(frozen=True)
-class SortInstance:
-    """Items to sort; duplicates allowed, node i starts at chain position i."""
-
+class _SortFields(NamedTuple):
     items: tuple[float, ...]
 
-    def __post_init__(self) -> None:
+
+class SortInstance(_SortFields):
+    """Items to sort; duplicates allowed, node i starts at chain position i."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if len(self.items) < 1:
             raise ValueError("need at least one item")
         if not all(map(math.isfinite, self.items)):
@@ -305,8 +308,7 @@ OETS = AlgorithmSpec(
 )
 
 # bubble_sort shares oets's task: the same instances, inputs and outputs
-BUBBLE_SORT = replace(
-    OETS,
+BUBBLE_SORT = OETS._replace(
     name="bubble_sort",
     run=bubble_sort,
     probes=_COMMON

@@ -24,7 +24,7 @@ mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 from .algorithms import run, spec_for
 from .harness import exhaustive_instances, generate_instance, labelled_failure, sample_seed
@@ -32,8 +32,7 @@ from .machine import fold_counts
 from .trajectory import dumps_canonical
 
 
-@dataclass(frozen=True)
-class SizeRecord:
+class SizeRecord(NamedTuple):
     """Aggregated metrics for one algorithm at one input size."""
 
     n: int
@@ -51,8 +50,7 @@ class SizeRecord:
     zero_depth: int
 
 
-@dataclass(frozen=True)
-class EfficiencyReport:
+class EfficiencyReport(NamedTuple):
     algo: str
     records: tuple[SizeRecord, ...]
     slopes: dict
@@ -225,7 +223,7 @@ def report_ndjson(report: EfficiencyReport) -> bytes:
     lines = []
     for rec in report.records:
         obj = {"algo": report.algo}
-        obj.update(asdict(rec))
+        obj.update(rec._asdict())
         lines.append(dumps_canonical(obj))
     lines.append(
         dumps_canonical(

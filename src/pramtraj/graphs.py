@@ -2,23 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Digraph:
-    """Directed graph on nodes 0..n-1; instances carry no self loops."""
-
+class _DigraphFields(NamedTuple):
     n: int
     edges: frozenset[tuple[int, int]]
-    _out: dict[int, tuple[int, ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    _in: dict[int, tuple[int, ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
-    def __post_init__(self) -> None:
+
+class Digraph(_DigraphFields):
+    """Directed graph on nodes 0..n-1; instances carry no self loops.  The
+    sorted neighbour tables ``out_neighbors`` and ``in_neighbors`` read are
+    built once, on construction, and kept beside the fields."""
+
+    def __init__(self, *args, **kwargs) -> None:
         if self.n < 1:
             raise ValueError("digraph needs at least one node")
         out: dict[int, list[int]] = {u: [] for u in range(self.n)}
@@ -30,8 +27,8 @@ class Digraph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
             out[u].append(v)
             inc[v].append(u)
-        object.__setattr__(self, "_out", {u: tuple(sorted(vs)) for u, vs in out.items()})
-        object.__setattr__(self, "_in", {u: tuple(sorted(vs)) for u, vs in inc.items()})
+        self._out = {u: tuple(sorted(vs)) for u, vs in out.items()}
+        self._in = {u: tuple(sorted(vs)) for u, vs in inc.items()}
 
     @property
     def m(self) -> int:

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .algorithms import SPECS, run, spec_for
 from .machine import MachineError, collector_paused
@@ -20,17 +19,20 @@ from .spec import sample_seed
 from .trajectory import Sample, encode_sample, serialize_ndjson, serialize_schema
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    """One dataset production job."""
-
+class _GenFields(NamedTuple):
     algo_id: str
     n_list: tuple[int, ...]
     samples_per_n: int
     seed: int
     max_degree: int = 3
 
-    def __post_init__(self) -> None:
+
+class GenConfig(_GenFields):
+    """One dataset production job."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if self.algo_id not in SPECS:
             raise ValueError(f"unknown algorithm {self.algo_id!r}")
         if self.samples_per_n < 1:

@@ -46,7 +46,6 @@ from __future__ import annotations
 import gc
 from collections.abc import Set
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -159,24 +158,23 @@ class CompleteEdges(Set):
     __hash__ = Set._hash
 
 
-@dataclass(frozen=True)
-class InterconnectionGraph:
+class _GraphFields(NamedTuple):
+    n: int
+    edges: Set[tuple[int, int]]
+
+
+class InterconnectionGraph(_GraphFields):
     """Fixed communication topology; edge (i, j) lets j read i's state.
     There are no self edges: a processor reads its own cells through
     ``NodeContext.own``.  ``read`` lets node j read the nodes of
-    ``_in_nbrs[j]`` other than j itself."""
+    ``_in_nbrs[j]`` other than j itself, a table built once, on
+    construction, and kept beside the fields."""
 
-    n: int
-    edges: Set[tuple[int, int]]
-    _in_nbrs: tuple[frozenset[int], ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
-
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         if isinstance(self.edges, CompleteEdges):
             # valid by construction; every node shares one set of all nodes,
             # a frozenset because its lookup is cheaper than a range's
-            object.__setattr__(self, "_in_nbrs", (frozenset(range(self.n)),) * self.n)
+            self._in_nbrs = (frozenset(range(self.n)),) * self.n
             return
         for i, j in self.edges:
             if i == j:
@@ -186,7 +184,7 @@ class InterconnectionGraph:
         incoming: list[set[int]] = [set() for _ in range(self.n)]
         for i, j in self.edges:
             incoming[j].add(i)
-        object.__setattr__(self, "_in_nbrs", tuple(frozenset(s) for s in incoming))
+        self._in_nbrs = tuple(frozenset(s) for s in incoming)
 
 
 @lru_cache(maxsize=None)
@@ -231,15 +229,25 @@ class ActivityRecord(NamedTuple):
     graph_op: bool
 
 
-@dataclass(frozen=True)
-class Trace:
-    """Full record of one run: T+1 state snapshots, T activity records."""
-
+class _TraceFields(NamedTuple):
     width: int
     states: tuple[MachineState, ...]
     activity: tuple[ActivityRecord, ...]
     graph: InterconnectionGraph
     instance_edges: frozenset[tuple[int, int]] | None = None
+
+
+class Trace(_TraceFields):
+    """Full record of one run: T+1 state snapshots, T activity records."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        if len(self.states) != len(self.activity) + 1:
+            raise ValueError("trace must hold depth+1 state snapshots")
+        width = self.width
+        if any(len(s.local) != width for s in self.states):
+            raise ValueError("trace width must be constant across states")
 
     @property
     def depth(self) -> int:
@@ -248,13 +256,6 @@ class Trace:
     @property
     def final(self) -> MachineState:
         return self.states[-1]
-
-    def __post_init__(self) -> None:
-        if len(self.states) != len(self.activity) + 1:
-            raise ValueError("trace must hold depth+1 state snapshots")
-        width = self.width
-        if any(len(s.local) != width for s in self.states):
-            raise ValueError("trace width must be constant across states")
 
 
 class NodeUpdate(NamedTuple):
@@ -346,24 +347,14 @@ def step_machine(
     ``candidates`` optionally restricts which processors are offered the step
     function; every other processor is identity by construction.  Returning
     ``None`` from ``step_fn`` means identity: the node is not active and its
-    reads are discarded.
+    reads are discarded.  A ``MachineError`` raised in the layer keeps its
+    type and its message ends ``(layer t, node p)``: t is the ``step`` of
+    the layer's record, p the processor that raised it (a candidate out of
+    range names the layer only).
     """
     local_rows = state.local
     shared_cells = state.shared
     width = len(local_rows)
-    if candidates is None:
-        pids = range(width)
-    else:
-        if not isinstance(candidates, (list, tuple)):
-            candidates = list(candidates)
-        if len(candidates) == 2:
-            a, b = candidates
-            pids = (a, b) if a < b else ((b, a) if b < a else (a,))
-        else:
-            pids = sorted(set(candidates))
-        if pids and (pids[0] < 0 or pids[-1] >= width):
-            bad = pids[0] if pids[0] < 0 else next(p for p in pids if p >= width)
-            raise MachineError(f"candidate {bad} out of range")
     new_local: list[tuple[Cell, ...]] | None = None
     # candidates run in ascending pid order, so the first write per address
     # is already the priority-CRCW winner
@@ -372,33 +363,50 @@ def step_machine(
     edges: list[tuple[int, int]] = []
     shared_len = len(shared_cells)
     ctx = NodeContext(state, graph, edges)
-
-    for pid in pids:
-        ctx.pid = pid
-        mark = len(edges)
-        update = step_fn(ctx)
-        if update is None:
-            del edges[mark:]
-            continue
-        active.append(pid)
-        local_update, writes = update
-        if local_update:
-            if new_local is None:
-                new_local = list(local_rows)
-            row = list(new_local[pid])
-            for slot, value in local_update.items():
-                if not 0 <= slot < len(row):
-                    raise MachineError(f"local slot {slot} out of range at node {pid}")
-                row[slot] = value
-            new_local[pid] = tuple(row)
-        if writes:
-            if winners is None:
-                winners = {}
-            for addr, value in writes:
-                if not 0 <= addr < shared_len:
-                    raise MachineError(f"shared address {addr} out of range at node {pid}")
-                if addr not in winners:
-                    winners[addr] = value
+    pid = None  # no processor has run yet: a candidate error names the layer only
+    try:
+        if candidates is None:
+            pids = range(width)
+        else:
+            if not isinstance(candidates, (list, tuple)):
+                candidates = list(candidates)
+            if len(candidates) == 2:
+                a, b = candidates
+                pids = (a, b) if a < b else ((b, a) if b < a else (a,))
+            else:
+                pids = sorted(set(candidates))
+            if pids and (pids[0] < 0 or pids[-1] >= width):
+                bad = pids[0] if pids[0] < 0 else next(p for p in pids if p >= width)
+                raise MachineError(f"candidate {bad} out of range")
+        for pid in pids:
+            ctx.pid = pid
+            mark = len(edges)
+            update = step_fn(ctx)
+            if update is None:
+                del edges[mark:]
+                continue
+            active.append(pid)
+            local_update, writes = update
+            if local_update:
+                if new_local is None:
+                    new_local = list(local_rows)
+                row = list(new_local[pid])
+                for slot, value in local_update.items():
+                    if not 0 <= slot < len(row):
+                        raise MachineError(f"local slot {slot} out of range")
+                    row[slot] = value
+                new_local[pid] = tuple(row)
+            if writes:
+                if winners is None:
+                    winners = {}
+                for addr, value in writes:
+                    if not 0 <= addr < shared_len:
+                        raise MachineError(f"shared address {addr} out of range")
+                    if addr not in winners:
+                        winners[addr] = value
+    except MachineError as err:
+        node = "" if pid is None else f", node {pid}"
+        raise type(err)(f"{err} (layer {state.clock + 1}{node})") from err
 
     if winners:
         cells = list(shared_cells)

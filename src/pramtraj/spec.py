@@ -14,17 +14,15 @@ algorithm up there and carry no per-algorithm code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, NamedTuple
 
 from _blake2 import blake2b
 
 from .machine import Fold, MachineState, RunCounts, Trace
 
 
-@dataclass(frozen=True)
-class ProbeSpec:
+class ProbeSpec(NamedTuple):
     """One observable: name, stage (input/hint/output), location, dtype."""
 
     name: str
@@ -42,8 +40,7 @@ class ProbeSpec:
         }
 
 
-@dataclass(frozen=True)
-class HintFrame:
+class HintFrame(NamedTuple):
     step: int
     values: dict
 
@@ -52,8 +49,7 @@ class HintFrame:
 Replay = Generator[dict, None, dict]
 
 
-@dataclass(frozen=True)
-class AlgorithmSpec:
+class AlgorithmSpec(NamedTuple):
     """Everything the pipeline needs to know about one algorithm.
 
     ``run(inst, fold)`` builds the algorithm's ``machine.Program`` for

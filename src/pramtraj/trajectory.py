@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import json
 import marshal
-from dataclasses import dataclass
 from itertools import repeat
 from random import Random
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .algorithms import SPECS, spec_for
 from .machine import Trace, activity_summary
@@ -48,8 +47,7 @@ class ReplayError(Exception):
     """Hint frames or outputs differ from the ones replayed from the inputs."""
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     algo: str
     n: int
     seed: dict
@@ -188,7 +186,9 @@ def _field_violations(algo: AlgorithmSpec, n: int, inputs, outputs, seed, activi
     """The input and output payloads against their probe schemas, the seed
     and activity blocks' shapes, and distinct positional scalars; when that
     finds nothing, ``pos`` must be what ``encode_sample`` draws from
-    ``seed.value``, and that the ``sample_seed`` of its master and index."""
+    ``seed.value``, a search or sort line's other inputs what its generator
+    draws from it, and ``seed.value`` the ``sample_seed`` of its master and
+    index."""
     out: list[str] = []
     for stage, payload in (("input", inputs), ("output", outputs)):
         if not isinstance(payload, dict):
@@ -217,6 +217,10 @@ def _field_violations(algo: AlgorithmSpec, n: int, inputs, outputs, seed, activi
         return out
     if inputs["pos"] != increasing_unit_scalars(Random(seed["value"]), n):
         return ["inputs.pos: not drawn from seed.value"]
+    # an SCC draw also depends on a max_degree that the line does not record
+    drawn = algo.family == "scc" or inputs == algo.inputs(algo.generate(n, seed["value"], 1), pos)
+    if not drawn:
+        return ["inputs: not drawn from seed.value"]
     if seed["value"] != sample_seed(seed["master"], algo.name, n, seed["index"]):
         return ["seed.value: not derived from seed.master, algo, n and seed.index"]
     return []

@@ -15,7 +15,17 @@ from pramtraj import efficiency, harness
 from pramtraj.algorithms.sorting import gen_permutation, predecessors_from_table
 from pramtraj.cli import cli_main
 from pramtraj.harness import sample_seed, schema_path_for
-from pramtraj.machine import CellTypeError, StepLimitExceeded
+from pramtraj.machine import (
+    HOLD,
+    UNDEF,
+    CellTypeError,
+    MachineState,
+    Program,
+    StepLimitExceeded,
+    UndefinedValueError,
+    complete_graph,
+    run_machine,
+)
 from pramtraj.spec import increasing_unit_scalars
 from pramtraj.trajectory import Sample, parse_ndjson, serialize_ndjson, serialize_schema
 
@@ -353,9 +363,9 @@ class TestGen:
         # would run to n(n-1)/2 (bubble_sort) or n (oets) frames of n x n
         # masks, but it stops one frame past the line's count
         for algo, n in (("bubble_sort", 60), ("oets", 200)):
-            inst = gen_permutation(n, 1)
-            ranked = tuple(sorted(range(n), key=inst.items.__getitem__))
             seed = sample_seed(0, algo, n, 0)
+            inst = gen_permutation(n, seed)
+            ranked = tuple(sorted(range(n), key=inst.items.__getitem__))
             sample = Sample(
                 algo=algo,
                 n=n,
@@ -573,6 +583,27 @@ class TestErrors:
         with pytest.raises(CellTypeError, match=r"\(algo oets, n 4, exhaustive index 0\)$"):
             efficiency.size_record("oets", 4, 1, 0, exhaustive=True)
 
+    def test_failed_layer_is_named_before_the_sample(self, tmp_path, monkeypatch, capsys):
+        # pid 1 reads UNDEF at clock 2, in the layer whose record would be step 3
+        def fail(algo, inst):
+            def step(ctx):
+                if ctx.pid == 1 and ctx.clock == 2:
+                    ctx.own(1, float)
+                return HOLD
+
+            initial = MachineState(((0.0, UNDEF),) * 3, (), 0)
+            return run_machine(Program(algo, initial, step, complete_graph(3),
+                                       lambda s: s.clock >= 5, 8, lambda s: s))
+
+        monkeypatch.setattr(harness, "run", fail)
+        out = tmp_path / "d.ndjson"
+        assert run_cli(["gen", "--algo", "oets", "--n", "4", "--samples", "2", "--seed", "9",
+                        "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: read of undefined cell where scalar expected"
+                                           " (layer 3, node 1) (algo oets, n 4, master seed 9, index 0)\n")
+        with pytest.raises(UndefinedValueError):
+            list(harness.build_samples(harness.GenConfig("oets", (4,), 1, 9)))
+
     def test_dataset_cannot_be_its_own_sidecar(self, tmp_path, capsys):
         path = tmp_path / "d.schema"
         error = f"error: dataset {path} would be its own schema sidecar\n"
@@ -624,6 +655,31 @@ class TestStartup:
         code = "import sys, pramtraj.cli; sys.exit('numpy' in sys.modules)"
         done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), timeout=60)
         assert done.returncode == 0
+
+    def test_jobs_leave_dataclasses_and_inspect_out(self, tmp_path):
+        # no job needs these, and each costs start-up on every run; a module
+        # that a bare interpreter already loads here is not the program's
+        src = str(Path(pramtraj.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        listed = "import sys; print(*sorted(sys.modules))"
+        bare = subprocess.run([sys.executable, "-c", listed], env=env,
+                              capture_output=True, text=True, timeout=60)
+        code = (
+            "import sys\n"
+            "from pramtraj.cli import cli_main\n"
+            "out = sys.argv[1]\n"
+            "assert cli_main(['gen', '--algo', 'oets', '--n', '4', '--samples', '2', '--seed', '1',"
+            " '--out', out]) == 0\n"
+            "assert cli_main(['validate', '--in', out]) == 0\n"
+            "assert cli_main(['analyze', '--algo', 'dcsc', '--n-list', '4,5,6', '--samples', '1',"
+            " '--seed', '1']) == 0\n"
+            f"{listed}\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "d.ndjson")], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert bare.returncode == 0 and done.returncode == 0, (bare.stderr, done.stderr)
+        loaded = set(done.stdout.splitlines()[-1].split()) - set(bare.stdout.split())
+        assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"}), loaded
 
     def test_analyze_leaves_numpy_out(self):
         src = str(Path(pramtraj.__file__).resolve().parents[1])

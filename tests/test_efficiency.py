@@ -1,5 +1,4 @@
 import gc
-from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -250,7 +249,7 @@ class TestExactFigures:
             activities[sample.n].append(sample.activity)
         report = scaling_report(algo, list(n_list), samples, seed)
         for rec in report.records:
-            assert asdict(rec) == size_figures(rec.n, activities[rec.n])
+            assert rec._asdict() == size_figures(rec.n, activities[rec.n])
 
     @pytest.mark.parametrize("algo", [a for a in ALGORITHMS if spec_for(a).exhaustive])
     def test_exhaustive_grid(self, algo):
@@ -258,7 +257,7 @@ class TestExactFigures:
         for rec in report.records:
             activities = [activity_summary(run(algo, inst)[1])
                           for inst in exhaustive_instances(algo, rec.n)]
-            assert asdict(rec) == size_figures(rec.n, activities)
+            assert rec._asdict() == size_figures(rec.n, activities)
 
 
 def assert_fold_matches_trace(algo, inst) -> None:

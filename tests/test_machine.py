@@ -280,7 +280,7 @@ class TestReaders:
             return HOLD
 
         for pid in range(3):
-            with pytest.raises(NeighborhoodViolation, match=f"^node {pid} may not read node {pid}$"):
+            with pytest.raises(NeighborhoodViolation, match=rf"^node {pid} may not read node {pid} \(layer 1, node {pid}\)$"):
                 step_machine(state, step, graph, (pid,))
 
 
@@ -294,7 +294,7 @@ class TestRangeChecks:
     @pytest.mark.parametrize("candidates", [(-1,), (3,), (0, 5, 1), (7, 0), (2, -4)])
     def test_candidate_out_of_range(self, candidates):
         bad = next(p for p in sorted(candidates) if not 0 <= p < 3)
-        with pytest.raises(MachineError, match=f"^candidate {bad} out of range$"):
+        with pytest.raises(MachineError, match=rf"^candidate {bad} out of range \(layer 1\)$"):
             step_machine(self._state(), lambda ctx: HOLD, _edgeless_graph(3), candidates)
 
     def test_candidates_in_range_pass(self):
@@ -306,7 +306,7 @@ class TestRangeChecks:
         def step(ctx):
             return NodeUpdate(local={slot: 1.0}) if ctx.pid == 1 else None
 
-        with pytest.raises(MachineError, match=f"^local slot {slot} out of range at node 1$"):
+        with pytest.raises(MachineError, match=rf"^local slot {slot} out of range \(layer 1, node 1\)$"):
             step_machine(self._state(), step, _edgeless_graph(3))
 
     @pytest.mark.parametrize("addr", [-1, 2, 9])
@@ -314,7 +314,7 @@ class TestRangeChecks:
         def step(ctx):
             return NodeUpdate(writes=((0, 1.0), (addr, 2.0))) if ctx.pid == 2 else None
 
-        with pytest.raises(MachineError, match=f"^shared address {addr} out of range at node 2$"):
+        with pytest.raises(MachineError, match=rf"^shared address {addr} out of range \(layer 1, node 2\)$"):
             step_machine(self._state(), step, _edgeless_graph(3))
 
 
@@ -411,6 +411,19 @@ class TestRunMachine:
         a, b = make(), make()
         assert a.states == b.states
         assert a.activity == b.activity
+
+    @pytest.mark.parametrize("fold", [fold_trace, fold_counts])
+    def test_a_failed_layer_names_its_layer_and_node(self, fold):
+        # the read of UNDEF is pid 1's at clock 2, so the layer's record would be step 3
+        def step(ctx):
+            if ctx.pid == 1 and ctx.clock == 2:
+                ctx.own(1, float)
+            return HOLD
+
+        state = MachineState(((0.0, UNDEF),) * 3, (), 0)
+        with pytest.raises(UndefinedValueError, match=r" expected \(layer 3, node 1\)$") as err:
+            run_machine(_program(state, step, _edgeless_graph(3), lambda s: s.clock >= 5, 8), fold)
+        assert type(err.value) is UndefinedValueError
 
     @pytest.mark.parametrize("fold", [fold_trace, fold_counts])
     def test_either_fold_names_the_run_that_did_not_halt(self, fold):
@@ -525,7 +538,7 @@ def _readable(graph, pid, probes):
         try:
             step_machine(state, step, graph, (pid,))
         except NeighborhoodViolation as err:
-            assert str(err) == f"node {pid} may not read node {j}"
+            assert str(err) == f"node {pid} may not read node {j} (layer 1, node {pid})"
         else:
             allowed.add(j)
     return allowed

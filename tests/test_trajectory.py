@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 from random import Random
 
@@ -77,8 +76,7 @@ def counting(reference, pulled: list[int]):
 
 def with_frames(sample, keep: int):
     """The sample with its first ``keep`` hint frames and activity steps."""
-    return dataclasses.replace(
-        sample,
+    return sample._replace(
         hints=sample.hints[:keep],
         activity={**sample.activity, "steps": sample.activity["steps"][:keep]},
     )
@@ -185,6 +183,31 @@ class TestValidate:
             edited = copy.deepcopy(obj)
             edited["seed"]["value"] = str(edited["seed"]["value"])
             assert validate_sample(Sample.from_obj(edited)) == ["seed.value: must be an int"], algo
+
+    @pytest.mark.parametrize("algo", [a for a in ALGORITHMS if SPECS[a].family != "scc"])
+    def test_every_digit_edit_of_items_or_x_is_rejected(self, algo):
+        # a search or sort instance is drawn from seed.value: each single-digit
+        # edit of items or x that still parses to another object is rejected
+        chunk = serialize_ndjson([make_sample(algo, n=5, master=3)])
+        obj = json.loads(chunk)
+        spans = []
+        for key, end in ((b'"items":[', b"]"), (b'"x":', b"}")):
+            start = chunk.find(key)
+            if start >= 0:
+                spans.append(range(start + len(key), chunk.index(end, start)))
+        rejected = 0
+        for at in (at for span in spans for at in span if chunk[at] in b"0123456789"):
+            for digit in b"0123456789":
+                mutant = chunk[:at] + bytes([digit]) + chunk[at + 1 :]
+                try:
+                    if json.loads(mutant) == obj:
+                        continue
+                except ValueError:
+                    continue
+                assert verdict(mutant) == ["inputs: not drawn from seed.value"], (algo, mutant)
+                assert not line_is_clean(mutant, algo), (algo, mutant)
+                rejected += 1
+        assert rejected > 500, rejected
 
     def test_seed_must_be_the_sample_seed_of_its_master_and_index(self):
         for algo in ALGORITHMS:
@@ -396,7 +419,7 @@ class TestWriter:
 
         sample = make_sample(algo, n=4)
         inputs = {name: redraw(value) for name, value in sample.inputs.items()}
-        sample = dataclasses.replace(sample, inputs=inputs)
+        sample = sample._replace(inputs=inputs)
         assert serialize_ndjson([sample]) == self.reference(sample)
         assert serialize_ndjson([sample, sample]) == self.reference(sample) * 2
 
@@ -524,8 +547,7 @@ class TestReplay:
         for algo in ALGORITHMS:
             sample = make_sample(algo, n=6, master=0)
             count = len(sample.hints)
-            longer = dataclasses.replace(
-                sample,
+            longer = sample._replace(
                 hints=sample.hints + (HintFrame(count + 1, sample.hints[-1].values),),
                 activity={**sample.activity, "steps": sample.activity["steps"] * 2},
             )
@@ -540,7 +562,7 @@ class TestReplay:
         for algo in ALGORITHMS:
             sample = make_sample(algo, n=16, master=0)
             pulled = [0]
-            spec = dataclasses.replace(SPECS[algo], reference=counting(SPECS[algo].reference, pulled))
+            spec = SPECS[algo]._replace(reference=counting(SPECS[algo].reference, pulled))
             monkeypatch.setitem(SPECS, algo, spec)
             for keep in (0, 1, len(sample.hints)):
                 edited = with_frames(sample, keep)
@@ -696,12 +718,11 @@ class TestLineCheck:
                             value[rng.randrange(n)] = cell
                         variants.append(inputs)
                     for inputs in variants:
-                        probe = dataclasses.replace(sample, inputs=inputs)
+                        probe = sample._replace(inputs=inputs)
                         if spec.input_violations and spec.input_violations(inputs, n):
                             continue
                         frames, outputs = drain(spec.reference(inputs, n))
-                        replayed = dataclasses.replace(
-                            probe,
+                        replayed = probe._replace(
                             hints=tuple(HintFrame(t, v) for t, v in enumerate(frames, 1)),
                             outputs=outputs,
                             activity={
@@ -710,9 +731,14 @@ class TestLineCheck:
                                 "width": 0,
                             },
                         )
-                        # a redrawn pos is the one field check the replayed frames cannot mend
-                        drawn = inputs["pos"] == sample.inputs["pos"]
-                        expected = [] if drawn else ["inputs.pos: not drawn from seed.value"]
+                        # the replayed frames cannot mend a redrawn pos, nor a search or
+                        # sort line's other inputs, which are drawn from the seed too
+                        if inputs["pos"] != sample.inputs["pos"]:
+                            expected = ["inputs.pos: not drawn from seed.value"]
+                        elif spec.family != "scc" and inputs != sample.inputs:
+                            expected = ["inputs: not drawn from seed.value"]
+                        else:
+                            expected = []
                         assert validate_sample(replayed) == expected, (algo, n, index)
 
     def test_no_mutation_is_accepted_where_validate_finds_a_violation(self):
