@@ -1,10 +1,11 @@
 """Priority-CRCW machine simulator, trajectory datasets, efficiency analytics.
 
 Every record type is a ``typing.NamedTuple``.  One whose fields are checked
-(``SearchInstance``, ``SortInstance``, ``Digraph``, ``InterconnectionGraph``,
-``Trace``, ``GenConfig``) subclasses a NamedTuple of its fields, and its
-``__init__`` checks what ``__new__`` stored; ``_replace`` and ``_make`` skip
-that check, so no code calls them on such a record.
+(``SearchInstance``, ``SortInstance``, ``Digraph``, ``Trace``, ``GenConfig``)
+subclasses a NamedTuple of its fields, and its ``__init__`` checks what
+``__new__`` stored; ``_replace`` and ``_make`` skip that check, so no code
+calls them on such a record.  An ``InterconnectionGraph`` is a plain record,
+made by the graph builders of ``machine``, which check explicit edges.
 """
 
 from .graphs import Digraph

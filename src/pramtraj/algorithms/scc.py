@@ -22,7 +22,6 @@ from typing import Iterator
 
 from ..graphs import Digraph
 from ..machine import (
-    InterconnectionGraph,
     MachineState,
     NodeUpdate,
     Fold,
@@ -33,6 +32,7 @@ from ..machine import (
     as_flag,
     as_index,
     fold_trace,
+    interconnection,
     run_machine,
     symmetric_graph,
 )
@@ -226,7 +226,7 @@ def kosaraju_program(g: Digraph) -> Program:
         "kosaraju",
         MachineState((local,), (UNDEF,) * (4 * n), 0),
         step,
-        InterconnectionGraph(1, frozenset()),
+        interconnection(1, ()),
         lambda s: s.local[0][phase] == 3,
         2 * (n + g.m) + 6,
         lambda s: tuple(as_index(s.shared[comp + u]) for u in range(n)),

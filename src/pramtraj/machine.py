@@ -31,20 +31,20 @@ cyclic garbage collector can never free any part of one;
 it rescan the growing trace at every collection.  A run folded into counts
 holds no trace, so it runs with the collector on.
 
-An ``InterconnectionGraph`` holds its edges and, per node, the frozenset of
-in-neighbours ``read`` checks against.  Star and symmetric graphs store
-their edges as a frozenset too.  ``complete_graph(n)`` is described by its
-rule instead: its edges are a ``CompleteEdges`` view that answers ``len``
-and membership by arithmetic, and every node shares one frozenset of all n
-nodes as its in-neighbourhood (``read`` rejects a node's read of itself
-apart), so the graph takes O(n) memory where the built one took O(n^2)
-(5.2 MB at n = 129).
+An ``InterconnectionGraph`` is what the machine reads of a topology: its
+node count ``n``, its edge count ``m`` (the denominator of edge efficiency)
+and, per node, the frozenset of nodes ``read`` lets it read.
+``interconnection(n, edges)`` builds one from explicit edges and checks
+them; ``complete_graph`` and ``star_graph`` build theirs directly, and
+``symmetric_graph`` closes an edge set.  Every node of ``complete_graph(n)``
+shares one frozenset of all n nodes (``read`` rejects a node's read of
+itself apart), so the graph takes O(n) memory where an explicit one takes
+O(n^2) (5.2 MB at n = 129).
 """
 
 from __future__ import annotations
 
 import gc
-from collections.abc import Set
 from contextlib import contextmanager
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
@@ -127,89 +127,48 @@ class MachineState(NamedTuple):
         return len(self.local)
 
 
-class CompleteEdges(Set):
-    """The edges of the complete graph on ``n`` nodes, every ordered pair
-    ``(i, j)`` of distinct nodes, as a read-only set computed from its rule.
-    It equals, hashes and answers ``in`` as the frozenset of those pairs
-    would, and anything that is not such a pair is simply not in it."""
+class InterconnectionGraph(NamedTuple):
+    """Fixed communication topology, as the machine reads it: ``n`` nodes,
+    ``m`` edges, and ``in_nbrs[j]``, the nodes that node j may ``read``.
+    An edge (i, j) lets j read i's state.  There are no self edges: a
+    processor reads its own cells through ``NodeContext.own``."""
 
-    __slots__ = ("n",)
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-
-    def __len__(self) -> int:
-        return self.n * (self.n - 1)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        n = self.n
-        return ((i, j) for i in range(n) for j in range(n) if i != j)
-
-    def __contains__(self, edge: object) -> bool:
-        if not isinstance(edge, tuple) or len(edge) != 2:
-            return False
-        i, j = edge
-        nodes = range(self.n)
-        return i != j and i in nodes and j in nodes
-
-    def __repr__(self) -> str:
-        return f"CompleteEdges({self.n})"
-
-    __hash__ = Set._hash
-
-
-class _GraphFields(NamedTuple):
     n: int
-    edges: Set[tuple[int, int]]
+    m: int
+    in_nbrs: tuple[frozenset[int], ...]
 
 
-class InterconnectionGraph(_GraphFields):
-    """Fixed communication topology; edge (i, j) lets j read i's state.
-    There are no self edges: a processor reads its own cells through
-    ``NodeContext.own``.  ``read`` lets node j read the nodes of
-    ``_in_nbrs[j]`` other than j itself, a table built once, on
-    construction, and kept beside the fields."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        if isinstance(self.edges, CompleteEdges):
-            # valid by construction; every node shares one set of all nodes,
-            # a frozenset because its lookup is cheaper than a range's
-            self._in_nbrs = (frozenset(range(self.n)),) * self.n
-            return
-        for i, j in self.edges:
-            if i == j:
-                raise ValueError(f"self edge ({i},{j}); a processor reads itself through own")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
-        incoming: list[set[int]] = [set() for _ in range(self.n)]
-        for i, j in self.edges:
-            incoming[j].add(i)
-        self._in_nbrs = tuple(frozenset(s) for s in incoming)
+def interconnection(n: int, edges: Iterable[tuple[int, int]]) -> InterconnectionGraph:
+    """The graph of an explicit edge set, each edge counted once."""
+    incoming: list[set[int]] = [set() for _ in range(n)]
+    for i, j in edges:
+        if i == j:
+            raise ValueError(f"self edge ({i},{j}); a processor reads itself through own")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i},{j}) out of range for n={n}")
+        incoming[j].add(i)
+    return InterconnectionGraph(n, sum(map(len, incoming)), tuple(map(frozenset, incoming)))
 
 
 @lru_cache(maxsize=None)
 def complete_graph(n: int) -> InterconnectionGraph:
-    """Every node reads every other, described in O(n) memory."""
-    return InterconnectionGraph(n, CompleteEdges(n))
+    """Every node reads every other, in O(n) memory: the nodes share one
+    set of all n nodes, a frozenset because its lookup is cheaper than a
+    range's."""
+    return InterconnectionGraph(n, n * (n - 1), (frozenset(range(n)),) * n)
 
 
 @lru_cache(maxsize=None)
 def star_graph(n_leaves: int) -> InterconnectionGraph:
     """Leaves 0..n-1 wired both ways to hub node n."""
     hub = n_leaves
-    edges = frozenset((hub, i) for i in range(n_leaves)) | frozenset(
-        (i, hub) for i in range(n_leaves)
-    )
-    return InterconnectionGraph(n_leaves + 1, edges)
+    leaves = (frozenset({hub}),) * n_leaves
+    return InterconnectionGraph(n_leaves + 1, 2 * n_leaves, leaves + (frozenset(range(n_leaves)),))
 
 
 def symmetric_graph(n: int, directed_edges: Iterable[tuple[int, int]]) -> InterconnectionGraph:
     """Symmetric closure of a directed edge set."""
-    sym: set[tuple[int, int]] = set()
-    for u, v in directed_edges:
-        sym.add((u, v))
-        sym.add((v, u))
-    return InterconnectionGraph(n, frozenset(sym))
+    return interconnection(n, [e for u, v in directed_edges for e in ((u, v), (v, u))])
 
 
 class ActivityRecord(NamedTuple):
@@ -302,7 +261,7 @@ class NodeContext:
         self.clock = state.clock
         self._local = state.local
         self._shared = state.shared
-        self._in_nbrs = graph._in_nbrs
+        self._in_nbrs = graph.in_nbrs
         self.edge_reads = edge_reads
 
     def own(self, slot: int, kind: type | None = None) -> Cell:
@@ -525,7 +484,7 @@ def layer_counter(
         def count(record: ActivityRecord) -> tuple[int, int, int]:
             return len(record.active_edges), len(record.active_nodes), record.op_count
 
-        return len(graph.edges), count
+        return graph.m, count
 
     def count(record: ActivityRecord) -> tuple[int, int, int]:
         used = set()

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import marshal
 from itertools import repeat
+from math import isfinite
 from random import Random
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -153,7 +154,10 @@ def _check_payload(probe: ProbeSpec, value, n: int, where: str, out: list[str]) 
         if not (set(map(type, cells)) <= {int} and 0 <= min(cells) and max(cells) < top):
             out.append(f"{where}.{probe.name}: categorical range [0,{top})")
     else:
-        if not all(_is_number(v) and v == v and abs(v) != float("inf") for v in cells):
+        kinds = set(map(type, cells))
+        # an int of any size is finite, and isfinite would overflow on a huge one
+        floats = cells if int not in kinds else [v for v in cells if type(v) is float]
+        if not (kinds <= {int, float} and all(map(isfinite, floats))):
             out.append(f"{where}.{probe.name}: scalar must be finite")
 
 

@@ -228,13 +228,6 @@ class TestScalingReport:
         assert lines[0].split()[:3] == ["algo", "n", "m"]
         assert len(lines) == 4
 
-    def test_exhaustive_matches_enumeration(self):
-        rep = scaling_report("oets", [3, 4, 5], 1, 0, exhaustive=True)
-        for rec in rep.records:
-            eps = [edge_efficiency(activity_summary(run("oets", inst)[1]))
-                   for inst in exhaustive_instances("oets", rec.n)]
-            assert rec.eps_min == float(min(eps))
-
 
 class TestExactFigures:
     """Every field of a size record equals the one the metric oracle reads

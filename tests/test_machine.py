@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from pramtraj.machine import (
     HOLD,
     CellTypeError,
-    InterconnectionGraph,
     MachineError,
     MachineState,
     NeighborhoodViolation,
@@ -25,6 +24,7 @@ from pramtraj.machine import (
     complete_graph,
     fold_counts,
     fold_trace,
+    interconnection,
     layers,
     run_machine,
     star_graph,
@@ -56,7 +56,7 @@ class TestCells:
 
 
 def _edgeless_graph(n):
-    return InterconnectionGraph(n, frozenset())
+    return interconnection(n, ())
 
 
 def _program(initial, step, graph, halt, max_steps):
@@ -155,7 +155,7 @@ class TestStepMachine:
 
     def test_read_outside_neighborhood_rejected(self):
         state = MachineState(((1.0,), (2.0,), (3.0,)), (), 0)
-        graph = InterconnectionGraph(3, frozenset({(0, 1)}))
+        graph = interconnection(3, {(0, 1)})
 
         def bad(ctx):
             if ctx.pid == 1:
@@ -174,7 +174,7 @@ class TestStepMachine:
 
     def test_synchronous_exchange_reads_old_state(self):
         # both nodes overwrite with the partner's previous value in one layer
-        graph = InterconnectionGraph(2, frozenset({(0, 1), (1, 0)}))
+        graph = interconnection(2, {(0, 1), (1, 0)})
         state = MachineState(((1.0,), (2.0,)), (), 0)
 
         def swap(ctx):
@@ -200,7 +200,7 @@ class TestStepMachine:
         assert rec.graph_op and rec.op_count == 3 + 1
 
     def test_undefined_cells_carry_no_information(self):
-        graph = InterconnectionGraph(2, frozenset({(0, 1)}))
+        graph = interconnection(2, {(0, 1)})
         state = MachineState(((UNDEF,), (0.0,)), (), 0)
 
         def peek(ctx):
@@ -495,7 +495,7 @@ class TestActiveEdgeSoundness:
 
     def test_perturbation(self):
         # node 1 reads node 0; node 2 holds a defined but unread cell
-        graph = InterconnectionGraph(3, frozenset({(0, 1), (2, 1)}))
+        graph = interconnection(3, {(0, 1), (2, 1)})
         state = MachineState(((1.0,), (2.0,), (3.0,)), (), 0)
 
         def step(ctx):
@@ -517,12 +517,12 @@ class TestActiveEdgeSoundness:
 
 def test_interconnection_graph_validation():
     with pytest.raises(ValueError):
-        InterconnectionGraph(2, frozenset({(0, 0)}))
+        interconnection(2, {(0, 0)})
     with pytest.raises(ValueError):
-        InterconnectionGraph(2, frozenset({(0, 5)}))
+        interconnection(2, {(0, 5)})
     g = complete_graph(4)
     assert _readable(g, 0, range(-5, 9)) == {1, 2, 3}
-    assert len(g.edges) == 12
+    assert g.m == 12
 
 
 def _readable(graph, pid, probes):
@@ -544,13 +544,14 @@ def _readable(graph, pid, probes):
     return allowed
 
 
-class TestCompleteGraph:
-    """``complete_graph(n)`` is described by its rule, not built; it reads,
-    counts, compares and hashes as the graph of all n(n-1) pairs would."""
+def _all_pairs(n):
+    return [(i, j) for i in range(n) for j in range(n) if i != j]
 
-    @staticmethod
-    def _built(n):
-        return InterconnectionGraph(n, frozenset((i, j) for i in range(n) for j in range(n) if i != j))
+
+class TestCompleteGraph:
+    """``complete_graph(n)`` keeps no edges, only their count and one shared
+    set of readable nodes; it reads and counts as the graph of all n(n-1)
+    pairs would."""
 
     def test_footprint_is_linear(self):
         import tracemalloc
@@ -561,36 +562,33 @@ class TestCompleteGraph:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(graph.edges) == 512 * 511
+        assert graph.m == 512 * 511
         assert peak < 64_000, peak
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_reads(self, n):
-        graph = complete_graph(n)
+        graph, built = complete_graph(n), interconnection(n, _all_pairs(n))
+        assert graph.m == built.m == n * (n - 1)
+        probes = range(-n - 2, 2 * n + 2)
         for pid in range(n):
-            assert _readable(graph, pid, range(-n - 2, 2 * n + 2)) == set(range(n)) - {pid}
+            assert _readable(graph, pid, probes) == _readable(built, pid, probes) == set(range(n)) - {pid}
 
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_edges(self, n):
-        edges = complete_graph(n).edges
-        built = self._built(n).edges
-        assert len(edges) == n * (n - 1) == len(built)
-        assert set(edges) == built
-        pairs = [(i, j) for i in range(-2, n + 2) for j in range(-2, n + 2)]
-        pairs += [(1.0, 0), (0, 1.0), (True, 0), (0.5, 1), ("0", "1")]
-        for pair in pairs:
-            assert (pair in edges) is (pair in built), pair
-        for other in (3, None, "ab", (0,), (0, 1, 2), ([0], 1), [0, 1], frozenset({0, 1})):
-            assert (other in edges) is False, other
 
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_equal_and_hashable(self, n):
-        graph, built = complete_graph(n), self._built(n)
-        assert graph == built and built == graph
-        assert graph.edges == built.edges and built.edges == graph.edges
-        assert hash(graph) == hash(built)
-        assert {graph: n}[built] == n
-        assert graph != self._built(n + 1)
+class TestBuilders:
+    """The topology builders give what ``interconnection`` gives for their
+    edge sets: the same readable nodes per node and the same ``m``."""
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_star_graph(self, k):
+        edges = [(k, i) for i in range(k)] + [(i, k) for i in range(k)]
+        assert star_graph(k) == interconnection(k + 1, edges)
+        assert star_graph(k).m == 2 * k
+
+    def test_symmetric_graph(self):
+        directed = [(0, 1), (1, 2), (2, 1), (3, 0), (0, 1)]
+        closure = {(0, 1), (1, 0), (1, 2), (2, 1), (3, 0), (0, 3)}
+        assert symmetric_graph(4, directed) == interconnection(4, closure)
+        assert symmetric_graph(4, directed).m == 6
 
 
 def test_every_algorithm_recomputes_bit_exactly():
@@ -616,5 +614,6 @@ def test_activity_stays_inside_the_interconnection():
         seed = sample_seed(33, algo, 9, 0)
         inst = generate_instance(algo, 9, seed)
         _, trace = run(algo, inst)
+        readable = trace.graph.in_nbrs
         for rec in trace.activity:
-            assert rec.active_edges <= trace.graph.edges
+            assert all(j != p and j in readable[p] for j, p in rec.active_edges)

@@ -291,6 +291,28 @@ class TestValidate:
                 "inputs.adj_undirected: must be the symmetric closure of adj_directed"
             ], algo
 
+    @pytest.mark.parametrize("cell", ["NaN", "Infinity", "-Infinity", "true", "9" * 400],
+                             ids=["nan", "inf", "-inf", "true", "int400"])
+    @pytest.mark.parametrize("beside", [None, "3"], ids=["alone", "beside_an_int"])
+    def test_scalar_input_cells(self, cell, beside):
+        # json.loads reads NaN and the infinities; an int of any size is finite
+        for algo, name, path in (("parallel_search", "x", ()), ("oets", "items", (0,)),
+                                 ("dcsc", "adj_directed", (0, 1))):
+            if beside and not path:
+                continue  # a graph-level scalar is one cell
+            obj = as_obj(make_sample(algo, n=6, master=0))
+            target, where = obj["inputs"], name
+            for step in path:
+                target, where = target[where], step
+            target[where] = "@cell"
+            if beside:
+                target[where + 1] = "@beside"
+            text = json.dumps(obj).replace('"@cell"', cell).replace('"@beside"', str(beside))
+            found = validate_sample(Sample.from_obj(json.loads(text)))
+            finite = f"inputs.{name}: scalar must be finite"
+            assert (finite in found) is (cell != "9" * 400), (algo, found)
+            assert found, algo
+
     def test_validator_never_throws(self):
         bad = Sample("nonsense", 3, {}, {}, (), {}, {})
         assert validate_sample(bad)
