@@ -4,6 +4,13 @@ Nodes keep their items for good; sorting rearranges chain *positions*.  The
 shared memory holds the position table (position -> node id), which is how a
 node locates the partner it must compare with on the complete graph.  The
 emitted output is the predecessor pointer per node along the final chain.
+
+An oets node keeps two cells, ``(item, position)``: a round pairs the nodes
+by the parity of their own positions.  A bubble_sort node keeps its item
+alone, ``(item,)``: the layer's slot names the two positions compared, and
+the table says which node holds each, so a swap writes only the table and
+every state shares the initial local rows.  Both steps return an update as
+a plain ``(local, writes)`` pair.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ from typing import NamedTuple
 from ..machine import (
     HOLD,
     MachineState,
-    NodeUpdate,
     Fold,
     Program,
     RunCounts,
@@ -95,14 +101,12 @@ def oets_program(inst: SortInstance) -> Program:
             partner = ctx.shared(pos + 1, int)
             other = ctx.read(partner, ITEM, float)
             if mine > other:
-                return NodeUpdate(
-                    {POSN: pos + 1}, ((pos + 1, ctx.pid), (last_swap, ctx.clock))
-                )
+                return {POSN: pos + 1}, ((pos + 1, ctx.pid), (last_swap, ctx.clock))
             return HOLD
         partner = ctx.shared(pos - 1, int)
         other = ctx.read(partner, ITEM, float)
         if other > mine:
-            return NodeUpdate({POSN: pos - 1}, ((pos - 1, ctx.pid), (last_swap, ctx.clock)))
+            return {POSN: pos - 1}, ((pos - 1, ctx.pid), (last_swap, ctx.clock))
         return HOLD
 
     def halt(state):
@@ -135,12 +139,14 @@ def bubble_program(inst: SortInstance) -> Program:
     """One adjacent comparison per layer over the full fixed schedule.
 
     No early exit: depth is exactly n(n-1)/2, the reproducible worst case.
-    The cursor of a layer (pass index, compared slot) is a pure function of
-    the clock via the schedule.
+    The cursor of a layer (pass index, compared slot j) is a pure function of
+    the clock via the schedule.  A node keeps only its item: it is the left
+    member of the layer's pair when the table holds it at j, and the right
+    member otherwise, and a swap moves each member by writing its table cell.
     """
     n = inst.n
     slots = bubble_schedule(n)[1]
-    local = tuple((item, i) for i, item in enumerate(inst.items))
+    local = tuple((item,) for item in inst.items)
 
     def candidates(state):
         j = slots[state.clock]
@@ -148,18 +154,18 @@ def bubble_program(inst: SortInstance) -> Program:
 
     def step(ctx):
         j = slots[ctx.clock]
-        pos = ctx.own(POSN, int)
+        pid = ctx.pid
         mine = ctx.own(ITEM, float)
-        if pos == j:
+        left = ctx.shared(j, int)
+        if left == pid:
             partner = ctx.shared(j + 1, int)
             other = ctx.read(partner, ITEM, float)
             if mine > other:
-                return NodeUpdate({POSN: pos + 1}, ((j + 1, ctx.pid),))
+                return None, ((j + 1, pid),)
             return HOLD
-        partner = ctx.shared(j, int)
-        other = ctx.read(partner, ITEM, float)
+        other = ctx.read(left, ITEM, float)
         if other > mine:
-            return NodeUpdate({POSN: pos - 1}, ((j, ctx.pid),))
+            return None, ((j, pid),)
         return HOLD
 
     total = len(slots)

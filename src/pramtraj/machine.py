@@ -218,7 +218,10 @@ class Trace(_TraceFields):
 
 
 class NodeUpdate(NamedTuple):
-    """Result of a non-identity operation: local overwrites + shared writes."""
+    """Result of a non-identity operation, the named form of the ``(local,
+    writes)`` pair a step returns: local overwrites (slot -> cell, or
+    ``None``) and shared writes ((address, cell) pairs).  A step may return
+    the plain pair instead; ``step_machine`` unpacks either the same way."""
 
     local: Mapping[int, Cell] | None = None
     writes: Sequence[tuple[int, Cell]] = ()
@@ -228,7 +231,11 @@ class NodeUpdate(NamedTuple):
 HOLD = NodeUpdate()
 
 
-StepFn = Callable[["NodeContext"], NodeUpdate | None]
+# a processor's transition: ``None`` (identity) or a ``(local, writes)``
+# pair, as a ``NodeUpdate`` or as a plain tuple, which skips its constructor
+StepFn = Callable[
+    ["NodeContext"], tuple[Mapping[int, Cell] | None, Sequence[tuple[int, Cell]]] | None
+]
 
 
 class NodeContext:
@@ -299,17 +306,20 @@ def step_machine(
     state: MachineState,
     step_fn: StepFn,
     graph: InterconnectionGraph,
-    candidates: Iterable[int] | None = None,
+    candidates: Sequence[int] | None = None,
 ) -> tuple[MachineState, ActivityRecord]:
     """One synchronous layer.
 
     ``candidates`` optionally restricts which processors are offered the step
-    function; every other processor is identity by construction.  Returning
-    ``None`` from ``step_fn`` means identity: the node is not active and its
-    reads are discarded.  A ``MachineError`` raised in the layer keeps its
-    type and its message ends ``(layer t, node p)``: t is the ``step`` of
-    the layer's record, p the processor that raised it (a candidate out of
-    range names the layer only).
+    function, as a sequence (a tuple or a list) of pids in any order, each
+    run once however often it appears; every other processor is identity by
+    construction.  ``step_fn`` returns ``None`` for identity: the node is not
+    active and its reads are discarded.  Otherwise it returns a ``(local,
+    writes)`` pair (see ``NodeUpdate``), and the node is active.  A
+    ``MachineError`` raised in the layer keeps its type and its message ends
+    ``(layer t, node p)``: t is the ``step`` of the layer's record, p the
+    processor that raised it (a candidate out of range names the layer
+    only).
     """
     local_rows = state.local
     shared_cells = state.shared
@@ -327,8 +337,6 @@ def step_machine(
         if candidates is None:
             pids = range(width)
         else:
-            if not isinstance(candidates, (list, tuple)):
-                candidates = list(candidates)
             if len(candidates) == 2:
                 a, b = candidates
                 pids = (a, b) if a < b else ((b, a) if b < a else (a,))
@@ -418,8 +426,9 @@ Layer = tuple[MachineState, MachineState, ActivityRecord]
 class Program(NamedTuple):
     """One run of an algorithm, described whole: from ``initial`` on
     ``graph``, apply ``step`` to the processors ``candidates(state)`` offers
-    (all when ``None``) until ``halt(state)``, within ``max_steps`` layers;
-    ``algo_id`` names the run in the step-limit error.  ``output(final)``
+    as a sequence (all when ``candidates`` is ``None``) until
+    ``halt(state)``, within ``max_steps`` layers; ``algo_id`` names the run
+    in the step-limit error.  ``output(final)``
     reads the result off the final state; ``instance_edges``, where set, are
     the instance's directed edges that activity is counted against."""
 
@@ -430,7 +439,7 @@ class Program(NamedTuple):
     halt: Callable[[MachineState], bool]
     max_steps: int
     output: Callable[[MachineState], Any]
-    candidates: Callable[[MachineState], Iterable[int]] | None = None
+    candidates: Callable[[MachineState], Sequence[int]] | None = None
     instance_edges: frozenset[tuple[int, int]] | None = None
 
 

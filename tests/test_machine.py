@@ -284,6 +284,35 @@ class TestReaders:
                 step_machine(state, step, graph, (pid,))
 
 
+class TestUpdateContract:
+    """A step may return its update as a plain ``(local, writes)`` pair or as
+    the equal ``NodeUpdate``: both give the same next state and record."""
+
+    @pytest.mark.parametrize("update", [
+        NodeUpdate(),
+        NodeUpdate(local={0: 7.0}),
+        NodeUpdate(writes=((1, 3), (0, 2))),
+        NodeUpdate(local={1: 8.0, 0: 7.0}, writes=((0, 4),)),
+    ], ids=["hold", "local", "writes", "both"])
+    def test_plain_pair_equals_node_update(self, update):
+        state = MachineState(((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)), (UNDEF, UNDEF), 0)
+        graph = complete_graph(3)
+
+        def stepper(result):
+            def step(ctx):
+                ctx.read((ctx.pid + 1) % 3, 0, float)
+                return result if ctx.pid != 2 else None
+            return step
+
+        plain = tuple(update)
+        assert type(plain) is tuple
+        new_plain, rec_plain = step_machine(state, stepper(plain), graph)
+        new_named, rec_named = step_machine(state, stepper(update), graph)
+        assert new_plain == new_named
+        assert rec_plain == rec_named
+        assert rec_plain.active_nodes == {0, 1}
+
+
 class TestRangeChecks:
     """step_machine's three MachineError checks: candidates, local slots and
     shared addresses must lie inside the machine."""
@@ -300,6 +329,18 @@ class TestRangeChecks:
     def test_candidates_in_range_pass(self):
         _, rec = step_machine(self._state(), lambda ctx: HOLD, _edgeless_graph(3), (2, 0))
         assert rec.active_nodes == {0, 2}
+
+    def test_repeated_candidate_runs_once(self):
+        ran = []
+
+        def step(ctx):
+            ran.append(ctx.pid)
+            return NodeUpdate(local={0: 1.0})
+
+        new, rec = step_machine(self._state(), step, _edgeless_graph(3), (1, 1))
+        assert ran == [1]
+        assert new.local == ((0.0,), (1.0,), (0.0,))
+        assert rec.active_nodes == {1} and rec.op_count == 1
 
     @pytest.mark.parametrize("slot", [-1, 1, 4])
     def test_local_slot_out_of_range(self, slot):

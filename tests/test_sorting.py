@@ -179,3 +179,59 @@ def test_oets_round_reads_are_sound():
     poked_local = list(initial.local)
     poked_local[3] = (9.5, 3)
     assert reads(MachineState(tuple(poked_local), initial.shared, 0))[0] == base[0]
+
+
+def test_bubble_states_share_the_item_rows():
+    # a bubble node keeps only its item, and a swap writes only the position
+    # table: every state of a run holds the initial local tuple itself
+    inst = gen_permutation(9, 5)
+    _, trace = bubble_sort(inst)
+    rows = trace.states[0].local
+    assert rows == tuple((item,) for item in inst.items)
+    assert trace.depth == 36
+    assert all(state.local is rows for state in trace.states)
+
+
+def test_bubble_layer_reads_are_sound():
+    # the bubble step takes its role from the table: perturbing the partner's
+    # item changes what a pair member reads, perturbing an unrelated node's
+    # item never does, and swapping the two table cells at the compared slot
+    # swaps which member writes which cell
+    from pramtraj.algorithms.sorting import bubble_program
+    from pramtraj.machine import MachineState, NodeContext
+
+    from machine_support import probe_step_reads
+
+    inst = SortInstance(items=(4.0, 3.0, 2.0, 1.0))
+    program = bubble_program(inst)
+    initial, step, graph = program.initial, program.step, program.graph
+    assert tuple(program.candidates(initial)) == (0, 1)  # slot 0 at clock 0
+
+    def reads(state):
+        return probe_step_reads(state, step, graph, program.candidates(state))
+
+    def poked(state, node, item):
+        local = list(state.local)
+        local[node] = (item,)
+        return MachineState(tuple(local), state.shared, state.clock)
+
+    def updates(state):
+        out = {}
+        for pid in program.candidates(state):
+            ctx = NodeContext(state, graph, [])
+            ctx.pid = pid
+            out[pid] = step(ctx)
+        return out
+
+    base = reads(initial)
+    assert base == {0: [(1, 0, 3.0)], 1: [(0, 0, 4.0)]}
+    assert reads(poked(initial, 1, 9.5))[0] != base[0]
+    assert reads(poked(initial, 0, 0.5))[1] != base[1]
+    assert reads(poked(initial, 3, 9.5)) == base
+
+    # node 0 sits at slot 0, so it is the left member and moves to slot 1
+    assert updates(initial) == {0: (None, ((1, 0),)), 1: (None, ((0, 1),))}
+    # with the table cells and the two items swapped, node 1 is the left member
+    swapped = MachineState(((3.0,), (4.0,), (2.0,), (1.0,)), (1, 0, 2, 3), 0)
+    assert reads(swapped) == {0: [(1, 0, 4.0)], 1: [(0, 0, 3.0)]}
+    assert updates(swapped) == {0: (None, ((0, 0),)), 1: (None, ((1, 1),))}
