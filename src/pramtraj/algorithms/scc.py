@@ -315,14 +315,20 @@ def _dcsc_frame(fwd: list[int], bwd: list[int], undiscovered: list[int], ptr: li
     }
 
 
+def _indices(cells: list) -> list[int]:
+    """``cells``, each an index: one type test over them all, and
+    ``as_index`` only to raise its error at the first cell that is not."""
+    return cells if set(map(type, cells)) <= {int} else list(map(as_index, cells))
+
+
 def _frame_dcsc(g: Digraph, before: MachineState, after: MachineState) -> dict:
     pivot = as_index(after.shared[PIVOT_ADDR])
     rows = after.local
     return _dcsc_frame(
-        [int(row[FWD] == pivot) for row in rows],
-        [int(row[BWD] == pivot) for row in rows],
-        [int(not row[DONE]) for row in rows],
-        [as_index(row[PTR]) for row in rows],
+        [1 if row[FWD] == pivot else 0 for row in rows],
+        [1 if row[BWD] == pivot else 0 for row in rows],
+        [0 if row[DONE] else 1 for row in rows],
+        _indices([row[PTR] for row in rows]),
     )
 
 
@@ -344,16 +350,19 @@ def _reference_dcsc(inputs: dict, n: int) -> Replay:
     ptr = list(range(n))
 
     def frame() -> dict:
-        masks = ([int(u in nodes) for u in range(n)] for nodes in (fwd, bwd, alive))
+        masks = ([1 if u in nodes else 0 for u in range(n)] for nodes in (fwd, bwd, alive))
         return _dcsc_frame(*masks, list(ptr))
 
     while alive:
         pivot = min(alive)
         fwd, bwd = {pivot}, {pivot}
+        grow_fwd, grow_bwd = fwd, bwd
         yield frame()
         while True:
-            grow_fwd = {u for u in alive - fwd if any(j in fwd for j in pred[u])}
-            grow_bwd = {u for u in alive - bwd if any(j in bwd for j in succ[u])}
+            # each search grows from the nodes it added last: an earlier
+            # layer's alive neighbours are in the set already
+            grow_fwd = {v for u in grow_fwd for v in succ[u]} & (alive - fwd)
+            grow_bwd = {v for u in grow_bwd for v in pred[u]} & (alive - bwd)
             if not grow_fwd and not grow_bwd:
                 break
             fwd |= grow_fwd
@@ -376,11 +385,11 @@ def _frame_kosaraju(g: Digraph, before: MachineState, after: MachineState) -> di
     n = g.n
     seen1, order, seen2, comp = (after.shared[base : base + n] for base in _shared_layout(n))
     return {
-        "seen_first": [int(cell is not UNDEF) for cell in seen1],
-        "done_first": [int(cell is not UNDEF) for cell in order],
-        "seen_second": [int(cell is not UNDEF) for cell in seen2],
-        "finish_order": [u if cell is UNDEF else as_index(cell) for u, cell in enumerate(order)],
-        "scc_ptr": [u if cell is UNDEF else as_index(cell) for u, cell in enumerate(comp)],
+        "seen_first": [0 if cell is UNDEF else 1 for cell in seen1],
+        "done_first": [0 if cell is UNDEF else 1 for cell in order],
+        "seen_second": [0 if cell is UNDEF else 1 for cell in seen2],
+        "finish_order": _indices([u if cell is UNDEF else cell for u, cell in enumerate(order)]),
+        "scc_ptr": _indices([u if cell is UNDEF else cell for u, cell in enumerate(comp)]),
     }
 
 

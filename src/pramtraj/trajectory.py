@@ -16,17 +16,22 @@ replayed frames as the reference yields them, so neither holds more than
 one.
 
 The writer (``serialize_ndjson``) and ``line_is_clean`` spell hint frames
-with one function, ``_hint_pieces``.  The rows of an edge-located hint probe
-(the sorts' dense n x n ``swap_mask``, almost all of whose rows are the
-all-zero row) are spelled from a cache of row text that lives for one line,
-keyed by each row's marshal bytes; every other value is one C encoder call.
+with one function, ``_hint_pieces``, which takes every list of a frame from a
+cache of list text that lives for one line, keyed by each list's marshal
+bytes: the rows of an edge-located hint probe (the sorts' dense n x n
+``swap_mask``, almost all of whose rows are the all-zero row) one by one, and
+every other list whole (an SCC frame's node lists, most of which one layer
+leaves as they were).  Every other hint value is one C encoder call.  The
+inputs are ``dumps_canonical``, which hands a list or matrix of ints, or of
+floats that repr spells as it does (the SCC adjacency matrices), to the C
+encoder whole and walks any other value cell by cell.
 """
 
 from __future__ import annotations
 
 import json
 import marshal
-from itertools import repeat
+from itertools import chain, repeat
 from math import isfinite
 from random import Random
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -282,7 +287,7 @@ def validate_sample(sample: Sample) -> list[str]:
 
 
 def _fmt_float(value: float) -> str:
-    if value != value or value in (float("inf"), float("-inf")):
+    if not isfinite(value):
         raise ValueError("non-finite float in dataset payload")
     text = format(value, ".17g")
     if "." not in text and "e" not in text and "E" not in text:
@@ -302,6 +307,10 @@ def _canon(obj, out: list[str]) -> None:
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, (list, tuple)):
+        text = _plain_numbers(obj)
+        if text is not None:
+            out.append(text)
+            return
         out.append("[")
         for i, item in enumerate(obj):
             if i:
@@ -324,7 +333,13 @@ def _canon(obj, out: list[str]) -> None:
 
 
 def dumps_canonical(obj) -> str:
-    """The canonical text of obj: the definition of the dataset format."""
+    """The canonical text of obj: the definition of the dataset format.
+
+    A list, or a list of lists, whose cells are all exactly int, or all
+    exactly float with each distinct float spelled alike by repr and by the
+    17-digit format, is one C encoder call (the SCC adjacency matrices,
+    whose floats are 0.0 and 1.0); any other value is walked cell by
+    cell."""
     pieces: list[str] = []
     _canon(obj, pieces)
     return "".join(pieces)
@@ -336,6 +351,25 @@ _encode_ints = json.JSONEncoder(
     ensure_ascii=False, allow_nan=False, separators=(",", ":"), sort_keys=True
 ).encode
 
+
+def _plain_numbers(obj) -> str | None:
+    """The C encoder's text of the list or tuple ``obj`` when it is the
+    canonical text, else None: ``obj``, or each of its rows (lists), holds
+    cells that are all exactly int or all exactly float, each distinct float
+    spelled by repr as by ``_fmt_float``.  A float that is not finite raises
+    ValueError, as ``_fmt_float`` does."""
+    cells = obj
+    kinds = set(map(type, cells))
+    if kinds == {list}:
+        cells = list(chain.from_iterable(obj))
+        kinds = set(map(type, cells))
+    # each distinct float once, in list order, so the 17-digit ones of pos
+    # fail at the first; 0.0 and -0.0 are one key, and both pass
+    if kinds <= {int} or kinds == {float} and all(repr(v) == _fmt_float(v) for v in dict.fromkeys(cells)):
+        return _encode_ints(obj)
+    return None
+
+
 # The hint probes of each algorithm that the writer spells row by row.
 _EDGE_HINTS = {
     name: frozenset(p.name for p in spec.probes if p.stage == "hint" and p.location == "edge")
@@ -343,10 +377,11 @@ _EDGE_HINTS = {
 }
 
 
-class _RowTexts(dict):
-    """Row text by the row's marshal bytes.  Equal bytes load to equal rows
-    of equal cell types, so ``[1,0]``, ``[true,0]`` and ``[1.0,0]`` never
-    share an entry, as ``tuple(row)`` keys would (``True == 1 == 1.0``)."""
+class _ListTexts(dict):
+    """List text by the list's marshal bytes.  Equal bytes load to equal
+    lists of equal cell types, so ``[1,0]``, ``[true,0]`` and ``[1.0,0]``
+    never share an entry, as ``tuple(row)`` keys would (``True == 1 ==
+    1.0``)."""
 
     def __missing__(self, key: bytes) -> str:
         text = self[key] = _encode_ints(marshal.loads(key))
@@ -354,23 +389,31 @@ class _RowTexts(dict):
 
 
 # version 2 writes no back-references, which follow object identity, so
-# equal rows marshal to equal bytes
+# equal lists marshal to equal bytes
 _MARSHAL_VERSION = 2
 
 
-def _spelled(step, values: dict, edges: frozenset, rows: _RowTexts) -> str:
-    """``_encode_ints({"step": step, "values": values})``, with the rows of
-    the edge probes taken from ``rows``."""
+def _spelled(step, values: dict, edges: frozenset, texts: _ListTexts) -> str:
+    """``_encode_ints({"step": step, "values": values})``, with each list
+    taken from ``texts``: an edge probe's row by row, any other list whole."""
     parts = ['{"step":', _encode_ints(step), ',"values":{']
     try:
         for idx, key in enumerate(sorted(values)):
             value = values[key]
             parts += ("," if idx else "", _encode_ints(key), ":")
-            if key in edges and type(value) is list:
-                texts = map(rows.__getitem__, map(marshal.dumps, value, repeat(_MARSHAL_VERSION)))
-                parts += ("[", ",".join(texts), "]")
-            else:
+            if type(value) is not list:
                 parts.append(_encode_ints(value))
+            elif key in edges:
+                rows = map(texts.__getitem__, map(marshal.dumps, value, repeat(_MARSHAL_VERSION)))
+                parts += ("[", ",".join(rows), "]")
+            else:
+                # a miss encodes the list itself, not its key loaded back:
+                # the node lists of the searches and sorts seldom recur
+                packed = marshal.dumps(value, _MARSHAL_VERSION)
+                text = texts.get(packed)
+                if text is None:
+                    text = texts[packed] = _encode_ints(value)
+                parts.append(text)
     except ValueError:  # a cell marshal cannot write: the C encoder spells the frame or says why not
         return _encode_ints({"step": step, "values": values})
     parts.append("}}")
@@ -382,21 +425,23 @@ def _hint_pieces(frames: Iterable[tuple[int, dict]], edges: frozenset) -> Iterat
     piece: ``[``, each ``{"step":t,"values":...}`` and the comma before it,
     then ``]``.
 
-    A frame is one C encoder call, unless it holds a probe named in
-    ``edges`` (the algorithm's edge-located hint probes): then that probe's
-    rows are spelled from a cache of row text that lives for this call and
-    the other values each by one C encoder call, in sorted key order.  Most
-    rows of a dense n x n mask are the all-zero row, so the n(n-1)/2 frames
-    of a bubble_sort line encode a few dozen distinct rows, not n rows a
-    frame.  The text is the same either way.
+    Every list a frame holds is spelled from a cache of list text that lives
+    for this call: the rows of a probe named in ``edges`` (the algorithm's
+    edge-located hint probes) one by one, every other list whole; the other
+    values are each one C encoder call, in sorted key order.  Most rows of a
+    dense n x n mask are the all-zero row, so the n(n-1)/2 frames of a
+    bubble_sort line encode a few dozen distinct rows, not n rows a frame;
+    and one DFS or BFS layer changes a cell or two of an SCC frame's node
+    lists, so most of them are the previous frame's.  A frame whose values
+    are not a dict is one C encoder call.  The text is the same either way.
     """
-    rows = _RowTexts()
+    texts = _ListTexts()
     yield "["
     for idx, (step, values) in enumerate(frames):
         if idx:
             yield ","
-        if edges and type(values) is dict and not edges.isdisjoint(values):
-            yield _spelled(step, values, edges, rows)
+        if type(values) is dict:
+            yield _spelled(step, values, edges, texts)
         else:
             yield _encode_ints({"step": step, "values": values})
     yield "]"

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pramtraj.algorithms.scc import DONE, PIVOT_ADDR, dcsc, dcsc_program, gen_digraph, kosaraju
+from pramtraj.algorithms.scc import DCSC, DONE, KOSARAJU, PIVOT_ADDR, PTR, dcsc, dcsc_program, gen_digraph, kosaraju
 from pramtraj.graphs import Digraph
 from pramtraj.harness import sample_seed
-from pramtraj.machine import UNDEF, MachineState
+from pramtraj.machine import UNDEF, CellTypeError, MachineState
 
 from scc_oracle import dcsc_candidates_scan, pointers_to_partition, tarjan_scc
 
@@ -204,6 +204,23 @@ class TestKosaraju:
         assert pointers_to_partition(ptr) == frozenset(tarjan_scc(g))
         for rep in set(ptr):
             assert ptr[rep] == rep
+
+
+def test_a_frame_pointer_that_is_not_an_index_raises():
+    # the decoders test the pointers' types at once and leave the error to as_index
+    g = Digraph(3, frozenset({(0, 1), (1, 0), (1, 2)}))
+    _, trace = dcsc(g)
+    before, after = trace.states[:2]
+    rows = list(after.local)
+    rows[1] = rows[1][:PTR] + (True,) + rows[1][PTR + 1 :]
+    with pytest.raises(CellTypeError, match="cell True is not a index"):
+        DCSC.frame(g, before, after._replace(local=tuple(rows)))
+    _, trace = kosaraju(g)
+    before, after = trace.states[-2:]
+    shared = list(after.shared)
+    shared[3 * g.n + 2] = 1.0  # node 2's cell of the component block
+    with pytest.raises(CellTypeError, match="cell 1.0 is not a index"):
+        KOSARAJU.frame(g, before, after._replace(shared=tuple(shared)))
 
 
 def test_pairs_agree_on_partitions():

@@ -32,6 +32,8 @@ from pramtraj.trajectory import (
     validate_sample,
 )
 
+from canon_oracle import per_cell
+
 SIZES = {"parallel_search": 5, "binary_search": 9, "oets": 6, "bubble_sort": 5, "dcsc": 8, "kosaraju": 8}
 
 
@@ -445,9 +447,34 @@ class TestWriter:
         assert serialize_ndjson([sample]) == self.reference(sample)
         assert serialize_ndjson([sample, sample]) == self.reference(sample) * 2
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_number_lists_match_the_per_cell_walk(self, data):
+        # a few cell values drawn many times, so that many lists hold only
+        # ints or only floats and go to the C encoder whole
+        pool = data.draw(st.lists(_NUMBER_CELLS, min_size=1, max_size=3))
+        cell = st.sampled_from(pool)
+        n = data.draw(st.integers(0, 4))
+        flat = data.draw(st.lists(cell, max_size=6))
+        matrix = data.draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+        for value in (flat, matrix, {"adj": matrix, "pos": flat}):
+            assert dumps_canonical(value) == per_cell(value)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_non_finite_float_in_a_matrix_raises(self, data):
+        n = data.draw(st.integers(1, 4))
+        cell = st.sampled_from((0.0, -0.0, 1.0, 0.1, 1e16, 0, 1))
+        matrix = data.draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+        row, col = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        matrix[row][col] = data.draw(st.sampled_from((float("nan"), float("inf"), float("-inf"))))
+        for value in (matrix, matrix[row], {"adj": matrix}):
+            with pytest.raises(ValueError):
+                dumps_canonical(value)
+
 
 def spelled(hints, edges) -> str:
-    """The writer's text of a hint list, edge-probe rows from its row cache."""
+    """The writer's text of a hint list, its lists from the list-text cache."""
     return "".join(_hint_pieces(((frame.step, frame.values) for frame in hints), edges))
 
 
@@ -467,6 +494,21 @@ class _Cell(int):
     """An int subclass: the C encoder and dumps_canonical spell it as an int."""
 
 
+class _Float(float):
+    """A float subclass: dumps_canonical spells it with 17 digits."""
+
+
+# floats whose repr is their 17-digit text and ones whose is not, an int
+# equal to 1e16, bools, and subclasses of int and float
+_NUMBER_CELLS = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, 0.1, 1 / 3, 1e16, 5e-324)),
+    st.sampled_from((0, 1, 10**16)) | st.integers(),
+    st.booleans(),
+    st.integers(0, 3).map(_Cell),
+    st.sampled_from((0.0, 1.0, 0.1)).map(_Float),
+)
+
+
 class TestHintRows:
     """The row cache of _hint_pieces changes no byte of the hint text."""
 
@@ -476,8 +518,8 @@ class TestHintRows:
             "bubble_sort": {"swap_mask"},
         }
 
-    def test_every_sort_sample(self):
-        for algo in ("oets", "bubble_sort"):
+    def test_every_sample(self):
+        for algo in ALGORITHMS:
             for n in (1, 2, 7, 16):
                 for index, master in ((0, 0), (1, 11), (3, 2**40)):
                     hints = make_sample(algo, n=n, index=index, master=master).hints
@@ -489,6 +531,15 @@ class TestHintRows:
         text = spelled(hints, _MASK)
         assert text == canonical(hints)
         assert '"swap_mask":[[true,0],[true,0]]' in text and '"swap_mask":[[1.0,0],[1.0,0]]' in text
+
+    def test_equal_node_lists_of_other_cell_types_keep_their_own_text(self):
+        # no edge probe at all: every list is looked up whole
+        rows = ([1, 0], [True, 0], [1.0, 0], [1, 0])
+        hints = [HintFrame(t, {"pred": list(row), "reach": [0, 1]}) for t, row in enumerate(rows, 1)]
+        text = spelled(hints, frozenset())
+        assert text == canonical(hints)
+        for t, row in enumerate(("[1,0]", "[true,0]", "[1.0,0]", "[1,0]"), 1):
+            assert f'{{"step":{t},"values":{{"pred":{row},"reach":[0,1]}}}}' in text
 
     def test_frames_without_the_edge_probe_and_odd_payloads(self):
         hints = [
@@ -530,6 +581,19 @@ class TestHintRows:
             chunk = serialize_ndjson([sample])
             assert not line_is_clean(chunk, algo), algo
             assert verdict(chunk) == [f"replay: frame {k}: swap_mask mismatch"], algo
+
+    def test_a_flipped_cached_node_list_is_caught(self):
+        # one cell of a node list of the last frame whose text the cache
+        # holds from the frame before: the byte comparison and the replay see it
+        for algo in ("dcsc", "kosaraju"):
+            sample = make_sample(algo, n=8, master=0)
+            k = len(sample.hints) - 1
+            last, before = sample.hints[k].values, sample.hints[k - 1].values
+            name = next(name for name in sorted(last) if last[name] == before[name])
+            last[name][0] ^= 1  # 0 and 1 swap, and so do the categories 2k and 2k+1
+            chunk = serialize_ndjson([sample])
+            assert not line_is_clean(chunk, algo), algo
+            assert verdict(chunk) == [f"replay: frame {k}: {name} mismatch"], algo
 
 
 class TestReplay:
