@@ -1,11 +1,12 @@
 """Priority-CRCW machine simulator, trajectory datasets, efficiency analytics.
 
 Every record type is a ``typing.NamedTuple``.  One whose fields are checked
-(``SearchInstance``, ``SortInstance``, ``Digraph``, ``Trace``, ``GenConfig``)
-subclasses a NamedTuple of its fields, and its ``__init__`` checks what
-``__new__`` stored; ``_replace`` and ``_make`` skip that check, so no code
-calls them on such a record.  An ``InterconnectionGraph`` is a plain record,
-made by the graph builders of ``machine``, which check explicit edges.
+(``SearchInstance``, ``SortInstance``, ``Digraph``, ``GenConfig``) subclasses
+a NamedTuple of its fields, and its ``__init__`` checks what ``__new__``
+stored; ``_replace`` and ``_make`` skip that check, so no code calls them on
+such a record.  An ``InterconnectionGraph`` is a plain record, made by the
+graph builders of ``machine``, which check explicit edges; a ``Trace`` is a
+plain record too, made only by ``machine.fold_trace``.
 """
 
 from .graphs import Digraph
@@ -13,7 +14,6 @@ from .machine import (
     ActivityRecord,
     InterconnectionGraph,
     MachineState,
-    NodeUpdate,
     Program,
     StepLimitExceeded,
     Trace,

@@ -23,7 +23,6 @@ from typing import Iterator
 from ..graphs import Digraph
 from ..machine import (
     MachineState,
-    NodeUpdate,
     Fold,
     Program,
     RunCounts,
@@ -96,15 +95,10 @@ def dcsc_program(g: Digraph) -> Program:
         return all(row[DONE] for row in state.local)
 
     def step(ctx):
-        if ctx.own(DONE, bool):
-            return None
         open_cell = ctx.shared(OPEN_ADDR)
         if open_cell is UNDEF or not as_flag(open_cell):
             pivot = ctx.pid
-            return NodeUpdate(
-                local={FWD: pivot, BWD: pivot, PTR: pivot},
-                writes=((PIVOT_ADDR, pivot), (OPEN_ADDR, True)),
-            )
+            return {FWD: pivot, BWD: pivot, PTR: pivot}, ((PIVOT_ADDR, pivot), (OPEN_ADDR, True))
         pivot = ctx.shared(PIVOT_ADDR, int)
         pid = ctx.pid
         update = {}
@@ -119,11 +113,11 @@ def dcsc_program(g: Digraph) -> Program:
                 update[slot] = pivot
             reached += 1
         if reached < 2:
-            return NodeUpdate(local=update) if update else None
+            return (update, ()) if update else None
         if not update:
-            return NodeUpdate(local={DONE: True}, writes=((OPEN_ADDR, False),))
+            return {DONE: True}, ((OPEN_ADDR, False),)
         update[PTR] = pivot
-        return NodeUpdate(local=update)
+        return update, ()
 
     return Program(
         "dcsc",
@@ -166,8 +160,6 @@ def kosaraju_program(g: Digraph) -> Program:
 
     def step(ctx):
         ph = ctx.own(phase, int)
-        if ph == 3:
-            return None
         edges, seen, cursor = passes[ph - 1]
         top = ctx.own(sp, int)
         local = {}
@@ -203,7 +195,7 @@ def kosaraju_program(g: Digraph) -> Program:
                     if ctx.shared(seen + v) is UNDEF and ctx.shared(order + v, int) > last:
                         seed, last = v, ctx.shared(order + v, int)
             if seed is None:
-                return NodeUpdate(local={phase: ph + 1})
+                return {phase: ph + 1}, ()
             if ph == 2:
                 local[root] = seed
             enter(seed, seed)
@@ -220,7 +212,7 @@ def kosaraju_program(g: Digraph) -> Program:
             elif k + 1 >= len(out):
                 local[sp] = top - 1
                 leave(u)
-        return NodeUpdate(local, writes)
+        return local, writes
 
     return Program(
         "kosaraju",

@@ -12,7 +12,6 @@ from random import Random
 from typing import NamedTuple
 
 from ..machine import (
-    NodeUpdate,
     UNDEF,
     as_index,
     as_scalar,
@@ -79,11 +78,11 @@ def parallel_search_program(inst: SearchInstance) -> Program:
                 return None
             item = ctx.own(ITEM, float)
             x = ctx.read(xnode, ITEM, float)
-            return NodeUpdate(local={MASK: max(item - x, 0.0)})
+            return {MASK: max(item - x, 0.0)}, ()
         if ctx.pid == xnode:
-            return NodeUpdate(writes=((0, xnode),))
+            return None, ((0, xnode),)
         if ctx.own(MASK, float) == 0.0:
-            return NodeUpdate(writes=((0, ctx.pid),))
+            return None, ((0, ctx.pid),)
         return None
 
     return Program(
@@ -111,11 +110,10 @@ def binary_search_program(inst: SearchInstance) -> Program:
         return ((state.shared[LO] + state.shared[HI]) // 2,)
 
     def step(ctx):
+        # candidates offers the window's midpoint alone
+        mid = ctx.pid
         lo = ctx.shared(LO, int)
         hi = ctx.shared(HI, int)
-        mid = (lo + hi) // 2
-        if ctx.pid != mid:
-            return None
         item = ctx.own(ITEM, float)
         x = ctx.read(xnode, ITEM, float)
         if item <= x:
@@ -125,7 +123,7 @@ def binary_search_program(inst: SearchInstance) -> Program:
         writes = [(LO, lo), (HI, hi), (MID, mid)]
         if lo == hi:
             writes.append((RANK, lo))
-        return NodeUpdate(writes=tuple(writes))
+        return None, writes
 
     return Program(
         "binary_search",

@@ -9,8 +9,7 @@ An oets node keeps two cells, ``(item, position)``: a round pairs the nodes
 by the parity of their own positions.  A bubble_sort node keeps its item
 alone, ``(item,)``: the layer's slot names the two positions compared, and
 the table says which node holds each, so a swap writes only the table and
-every state shares the initial local rows.  Both steps return an update as
-a plain ``(local, writes)`` pair.
+every state shares the initial local rows.
 """
 
 from __future__ import annotations
@@ -96,8 +95,6 @@ def oets_program(inst: SortInstance) -> Program:
         pos = ctx.own(POSN, int)
         mine = ctx.own(ITEM, float)
         if (pos - phase) % 2 == 0:
-            if pos + 1 >= n:
-                return None
             partner = ctx.shared(pos + 1, int)
             other = ctx.read(partner, ITEM, float)
             if mine > other:

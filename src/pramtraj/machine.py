@@ -188,25 +188,14 @@ class ActivityRecord(NamedTuple):
     graph_op: bool
 
 
-class _TraceFields(NamedTuple):
+class Trace(NamedTuple):
+    """Full record of one run: T+1 state snapshots, T activity records."""
+
     width: int
     states: tuple[MachineState, ...]
     activity: tuple[ActivityRecord, ...]
     graph: InterconnectionGraph
     instance_edges: frozenset[tuple[int, int]] | None = None
-
-
-class Trace(_TraceFields):
-    """Full record of one run: T+1 state snapshots, T activity records."""
-
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs) -> None:
-        if len(self.states) != len(self.activity) + 1:
-            raise ValueError("trace must hold depth+1 state snapshots")
-        width = self.width
-        if any(len(s.local) != width for s in self.states):
-            raise ValueError("trace width must be constant across states")
 
     @property
     def depth(self) -> int:
@@ -217,25 +206,15 @@ class Trace(_TraceFields):
         return self.states[-1]
 
 
-class NodeUpdate(NamedTuple):
-    """Result of a non-identity operation, the named form of the ``(local,
-    writes)`` pair a step returns: local overwrites (slot -> cell, or
-    ``None``) and shared writes ((address, cell) pairs).  A step may return
-    the plain pair instead; ``step_machine`` unpacks either the same way."""
-
-    local: Mapping[int, Cell] | None = None
-    writes: Sequence[tuple[int, Cell]] = ()
-
-
-# an executed operation that changes nothing (e.g. a compare with no swap)
-HOLD = NodeUpdate()
-
-
-# a processor's transition: ``None`` (identity) or a ``(local, writes)``
-# pair, as a ``NodeUpdate`` or as a plain tuple, which skips its constructor
+# A processor's transition returns ``None`` (identity) or the pair ``(local,
+# writes)`` of a non-identity operation: local overwrites (slot -> cell, or
+# ``None``) and shared writes ((address, cell) pairs, or ``()``).
 StepFn = Callable[
     ["NodeContext"], tuple[Mapping[int, Cell] | None, Sequence[tuple[int, Cell]]] | None
 ]
+
+# an executed operation that changes nothing (e.g. a compare with no swap)
+HOLD = (None, ())
 
 
 class NodeContext:
@@ -315,7 +294,7 @@ def step_machine(
     run once however often it appears; every other processor is identity by
     construction.  ``step_fn`` returns ``None`` for identity: the node is not
     active and its reads are discarded.  Otherwise it returns a ``(local,
-    writes)`` pair (see ``NodeUpdate``), and the node is active.  A
+    writes)`` pair (see ``StepFn``), and the node is active.  A
     ``MachineError`` raised in the layer keeps its type and its message ends
     ``(layer t, node p)``: t is the ``step`` of the layer's record, p the
     processor that raised it (a candidate out of range names the layer

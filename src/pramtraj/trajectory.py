@@ -393,29 +393,26 @@ class _ListTexts(dict):
 _MARSHAL_VERSION = 2
 
 
-def _spelled(step, values: dict, edges: frozenset, texts: _ListTexts) -> str:
+def _spelled(step: int, values: dict, edges: frozenset, texts: _ListTexts) -> str:
     """``_encode_ints({"step": step, "values": values})``, with each list
     taken from ``texts``: an edge probe's row by row, any other list whole."""
-    parts = ['{"step":', _encode_ints(step), ',"values":{']
-    try:
-        for idx, key in enumerate(sorted(values)):
-            value = values[key]
-            parts += ("," if idx else "", _encode_ints(key), ":")
-            if type(value) is not list:
-                parts.append(_encode_ints(value))
-            elif key in edges:
-                rows = map(texts.__getitem__, map(marshal.dumps, value, repeat(_MARSHAL_VERSION)))
-                parts += ("[", ",".join(rows), "]")
-            else:
-                # a miss encodes the list itself, not its key loaded back:
-                # the node lists of the searches and sorts seldom recur
-                packed = marshal.dumps(value, _MARSHAL_VERSION)
-                text = texts.get(packed)
-                if text is None:
-                    text = texts[packed] = _encode_ints(value)
-                parts.append(text)
-    except ValueError:  # a cell marshal cannot write: the C encoder spells the frame or says why not
-        return _encode_ints({"step": step, "values": values})
+    parts = ['{"step":', str(step), ',"values":{']
+    for idx, key in enumerate(sorted(values)):
+        value = values[key]
+        parts += ("," if idx else "", _encode_ints(key), ":")
+        if type(value) is not list:
+            parts.append(_encode_ints(value))
+        elif key in edges:
+            rows = map(texts.__getitem__, map(marshal.dumps, value, repeat(_MARSHAL_VERSION)))
+            parts += ("[", ",".join(rows), "]")
+        else:
+            # a miss encodes the list itself, not its key loaded back:
+            # the node lists of the searches and sorts seldom recur
+            packed = marshal.dumps(value, _MARSHAL_VERSION)
+            text = texts.get(packed)
+            if text is None:
+                text = texts[packed] = _encode_ints(value)
+            parts.append(text)
     parts.append("}}")
     return "".join(parts)
 
@@ -425,25 +422,23 @@ def _hint_pieces(frames: Iterable[tuple[int, dict]], edges: frozenset) -> Iterat
     piece: ``[``, each ``{"step":t,"values":...}`` and the comma before it,
     then ``]``.
 
-    Every list a frame holds is spelled from a cache of list text that lives
-    for this call: the rows of a probe named in ``edges`` (the algorithm's
-    edge-located hint probes) one by one, every other list whole; the other
-    values are each one C encoder call, in sorted key order.  Most rows of a
-    dense n x n mask are the all-zero row, so the n(n-1)/2 frames of a
-    bubble_sort line encode a few dozen distinct rows, not n rows a frame;
-    and one DFS or BFS layer changes a cell or two of an SCC frame's node
-    lists, so most of them are the previous frame's.  A frame whose values
-    are not a dict is one C encoder call.  The text is the same either way.
+    A frame is what ``spec.frame`` and ``spec.reference`` build: an int step
+    and a dict of ints and lists of ints.  Every list a frame holds is
+    spelled from a cache of list text that lives for this call: the rows of
+    a probe named in ``edges`` (the algorithm's edge-located hint probes)
+    one by one, every other list whole; the other values are each one C
+    encoder call, in sorted key order.  Most rows of a dense n x n mask are
+    the all-zero row, so the n(n-1)/2 frames of a bubble_sort line encode a
+    few dozen distinct rows, not n rows a frame; and one DFS or BFS layer
+    changes a cell or two of an SCC frame's node lists, so most of them are
+    the previous frame's.
     """
     texts = _ListTexts()
     yield "["
     for idx, (step, values) in enumerate(frames):
         if idx:
             yield ","
-        if type(values) is dict:
-            yield _spelled(step, values, edges, texts)
-        else:
-            yield _encode_ints({"step": step, "values": values})
+        yield _spelled(step, values, edges, texts)
     yield "]"
 
 

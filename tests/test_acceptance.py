@@ -26,7 +26,6 @@ from pramtraj.harness import (
 from pramtraj.machine import (
     UNDEF,
     MachineState,
-    NodeUpdate,
     activity_summary,
     collector_paused,
     complete_graph,
@@ -209,7 +208,7 @@ def priority_layer(targets, shared_size):
 
     def step(ctx):
         addr = targets[ctx.pid]
-        return None if addr is None else NodeUpdate(writes=((addr, ctx.pid),))
+        return None if addr is None else (None, ((addr, ctx.pid),))
 
     new, _ = step_machine(state, step, complete_graph(width))
     return {addr: cell for addr, cell in enumerate(new.shared) if cell is not UNDEF}

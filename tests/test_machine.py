@@ -11,10 +11,8 @@ from pramtraj.machine import (
     MachineState,
     NeighborhoodViolation,
     NodeContext,
-    NodeUpdate,
     Program,
     StepLimitExceeded,
-    Trace,
     UNDEF,
     UndefinedValueError,
     as_flag,
@@ -71,7 +69,7 @@ def _write_layer(width, shared_size, writes_by_pid):
 
     def step(ctx):
         writes = writes_by_pid.get(ctx.pid)
-        return NodeUpdate(writes=writes) if writes else None
+        return (None, writes) if writes else None
 
     new, _ = step_machine(state, step, _edgeless_graph(width))
     return {addr: cell for addr, cell in enumerate(new.shared) if cell is not UNDEF}
@@ -145,7 +143,7 @@ class TestStepMachine:
             if ctx.pid != 1:
                 return None
             value = ctx.own(0, float)
-            return NodeUpdate(local={0: value + 1.0})
+            return {0: value + 1.0}, ()
 
         new, rec = step_machine(state, step, complete_graph(2))
         assert new.local[1] == (6.0,)
@@ -179,7 +177,7 @@ class TestStepMachine:
 
         def swap(ctx):
             other = as_scalar(ctx.read(1 - ctx.pid, 0))
-            return NodeUpdate(local={0: other})
+            return {0: other}, ()
 
         new, rec = step_machine(state, swap, graph)
         assert new.local == ((2.0,), (1.0,))
@@ -193,7 +191,7 @@ class TestStepMachine:
         def race(ctx):
             if ctx.pid == 0:
                 return None
-            return NodeUpdate(writes=((0, ctx.pid),))
+            return None, ((0, ctx.pid),)
 
         new, rec = step_machine(state, race, graph)
         assert new.shared == (1,)
@@ -284,35 +282,6 @@ class TestReaders:
                 step_machine(state, step, graph, (pid,))
 
 
-class TestUpdateContract:
-    """A step may return its update as a plain ``(local, writes)`` pair or as
-    the equal ``NodeUpdate``: both give the same next state and record."""
-
-    @pytest.mark.parametrize("update", [
-        NodeUpdate(),
-        NodeUpdate(local={0: 7.0}),
-        NodeUpdate(writes=((1, 3), (0, 2))),
-        NodeUpdate(local={1: 8.0, 0: 7.0}, writes=((0, 4),)),
-    ], ids=["hold", "local", "writes", "both"])
-    def test_plain_pair_equals_node_update(self, update):
-        state = MachineState(((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)), (UNDEF, UNDEF), 0)
-        graph = complete_graph(3)
-
-        def stepper(result):
-            def step(ctx):
-                ctx.read((ctx.pid + 1) % 3, 0, float)
-                return result if ctx.pid != 2 else None
-            return step
-
-        plain = tuple(update)
-        assert type(plain) is tuple
-        new_plain, rec_plain = step_machine(state, stepper(plain), graph)
-        new_named, rec_named = step_machine(state, stepper(update), graph)
-        assert new_plain == new_named
-        assert rec_plain == rec_named
-        assert rec_plain.active_nodes == {0, 1}
-
-
 class TestRangeChecks:
     """step_machine's three MachineError checks: candidates, local slots and
     shared addresses must lie inside the machine."""
@@ -335,7 +304,7 @@ class TestRangeChecks:
 
         def step(ctx):
             ran.append(ctx.pid)
-            return NodeUpdate(local={0: 1.0})
+            return {0: 1.0}, ()
 
         new, rec = step_machine(self._state(), step, _edgeless_graph(3), (1, 1))
         assert ran == [1]
@@ -345,7 +314,7 @@ class TestRangeChecks:
     @pytest.mark.parametrize("slot", [-1, 1, 4])
     def test_local_slot_out_of_range(self, slot):
         def step(ctx):
-            return NodeUpdate(local={slot: 1.0}) if ctx.pid == 1 else None
+            return ({slot: 1.0}, ()) if ctx.pid == 1 else None
 
         with pytest.raises(MachineError, match=rf"^local slot {slot} out of range \(layer 1, node 1\)$"):
             step_machine(self._state(), step, _edgeless_graph(3))
@@ -353,7 +322,7 @@ class TestRangeChecks:
     @pytest.mark.parametrize("addr", [-1, 2, 9])
     def test_shared_address_out_of_range(self, addr):
         def step(ctx):
-            return NodeUpdate(writes=((0, 1.0), (addr, 2.0))) if ctx.pid == 2 else None
+            return (None, ((0, 1.0), (addr, 2.0))) if ctx.pid == 2 else None
 
         with pytest.raises(MachineError, match=rf"^shared address {addr} out of range \(layer 1, node 2\)$"):
             step_machine(self._state(), step, _edgeless_graph(3))
@@ -440,7 +409,7 @@ class TestRunMachine:
 
         def step(ctx):
             if ctx.pid == ctx.clock % 3:
-                return NodeUpdate(local={0: float(ctx.clock)}, writes=((0, ctx.pid),))
+                return {0: float(ctx.clock)}, ((0, ctx.pid),)
             return None
 
         def make():
@@ -478,7 +447,7 @@ class TestRunMachine:
 
     def test_layers_chain_the_states_of_the_trace(self):
         def step(ctx):
-            return NodeUpdate(local={0: float(ctx.clock)}) if ctx.pid == ctx.clock % 2 else None
+            return ({0: float(ctx.clock)}, ()) if ctx.pid == ctx.clock % 2 else None
 
         initial = MachineState(((0.5,),) * 2, (), 0)
         program = _program(initial, step, _edgeless_graph(2), lambda s: s.clock >= 3, 3)
@@ -501,32 +470,6 @@ class TestRunMachine:
         assert [s.clock for s in trace.states] == [0, 1, 2, 3]
 
 
-class TestTraceChecks:
-    def _trace(self):
-        return run_machine(
-            _program(fresh_state(2, 1, 1), lambda ctx: HOLD, _edgeless_graph(2), lambda s: s.clock >= 2, 2)
-        )[1]
-
-    def test_a_run_passes(self):
-        trace = self._trace()
-        again = Trace(trace.width, trace.states, trace.activity, trace.graph)
-        assert again.depth == 2
-
-    def test_depth_plus_two_states_is_rejected(self):
-        trace = self._trace()
-        states = trace.states + (trace.states[-1],)
-        with pytest.raises(ValueError, match="depth\\+1"):
-            Trace(trace.width, states, trace.activity, trace.graph)
-
-    @pytest.mark.parametrize("index", [0, 1, 2])
-    def test_one_state_of_another_width_is_rejected(self, index):
-        trace = self._trace()
-        states = list(trace.states)
-        states[index] = fresh_state(3, 1, 1)
-        with pytest.raises(ValueError, match="width"):
-            Trace(trace.width, tuple(states), trace.activity, trace.graph)
-
-
 class TestActiveEdgeSoundness:
     """Perturbing a recorded edge's source may change the target's inputs;
     perturbing any other defined cell never does."""
@@ -543,7 +486,7 @@ class TestActiveEdgeSoundness:
             if ctx.pid != 1:
                 return None
             value = as_scalar(ctx.read(0, 0))
-            return NodeUpdate(local={0: value})
+            return {0: value}, ()
 
         base = self._reads_for(state, step, graph)
         _, rec = step_machine(state, step, graph)

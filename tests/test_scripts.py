@@ -42,3 +42,17 @@ def test_reproduce_classes_fits_every_algorithm(tmp_path):
     lines = done.stdout.splitlines()
     fitted = lines[lines.index("fitted classes") + 1 :]
     assert [line.split()[0] for line in fitted] == list(ALGORITHMS)
+
+
+def test_traffic_coverage_enters_every_function_but_four():
+    # a function that only the tests call would be a fifth
+    done = run_script("traffic_coverage.py")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    never = lines[lines.index("functions no command enters:") + 1 :]
+    assert {line.strip() for line in never} == {
+        "cli.main",
+        "machine._bad_cell",
+        "machine._Undef.__repr__",
+        "machine._Undef.__bool__",
+    }
