@@ -32,7 +32,7 @@ from ..machine import (
     fold_trace,
     run_machine,
 )
-from ..spec import AlgorithmSpec, ProbeSpec, Replay, increasing_unit_scalars
+from ..spec import AlgorithmSpec, ProbeSpec, Replay, increasing_unit_scalars, mask_rows
 
 ITEM = 0
 POSN = 1
@@ -225,10 +225,16 @@ def _swapped_pairs(old_table, new_table) -> list[tuple[int, int]]:
 
 def _frame(old_table, new_table, n: int, cursor: dict) -> dict:
     """Chain pointers and swaps of a layer that took the position table from
-    old_table to new_table, plus ``cursor``, the probes of the clock alone."""
-    swap_mask = [[0] * n for _ in range(n)]
+    old_table to new_table, plus ``cursor``, the probes of the clock alone.
+
+    Each row of ``swap_mask`` is one of the read-only rows of
+    ``mask_rows(n)``: for each swapped pair (u, v), row u is one-hot at v
+    and row v at u, and every other row is the all-zero row."""
+    rows = mask_rows(n)
+    swap_mask = [rows[n]] * n
     for u, v in _swapped_pairs(old_table, new_table):
-        swap_mask[u][v] = swap_mask[v][u] = 1
+        swap_mask[u] = rows[v]
+        swap_mask[v] = rows[u]
     pred = list(predecessors_from_table(tuple(new_table)))
     return {"pred": pred, "swap_mask": swap_mask, **cursor}
 

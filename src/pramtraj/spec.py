@@ -10,10 +10,16 @@ annotate one layer.  Only ``trajectory.encode_sample`` and ``cli.cmd_trace``
 walk a trace's layers.  ``pramtraj.algorithms`` collects the specs into one
 registry; generation, encoding, validation, replay and analysis look the
 algorithm up there and carry no per-algorithm code.
+
+A hint value that many frames hold at once is a ``SharedRow``: a read-only
+list that carries its JSON text, which the writer spells by identity.
+``mask_rows(n)`` builds the n + 1 rows that every sort frame's
+``swap_mask`` is made of.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from random import Random
 from typing import Any, Callable, Generator, NamedTuple
 
@@ -43,6 +49,36 @@ class ProbeSpec(NamedTuple):
 class HintFrame(NamedTuple):
     step: int
     values: dict
+
+
+class SharedRow(list):
+    """A hint row that many frames hold at once, with its JSON text as
+    ``text``.
+
+    Every write through it (``row[i] = x``, ``+=``, ``append``, ...) raises
+    TypeError, since it would edit every frame that holds the row; so do
+    ``copy.copy`` and ``copy.deepcopy``, which refill a new row by
+    appending.  ``list(row)`` is a plain copy to edit.  Equality,
+    ``isinstance(row, list)`` and the json encoder's text are those of a
+    list.
+    """
+
+    __slots__ = ("text",)
+
+    # an operation whose method is None raises TypeError
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = None
+    append = extend = insert = pop = remove = clear = sort = reverse = None
+
+
+@lru_cache(maxsize=None)
+def mask_rows(n: int) -> tuple[SharedRow, ...]:
+    """The n + 1 rows of an n x n 0/1 mask in which each node has at most
+    one partner, built once per n: ``rows[k]`` is one-hot at k for k < n,
+    and ``rows[n]`` is all zero."""
+    rows = tuple(SharedRow(int(j == k) for j in range(n)) for k in range(n + 1))
+    for row in rows:
+        row.text = f"[{','.join(map(str, row))}]"
+    return rows
 
 
 # what a reference yields (the values of each frame) and returns (the outputs)

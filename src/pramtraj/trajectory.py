@@ -16,29 +16,32 @@ replayed frames as the reference yields them, so neither holds more than
 one.
 
 The writer (``serialize_ndjson``) and ``line_is_clean`` spell hint frames
-with one function, ``_hint_pieces``, which takes every list of a frame from a
-cache of list text that lives for one line, keyed by each list's marshal
-bytes: the rows of an edge-located hint probe (the sorts' dense n x n
-``swap_mask``, almost all of whose rows are the all-zero row) one by one, and
-every other list whole (an SCC frame's node lists, most of which one layer
-leaves as they were).  Every other hint value is one C encoder call.  The
-inputs are ``dumps_canonical``, which hands a list or matrix of ints, or of
-floats that repr spells as it does (the SCC adjacency matrices), to the C
-encoder whole and walks any other value cell by cell.
+with one function, ``_hint_pieces``.  It spells the rows of an edge-located
+hint probe (the sorts' dense n x n ``swap_mask``) one by one.  A sort
+frame's rows are shared read-only rows (``spec.SharedRow``: n + 1 per n,
+from ``spec.mask_rows``), each spelled by the text it carries.  Every other
+list, a plain row included (one of a parsed or edited sample), comes whole
+from a cache of list text that lives for one line, keyed by the list's
+marshal bytes (an SCC frame's node lists, most of which one layer leaves as
+they were).  An exact int is spelled by ``str``, and every other hint value
+is one C encoder call.  The inputs are ``dumps_canonical``, which hands a
+list or matrix of ints, or of floats that repr spells as it does (the SCC
+adjacency matrices), to the C encoder whole and walks any other value cell
+by cell.
 """
 
 from __future__ import annotations
 
 import json
 import marshal
-from itertools import chain, repeat
+from itertools import chain
 from math import isfinite
 from random import Random
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .algorithms import SPECS, spec_for
 from .machine import Trace, activity_summary
-from .spec import AlgorithmSpec, HintFrame, ProbeSpec, increasing_unit_scalars, sample_seed
+from .spec import AlgorithmSpec, HintFrame, ProbeSpec, SharedRow, increasing_unit_scalars, sample_seed
 
 
 class DatasetFormatError(Exception):
@@ -377,42 +380,41 @@ _EDGE_HINTS = {
 }
 
 
-class _ListTexts(dict):
-    """List text by the list's marshal bytes.  Equal bytes load to equal
-    lists of equal cell types, so ``[1,0]``, ``[true,0]`` and ``[1.0,0]``
-    never share an entry, as ``tuple(row)`` keys would (``True == 1 ==
-    1.0``)."""
-
-    def __missing__(self, key: bytes) -> str:
-        text = self[key] = _encode_ints(marshal.loads(key))
-        return text
-
-
 # version 2 writes no back-references, which follow object identity, so
 # equal lists marshal to equal bytes
 _MARSHAL_VERSION = 2
 
 
-def _spelled(step: int, values: dict, edges: frozenset, texts: _ListTexts) -> str:
-    """``_encode_ints({"step": step, "values": values})``, with each list
-    taken from ``texts``: an edge probe's row by row, any other list whole."""
+def _cached_text(value, texts: dict[bytes, str]) -> str:
+    """``_encode_ints(value)``, kept in ``texts`` by the value's marshal
+    bytes.  Equal bytes load to equal values of equal cell types, so
+    ``[1,0]``, ``[true,0]`` and ``[1.0,0]`` never share an entry, as
+    ``tuple(row)`` keys would (``True == 1 == 1.0``)."""
+    packed = marshal.dumps(value, _MARSHAL_VERSION)
+    text = texts.get(packed)
+    if text is None:
+        text = texts[packed] = _encode_ints(value)
+    return text
+
+
+def _spelled(step: int, values: dict, edges: frozenset, texts: dict[bytes, str]) -> str:
+    """``_encode_ints({"step": step, "values": values})``, with an exact int
+    spelled by ``str`` and each list by ``_cached_text``: an edge probe's
+    row by row, where a ``SharedRow`` is spelled by its own ``text``, and any
+    other list whole."""
     parts = ['{"step":', str(step), ',"values":{']
     for idx, key in enumerate(sorted(values)):
         value = values[key]
         parts += ("," if idx else "", _encode_ints(key), ":")
-        if type(value) is not list:
+        if type(value) is int:
+            parts.append(str(value))
+        elif type(value) is not list:
             parts.append(_encode_ints(value))
         elif key in edges:
-            rows = map(texts.__getitem__, map(marshal.dumps, value, repeat(_MARSHAL_VERSION)))
+            rows = (row.text if type(row) is SharedRow else _cached_text(row, texts) for row in value)
             parts += ("[", ",".join(rows), "]")
         else:
-            # a miss encodes the list itself, not its key loaded back:
-            # the node lists of the searches and sorts seldom recur
-            packed = marshal.dumps(value, _MARSHAL_VERSION)
-            text = texts.get(packed)
-            if text is None:
-                text = texts[packed] = _encode_ints(value)
-            parts.append(text)
+            parts.append(_cached_text(value, texts))
     parts.append("}}")
     return "".join(parts)
 
@@ -423,17 +425,18 @@ def _hint_pieces(frames: Iterable[tuple[int, dict]], edges: frozenset) -> Iterat
     then ``]``.
 
     A frame is what ``spec.frame`` and ``spec.reference`` build: an int step
-    and a dict of ints and lists of ints.  Every list a frame holds is
-    spelled from a cache of list text that lives for this call: the rows of
-    a probe named in ``edges`` (the algorithm's edge-located hint probes)
-    one by one, every other list whole; the other values are each one C
-    encoder call, in sorted key order.  Most rows of a dense n x n mask are
-    the all-zero row, so the n(n-1)/2 frames of a bubble_sort line encode a
-    few dozen distinct rows, not n rows a frame; and one DFS or BFS layer
-    changes a cell or two of an SCC frame's node lists, so most of them are
-    the previous frame's.
+    and a dict of ints and lists of ints.  The rows of a probe named in
+    ``edges`` (the algorithm's edge-located hint probes) are spelled one by
+    one: the sorts' ``swap_mask`` rows are shared read-only rows
+    (``SharedRow``, from ``spec.mask_rows``), each spelled by the text it
+    carries, so a frame's mask costs n lookups and no encoding.  Every
+    other list, and a plain row (a parsed or edited sample's), is spelled
+    from a cache of list text that lives for this call; one DFS or BFS
+    layer changes a cell or two of an SCC frame's node lists, so most of
+    them are the previous frame's.  An exact int is spelled by ``str``, and
+    any other value is one C encoder call, in sorted key order.
     """
-    texts = _ListTexts()
+    texts: dict[bytes, str] = {}
     yield "["
     for idx, (step, values) in enumerate(frames):
         if idx:
@@ -449,9 +452,10 @@ def _ndjson_line(sample: Sample) -> str:
     field carries a float) and every other field by one C encoder call."""
     edges = _EDGE_HINTS.get(sample.algo, frozenset()) if isinstance(sample.algo, str) else frozenset()
     hints = "".join(_hint_pieces(((frame.step, frame.values) for frame in sample.hints), edges))
+    n = str(sample.n) if type(sample.n) is int else _encode_ints(sample.n)
     return (
         f'{{"activity":{_encode_ints(sample.activity)},"algo":{_encode_ints(sample.algo)}'
-        f',"hints":{hints},"inputs":{dumps_canonical(sample.inputs)},"n":{_encode_ints(sample.n)}'
+        f',"hints":{hints},"inputs":{dumps_canonical(sample.inputs)},"n":{n}'
         f',"outputs":{_encode_ints(sample.outputs)},"seed":{_encode_ints(sample.seed)}}}\n'
     )
 

@@ -134,12 +134,14 @@ class TestGen:
 
     @pytest.mark.parametrize("algo", ["oets", "bubble_sort"])
     def test_validate_catches_a_flipped_cached_row(self, tmp_path, capsys, algo):
-        # an all-zero swap_mask row of the last frame gets one 1; the text of
-        # the unedited row is the one the writer's row cache already holds
+        # an all-zero swap_mask row of the last frame is replaced by a copy
+        # with one 1; the text of the unedited row is the one the writer's row
+        # cache already holds
         def flip(sample):
             mask = sample.hints[-1].values["swap_mask"]
             row = next(r for r in range(len(mask)) if not any(mask[r]))
-            mask[row][(row + 3) % len(mask)] = 1
+            mask[row] = flipped = list(mask[row])
+            flipped[(row + 3) % len(mask)] = 1
 
         k = {"oets": 7, "bubble_sort": 27}[algo]
         assert self._validate_sample(tmp_path, capsys, algo, 8, flip) == (1, [

@@ -180,6 +180,22 @@ class TestPipeline:
         b = serialize_ndjson(build_samples(cfg))
         assert a == b
 
+    def test_a_sort_sample_peaks_near_its_line_size(self):
+        # every swap_mask row is one of n + 1 shared rows, so a frame's mask
+        # is n pointers, not n lists: this 5.6 MB line peaked at 36.5 MB when
+        # each frame built its own rows
+        import tracemalloc
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            (sample,) = build_samples(GenConfig("bubble_sort", (48,), 1, 1))
+            line = serialize_ndjson([sample])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(line), (peak, len(line))
+
     def test_collector_off_while_a_trace_is_alive(self, monkeypatch):
         real_run, real_encode = harness.run, harness.encode_sample
         enabled = []

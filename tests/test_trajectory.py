@@ -1,5 +1,6 @@
 import copy
 import json
+import operator
 from random import Random
 
 import pytest
@@ -12,7 +13,7 @@ from pramtraj.algorithms.sorting import SortInstance, oets_sort
 from pramtraj.algorithms.scc import dcsc
 from pramtraj.graphs import Digraph
 from pramtraj.harness import generate_instance, sample_seed
-from pramtraj.spec import HintFrame
+from pramtraj.spec import HintFrame, mask_rows
 from pramtraj.trajectory import (
     _EDGE_HINTS,
     _hint_pieces,
@@ -427,6 +428,12 @@ class TestWriter:
                     sample = make_sample(algo, n=n, index=index, master=master)
                     assert serialize_ndjson([sample]) == self.reference(sample)
 
+    def test_an_n_of_another_type_keeps_its_text(self):
+        # an exact int n is spelled by str, any other n by the encoder
+        sample = make_sample("oets", n=1)
+        for n in (True, _Cell(1), 1.0):
+            assert serialize_ndjson([sample._replace(n=n)]) == self.reference(sample._replace(n=n)), n
+
     @given(st.sampled_from(ALGORITHMS), st.data())
     @settings(max_examples=60, deadline=None)
     def test_edge_floats_in_inputs(self, algo, data):
@@ -532,6 +539,27 @@ class TestHintRows:
         assert text == canonical(hints)
         assert '"swap_mask":[[true,0],[true,0]]' in text and '"swap_mask":[[1.0,0],[1.0,0]]' in text
 
+    def test_a_shared_row_beside_plain_rows_of_equal_value(self):
+        shared = mask_rows(2)[0]
+        assert shared == [1, 0] and isinstance(shared, list)
+        hints = [
+            HintFrame(1, {"swap_mask": [shared, [True, 0]], "pred": [0, 0]}),
+            HintFrame(2, {"swap_mask": [[1.0, 0], [1, 0]], "pred": [0, 0]}),
+            HintFrame(3, {"swap_mask": [[1, 0], shared], "pred": [0, 0]}),
+        ]
+        text = spelled(hints, _MASK)
+        assert text == canonical(hints)
+        for mask in ("[[1,0],[true,0]]", "[[1.0,0],[1,0]]", "[[1,0],[1,0]]"):
+            assert f'"swap_mask":{mask}' in text
+
+    def test_scalars_of_other_int_types_keep_their_own_text(self):
+        # an exact int is spelled by str, a bool or an int subclass by the encoder
+        cells = (0, 7, 2**70, True, False, _Cell(1))
+        hints = [HintFrame(t, {"parity": cell, "pred": [0]}) for t, cell in enumerate(cells, 1)]
+        text = spelled(hints, _MASK)
+        assert text == canonical(hints)
+        assert '{"step":4,"values":{"parity":true,"pred":[0]}}' in text
+
     def test_equal_node_lists_of_other_cell_types_keep_their_own_text(self):
         # no edge probe at all: every list is looked up whole
         rows = ([1, 0], [True, 0], [1.0, 0], [1, 0])
@@ -567,18 +595,23 @@ class TestHintRows:
         assert spelled(hints, _MASK) == canonical(hints)
 
     def test_a_flipped_cached_row_is_caught(self):
-        # one cell of an all-zero row of the last frame, whose text the cache
-        # holds from an earlier frame: the byte comparison and the replay see it
+        # an all-zero row of the last frame, a row earlier frames hold too,
+        # replaced by a copy with one 1: the byte comparison and the replay see it
         for algo in ("oets", "bubble_sort"):
             sample = make_sample(algo, n=8, master=0)
             k = len(sample.hints) - 1
             mask = sample.hints[k].values["swap_mask"]
             row = next(r for r in range(8) if not any(mask[r]))
             assert any(mask[row] == earlier for frame in sample.hints[:k] for earlier in frame.values["swap_mask"])
-            mask[row][(row + 3) % 8] = 1
-            chunk = serialize_ndjson([sample])
-            assert not line_is_clean(chunk, algo), algo
-            assert verdict(chunk) == [f"replay: frame {k}: swap_mask mismatch"], algo
+            shared = mask[row]
+            mask[row] = flipped = list(shared)
+            flipped[(row + 3) % 8] = 1
+            try:
+                chunk = serialize_ndjson([sample])
+                assert not line_is_clean(chunk, algo), algo
+                assert verdict(chunk) == [f"replay: frame {k}: swap_mask mismatch"], algo
+            finally:
+                mask[row] = shared
 
     def test_a_flipped_cached_node_list_is_caught(self):
         # one cell of a node list of the last frame whose text the cache
@@ -592,6 +625,50 @@ class TestHintRows:
             chunk = serialize_ndjson([sample])
             assert not line_is_clean(chunk, algo), algo
             assert verdict(chunk) == [f"replay: frame {k}: {name} mismatch"], algo
+
+
+# every way to write through a list: what ``row[i] = x``, ``row[i:j] = xs``,
+# ``del row[i]``, ``+=``, ``*=`` and each mutating method call
+_WRITES = {
+    "setitem": lambda row: operator.setitem(row, 0, 1),
+    "setslice": lambda row: operator.setitem(row, slice(0, 1), [1]),
+    "delitem": lambda row: operator.delitem(row, 0),
+    "iadd": lambda row: operator.iadd(row, [1]),
+    "imul": lambda row: operator.imul(row, 2),
+    "append": lambda row: row.append(1),
+    "extend": lambda row: row.extend([1]),
+    "insert": lambda row: row.insert(0, 1),
+    "pop": lambda row: row.pop(),
+    "remove": lambda row: row.remove(row[0]),
+    "clear": lambda row: row.clear(),
+    "sort": lambda row: row.sort(),
+    "reverse": lambda row: row.reverse(),
+}
+
+
+class TestSharedMaskRows:
+    """A sort frame's swap_mask rows are n + 1 read-only rows per n."""
+
+    @pytest.mark.parametrize("algo", ["oets", "bubble_sort"])
+    @pytest.mark.parametrize("n", [1, 2, 8, 33])
+    def test_at_most_n_plus_one_rows_that_refuse_writes(self, algo, n):
+        sample = make_sample(algo, n=n, master=0)
+        frames, _ = drain(SPECS[algo].reference(sample.inputs, n))
+        for masks in ([f.values["swap_mask"] for f in sample.hints], [v["swap_mask"] for v in frames]):
+            rows = {id(row): row for mask in masks for row in mask}
+            assert len(rows) <= n + 1, (algo, n, len(rows))
+            for row in rows.values():
+                before = list(row)
+                for name, write in _WRITES.items():
+                    with pytest.raises(TypeError):
+                        write(row)
+                    assert row == before, name
+
+    def test_the_table_is_built_once_per_n(self):
+        rows = mask_rows(5)
+        assert rows is mask_rows(5)
+        assert rows == tuple([int(j == k) for j in range(5)] for k in range(6))
+        assert [row.text for row in rows] == [dumps_canonical(row) for row in rows]
 
 
 class TestReplay:
@@ -704,26 +781,30 @@ class TestReplay:
                 sample = make_sample(algo, n=6, index=index, master=0)
                 for idx, frame in enumerate(sample.hints):
                     for probe in hints:
-                        value = frame.values[probe.name]
+                        # (holder, key, col): holder[key] is the probe's value (col None)
+                        # or the row that holds the cell; a row is replaced by an edited
+                        # copy, since a mask row is shared with other frames and the replay
+                        n, value = sample.n, frame.values[probe.name]
                         if probe.location == "graph":
-                            rows, cols = [frame.values], [probe.name]
+                            slots = [(frame.values, probe.name, None)]
+                        elif probe.location == "node":
+                            slots = [(frame.values, probe.name, col) for col in range(n)]
                         else:
-                            rows = [value] if probe.location == "node" else value
-                            cols = range(sample.n)
-                        top = 2 if probe.dtype == "mask" else categories(probe, sample.n)
-                        for row in rows:
-                            for col in cols:
-                                old = row[col]
-                                for new in range(top):
-                                    if new == old:
-                                        continue
-                                    row[col] = new
-                                    try:
-                                        assert validate_sample(sample) == [
-                                            f"replay: frame {idx}: {probe.name} mismatch"
-                                        ], (algo, idx, probe.name, col, new)
-                                    finally:
-                                        row[col] = old
+                            slots = [(value, row, col) for row in range(n) for col in range(n)]
+                        top = 2 if probe.dtype == "mask" else categories(probe, n)
+                        for holder, key, col in slots:
+                            kept = holder[key]
+                            old = kept if col is None else kept[col]
+                            for new in range(top):
+                                if new == old:
+                                    continue
+                                holder[key] = new if col is None else [*kept[:col], new, *kept[col + 1 :]]
+                                try:
+                                    assert validate_sample(sample) == [
+                                        f"replay: frame {idx}: {probe.name} mismatch"
+                                    ], (algo, idx, probe.name, col, new)
+                                finally:
+                                    holder[key] = kept
                 assert validate_sample(sample) == []
 
     def test_sorting_replay_rejects_every_swap_mask_flip(self):
@@ -734,13 +815,15 @@ class TestReplay:
                 for frame in sample.hints:
                     mask = frame.values["swap_mask"]
                     for u in range(8):
+                        shared = mask[u]
                         for v in range(8):
-                            mask[u][v] ^= 1
+                            mask[u] = flipped = list(shared)
+                            flipped[v] ^= 1
                             try:
                                 with pytest.raises(ReplayError):
                                     replay_sample(sample)
                             finally:
-                                mask[u][v] ^= 1
+                                mask[u] = shared
                 assert replay_sample(sample) == sample.outputs
 
 
