@@ -96,10 +96,9 @@ def functions(path: Path):
 
 def traffic(work: Path) -> None:
     """Every CLI command on small inputs; each command's output is dropped."""
-    from pramtraj.algorithms import ALGORITHMS, PAIRS, SPECS
+    from pramtraj.algorithms import ALGORITHMS, PAIRS, spec_for
     from pramtraj.cli import cli_main
-    from pramtraj.harness import schema_path_for
-    from pramtraj.trajectory import dumps_canonical
+    from pramtraj.trajectory import dumps_canonical, schema_path_for
 
     def cli(*argv: str) -> None:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -125,7 +124,7 @@ def traffic(work: Path) -> None:
         cli("validate", "--in", str(corrupt))
         cli("analyze", "--algo", algo, "--n-list", "2,4,8", "--samples", "2", "--seed", "3")
         cli("analyze", "--algo", algo, "--n-list", "2,3,4", "--samples", "1", "--exhaustive")
-        cli("trace", "--algo", algo, "--input", TRACE_INPUTS[SPECS[algo].family])
+        cli("trace", "--algo", algo, "--input", TRACE_INPUTS[spec_for(algo).family])
     os.environ["PRAMTRAJ_SEED"] = "11"
     cli("gen", "--algo", ALGORITHMS[0], "--n", "3", "--samples", "1", "--out", str(work / "env.ndjson"))
     for pair in PAIRS:

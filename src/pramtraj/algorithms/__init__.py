@@ -1,34 +1,53 @@
-"""The three parallel/sequential algorithm pairs on the machine substrate.
+"""The registry of the six algorithms: three parallel/sequential pairs on the
+machine substrate.
 
-``SPECS`` is the one registry of the six algorithms: every other module
-looks an algorithm up here and holds no per-algorithm table of its own.
+Every other module looks an algorithm up here and holds no per-algorithm
+table of its own.  The registry is a static table of each algorithm's home
+module: ``spec_for`` imports that module on first use and reads the spec it
+defines under the algorithm's name in capitals (``oets`` is
+``sorting.OETS``), so a command compiles only the algorithm it runs.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
+
 from ..machine import Fold, fold_trace
 from ..spec import AlgorithmSpec
-from . import scc, search, sorting
-from .search import SearchInstance, binary_search, parallel_search
-from .sorting import SortInstance, bubble_sort, oets_sort
-from .scc import dcsc, kosaraju
 
-_PAIRS = (search.PAIR, sorting.PAIR, scc.PAIR)  # (parallel, sequential) per task
+# algorithm -> (its home module, the spec's name there), in each module's PAIR
+# order (parallel, sequential).  The names are made once: CPython's attribute
+# cache keeps the name string of a getattr, so one made per lookup stays alive.
+_HOMES = {
+    name: (f"{__name__}.{home}", name.upper())
+    for name, home in (
+        ("parallel_search", "search"),
+        ("binary_search", "search"),
+        ("oets", "sorting"),
+        ("bubble_sort", "sorting"),
+        ("dcsc", "scc"),
+        ("kosaraju", "scc"),
+    )
+}
 
-SPECS: dict[str, AlgorithmSpec] = {spec.name: spec for pair in _PAIRS for spec in pair}
-
-ALGORITHMS = tuple(SPECS)
+ALGORITHMS = tuple(_HOMES)
 
 # task family -> (sequential, parallel)
-PAIRS = {par.family: (seq.name, par.name) for par, seq in _PAIRS}
+PAIRS = {
+    "search": ("binary_search", "parallel_search"),
+    "sort": ("bubble_sort", "oets"),
+    "scc": ("kosaraju", "dcsc"),
+}
 
 
 def spec_for(algo_id: str) -> AlgorithmSpec:
-    """The registered spec of one algorithm; ValueError for an unknown name."""
+    """The registered spec of one algorithm, its home module imported on
+    first use; ValueError for an unknown name."""
     try:
-        return SPECS[algo_id]
+        home, name = _HOMES[algo_id]
     except KeyError:
         raise ValueError(f"unknown algorithm {algo_id!r}") from None
+    return getattr(import_module(home), name)
 
 
 def run(algo_id: str, instance, fold: Fold = fold_trace):
@@ -37,19 +56,4 @@ def run(algo_id: str, instance, fold: Fold = fold_trace):
     return spec_for(algo_id).run(instance, fold)
 
 
-__all__ = [
-    "ALGORITHMS",
-    "PAIRS",
-    "SPECS",
-    "AlgorithmSpec",
-    "SearchInstance",
-    "SortInstance",
-    "binary_search",
-    "bubble_sort",
-    "dcsc",
-    "kosaraju",
-    "oets_sort",
-    "parallel_search",
-    "run",
-    "spec_for",
-]
+__all__ = ["ALGORITHMS", "PAIRS", "run", "spec_for"]

@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 validation or machine failure, 2 bad arguments.
 The master seed defaults to the PRAMTRAJ_SEED environment variable.
+
+A command reads the names of ``harness``, ``trajectory`` and ``efficiency``
+through this module (``_this.write_dataset``): ``__getattr__`` imports each
+on first read and keeps it in the module, where ``setattr`` can replace it.
 """
 
 from __future__ import annotations
@@ -9,26 +13,29 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from importlib import import_module
 from pathlib import Path
 
 from .algorithms import ALGORITHMS, PAIRS, run, spec_for
-from .efficiency import (
-    EfficiencyReport,
-    render_table,
-    report_ndjson,
-    scaling_report,
-    size_record,
-)
-from .harness import GenConfig, build_samples, schema_path_for, write_dataset
 from .machine import MachineError
-from .trajectory import (
-    DatasetFormatError,
-    line_is_clean,
-    parse_ndjson,
-    parse_schema,
-    serialize_schema,
-    validate_sample,
-)
+
+_this = sys.modules[__name__]
+
+# the names the commands read through _this, by home module
+_STAGES = {
+    "harness": ("GenConfig", "build_samples", "write_dataset"),
+    "trajectory": ("DatasetFormatError", "line_is_clean", "parse_ndjson", "parse_schema",
+                   "schema_path_for", "serialize_schema", "validate_sample"),
+    "efficiency": ("EfficiencyReport", "render_table", "report_ndjson", "scaling_report", "size_record"),
+}
+
+
+def __getattr__(name: str):
+    for home, names in _STAGES.items():
+        if name in names:
+            value = globals()[name] = getattr(import_module(f".{home}", __package__), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class BadInput(Exception):
@@ -55,7 +62,7 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
 
 def cmd_gen(args) -> int:
     n_list = (args.n,) if args.n is not None else _parse_n_list(args.n_list)
-    cfg = GenConfig(
+    cfg = _this.GenConfig(
         algo_id=args.algo,
         n_list=n_list,
         samples_per_n=args.samples,
@@ -64,10 +71,10 @@ def cmd_gen(args) -> int:
     )
     out = Path(args.out)
     try:
-        count = write_dataset(out, build_samples(cfg), args.algo)
+        count = _this.write_dataset(out, _this.build_samples(cfg), args.algo)
     except OSError as err:
         raise BadInput(f"cannot write {out}: {err}") from None
-    print(f"wrote {count} samples to {out} (schema: {schema_path_for(out)})")
+    print(f"wrote {count} samples to {out} (schema: {_this.schema_path_for(out)})")
     return 0
 
 
@@ -97,7 +104,7 @@ def cmd_trace(args) -> int:
 def cmd_analyze(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     try:
-        report = scaling_report(
+        report = _this.scaling_report(
             args.algo,
             list(_parse_n_list(args.n_list)),
             args.samples,
@@ -107,14 +114,14 @@ def cmd_analyze(args) -> int:
         )
     except ValueError as err:
         raise BadInput(str(err)) from None
-    sys.stdout.write(report_ndjson(report).decode("utf-8"))
-    print(render_table(report))
+    sys.stdout.write(_this.report_ndjson(report).decode("utf-8"))
+    print(_this.render_table(report))
     return 0
 
 
 def cmd_validate(args) -> int:
     path = Path(args.in_path)
-    schema_path = schema_path_for(path)
+    schema_path = _this.schema_path_for(path)
     try:
         with path.open("rb") as stream:
             schema_data = schema_path.read_bytes()
@@ -134,11 +141,11 @@ def _validate_lines(path: Path, schema_path: Path, schema_data: bytes, stream) -
     every violation of every line, then the verdict.
     """
     try:
-        algo, _ = parse_schema(schema_data)
-    except DatasetFormatError as err:
+        algo, _ = _this.parse_schema(schema_data)
+    except _this.DatasetFormatError as err:
         return 1, [f"{schema_path}: {err}"]
     # samples are checked against the registry's schema: the sidecar must be it
-    registered = algo in ALGORITHMS and schema_data == serialize_schema(algo)
+    registered = algo in ALGORITHMS and schema_data == _this.serialize_schema(algo)
     messages = []
     lineno = 0
     try:
@@ -146,7 +153,7 @@ def _validate_lines(path: Path, schema_path: Path, schema_data: bytes, stream) -
             lineno, found = _chunk_messages(chunk, lineno, algo, registered)
             messages.extend(found)
             del chunk  # dropped before the next line is read
-    except DatasetFormatError as err:
+    except _this.DatasetFormatError as err:
         return 1, [f"{path}: {err}"]
     if not registered:
         return 1, [f"{schema_path}: schema does not match the registry's {algo}"]
@@ -162,30 +169,30 @@ def _chunk_messages(chunk: bytes, lineno: int, algo: str, registered: bool) -> t
     str.splitlines honours, which splits a chunk as it splits the whole
     file; a line ``line_is_clean`` does not accept is parsed and checked
     whole."""
-    if registered and line_is_clean(chunk, algo):
+    if registered and _this.line_is_clean(chunk, algo):
         return lineno + 1, []
-    samples = parse_ndjson(chunk, lineno + 1)
+    samples = _this.parse_ndjson(chunk, lineno + 1)
     found = []
     for at, sample in enumerate(samples if registered else (), lineno + 1):
         if sample.algo != algo:
             found.append(f"line {at}: algorithm {sample.algo!r} does not match schema {algo!r}")
         else:
-            found.extend(f"line {at}: {violation}" for violation in validate_sample(sample))
+            found.extend(f"line {at}: {violation}" for violation in _this.validate_sample(sample))
     return lineno + len(samples), found
 
 
 def cmd_compare(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     reports = [
-        EfficiencyReport(
+        _this.EfficiencyReport(
             algo,
-            (size_record(algo, args.n, args.samples, seed, max_degree=args.max_degree),),
+            (_this.size_record(algo, args.n, args.samples, seed, max_degree=args.max_degree),),
             {},
             {},
         )
         for algo in PAIRS[args.pair]
     ]
-    print(render_table(*reports))
+    print(_this.render_table(*reports))
     return 0
 
 

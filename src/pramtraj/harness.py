@@ -13,10 +13,10 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .algorithms import SPECS, run, spec_for
+from .algorithms import ALGORITHMS, run, spec_for
 from .machine import MachineError, collector_paused
 from .spec import sample_seed
-from .trajectory import Sample, encode_sample, serialize_ndjson, serialize_schema
+from .trajectory import Sample, encode_sample, schema_path_for, serialize_ndjson, serialize_schema
 
 
 class _GenFields(NamedTuple):
@@ -33,7 +33,7 @@ class GenConfig(_GenFields):
     __slots__ = ()
 
     def __init__(self, *args, **kwargs) -> None:
-        if self.algo_id not in SPECS:
+        if self.algo_id not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algo_id!r}")
         if self.samples_per_n < 1:
             raise ValueError("samples_per_n must be >= 1")
@@ -93,15 +93,6 @@ def _build_sample(cfg: GenConfig, n: int, index: int) -> Sample:
         )
         del trace  # freed while the collector is still off
     return sample
-
-
-def schema_path_for(path: Path) -> Path:
-    """Sidecar path: same basename with a .schema suffix.  A ValueError for a
-    dataset path that would be its own sidecar."""
-    schema = path.with_suffix(".schema")
-    if schema == path:
-        raise ValueError(f"dataset {path} would be its own schema sidecar")
-    return schema
 
 
 def write_dataset(path: Path, samples: Iterable[Sample], algo_id: str) -> int:

@@ -7,9 +7,10 @@ probe schema, how to decode one layer's hint values (what ``gen`` writes)
 and re-derive them one frame at a time without the machine (what
 ``validate`` compares them with), how to parse an inline ``trace`` input and
 annotate one layer.  Only ``trajectory.encode_sample`` and ``cli.cmd_trace``
-walk a trace's layers.  ``pramtraj.algorithms`` collects the specs into one
-registry; generation, encoding, validation, replay and analysis look the
-algorithm up there and carry no per-algorithm code.
+walk a trace's layers.  ``pramtraj.algorithms`` is the one registry, which
+imports a spec's module on first use; generation, encoding, validation,
+replay and analysis look the algorithm up there and carry no per-algorithm
+code.
 
 A hint value that many frames hold at once is a ``SharedRow``: a read-only
 list that carries its JSON text, which the writer spells by identity.
@@ -56,18 +57,23 @@ class SharedRow(list):
     ``text``.
 
     Every write through it (``row[i] = x``, ``+=``, ``append``, ...) raises
-    TypeError, since it would edit every frame that holds the row; so do
-    ``copy.copy`` and ``copy.deepcopy``, which refill a new row by
-    appending.  ``list(row)`` is a plain copy to edit.  Equality,
+    TypeError, since it would edit every frame that holds the row.
+    ``list(row)`` is a plain copy to edit, and so is what ``copy.copy``,
+    ``copy.deepcopy`` and ``pickle`` make of a row.  Equality,
     ``isinstance(row, list)`` and the json encoder's text are those of a
     list.
     """
 
     __slots__ = ("text",)
 
-    # an operation whose method is None raises TypeError
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = None
-    append = extend = insert = pop = remove = clear = sort = reverse = None
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a shared hint row is read-only: edit a plain copy, list(row)")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+
+    def __reduce_ex__(self, protocol):
+        return list, (list(self),)
 
 
 @lru_cache(maxsize=None)

@@ -36,10 +36,11 @@ import json
 import marshal
 from itertools import chain
 from math import isfinite
+from pathlib import Path
 from random import Random
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .algorithms import SPECS, spec_for
+from .algorithms import ALGORITHMS, spec_for
 from .machine import Trace, activity_summary
 from .spec import AlgorithmSpec, HintFrame, ProbeSpec, SharedRow, increasing_unit_scalars, sample_seed
 
@@ -92,7 +93,9 @@ def categories(probe: ProbeSpec, n: int) -> int:
 
 
 def _spec_of(sample: "Sample") -> AlgorithmSpec | None:
-    return SPECS.get(sample.algo) if isinstance(sample.algo, str) else None
+    """The spec of a sample's algorithm, None for a value that names none."""
+    algo = sample.algo
+    return spec_for(algo) if isinstance(algo, str) and algo in ALGORITHMS else None
 
 
 def encode_sample(
@@ -373,11 +376,12 @@ def _plain_numbers(obj) -> str | None:
     return None
 
 
-# The hint probes of each algorithm that the writer spells row by row.
-_EDGE_HINTS = {
-    name: frozenset(p.name for p in spec.probes if p.stage == "hint" and p.location == "edge")
-    for name, spec in SPECS.items()
-}
+def _edge_hints(algo: AlgorithmSpec | None) -> frozenset:
+    """The hint probes of an algorithm that the writer spells row by row;
+    none where no algorithm is known."""
+    if algo is None:
+        return frozenset()
+    return frozenset(p.name for p in algo.probes if p.stage == "hint" and p.location == "edge")
 
 
 # version 2 writes no back-references, which follow object identity, so
@@ -450,7 +454,7 @@ def _ndjson_line(sample: Sample) -> str:
     by field in key order: the hints by ``_hint_pieces``, the inputs by
     ``dumps_canonical`` (every scalar probe is an input probe, so no other
     field carries a float) and every other field by one C encoder call."""
-    edges = _EDGE_HINTS.get(sample.algo, frozenset()) if isinstance(sample.algo, str) else frozenset()
+    edges = _edge_hints(_spec_of(sample))
     hints = "".join(_hint_pieces(((frame.step, frame.values) for frame in sample.hints), edges))
     n = str(sample.n) if type(sample.n) is int else _encode_ints(sample.n)
     return (
@@ -490,6 +494,15 @@ def serialize_schema(algo_id: str) -> bytes:
     probes = sorted(probe_spec(algo_id), key=lambda p: (p.stage, p.location, p.name))
     lines = [dumps_canonical(p.to_obj(algo_id)) for p in probes]
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def schema_path_for(path: Path) -> Path:
+    """Sidecar path: same basename with a .schema suffix.  A ValueError for a
+    dataset path that would be its own sidecar."""
+    schema = path.with_suffix(".schema")
+    if schema == path:
+        raise ValueError(f"dataset {path} would be its own schema sidecar")
+    return schema
 
 
 def parse_schema(data: bytes | str) -> tuple[str, list[ProbeSpec]]:
@@ -612,7 +625,7 @@ def line_is_clean(chunk: bytes, algo_id: str) -> bool:
         and head["algo"] == algo_id
     ):
         return False
-    algo = SPECS[algo_id]
+    algo = spec_for(algo_id)
     n, inputs, activity = tail["n"], tail["inputs"], head["activity"]
     if not (type(n) is int and n >= 1):
         return False
@@ -624,7 +637,7 @@ def line_is_clean(chunk: bytes, algo_id: str) -> bool:
     at = start + len(_HINTS)
     try:
         frames = enumerate(_replayed(algo, inputs, n, len(activity["steps"]), outputs), 1)
-        for piece in _hint_pieces(frames, _EDGE_HINTS[algo_id]):
+        for piece in _hint_pieces(frames, _edge_hints(algo)):
             text = piece.encode()
             if not chunk.startswith(text, at):
                 return False

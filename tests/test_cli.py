@@ -14,7 +14,7 @@ import pramtraj
 from pramtraj import efficiency, harness
 from pramtraj.algorithms.sorting import gen_permutation, predecessors_from_table
 from pramtraj.cli import cli_main
-from pramtraj.harness import sample_seed, schema_path_for
+from pramtraj.harness import sample_seed
 from pramtraj.machine import (
     HOLD,
     UNDEF,
@@ -27,7 +27,7 @@ from pramtraj.machine import (
     run_machine,
 )
 from pramtraj.spec import increasing_unit_scalars
-from pramtraj.trajectory import Sample, parse_ndjson, serialize_ndjson, serialize_schema
+from pramtraj.trajectory import Sample, parse_ndjson, schema_path_for, serialize_ndjson, serialize_schema
 
 
 def run_cli(args):

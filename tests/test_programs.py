@@ -3,7 +3,7 @@ what a step returns, and which processors a layer offers it to."""
 
 import pytest
 
-from pramtraj.algorithms import ALGORITHMS, SPECS
+from pramtraj.algorithms import ALGORITHMS, spec_for
 from pramtraj.algorithms.scc import dcsc_program, kosaraju_program
 from pramtraj.algorithms.search import binary_search_program, parallel_search_program
 from pramtraj.algorithms.sorting import bubble_program, oets_program
@@ -22,11 +22,11 @@ PROGRAMS = {
 def instances(algo, sizes, seeds):
     """Drawn instances of ``algo``: every size and seed, and for SCC every
     max degree 1..3."""
-    degrees = (1, 2, 3) if SPECS[algo].family == "scc" else (1,)
+    degrees = (1, 2, 3) if spec_for(algo).family == "scc" else (1,)
     for n in sizes:
         for seed in seeds:
             for degree in degrees:
-                yield SPECS[algo].generate(n, seed, degree)
+                yield spec_for(algo).generate(n, seed, degree)
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)

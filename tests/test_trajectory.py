@@ -1,13 +1,14 @@
 import copy
 import json
 import operator
+import pickle
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pramtraj.algorithms import ALGORITHMS, SPECS, run
+from pramtraj.algorithms import ALGORITHMS, run, scc, search, sorting, spec_for
 from pramtraj.algorithms.search import SearchInstance, parallel_search
 from pramtraj.algorithms.sorting import SortInstance, oets_sort
 from pramtraj.algorithms.scc import dcsc
@@ -15,7 +16,7 @@ from pramtraj.graphs import Digraph
 from pramtraj.harness import generate_instance, sample_seed
 from pramtraj.spec import HintFrame, mask_rows
 from pramtraj.trajectory import (
-    _EDGE_HINTS,
+    _edge_hints,
     _hint_pieces,
     DatasetFormatError,
     ReplayError,
@@ -34,6 +35,9 @@ from pramtraj.trajectory import (
 )
 
 from canon_oracle import per_cell
+
+# task family -> the module that defines its two specs
+HOMES = {"search": search, "sort": sorting, "scc": scc}
 
 SIZES = {"parallel_search": 5, "binary_search": 9, "oets": 6, "bubble_sort": 5, "dcsc": 8, "kosaraju": 8}
 
@@ -187,7 +191,7 @@ class TestValidate:
             edited["seed"]["value"] = str(edited["seed"]["value"])
             assert validate_sample(Sample.from_obj(edited)) == ["seed.value: must be an int"], algo
 
-    @pytest.mark.parametrize("algo", [a for a in ALGORITHMS if SPECS[a].family != "scc"])
+    @pytest.mark.parametrize("algo", [a for a in ALGORITHMS if spec_for(a).family != "scc"])
     def test_every_digit_edit_of_items_or_x_is_rejected(self, algo):
         # a search or sort instance is drawn from seed.value: each single-digit
         # edit of items or x that still parses to another object is rejected
@@ -416,7 +420,7 @@ class TestWriter:
         return (dumps_canonical(obj) + "\n").encode("utf-8")
 
     def test_scalar_probes_are_inputs(self):
-        for spec in SPECS.values():
+        for spec in map(spec_for, ALGORITHMS):
             for probe in spec.probes:
                 if probe.dtype == "scalar":
                     assert probe.stage == "input", (spec.name, probe.name)
@@ -520,17 +524,19 @@ class TestHintRows:
     """The row cache of _hint_pieces changes no byte of the hint text."""
 
     def test_edge_hints_are_the_sort_swap_masks(self):
-        assert {algo: set(names) for algo, names in _EDGE_HINTS.items() if names} == {
+        edges = {algo: _edge_hints(spec_for(algo)) for algo in ALGORITHMS}
+        assert {algo: set(names) for algo, names in edges.items() if names} == {
             "oets": {"swap_mask"},
             "bubble_sort": {"swap_mask"},
         }
+        assert _edge_hints(None) == frozenset()  # a sample of no registered algorithm
 
     def test_every_sample(self):
         for algo in ALGORITHMS:
             for n in (1, 2, 7, 16):
                 for index, master in ((0, 0), (1, 11), (3, 2**40)):
                     hints = make_sample(algo, n=n, index=index, master=master).hints
-                    assert spelled(hints, _EDGE_HINTS[algo]) == canonical(hints), (algo, n, index)
+                    assert spelled(hints, _edge_hints(spec_for(algo))) == canonical(hints), (algo, n, index)
 
     def test_equal_rows_of_other_cell_types_keep_their_own_text(self):
         rows = ([1, 0], [True, 0], [1.0, 0], [0, 0], [False, False], [0.0, -0.0], [0, 0], [1, 0])
@@ -653,16 +659,43 @@ class TestSharedMaskRows:
     @pytest.mark.parametrize("n", [1, 2, 8, 33])
     def test_at_most_n_plus_one_rows_that_refuse_writes(self, algo, n):
         sample = make_sample(algo, n=n, master=0)
-        frames, _ = drain(SPECS[algo].reference(sample.inputs, n))
+        frames, _ = drain(spec_for(algo).reference(sample.inputs, n))
         for masks in ([f.values["swap_mask"] for f in sample.hints], [v["swap_mask"] for v in frames]):
             rows = {id(row): row for mask in masks for row in mask}
             assert len(rows) <= n + 1, (algo, n, len(rows))
             for row in rows.values():
                 before = list(row)
                 for name, write in _WRITES.items():
-                    with pytest.raises(TypeError):
+                    with pytest.raises(TypeError, match=r"read-only: edit a plain copy, list\(row\)"):
                         write(row)
                     assert row == before, name
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [
+            copy.copy,
+            copy.deepcopy,
+            lambda row: pickle.loads(pickle.dumps(row)),
+            lambda row: pickle.loads(pickle.dumps(row, 0)),
+        ],
+        ids=["copy", "deepcopy", "pickle", "pickle-0"],
+    )
+    def test_a_copied_row_is_a_plain_list(self, duplicate):
+        for row in mask_rows(4):
+            twin = duplicate(row)
+            assert type(twin) is list and twin == row and twin is not row
+            twin[0] = 7
+            assert row[0] != 7
+
+    def test_deepcopied_hints_serialize_alike_and_can_be_edited(self):
+        sample = make_sample("oets", n=8, master=0)
+        line = serialize_ndjson([sample])
+        hints = copy.deepcopy(sample.hints)
+        copied = sample._replace(hints=hints)
+        assert serialize_ndjson([copied]) == line
+        hints[0].values["swap_mask"][0][0] = 1
+        assert validate_sample(copied) != []
+        assert serialize_ndjson([sample]) == line and validate_sample(sample) == []
 
     def test_the_table_is_built_once_per_n(self):
         rows = mask_rows(5)
@@ -723,8 +756,10 @@ class TestReplay:
         for algo in ALGORITHMS:
             sample = make_sample(algo, n=16, master=0)
             pulled = [0]
-            spec = SPECS[algo]._replace(reference=counting(SPECS[algo].reference, pulled))
-            monkeypatch.setitem(SPECS, algo, spec)
+            spec = spec_for(algo)._replace(reference=counting(spec_for(algo).reference, pulled))
+            # the registry reads the spec off its home module at each lookup
+            monkeypatch.setattr(HOMES[spec.family], algo.upper(), spec)
+            assert spec_for(algo) is spec
             for keep in (0, 1, len(sample.hints)):
                 edited = with_frames(sample, keep)
                 chunk = serialize_ndjson([edited])
@@ -776,7 +811,7 @@ class TestReplay:
     def test_every_hint_mutation_is_a_violation(self):
         # every one-cell change of a hint that stays in its probe's domain
         for algo in ALGORITHMS:
-            hints = [p for p in SPECS[algo].probes if p.stage == "hint"]
+            hints = [p for p in spec_for(algo).probes if p.stage == "hint"]
             for index in range(2):
                 sample = make_sample(algo, n=6, index=index, master=0)
                 for idx, frame in enumerate(sample.hints):
@@ -865,7 +900,7 @@ class TestLineCheck:
         # replayed frames has nothing for the per-cell hint walk to find
         rng = Random(7)
         for algo in ALGORITHMS:
-            spec = SPECS[algo]
+            spec = spec_for(algo)
             for n in (1, 2, 3, 5, 8, 16):
                 for index in range(3):
                     sample = make_sample(algo, n=n, index=index, master=0)
