@@ -1,7 +1,7 @@
 """Strongly connected components: lockstep double BFS pivoting vs. DFS.
 
 The parallel member runs on a width-n machine over the symmetric closure of
-the instance: each round initializes the lowest-index unassigned node as
+the ``Digraph``: each round initializes the lowest-index unassigned node as
 pivot, advances a forward and a backward search one layer per step among
 unassigned nodes (min-aggregation of the passed pivot index), then closes by
 assigning the intersection.  Search cells are namespaced by pivot id, so a
@@ -18,9 +18,8 @@ full run takes at most n+m steps per pass.
 from __future__ import annotations
 
 from random import Random
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from ..graphs import Digraph
 from ..machine import (
     MachineState,
     Fold,
@@ -35,7 +34,44 @@ from ..machine import (
     run_machine,
     symmetric_graph,
 )
-from ..spec import AlgorithmSpec, ProbeSpec, Replay
+from . import AlgorithmSpec, ProbeSpec, Replay
+
+
+class _DigraphFields(NamedTuple):
+    n: int
+    edges: frozenset[tuple[int, int]]
+
+
+class Digraph(_DigraphFields):
+    """Directed graph on nodes 0..n-1; instances carry no self loops.  The
+    sorted neighbour tables ``out_neighbors`` and ``in_neighbors`` read are
+    built once, on construction, and kept beside the fields."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        if self.n < 1:
+            raise ValueError("digraph needs at least one node")
+        out: dict[int, list[int]] = {u: [] for u in range(self.n)}
+        inc: dict[int, list[int]] = {u: [] for u in range(self.n)}
+        for u, v in self.edges:
+            if u == v:
+                raise ValueError(f"self loop at node {u}")
+            if not (0 <= u < self.n and 0 <= v < self.n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
+            out[u].append(v)
+            inc[v].append(u)
+        self._out = {u: tuple(sorted(vs)) for u, vs in out.items()}
+        self._in = {u: tuple(sorted(vs)) for u, vs in inc.items()}
+
+    @property
+    def m(self) -> int:
+        return len(self.edges)
+
+    def out_neighbors(self, u: int) -> tuple[int, ...]:
+        return self._out[u]
+
+    def in_neighbors(self, u: int) -> tuple[int, ...]:
+        return self._in[u]
+
 
 # width-n local slots of the pivot loop
 FWD = 0
@@ -505,6 +541,3 @@ KOSARAJU = DCSC._replace(
     reference=_reference_kosaraju,
     note=_note_kosaraju,
 )
-
-# (parallel, sequential)
-PAIR = (DCSC, KOSARAJU)

@@ -25,7 +25,7 @@ from ..machine import (
     RunCounts,
     Trace,
 )
-from ..spec import AlgorithmSpec, ProbeSpec, Replay, increasing_unit_scalars
+from . import AlgorithmSpec, ProbeSpec, Replay, increasing_unit_scalars
 
 ITEM = 0
 MASK = 1
@@ -271,6 +271,3 @@ BINARY_SEARCH = PARALLEL_SEARCH._replace(
     reference=_reference_binary_search,
     note=_note_binary_search,
 )
-
-# (parallel, sequential)
-PAIR = (PARALLEL_SEARCH, BINARY_SEARCH)

@@ -32,7 +32,7 @@ from ..machine import (
     fold_trace,
     run_machine,
 )
-from ..spec import AlgorithmSpec, ProbeSpec, Replay, increasing_unit_scalars, mask_rows
+from . import AlgorithmSpec, ProbeSpec, Replay, SharedRow, increasing_unit_scalars
 
 ITEM = 0
 POSN = 1
@@ -214,6 +214,17 @@ def _pred_output(pred: tuple[int, ...]) -> dict:
     return {"pred": list(pred)}
 
 
+@lru_cache(maxsize=None)
+def mask_rows(n: int) -> tuple[SharedRow, ...]:
+    """The n + 1 rows of an n x n 0/1 mask in which each node has at most
+    one partner, built once per n: ``rows[k]`` is one-hot at k for k < n,
+    and ``rows[n]`` is all zero."""
+    rows = tuple(SharedRow(int(j == k) for j in range(n)) for k in range(n + 1))
+    for row in rows:
+        row.text = f"[{','.join(map(str, row))}]"
+    return rows
+
+
 def _swapped_pairs(old_table, new_table) -> list[tuple[int, int]]:
     """(node, partner) for each position whose node moved one slot up."""
     return [
@@ -329,6 +340,3 @@ BUBBLE_SORT = OETS._replace(
     frame=_frame_bubble,
     reference=_reference_bubble,
 )
-
-# (parallel, sequential)
-PAIR = (OETS, BUBBLE_SORT)

@@ -1,9 +1,9 @@
 """Seeded input generators and the dataset production pipeline.
 
 Per-sample seeds are mixed as ``blake2b(master|algo|n|index)`` truncated to
-64 bits (``spec.sample_seed``), so an instance depends only on (master
-seed, algorithm, size, sample index), never on batch size or generation
-order.
+64 bits (``algorithms.sample_seed``), so an instance depends only on
+(master seed, algorithm, size, sample index), never on batch size or
+generation order.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .algorithms import ALGORITHMS, run, spec_for
+from .algorithms import ALGORITHMS, run, sample_seed, spec_for
 from .machine import MachineError, collector_paused
-from .spec import sample_seed
 from .trajectory import Sample, encode_sample, schema_path_for, serialize_ndjson, serialize_schema
 
 

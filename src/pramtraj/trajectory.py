@@ -18,16 +18,16 @@ one.
 The writer (``serialize_ndjson``) and ``line_is_clean`` spell hint frames
 with one function, ``_hint_pieces``.  It spells the rows of an edge-located
 hint probe (the sorts' dense n x n ``swap_mask``) one by one.  A sort
-frame's rows are shared read-only rows (``spec.SharedRow``: n + 1 per n,
-from ``spec.mask_rows``), each spelled by the text it carries.  Every other
-list, a plain row included (one of a parsed or edited sample), comes whole
-from a cache of list text that lives for one line, keyed by the list's
-marshal bytes (an SCC frame's node lists, most of which one layer leaves as
-they were).  An exact int is spelled by ``str``, and every other hint value
-is one C encoder call.  The inputs are ``dumps_canonical``, which hands a
-list or matrix of ints, or of floats that repr spells as it does (the SCC
-adjacency matrices), to the C encoder whole and walks any other value cell
-by cell.
+frame's rows are shared read-only rows (``algorithms.SharedRow``: n + 1
+per n, from ``sorting.mask_rows``), each spelled by the text it carries.
+Every other list, a plain row included (one of a parsed or edited sample),
+comes whole from a cache of list text that lives for one line, keyed by the
+list's marshal bytes (an SCC frame's node lists, most of which one layer
+leaves as they were).  An exact int is spelled by ``str``, and every other
+hint value is one C encoder call.  The inputs are ``dumps_canonical``, which
+hands a list or matrix of ints, or of floats that repr spells as it does
+(the SCC adjacency matrices), to the C encoder whole and walks any other
+value cell by cell.
 """
 
 from __future__ import annotations
@@ -40,9 +40,17 @@ from pathlib import Path
 from random import Random
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .algorithms import ALGORITHMS, spec_for
+from .algorithms import (
+    ALGORITHMS,
+    AlgorithmSpec,
+    HintFrame,
+    ProbeSpec,
+    SharedRow,
+    increasing_unit_scalars,
+    sample_seed,
+    spec_for,
+)
 from .machine import Trace, activity_summary
-from .spec import AlgorithmSpec, HintFrame, ProbeSpec, SharedRow, increasing_unit_scalars, sample_seed
 
 
 class DatasetFormatError(Exception):
@@ -77,11 +85,6 @@ class Sample(NamedTuple):
             outputs=obj["outputs"],
             activity=obj["activity"],
         )
-
-
-def probe_spec(algo_id: str) -> tuple[ProbeSpec, ...]:
-    """Fixed probe schema of one algorithm."""
-    return spec_for(algo_id).probes
 
 
 def categories(probe: ProbeSpec, n: int) -> int:
@@ -428,11 +431,11 @@ def _hint_pieces(frames: Iterable[tuple[int, dict]], edges: frozenset) -> Iterat
     piece: ``[``, each ``{"step":t,"values":...}`` and the comma before it,
     then ``]``.
 
-    A frame is what ``spec.frame`` and ``spec.reference`` build: an int step
+    A frame is what a spec's ``frame`` and ``reference`` build: an int step
     and a dict of ints and lists of ints.  The rows of a probe named in
     ``edges`` (the algorithm's edge-located hint probes) are spelled one by
     one: the sorts' ``swap_mask`` rows are shared read-only rows
-    (``SharedRow``, from ``spec.mask_rows``), each spelled by the text it
+    (``SharedRow``, from ``sorting.mask_rows``), each spelled by the text it
     carries, so a frame's mask costs n lookups and no encoding.  Every
     other list, and a plain row (a parsed or edited sample's), is spelled
     from a cache of list text that lives for this call; one DFS or BFS
@@ -491,7 +494,7 @@ def parse_ndjson(data: bytes | str, lineno: int = 1) -> list[Sample]:
 
 
 def serialize_schema(algo_id: str) -> bytes:
-    probes = sorted(probe_spec(algo_id), key=lambda p: (p.stage, p.location, p.name))
+    probes = sorted(spec_for(algo_id).probes, key=lambda p: (p.stage, p.location, p.name))
     lines = [dumps_canonical(p.to_obj(algo_id)) for p in probes]
     return ("\n".join(lines) + "\n").encode("utf-8")
 

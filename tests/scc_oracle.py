@@ -1,8 +1,7 @@
 """The SCC oracles of the tests: components, the partition an SCC output
 names, and dcsc's schedule by a scan of every node."""
 
-from pramtraj.algorithms.scc import BWD, DONE, FWD
-from pramtraj.graphs import Digraph
+from pramtraj.algorithms.scc import BWD, DONE, FWD, Digraph
 
 
 def tarjan_scc(g: Digraph) -> list[frozenset[int]]:

@@ -12,6 +12,7 @@ import pytest
 
 import pramtraj
 from pramtraj import efficiency, harness
+from pramtraj.algorithms import increasing_unit_scalars
 from pramtraj.algorithms.sorting import gen_permutation, predecessors_from_table
 from pramtraj.cli import cli_main
 from pramtraj.harness import sample_seed
@@ -26,7 +27,6 @@ from pramtraj.machine import (
     complete_graph,
     run_machine,
 )
-from pramtraj.spec import increasing_unit_scalars
 from pramtraj.trajectory import Sample, parse_ndjson, schema_path_for, serialize_ndjson, serialize_schema
 
 

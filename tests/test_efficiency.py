@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from pramtraj import efficiency
 from pramtraj.algorithms import ALGORITHMS, run, spec_for
-from pramtraj.algorithms.scc import gen_digraph
+from pramtraj.algorithms.scc import Digraph, gen_digraph
 from pramtraj.algorithms.search import SearchInstance, binary_search, parallel_search
 from pramtraj.algorithms.sorting import SortInstance, bubble_sort, oets_sort
 from pramtraj.efficiency import render_table, report_ndjson, scaling_report, size_record
 from pramtraj.algorithms.search import gen_search_instance
 from pramtraj.algorithms.sorting import gen_permutation
-from pramtraj.graphs import Digraph
 from pramtraj.harness import (
     GenConfig,
     build_samples,

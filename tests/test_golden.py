@@ -15,9 +15,9 @@ import pytest
 from pramtraj.algorithms import ALGORITHMS, run
 from pramtraj.cli import cli_main
 from pramtraj.efficiency import report_ndjson, scaling_report
-from pramtraj.graphs import Digraph
+from pramtraj.algorithms.scc import Digraph
 from pramtraj.harness import GenConfig, build_samples
-from pramtraj.spec import sample_seed
+from pramtraj.algorithms import sample_seed
 from pramtraj.trajectory import encode_sample, line_is_clean, serialize_ndjson, serialize_schema
 
 # algo -> (dataset + schema, sampled report, exhaustive report or None)

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pramtraj.algorithms.scc import DCSC, DONE, KOSARAJU, PIVOT_ADDR, PTR, dcsc, dcsc_program, gen_digraph, kosaraju
-from pramtraj.graphs import Digraph
+from pramtraj.algorithms.scc import DCSC, DONE, KOSARAJU, PIVOT_ADDR, PTR, Digraph, dcsc, dcsc_program, gen_digraph, kosaraju
 from pramtraj.harness import sample_seed
 from pramtraj.machine import UNDEF, CellTypeError, MachineState
 

@@ -46,8 +46,8 @@ def test_reproduce_classes_fits_every_algorithm(tmp_path):
 
 def test_traffic_coverage_enters_every_function_but_four():
     # a function that only the tests call would be one more; besides the four,
-    # SharedRow's write guard and copy hook, since no command edits or copies
-    # a shared mask row
+    # SharedRow's write guard and copy and pickle hooks, since no command
+    # edits, copies or pickles a shared mask row
     done = run_script("traffic_coverage.py")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
@@ -57,6 +57,7 @@ def test_traffic_coverage_enters_every_function_but_four():
         "machine._bad_cell",
         "machine._Undef.__repr__",
         "machine._Undef.__bool__",
-        "spec.SharedRow._read_only",
-        "spec.SharedRow.__reduce_ex__",
+        "algorithms.__init__.SharedRow._read_only",
+        "algorithms.__init__.SharedRow._itself",
+        "algorithms.__init__.SharedRow.__reduce_ex__",
     }

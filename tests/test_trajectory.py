@@ -8,13 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pramtraj.algorithms import ALGORITHMS, run, scc, search, sorting, spec_for
+from pramtraj.algorithms import ALGORITHMS, HintFrame, SharedRow, run, scc, search, sorting, spec_for
 from pramtraj.algorithms.search import SearchInstance, parallel_search
-from pramtraj.algorithms.sorting import SortInstance, oets_sort
-from pramtraj.algorithms.scc import dcsc
-from pramtraj.graphs import Digraph
+from pramtraj.algorithms.sorting import SortInstance, mask_rows, oets_sort
+from pramtraj.algorithms.scc import Digraph, dcsc
 from pramtraj.harness import generate_instance, sample_seed
-from pramtraj.spec import HintFrame, mask_rows
 from pramtraj.trajectory import (
     _edge_hints,
     _hint_pieces,
@@ -27,7 +25,6 @@ from pramtraj.trajectory import (
     line_is_clean,
     parse_ndjson,
     parse_schema,
-    probe_spec,
     replay_sample,
     serialize_ndjson,
     serialize_schema,
@@ -91,20 +88,20 @@ def with_frames(sample, keep: int):
 
 class TestProbeSpec:
     def test_examples(self):
-        par = {(p.name, p.stage, p.location, p.dtype) for p in probe_spec("parallel_search")}
+        par = {(p.name, p.stage, p.location, p.dtype) for p in spec_for("parallel_search").probes}
         assert ("leq_mask", "hint", "node", "mask") in par
-        oets = {(p.name, p.stage, p.location, p.dtype) for p in probe_spec("oets")}
+        oets = {(p.name, p.stage, p.location, p.dtype) for p in spec_for("oets").probes}
         assert ("parity", "hint", "graph", "mask") in oets
-        dcsc_probes = {(p.name, p.stage, p.location, p.dtype) for p in probe_spec("dcsc")}
+        dcsc_probes = {(p.name, p.stage, p.location, p.dtype) for p in spec_for("dcsc").probes}
         assert ("in_scc", "hint", "node", "mask") in dcsc_probes
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
-            probe_spec("quicksort")
+            spec_for("quicksort")
 
     def test_name_stage_unique(self):
         for algo in ALGORITHMS:
-            keys = [(p.name, p.stage) for p in probe_spec(algo)]
+            keys = [(p.name, p.stage) for p in spec_for(algo).probes]
             assert len(keys) == len(set(keys))
 
 
@@ -143,7 +140,7 @@ class TestEncode:
     def test_schema_closure(self):
         for algo in ALGORITHMS:
             sample = make_sample(algo)
-            probes = probe_spec(algo)
+            probes = spec_for(algo).probes
             assert set(sample.inputs) == {p.name for p in probes if p.stage == "input"}
             assert set(sample.outputs) == {p.name for p in probes if p.stage == "output"}
             hint_names = {p.name for p in probes if p.stage == "hint"}
@@ -404,7 +401,7 @@ class TestSerialization:
             data = serialize_schema(algo)
             got_algo, probes = parse_schema(data)
             assert got_algo == algo
-            assert set(probes) == set(probe_spec(algo))
+            assert set(probes) == set(spec_for(algo).probes)
 
 
 class TestWriter:
@@ -670,22 +667,18 @@ class TestSharedMaskRows:
                         write(row)
                     assert row == before, name
 
-    @pytest.mark.parametrize(
-        "duplicate",
-        [
-            copy.copy,
-            copy.deepcopy,
-            lambda row: pickle.loads(pickle.dumps(row)),
-            lambda row: pickle.loads(pickle.dumps(row, 0)),
-        ],
-        ids=["copy", "deepcopy", "pickle", "pickle-0"],
-    )
-    def test_a_copied_row_is_a_plain_list(self, duplicate):
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy], ids=["copy", "deepcopy"])
+    def test_a_copied_row_is_the_row_itself(self, duplicate):
         for row in mask_rows(4):
-            twin = duplicate(row)
-            assert type(twin) is list and twin == row and twin is not row
-            twin[0] = 7
-            assert row[0] != 7
+            assert duplicate(row) is row
+
+    @pytest.mark.parametrize("protocol", [pickle.DEFAULT_PROTOCOL, 0], ids=["pickle", "pickle-0"])
+    def test_a_pickled_row_is_a_read_only_row_alike(self, protocol):
+        for row in mask_rows(4):
+            twin = pickle.loads(pickle.dumps(row, protocol))
+            assert type(twin) is SharedRow and twin == row and twin.text == row.text
+            with pytest.raises(TypeError, match="read-only"):
+                twin[0] = 7
 
     def test_deepcopied_hints_serialize_alike_and_can_be_edited(self):
         sample = make_sample("oets", n=8, master=0)
@@ -693,9 +686,30 @@ class TestSharedMaskRows:
         hints = copy.deepcopy(sample.hints)
         copied = sample._replace(hints=hints)
         assert serialize_ndjson([copied]) == line
-        hints[0].values["swap_mask"][0][0] = 1
+        mask = hints[0].values["swap_mask"]
+        mask[0] = list(mask[0])
+        mask[0][0] = 1
         assert validate_sample(copied) != []
         assert serialize_ndjson([sample]) == line and validate_sample(sample) == []
+
+    @pytest.mark.parametrize(
+        "duplicate", [copy.deepcopy, lambda hints: pickle.loads(pickle.dumps(hints))], ids=["deepcopy", "pickle"]
+    )
+    def test_an_edited_row_of_copied_hints_shows_in_its_frame_alone(self, duplicate):
+        sample = make_sample("oets", n=8, master=0)
+        hints = duplicate(sample.hints)
+        mask = hints[0].values["swap_mask"]
+        with pytest.raises(TypeError, match="read-only"):
+            mask[7][0] = 1
+        mask[7] = list(mask[7])
+        mask[7][0] = 1 - mask[7][0]
+        edited = [
+            (t, u)
+            for t, (frame, twin) in enumerate(zip(sample.hints, hints))
+            for u, (row, other) in enumerate(zip(frame.values["swap_mask"], twin.values["swap_mask"]))
+            if row != other
+        ]
+        assert edited == [(0, 7)]
 
     def test_the_table_is_built_once_per_n(self):
         rows = mask_rows(5)
