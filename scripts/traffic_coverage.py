@@ -98,7 +98,8 @@ def traffic(work: Path) -> None:
     """Every CLI command on small inputs; each command's output is dropped."""
     from pramtraj.algorithms import ALGORITHMS, PAIRS, spec_for
     from pramtraj.cli import cli_main
-    from pramtraj.trajectory import dumps_canonical, schema_path_for
+    from pramtraj.canonical import dumps_canonical
+    from pramtraj.trajectory import schema_path_for
 
     def cli(*argv: str) -> None:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

@@ -182,21 +182,26 @@ def kosaraju_program(g: Digraph) -> Program:
     """Two DFS passes: finish order on g, component assignment on reversed g."""
     n = g.n
     color1, order, color2, comp = _shared_layout(n)
+    # behind the frame's blocks, the nodes by decreasing finish, pass 2's
+    # seed order (CLRS 22.4)
+    latest = 4 * n
     # local slots: the DFS stack and its pointer, each node's scan cursor in
-    # either pass, the finish counter, the pass and the current root
+    # either pass, the finish counter, the pass, the current root and each
+    # pass's seed cursor
     stack, sp, iter1, iter2 = 0, n, n + 1, 2 * n + 1
-    ctr, phase, root = 3 * n + 1, 3 * n + 2, 3 * n + 3
+    ctr, phase, root, seed1, seed2 = 3 * n + 1, 3 * n + 2, 3 * n + 3, 3 * n + 4, 3 * n + 5
     # an empty stack, sp, the cursors and ctr at 0, in pass 1, with no root
-    local = (UNDEF,) * n + (0,) * (2 * n + 2) + (1, UNDEF)
-    # per pass: the edges to follow, the seen block and the cursor block
+    local = (UNDEF,) * n + (0,) * (2 * n + 2) + (1, UNDEF, 0, 0)
+    # per pass: the edges to follow, the seen block, the cursor block and
+    # the seed cursor
     passes = (
-        ([g.out_neighbors(u) for u in range(n)], color1, iter1),
-        ([g.in_neighbors(u) for u in range(n)], color2, iter2),
+        ([g.out_neighbors(u) for u in range(n)], color1, iter1, seed1),
+        ([g.in_neighbors(u) for u in range(n)], color2, iter2, seed2),
     )
 
     def step(ctx):
         ph = ctx.own(phase, int)
-        edges, seen, cursor = passes[ph - 1]
+        edges, seen, cursor, at = passes[ph - 1]
         top = ctx.own(sp, int)
         local = {}
         writes = []
@@ -214,24 +219,24 @@ def kosaraju_program(g: Digraph) -> Program:
                 leave(w)
 
         def leave(u):
-            """Number u's finish in pass 1; in pass 2 a leave writes nothing."""
+            """Number u's finish in pass 1 and list u by it, latest first; in
+            pass 2 a leave writes nothing."""
             if ph == 1:
                 count = ctx.own(ctr, int)
                 local[ctr] = count + 1
-                writes.append((order + u, count))
+                writes.extend(((order + u, count), (latest + n - 1 - count, u)))
 
         if top == 0:
             # seed: pass 1 at the first unseen node, pass 2 at the unseen
-            # node that finished last; with none left, the pass ends
-            if ph == 1:
-                seed = next((v for v in range(n) if ctx.shared(seen + v) is UNDEF), None)
+            # node that finished last, from the pass's seed cursor on (a seen
+            # node stays seen); with none left, the pass ends
+            for k in range(ctx.own(at, int), n):
+                seed = k if ph == 1 else ctx.shared(latest + k, int)
+                if ctx.shared(seen + seed) is UNDEF:
+                    break
             else:
-                seed, last = None, -1
-                for v in range(n):
-                    if ctx.shared(seen + v) is UNDEF and ctx.shared(order + v, int) > last:
-                        seed, last = v, ctx.shared(order + v, int)
-            if seed is None:
                 return {phase: ph + 1}, ()
+            local[at] = k + 1
             if ph == 2:
                 local[root] = seed
             enter(seed, seed)
@@ -252,7 +257,7 @@ def kosaraju_program(g: Digraph) -> Program:
 
     return Program(
         "kosaraju",
-        MachineState((local,), (UNDEF,) * (4 * n), 0),
+        MachineState((local,), (UNDEF,) * (5 * n), 0),
         step,
         interconnection(1, ()),
         lambda s: s.local[0][phase] == 3,

@@ -27,9 +27,9 @@ import math
 from typing import NamedTuple
 
 from .algorithms import run, spec_for
+from .canonical import dumps_canonical
 from .harness import exhaustive_instances, generate_instance, labelled_failure, sample_seed
 from .machine import fold_counts
-from .trajectory import dumps_canonical
 
 
 class SizeRecord(NamedTuple):

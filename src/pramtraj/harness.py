@@ -4,18 +4,40 @@ Per-sample seeds are mixed as ``blake2b(master|algo|n|index)`` truncated to
 64 bits (``algorithms.sample_seed``), so an instance depends only on
 (master seed, algorithm, size, sample index), never on batch size or
 generation order.
+
+The pipeline reads the names of ``trajectory`` through this module
+(``_this.encode_sample``): ``__getattr__`` imports it on first read, so the
+``analyze`` and ``compare`` commands, which use only the instance helpers,
+never compile it.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .algorithms import ALGORITHMS, run, sample_seed, spec_for
 from .machine import MachineError, collector_paused
-from .trajectory import Sample, encode_sample, schema_path_for, serialize_ndjson, serialize_schema
+
+if TYPE_CHECKING:
+    from .trajectory import Sample
+
+_this = sys.modules[__name__]
+
+# the names of trajectory the pipeline reads through _this
+_TRAJECTORY = ("encode_sample", "schema_path_for", "serialize_ndjson", "serialize_schema")
+
+
+def __getattr__(name: str):
+    if name in _TRAJECTORY:
+        from . import trajectory
+
+        value = globals()[name] = getattr(trajectory, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _GenFields(NamedTuple):
@@ -87,7 +109,7 @@ def _build_sample(cfg: GenConfig, n: int, index: int) -> Sample:
     inst = generate_instance(cfg.algo_id, n, seed, cfg.max_degree)
     with collector_paused(), labelled_failure(cfg.algo_id, n, index, cfg.seed):
         output, trace = run(cfg.algo_id, inst)
-        sample = encode_sample(
+        sample = _this.encode_sample(
             cfg.algo_id, inst, trace, output, seed=seed, master=cfg.seed, index=index
         )
         del trace  # freed while the collector is still off
@@ -102,13 +124,13 @@ def write_dataset(path: Path, samples: Iterable[Sample], algo_id: str) -> int:
     every sample is written, so a job that fails leaves no partial dataset.
     """
     path = Path(path)
-    schema = schema_path_for(path)
+    schema = _this.schema_path_for(path)
     part = path.with_name(path.name + ".part")
     count = 0
     try:
         with part.open("wb") as out:
             for sample in samples:
-                out.write(serialize_ndjson([sample]))
+                out.write(_this.serialize_ndjson([sample]))
                 out.flush()
                 count += 1
                 del sample  # freed before the next sample is drawn, not after
@@ -116,5 +138,5 @@ def write_dataset(path: Path, samples: Iterable[Sample], algo_id: str) -> int:
     except BaseException:
         part.unlink(missing_ok=True)
         raise
-    schema.write_bytes(serialize_schema(algo_id))
+    schema.write_bytes(_this.serialize_schema(algo_id))
     return count

@@ -1,14 +1,16 @@
 """Synchronous priority-CRCW machine with per-layer activity recording.
 
 The machine holds ``width`` processors, each with a fixed-size list of local
-cells, plus a shared memory (the graph-level feature).  One step applies a
-per-processor transition function synchronously: every processor reads the
-*previous* state, all shared-memory writes of a step are resolved by the
-priority rule (lowest processor index wins each address), and the step's
-activity -- which nodes executed a non-identity operation, which edges
-carried information into them, how many operations ran -- is recorded.
-Shared memory is not a node and has no edges: a layer that writes it counts
-one extra operation, the graph-feature update, and nothing more.
+cells, plus a shared memory (the graph-level feature).  One step, one
+``step_machine`` call, applies a per-processor transition function
+synchronously: every processor reads the *previous* state through one
+reused ``NodeContext``, the step's shared-memory writes go straight into one
+copy of shared memory under the priority rule (per address, the lowest
+processor index wins, with its first write), and the step's activity --
+which nodes executed a non-identity operation, which edges carried
+information into them, how many operations ran -- is recorded.  Shared
+memory is not a node and has no edges: a layer that writes it counts one
+extra operation, the graph-feature update, and nothing more.
 
 A processor has three sources to read, one reader each: its own cells
 (``own``), an in-neighbour's cells (``read``) and shared memory (``shared``).
@@ -23,13 +25,13 @@ graph, halt predicate, step budget, optional candidates and instance edges,
 and ``output``, which reads the result off the final state.  ``layers``
 steps a program and yields each layer; ``run_machine`` folds them into a
 ``Trace`` (every state, for decoding hint frames) or, with ``fold_counts``,
-into ``RunCounts`` (one state and the run's integer counts: depth, totals
-and the largest layer's edges, with no per-layer list), and returns
-the program's output with the folded run.  Traces are acyclic, so the
-cyclic garbage collector can never free any part of one;
-``collector_paused`` keeps it off while a trace is alive instead of letting
-it rescan the growing trace at every collection.  A run folded into counts
-holds no trace, so it runs with the collector on.
+into ``RunCounts`` (one state and the run's integer counts, summed layer by
+layer with no per-layer list or call), and returns the program's output
+with the folded run.  Traces are acyclic, so the cyclic garbage collector
+can never free any part of one; ``collector_paused`` keeps it off while a
+trace is alive instead of letting it rescan the growing trace at every
+collection.  A run folded into counts holds no trace, so it runs with the
+collector on.
 
 An ``InterconnectionGraph`` is what the machine reads of a topology: its
 node count ``n``, its edge count ``m`` (the denominator of edge efficiency)
@@ -38,8 +40,7 @@ and, per node, the frozenset of nodes ``read`` lets it read.
 them; ``complete_graph`` and ``star_graph`` build theirs directly, and
 ``symmetric_graph`` closes an edge set.  Every node of ``complete_graph(n)``
 shares one frozenset of all n nodes (``read`` rejects a node's read of
-itself apart), so the graph takes O(n) memory where an explicit one takes
-O(n^2) (5.2 MB at n = 129).
+itself apart), so the graph takes O(n) memory, not O(n^2).
 """
 
 from __future__ import annotations
@@ -233,9 +234,11 @@ class NodeContext:
     or ``CellTypeError`` is raised otherwise, before any edge is recorded.
     Without ``kind`` the cell is returned as it is, ``UNDEF`` included.
 
-    ``step_machine`` builds one context per layer and points ``pid`` at each
-    processor in turn; edge reads are appended straight to ``edge_reads``,
-    the layer's edge list.
+    ``step_machine`` reuses one context, ``_CONTEXT``, for every layer: it
+    points the context at the layer's state, graph and a fresh edge list
+    (``edge_reads``, to which edge reads are appended) and then ``pid`` at
+    each processor in turn.  What it reads is valid only during that call,
+    so a step must not keep its context or run a layer itself.
     """
 
     __slots__ = ("pid", "clock", "_local", "_shared", "_in_nbrs", "edge_reads")
@@ -277,6 +280,7 @@ class NodeContext:
         _bad_cell(cell, kind)
 
 
+_CONTEXT = NodeContext(MachineState((), ()), InterconnectionGraph(0, 0, ()), [])
 _EMPTY: frozenset = frozenset()
 _new_tuple = tuple.__new__
 
@@ -294,7 +298,10 @@ def step_machine(
     run once however often it appears; every other processor is identity by
     construction.  ``step_fn`` returns ``None`` for identity: the node is not
     active and its reads are discarded.  Otherwise it returns a ``(local,
-    writes)`` pair (see ``StepFn``), and the node is active.  A
+    writes)`` pair (see ``StepFn``), and the node is active.  The processors
+    run in ascending pid order, each writing into one copy of shared memory
+    made at the layer's first write, so the first write to an address, the
+    lowest pid's and that processor's first, is the one the layer keeps.  A
     ``MachineError`` raised in the layer keeps its type and its message ends
     ``(layer t, node p)``: t is the ``step`` of the layer's record, p the
     processor that raised it (a candidate out of range names the layer
@@ -303,14 +310,14 @@ def step_machine(
     local_rows = state.local
     shared_cells = state.shared
     width = len(local_rows)
+    shared_len = len(shared_cells)
     new_local: list[tuple[Cell, ...]] | None = None
-    # candidates run in ascending pid order, so the first write per address
-    # is already the priority-CRCW winner
-    winners: dict[int, Cell] | None = None
+    cells: list[Cell] | None = None  # the layer's copy of shared memory, once written
     active: list[int] = []
     edges: list[tuple[int, int]] = []
-    shared_len = len(shared_cells)
-    ctx = NodeContext(state, graph, edges)
+    ctx = _CONTEXT
+    ctx.clock, ctx._local, ctx._shared = state.clock, local_rows, shared_cells
+    ctx._in_nbrs, ctx.edge_reads = graph.in_nbrs, edges
     pid = None  # no processor has run yet: a candidate error names the layer only
     try:
         if candidates is None:
@@ -343,42 +350,25 @@ def step_machine(
                     row[slot] = value
                 new_local[pid] = tuple(row)
             if writes:
-                if winners is None:
-                    winners = {}
+                if cells is None:
+                    cells, written = list(shared_cells), set()
                 for addr, value in writes:
                     if not 0 <= addr < shared_len:
                         raise MachineError(f"shared address {addr} out of range")
-                    if addr not in winners:
-                        winners[addr] = value
+                    if addr not in written:
+                        written.add(addr)
+                        cells[addr] = value
     except MachineError as err:
         node = "" if pid is None else f", node {pid}"
         raise type(err)(f"{err} (layer {state.clock + 1}{node})") from err
 
-    if winners:
-        cells = list(shared_cells)
-        for addr, value in winners.items():
-            cells[addr] = value
-        new_shared = tuple(cells)
-    else:
-        new_shared = shared_cells
-
-    # tuple.__new__ skips the generated NamedTuple constructors' frames
     clock = state.clock + 1
-    next_state = _new_tuple(
-        MachineState,
-        (tuple(new_local) if new_local is not None else local_rows, new_shared, clock),
-    )
-    record = _new_tuple(
-        ActivityRecord,
-        (
-            clock,
-            frozenset(active) if active else _EMPTY,
-            frozenset(edges) if edges else _EMPTY,
-            len(active) + (1 if winners else 0),
-            winners is not None,
-        ),
-    )
-    return next_state, record
+    wrote = cells is not None
+    after = (local_rows if new_local is None else tuple(new_local), tuple(cells) if wrote else shared_cells, clock)
+    nodes = frozenset(active) if active else _EMPTY
+    record = (clock, nodes, frozenset(edges) if edges else _EMPTY, len(active) + wrote, wrote)
+    # tuple.__new__ skips the generated NamedTuple constructors' frames
+    return _new_tuple(MachineState, after), _new_tuple(ActivityRecord, record)
 
 
 @contextmanager
@@ -454,34 +444,31 @@ def fold_trace(program: Program, stream: Iterable[Layer]) -> Trace:
 
 def layer_counter(
     graph: InterconnectionGraph, instance_edges: frozenset[tuple[int, int]] | None
-) -> tuple[int, Callable[[ActivityRecord], tuple[int, int, int]]]:
-    """``m`` of a run, and the rule that counts one of its layers as
-    ``(edges, nodes, ops)``.
+) -> tuple[int, Callable[[frozenset[tuple[int, int]]], int]]:
+    """``m`` of a run, and the rule that counts a layer's ``edges`` from its
+    ``active_edges`` (its ``nodes`` are ``len(active_nodes)`` and its ``ops``
+    the ``op_count`` of its record).
 
     ``m`` is the edge count of the operated graph: the instance's directed
     edges when the run has them, otherwise the interconnection edges.  A
     layer's ``edges`` counts its active edges against that graph: the
     neighbour reads of its executed operations, never a processor's reads of
     its own cells or of shared memory.  Plain tasks count the recorded
-    channels directly.  Runs tied to a directed instance fold each channel
-    onto the instance edge it traverses, so an edge used in both directions
-    in one layer counts once and edges <= m holds.
+    channels directly, by ``len``.  Runs tied to a directed instance fold
+    each channel onto the instance edge it traverses, so an edge used in
+    both directions in one layer counts once and edges <= m holds.
     """
     if instance_edges is None:
+        return graph.m, len
 
-        def count(record: ActivityRecord) -> tuple[int, int, int]:
-            return len(record.active_edges), len(record.active_nodes), record.op_count
-
-        return graph.m, count
-
-    def count(record: ActivityRecord) -> tuple[int, int, int]:
+    def count(active_edges: frozenset[tuple[int, int]]) -> int:
         used = set()
-        for u, v in record.active_edges:
+        for u, v in active_edges:
             if (u, v) in instance_edges:
                 used.add((u, v))
             elif (v, u) in instance_edges:
                 used.add((v, u))
-        return len(used), len(record.active_nodes), record.op_count
+        return len(used)
 
     return len(instance_edges), count
 
@@ -505,17 +492,20 @@ class RunCounts(NamedTuple):
 
 def fold_counts(program: Program, stream: Iterable[Layer]) -> RunCounts:
     """The counts of a run, taken one layer at a time: no state or record
-    outlives its layer, so a run holds one state whatever its depth."""
+    outlives its layer, so a run holds one state whatever its depth.  A
+    plain run counts a layer's edges by ``len``, a builtin, so its layers
+    make no Python call here."""
     m, count = layer_counter(program.graph, program.instance_edges)
     final = program.initial
     depth = ops = nodes = edges = edge_max = 0
-    for _, final, record in stream:
-        layer_edges, layer_nodes, layer_ops = count(record)
+    for _, final, (_, active_nodes, active_edges, op_count, _) in stream:
+        layer_edges = count(active_edges)
         depth += 1
-        ops += layer_ops
-        nodes += layer_nodes
+        ops += op_count
+        nodes += len(active_nodes)
         edges += layer_edges
-        edge_max = max(edge_max, layer_edges)
+        if layer_edges > edge_max:
+            edge_max = layer_edges
     return RunCounts(program.initial.width, m, final, depth, ops, nodes, edges, edge_max)
 
 
@@ -535,8 +525,8 @@ def activity_summary(trace: Trace) -> dict:
     ``{"m", "steps": [{"edges", "nodes", "ops"}], "width"}``, each layer
     counted by ``layer_counter``."""
     m, count = layer_counter(trace.graph, trace.instance_edges)
-    steps = []
-    for record in trace.activity:
-        edges, nodes, ops = count(record)
-        steps.append({"edges": edges, "nodes": nodes, "ops": ops})
+    steps = [
+        {"edges": count(rec.active_edges), "nodes": len(rec.active_nodes), "ops": rec.op_count}
+        for rec in trace.activity
+    ]
     return {"m": m, "steps": steps, "width": trace.width}

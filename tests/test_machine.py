@@ -1,7 +1,7 @@
 import gc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pramtraj.machine import (
@@ -113,17 +113,21 @@ class TestResolveWrites:
             max_size=40,
         )
     )
+    @example([(3, 1), (5, 1), (3, 1), (5, 2), (5, 2)])
     def test_priority_property(self, pairs):
+        # a processor's k-th write carries k, so its second write to an
+        # address differs from its first
         writes = {}
         for proc, addr in pairs:
-            writes[proc] = writes.get(proc, ()) + ((addr, proc * 10 + addr),)
+            issued = writes.get(proc, ())
+            writes[proc] = issued + ((addr, proc * 100 + len(issued)),)
         applied = _write_layer(20, 5, writes)
+        # per address, the lowest writing processor, and its first write there
         by_addr = {}
-        for proc, addr in pairs:
-            by_addr.setdefault(addr, []).append(proc)
-        assert set(applied) == set(by_addr)
-        for addr, procs in by_addr.items():
-            assert applied[addr] == min(procs) * 10 + addr
+        for proc in sorted(writes):
+            for addr, value in writes[proc]:
+                by_addr.setdefault(addr, value)
+        assert applied == by_addr
 
 
 class TestStepMachine:

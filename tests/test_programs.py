@@ -1,5 +1,6 @@
 """Contracts that every algorithm's machine program keeps, layer by layer:
-what a step returns, and which processors a layer offers it to."""
+what a step returns, which processors a layer offers it to, and that a run
+steps as single layers do."""
 
 import pytest
 
@@ -7,7 +8,7 @@ from pramtraj.algorithms import ALGORITHMS, spec_for
 from pramtraj.algorithms.scc import dcsc_program, kosaraju_program
 from pramtraj.algorithms.search import binary_search_program, parallel_search_program
 from pramtraj.algorithms.sorting import bubble_program, oets_program
-from pramtraj.machine import layers
+from pramtraj.machine import layers, step_machine
 
 PROGRAMS = {
     "parallel_search": parallel_search_program,
@@ -65,3 +66,19 @@ def test_every_offered_processor_is_active(algo):
             else:
                 offered = set(program.candidates(before))
             assert offered == record.active_nodes, (inst, record.step)
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_layers_step_as_single_layer_calls_do(algo):
+    # one step_machine call on a layer's state, made between two layers of
+    # the run and so through the context the run's layers reuse, gives the
+    # state and record that layers yields
+    for inst in instances(algo, range(1, 7), range(3)):
+        program = PROGRAMS[algo](inst)
+        state = program.initial
+        for before, after, record in layers(program):
+            assert before == state
+            candidates = None if program.candidates is None else program.candidates(before)
+            assert step_machine(before, program.step, program.graph, candidates) == (after, record)
+            state = after
+        assert program.halt(state)
