@@ -110,7 +110,8 @@ class AlgorithmSpec(NamedTuple):
     ``run(inst, fold)`` builds the algorithm's ``machine.Program`` for
     ``inst``, runs it with ``machine.run_machine`` and returns the output and
     the run as ``fold`` reduces it;
-    ``generate(n, seed, max_degree)`` draws one instance; ``exhaustive(n)``
+    ``generate(n, seed)`` draws one instance, a function of its size and
+    seed alone (SCC's out-degree bound is ``scc.MAX_DEGREE``); ``exhaustive(n)``
     enumerates the whole input space of a tiny size (``None`` where that is
     not defined).  ``frame(inst, before, after)`` decodes the hint values of
     the layer that took machine state ``before`` to ``after``,
@@ -128,7 +129,7 @@ class AlgorithmSpec(NamedTuple):
     name: str
     family: str
     run: Callable[[Any, Fold], tuple[Any, Trace | RunCounts]]
-    generate: Callable[[int, int, int], Any]
+    generate: Callable[[int, int], Any]
     exhaustive: Callable[[int], list] | None
     probes: tuple[ProbeSpec, ...]
     frame: Callable[[Any, MachineState, MachineState], dict]

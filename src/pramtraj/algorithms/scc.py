@@ -8,11 +8,12 @@ assigning the intersection.  Search cells are namespaced by pivot id, so a
 round never needs a mass reset: a node counts as discovered exactly when its
 cell equals the current pivot.
 
-The sequential member is hosted on a width-1 machine (a single processor
-walking the graph kept in shared memory).  Each step is one DFS event of
-either pass, both run by one step: a root seed, one edge scan, or a node
-finish, with finishes folded into the step that exhausts the node, so a
-full run takes at most n+m steps per pass.
+The sequential member is hosted on a width-1 machine: a single processor
+that walks the instance's adjacency, which its program holds, and keeps the
+seen, finish, component and finish-order blocks in shared memory.  Each
+step is one DFS event of either pass, both run by one step: a root seed,
+one edge scan, or a node finish, with finishes folded into the step that
+exhausts the node, so a full run takes at most n+m steps per pass.
 """
 
 from __future__ import annotations
@@ -494,8 +495,12 @@ def _note_kosaraju(g: Digraph, before: MachineState, after: MachineState) -> str
     return f"assigned={done}"
 
 
-def _generate(n: int, seed: int, max_degree: int) -> Digraph:
-    return gen_digraph(n, max_degree, seed)
+# the out-degree bound of every drawn SCC instance
+MAX_DEGREE = 3
+
+
+def _generate(n: int, seed: int) -> Digraph:
+    return gen_digraph(n, MAX_DEGREE, seed)
 
 
 _INPUTS = (

@@ -230,10 +230,6 @@ def _note_binary_search(inst: SearchInstance, before: MachineState, after: Machi
     return f"lo={shared[LO]} hi={shared[HI]} mid={shared[MID]}"
 
 
-def _generate(n: int, seed: int, max_degree: int) -> SearchInstance:
-    return gen_search_instance(n, seed)
-
-
 _INPUTS = (
     ProbeSpec("items", "input", "node", "scalar"),
     ProbeSpec("pos", "input", "node", "scalar"),
@@ -245,7 +241,7 @@ PARALLEL_SEARCH = AlgorithmSpec(
     name="parallel_search",
     family="search",
     run=parallel_search,
-    generate=_generate,
+    generate=gen_search_instance,
     exhaustive=exhaustive_searches,
     probes=_INPUTS + (ProbeSpec("leq_mask", "hint", "node", "mask"), _RANK),
     frame=_frame_parallel_search,

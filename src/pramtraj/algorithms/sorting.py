@@ -300,10 +300,6 @@ def _note(inst: SortInstance, before: MachineState, after: MachineState) -> str:
     return f"order=[{', '.join(order)}] swaps={swaps}"
 
 
-def _generate(n: int, seed: int, max_degree: int) -> SortInstance:
-    return gen_permutation(n, seed)
-
-
 _COMMON = (
     ProbeSpec("items", "input", "node", "scalar"),
     ProbeSpec("pos", "input", "node", "scalar"),
@@ -316,7 +312,7 @@ OETS = AlgorithmSpec(
     name="oets",
     family="sort",
     run=oets_sort,
-    generate=_generate,
+    generate=gen_permutation,
     exhaustive=every_permutation,
     probes=_COMMON + (ProbeSpec("parity", "hint", "graph", "mask"), _PRED),
     frame=_frame_oets,

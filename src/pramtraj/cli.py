@@ -67,7 +67,6 @@ def cmd_gen(args) -> int:
         n_list=n_list,
         samples_per_n=args.samples,
         seed=args.seed if args.seed is not None else _default_seed(),
-        max_degree=args.max_degree,
     )
     out = Path(args.out)
     try:
@@ -105,12 +104,7 @@ def cmd_analyze(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     try:
         report = _this.scaling_report(
-            args.algo,
-            list(_parse_n_list(args.n_list)),
-            args.samples,
-            seed,
-            max_degree=args.max_degree,
-            exhaustive=args.exhaustive,
+            args.algo, list(_parse_n_list(args.n_list)), args.samples, seed, exhaustive=args.exhaustive
         )
     except ValueError as err:
         raise BadInput(str(err)) from None
@@ -184,12 +178,7 @@ def _chunk_messages(chunk: bytes, lineno: int, algo: str, registered: bool) -> t
 def cmd_compare(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     reports = [
-        _this.EfficiencyReport(
-            algo,
-            (_this.size_record(algo, args.n, args.samples, seed, max_degree=args.max_degree),),
-            {},
-            {},
-        )
+        _this.EfficiencyReport(algo, (_this.size_record(algo, args.n, args.samples, seed),), {}, {})
         for algo in PAIRS[args.pair]
     ]
     print(_this.render_table(*reports))
@@ -211,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     size.add_argument("--n-list")
     gen.add_argument("--samples", type=int, required=True)
     gen.add_argument("--seed", type=int, default=None)
-    gen.add_argument("--max-degree", type=int, default=3)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen)
 
@@ -225,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--n-list", required=True)
     analyze.add_argument("--samples", type=int, required=True)
     analyze.add_argument("--seed", type=int, default=None)
-    analyze.add_argument("--max-degree", type=int, default=3)
     analyze.add_argument("--exhaustive", action="store_true")
     analyze.set_defaults(func=cmd_analyze)
 
@@ -238,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--n", type=int, required=True)
     compare.add_argument("--samples", type=int, required=True)
     compare.add_argument("--seed", type=int, default=None)
-    compare.add_argument("--max-degree", type=int, default=3)
     compare.set_defaults(func=cmd_compare)
     return parser
 

@@ -114,7 +114,6 @@ def size_record(
     samples_per_n: int,
     seed: int,
     *,
-    max_degree: int = 3,
     exhaustive: bool = False,
 ) -> SizeRecord:
     """Run the algorithm on one size's inputs and aggregate their metrics.
@@ -126,16 +125,13 @@ def size_record(
     """
     if samples_per_n < 1:
         raise ValueError("samples_per_n must be >= 1")
-    if max_degree < 1:
-        raise ValueError("max_degree must be >= 1")
     if exhaustive:
         master, instances = None, exhaustive_instances(algo_id, n)
     else:
         master = seed
         # drawn as they are run, so a size holds one instance at a time
         instances = (
-            generate_instance(algo_id, n, sample_seed(seed, algo_id, n, i), max_degree)
-            for i in range(samples_per_n)
+            generate_instance(algo_id, n, sample_seed(seed, algo_id, n, i)) for i in range(samples_per_n)
         )
     # each run is folded into its counts layer by layer and they into the
     # size's integer totals, so a size holds one machine state at a time;
@@ -185,7 +181,6 @@ def scaling_report(
     samples_per_n: int,
     seed: int,
     *,
-    max_degree: int = 3,
     exhaustive: bool = False,
 ) -> EfficiencyReport:
     """Run the algorithm across sizes and aggregate metrics per size.
@@ -197,12 +192,7 @@ def scaling_report(
     if list(n_list) != sorted(set(n_list)) or len(n_list) < 3:
         raise ValueError("n_list must be ascending with at least 3 sizes")
     family = spec_for(algo_id).family
-    records = [
-        size_record(
-            algo_id, n, samples_per_n, seed, max_degree=max_degree, exhaustive=exhaustive
-        )
-        for n in n_list
-    ]
+    records = [size_record(algo_id, n, samples_per_n, seed, exhaustive=exhaustive) for n in n_list]
     ns = [r.n for r in records]
     ms = [max(r.m, 1.0) for r in records]
     slopes = {

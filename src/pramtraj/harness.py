@@ -45,7 +45,6 @@ class _GenFields(NamedTuple):
     n_list: tuple[int, ...]
     samples_per_n: int
     seed: int
-    max_degree: int = 3
 
 
 class GenConfig(_GenFields):
@@ -58,8 +57,6 @@ class GenConfig(_GenFields):
             raise ValueError(f"unknown algorithm {self.algo_id!r}")
         if self.samples_per_n < 1:
             raise ValueError("samples_per_n must be >= 1")
-        if self.max_degree < 1:
-            raise ValueError("max_degree must be >= 1")
         if any(n < 1 for n in self.n_list):
             raise ValueError("n must be >= 1")
         if len(set(self.n_list)) != len(self.n_list):
@@ -78,9 +75,9 @@ def labelled_failure(algo_id: str, n: int, index: int, master: int | None):
         raise type(err)(f"{err} (algo {algo_id}, n {n}, {where} {index})") from err
 
 
-def generate_instance(algo_id: str, n: int, seed: int, max_degree: int = 3):
+def generate_instance(algo_id: str, n: int, seed: int):
     """One seeded instance from the algorithm's generator."""
-    return spec_for(algo_id).generate(n, seed, max_degree)
+    return spec_for(algo_id).generate(n, seed)
 
 
 def exhaustive_instances(algo_id: str, n: int):
@@ -106,7 +103,7 @@ def _build_sample(cfg: GenConfig, n: int, index: int) -> Sample:
     """One sample; its trace is freed before the collector is back on and
     before the next sample is drawn."""
     seed = sample_seed(cfg.seed, cfg.algo_id, n, index)
-    inst = generate_instance(cfg.algo_id, n, seed, cfg.max_degree)
+    inst = generate_instance(cfg.algo_id, n, seed)
     with collector_paused(), labelled_failure(cfg.algo_id, n, index, cfg.seed):
         output, trace = run(cfg.algo_id, inst)
         sample = _this.encode_sample(

@@ -16,8 +16,8 @@ replayed frames as the reference yields them, so neither holds more than
 one.
 
 The writer (``serialize_ndjson``) and ``line_is_clean`` spell hint frames
-with one function, ``_hint_pieces``.  It spells the rows of an edge-located
-hint probe (the sorts' dense n x n ``swap_mask``) one by one.  A sort
+with one function, ``_hint_pieces``, which reads no spec.  It spells the rows
+of a matrix (the sorts' dense n x n ``swap_mask``) one by one.  A sort
 frame's rows are shared read-only rows (``algorithms.SharedRow``: n + 1
 per n, from ``sorting.mask_rows``), each spelled by the text it carries.
 Every other list, a plain row included (one of a parsed or edited sample),
@@ -235,8 +235,9 @@ def _field_violations(algo: AlgorithmSpec, n: int, inputs, outputs, seed, activi
         return out
     if inputs["pos"] != increasing_unit_scalars(Random(seed["value"]), n):
         return ["inputs.pos: not drawn from seed.value"]
-    # an SCC draw also depends on a max_degree that the line does not record
-    drawn = algo.family == "scc" or inputs == algo.inputs(algo.generate(n, seed["value"], 1), pos)
+    # an SCC line may hold a digraph that no seed draws: tests/test_golden.py
+    # validates a line of every digraph on up to four nodes
+    drawn = algo.family == "scc" or inputs == algo.inputs(algo.generate(n, seed["value"]), pos)
     if not drawn:
         return ["inputs: not drawn from seed.value"]
     if seed["value"] != sample_seed(seed["master"], algo.name, n, seed["index"]):
@@ -295,14 +296,6 @@ def validate_sample(sample: Sample) -> list[str]:
 # canonical serialization
 
 
-def _edge_hints(algo: AlgorithmSpec | None) -> frozenset:
-    """The hint probes of an algorithm that the writer spells row by row;
-    none where no algorithm is known."""
-    if algo is None:
-        return frozenset()
-    return frozenset(p.name for p in algo.probes if p.stage == "hint" and p.location == "edge")
-
-
 # version 2 writes no back-references, which follow object identity, so
 # equal lists marshal to equal bytes
 _MARSHAL_VERSION = 2
@@ -320,11 +313,12 @@ def _cached_text(value, texts: dict[bytes, str]) -> str:
     return text
 
 
-def _spelled(step: int, values: dict, edges: frozenset, texts: dict[bytes, str]) -> str:
+def _spelled(step: int, values: dict, texts: dict[bytes, str]) -> str:
     """``_encode_ints({"step": step, "values": values})``, with an exact int
-    spelled by ``str`` and each list by ``_cached_text``: an edge probe's
-    row by row, where a ``SharedRow`` is spelled by its own ``text``, and any
-    other list whole."""
+    spelled by ``str`` and each list by ``_cached_text``: a matrix (a list
+    whose first cell is a list) row by row, where a ``SharedRow`` is spelled
+    by its own ``text``, and any other list whole.  A matrix's text is its
+    rows' texts joined, so the two spellings agree."""
     parts = ['{"step":', str(step), ',"values":{']
     for idx, key in enumerate(sorted(values)):
         value = values[key]
@@ -333,7 +327,7 @@ def _spelled(step: int, values: dict, edges: frozenset, texts: dict[bytes, str])
             parts.append(str(value))
         elif type(value) is not list:
             parts.append(_encode_ints(value))
-        elif key in edges:
+        elif value and isinstance(value[0], list):
             rows = (row.text if type(row) is SharedRow else _cached_text(row, texts) for row in value)
             parts += ("[", ",".join(rows), "]")
         else:
@@ -342,15 +336,14 @@ def _spelled(step: int, values: dict, edges: frozenset, texts: dict[bytes, str])
     return "".join(parts)
 
 
-def _hint_pieces(frames: Iterable[tuple[int, dict]], edges: frozenset) -> Iterator[str]:
+def _hint_pieces(frames: Iterable[tuple[int, dict]]) -> Iterator[str]:
     """The canonical text of a hint list of (step, values) frames, piece by
     piece: ``[``, each ``{"step":t,"values":...}`` and the comma before it,
     then ``]``.
 
     A frame is what a spec's ``frame`` and ``reference`` build: an int step
-    and a dict of ints and lists of ints.  The rows of a probe named in
-    ``edges`` (the algorithm's edge-located hint probes) are spelled one by
-    one: the sorts' ``swap_mask`` rows are shared read-only rows
+    and a dict of ints and lists of ints.  The rows of a matrix are spelled
+    one by one: the sorts' ``swap_mask`` rows are shared read-only rows
     (``SharedRow``, from ``sorting.mask_rows``), each spelled by the text it
     carries, so a frame's mask costs n lookups and no encoding.  Every
     other list, and a plain row (a parsed or edited sample's), is spelled
@@ -364,7 +357,7 @@ def _hint_pieces(frames: Iterable[tuple[int, dict]], edges: frozenset) -> Iterat
     for idx, (step, values) in enumerate(frames):
         if idx:
             yield ","
-        yield _spelled(step, values, edges, texts)
+        yield _spelled(step, values, texts)
     yield "]"
 
 
@@ -373,8 +366,7 @@ def _ndjson_line(sample: Sample) -> str:
     by field in key order: the hints by ``_hint_pieces``, the inputs by
     ``dumps_canonical`` (every scalar probe is an input probe, so no other
     field carries a float) and every other field by one C encoder call."""
-    edges = _edge_hints(_spec_of(sample))
-    hints = "".join(_hint_pieces(((frame.step, frame.values) for frame in sample.hints), edges))
+    hints = "".join(_hint_pieces((frame.step, frame.values) for frame in sample.hints))
     n = str(sample.n) if type(sample.n) is int else _encode_ints(sample.n)
     return (
         f'{{"activity":{_encode_ints(sample.activity)},"algo":{_encode_ints(sample.algo)}'
@@ -556,7 +548,7 @@ def line_is_clean(chunk: bytes, algo_id: str) -> bool:
     at = start + len(_HINTS)
     try:
         frames = enumerate(_replayed(algo, inputs, n, len(activity["steps"]), outputs), 1)
-        for piece in _hint_pieces(frames, _edge_hints(algo)):
+        for piece in _hint_pieces(frames):
             text = piece.encode()
             if not chunk.startswith(text, at):
                 return False

@@ -520,21 +520,6 @@ class TestErrors:
         assert run_cli(command + ["--samples", count, "--seed", "0"]) == 2
         assert capsys.readouterr() == ("", "error: samples_per_n must be >= 1\n")
 
-    @pytest.mark.parametrize("command", [
-        ["gen", "--algo", "oets", "--n", "4", "--samples", "1"],
-        ["gen", "--algo", "dcsc", "--n", "4", "--samples", "1"],
-        ["analyze", "--algo", "oets", "--n-list", "4,5,6", "--samples", "1"],
-        ["analyze", "--algo", "dcsc", "--n-list", "4,5,6", "--samples", "1"],
-        ["compare", "--pair", "sort", "--n", "4", "--samples", "1"],
-        ["compare", "--pair", "scc", "--n", "4", "--samples", "1"],
-    ], ids=lambda argv: f"{argv[0]}-{argv[2]}")
-    @pytest.mark.parametrize("degree", ["0", "-5"])
-    def test_max_degree_must_be_positive(self, tmp_path, capsys, command, degree):
-        out = ["--out", str(tmp_path / "d.ndjson")] if command[0] == "gen" else []
-        assert run_cli(command + ["--max-degree", degree, "--seed", "0"] + out) == 2
-        assert capsys.readouterr() == ("", "error: max_degree must be >= 1\n")
-        assert list(tmp_path.iterdir()) == []
-
     def test_gen_rejects_a_repeated_size(self, tmp_path, capsys):
         out = tmp_path / "d.ndjson"
         assert run_cli(["gen", "--algo", "oets", "--n-list", "3,4,3", "--samples", "1",

@@ -1,4 +1,5 @@
 import gc
+import json
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from pramtraj import harness
-from pramtraj.algorithms import ALGORITHMS
+from pramtraj.algorithms import ALGORITHMS, spec_for
 from pramtraj.algorithms.scc import gen_digraph
 from pramtraj.algorithms.search import gen_search_instance
 from pramtraj.algorithms.sorting import gen_permutation
@@ -15,9 +16,11 @@ from pramtraj.harness import (
     GenConfig,
     build_samples,
     exhaustive_instances,
+    generate_instance,
     sample_seed,
     write_dataset,
 )
+from pramtraj.cli import cli_main
 from pramtraj.machine import StepLimitExceeded
 from pramtraj.trajectory import serialize_ndjson, validate_sample
 
@@ -173,6 +176,23 @@ class TestPipeline:
         assert write_dataset(out, draw(), "oets") == 2
         assert on_disk == [serialize_ndjson([first])]
         assert out.read_bytes() == serialize_ndjson([first, second])
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_every_line_is_rebuilt_from_its_own_provenance(self, tmp_path, algo):
+        # a gen line is a function of its algo, n, seed.master and seed.index,
+        # and its inputs the draw of seed.value, an SCC adjacency included
+        out = tmp_path / "d.ndjson"
+        assert cli_main(["gen", "--algo", algo, "--n-list", "1,2,3,4,5,6", "--samples", "3",
+                         "--seed", "31", "--out", str(out)]) == 0
+        lines = out.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 18
+        for line in lines:
+            obj = json.loads(line)
+            n, seed = obj["n"], obj["seed"]
+            *_, rebuilt = build_samples(GenConfig(obj["algo"], (n,), seed["index"] + 1, seed["master"]))
+            assert serialize_ndjson([rebuilt]) == line
+            inst = generate_instance(algo, n, seed["value"])
+            assert obj["inputs"] == spec_for(algo).inputs(inst, obj["inputs"]["pos"])
 
     def test_byte_identical_rebuild(self):
         cfg = GenConfig("dcsc", (6,), 4, 99)

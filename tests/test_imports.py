@@ -39,20 +39,20 @@ DATASET = {"pramtraj.trajectory", "pramtraj.canonical"}
 # instance helpers, the metrics and the canonical text, and no dataset code
 METRICS = {"pramtraj.harness", "pramtraj.efficiency", "pramtraj.canonical"}
 
-# --help loads 986 lines of src/pramtraj, the BASE modules alone (1,026 when
+# --help loads 973 lines of src/pramtraj, the BASE modules alone (1,026 when
 # the registry imported a spec module beside it).  An eager import of an
-# algorithm module (273 lines at least) or of a stage would pass this bound.
+# algorithm module (269 lines at least) or of a stage would pass this bound.
 HELP_LINES = 1000
 
-# A validate job loads 1,922 (search), 1,991 (sort) or 2,197 (scc) lines of
-# src/pramtraj, of the 3,217 of all its modules.  An eager import of harness
-# (142 lines), efficiency (260) or a second algorithm module (273 at least)
+# A validate job loads 1,897 (search), 1,966 (sort) or 2,181 (scc) lines of
+# src/pramtraj, of the 3,180 of all its modules.  An eager import of harness
+# (139 lines), efficiency (250) or a second algorithm module (269 at least)
 # would take the scc job past this bound.
 VALIDATE_LINES = 2215
 
-# An analyze job loads 1,758 (search), 1,827 (sort) or 2,033 (scc) lines of
+# An analyze job loads 1,728 (search), 1,797 (sort) or 2,012 (scc) lines of
 # src/pramtraj, 2,299 to 2,569 when it compiled trajectory (650 lines) for
-# dumps_canonical alone.  An eager import of trajectory (566 lines) or of a
+# dumps_canonical alone.  An eager import of trajectory (558 lines) or of a
 # second algorithm module would take the scc job past this bound.
 ANALYZE_LINES = 2033
 

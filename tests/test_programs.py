@@ -5,7 +5,7 @@ steps as single layers do."""
 import pytest
 
 from pramtraj.algorithms import ALGORITHMS, spec_for
-from pramtraj.algorithms.scc import dcsc_program, kosaraju_program
+from pramtraj.algorithms.scc import dcsc_program, gen_digraph, kosaraju_program
 from pramtraj.algorithms.search import binary_search_program, parallel_search_program
 from pramtraj.algorithms.sorting import bubble_program, oets_program
 from pramtraj.machine import layers, step_machine
@@ -21,13 +21,15 @@ PROGRAMS = {
 
 
 def instances(algo, sizes, seeds):
-    """Drawn instances of ``algo``: every size and seed, and for SCC every
-    max degree 1..3."""
-    degrees = (1, 2, 3) if spec_for(algo).family == "scc" else (1,)
+    """Drawn instances of ``algo``: every size and seed, and for SCC a
+    digraph of every out-degree bound 1..3, drawn through ``gen_digraph``."""
+    spec = spec_for(algo)
     for n in sizes:
         for seed in seeds:
-            for degree in degrees:
-                yield spec_for(algo).generate(n, seed, degree)
+            if spec.family == "scc":
+                yield from (gen_digraph(n, degree, seed) for degree in (1, 2, 3))
+            else:
+                yield spec.generate(n, seed)
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)

@@ -14,7 +14,6 @@ from pramtraj.algorithms.sorting import SortInstance, mask_rows, oets_sort
 from pramtraj.algorithms.scc import Digraph, dcsc
 from pramtraj.harness import generate_instance, sample_seed
 from pramtraj.trajectory import (
-    _edge_hints,
     _hint_pieces,
     DatasetFormatError,
     ReplayError,
@@ -481,9 +480,9 @@ class TestWriter:
                 dumps_canonical(value)
 
 
-def spelled(hints, edges) -> str:
+def spelled(hints) -> str:
     """The writer's text of a hint list, its lists from the list-text cache."""
-    return "".join(_hint_pieces(((frame.step, frame.values) for frame in hints), edges))
+    return "".join(_hint_pieces((frame.step, frame.values) for frame in hints))
 
 
 def canonical(hints) -> str:
@@ -495,7 +494,6 @@ def canonical(hints) -> str:
 # test_scalar_probes_are_inputs), so the floats here are ones whose repr is
 # their canonical text.  True == 1 == 1.0 and False == 0 == 0.0 == -0.0.
 _CELLS = (0, 1, 2, True, False, 0.0, -0.0, 1.0, 0.5)
-_MASK = frozenset({"swap_mask"})
 
 
 class _Cell(int):
@@ -520,25 +518,17 @@ _NUMBER_CELLS = st.one_of(
 class TestHintRows:
     """The row cache of _hint_pieces changes no byte of the hint text."""
 
-    def test_edge_hints_are_the_sort_swap_masks(self):
-        edges = {algo: _edge_hints(spec_for(algo)) for algo in ALGORITHMS}
-        assert {algo: set(names) for algo, names in edges.items() if names} == {
-            "oets": {"swap_mask"},
-            "bubble_sort": {"swap_mask"},
-        }
-        assert _edge_hints(None) == frozenset()  # a sample of no registered algorithm
-
     def test_every_sample(self):
         for algo in ALGORITHMS:
             for n in (1, 2, 7, 16):
                 for index, master in ((0, 0), (1, 11), (3, 2**40)):
                     hints = make_sample(algo, n=n, index=index, master=master).hints
-                    assert spelled(hints, _edge_hints(spec_for(algo))) == canonical(hints), (algo, n, index)
+                    assert spelled(hints) == canonical(hints), (algo, n, index)
 
     def test_equal_rows_of_other_cell_types_keep_their_own_text(self):
         rows = ([1, 0], [True, 0], [1.0, 0], [0, 0], [False, False], [0.0, -0.0], [0, 0], [1, 0])
         hints = [HintFrame(t, {"swap_mask": [list(row), list(row)], "pred": row}) for t, row in enumerate(rows, 1)]
-        text = spelled(hints, _MASK)
+        text = spelled(hints)
         assert text == canonical(hints)
         assert '"swap_mask":[[true,0],[true,0]]' in text and '"swap_mask":[[1.0,0],[1.0,0]]' in text
 
@@ -550,7 +540,7 @@ class TestHintRows:
             HintFrame(2, {"swap_mask": [[1.0, 0], [1, 0]], "pred": [0, 0]}),
             HintFrame(3, {"swap_mask": [[1, 0], shared], "pred": [0, 0]}),
         ]
-        text = spelled(hints, _MASK)
+        text = spelled(hints)
         assert text == canonical(hints)
         for mask in ("[[1,0],[true,0]]", "[[1.0,0],[1,0]]", "[[1,0],[1,0]]"):
             assert f'"swap_mask":{mask}' in text
@@ -559,15 +549,15 @@ class TestHintRows:
         # an exact int is spelled by str, a bool or an int subclass by the encoder
         cells = (0, 7, 2**70, True, False, _Cell(1))
         hints = [HintFrame(t, {"parity": cell, "pred": [0]}) for t, cell in enumerate(cells, 1)]
-        text = spelled(hints, _MASK)
+        text = spelled(hints)
         assert text == canonical(hints)
         assert '{"step":4,"values":{"parity":true,"pred":[0]}}' in text
 
     def test_equal_node_lists_of_other_cell_types_keep_their_own_text(self):
-        # no edge probe at all: every list is looked up whole
+        # no matrix at all: every list is looked up whole
         rows = ([1, 0], [True, 0], [1.0, 0], [1, 0])
         hints = [HintFrame(t, {"pred": list(row), "reach": [0, 1]}) for t, row in enumerate(rows, 1)]
-        text = spelled(hints, frozenset())
+        text = spelled(hints)
         assert text == canonical(hints)
         for t, row in enumerate(("[1,0]", "[true,0]", "[1.0,0]", "[1,0]"), 1):
             assert f'{{"step":{t},"values":{{"pred":{row},"reach":[0,1]}}}}' in text
@@ -579,8 +569,8 @@ class TestHintRows:
             HintFrame(3, {"swap_mask": [[0], "x", None, [[1]], {"b": 1, "a": [0]}]}),
             HintFrame(4, {"swap_mask": [[0]]}),
         ]
-        assert spelled(hints, _MASK) == canonical(hints)
-        assert spelled([], _MASK) == "[]"
+        assert spelled(hints) == canonical(hints)
+        assert spelled([]) == "[]"
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -595,7 +585,7 @@ class TestHintRows:
         )
         frames = data.draw(st.lists(values, max_size=6))
         hints = [HintFrame(t, v) for t, v in enumerate(frames, 1)]
-        assert spelled(hints, _MASK) == canonical(hints)
+        assert spelled(hints) == canonical(hints)
 
     def test_a_flipped_cached_row_is_caught(self):
         # an all-zero row of the last frame, a row earlier frames hold too,
