@@ -13,8 +13,8 @@ function that makes its program (``<name>_program(inst) -> machine.Program``),
 and ``spec_for`` imports it on first use, so a command compiles only the
 algorithm it runs.  No other module carries per-algorithm code.
 
-A hint value that many frames hold at once is a ``SharedRow``: a read-only
-list that carries its JSON text, which the writer spells by identity.
+A hint value that many frames hold at once is a read-only ``SharedRow``, spelled
+by its own text; a frame reuses one only where its source cells are the same.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class HintFrame(NamedTuple):
 
 class SharedRow(list):
     """A hint row that many frames hold at once, with its JSON text as
-    ``text``.
+    ``text``, built once from cells that are exact ints or shared rows.
 
     A shared row is a value, as a tuple is: every write through it
     (``row[i] = x``, ``+=``, ``append``, ...) raises TypeError, since it
@@ -84,6 +84,12 @@ class SharedRow(list):
     """
 
     __slots__ = ("text",)
+
+    def __init__(self, cells) -> None:
+        super().__init__(cells)
+        # a list's repr with the spaces taken out: a row of exact ints (or of
+        # such rows) spelled as the json encoder spells it, one C call
+        self.text = list.__repr__(self).replace(" ", "")
 
     def _read_only(self, *args, **kwargs):
         raise TypeError("a shared hint row is read-only: edit a plain copy, list(row)")
@@ -97,7 +103,7 @@ class SharedRow(list):
     __copy__ = __deepcopy__ = _itself
 
     def __reduce_ex__(self, protocol):
-        return SharedRow, (tuple(self),), (None, {"text": self.text})
+        return SharedRow, (tuple(self),)
 
 
 # what a reference yields (the values of each frame) and returns (the outputs)
@@ -113,8 +119,9 @@ class AlgorithmSpec(NamedTuple):
     ``generate(n, seed)`` draws one instance, a function of its size and
     seed alone (SCC's out-degree bound is ``scc.MAX_DEGREE``); ``exhaustive(n)``
     enumerates the whole input space of a tiny size (``None`` where that is
-    not defined).  ``frame(inst, before, after)`` decodes the hint values of
-    the layer that took machine state ``before`` to ``after``,
+    not defined).  ``frame(inst, before, after, prev)`` decodes the hint
+    values of the layer that took machine state ``before`` to ``after``,
+    given ``prev``, the frame decoded up to ``before`` (None for the first),
     ``inputs(inst, pos)`` and ``outputs(output)`` build the payloads of a
     sample, and ``reference(inputs, n)`` re-derives a sample from its inputs
     and size alone: a generator that yields the ``values`` of each hint frame
@@ -122,6 +129,7 @@ class AlgorithmSpec(NamedTuple):
     and stops pulling where it likes.  It checks nothing and raises nothing
     on schema-valid inputs.  ``parse_inline(text)`` reads a ``trace`` input and
     ``note(inst, before, after)`` annotates that layer in a printed trace.
+    ``run_shape(inputs, n)`` is the ``(m, width)`` of a run on those inputs.
     ``input_violations(inputs, n)``, where set, lists what schema-valid
     inputs break of the input domain that the probe schema cannot express.
     """
@@ -132,12 +140,13 @@ class AlgorithmSpec(NamedTuple):
     generate: Callable[[int, int], Any]
     exhaustive: Callable[[int], list] | None
     probes: tuple[ProbeSpec, ...]
-    frame: Callable[[Any, MachineState, MachineState], dict]
+    frame: Callable[[Any, MachineState, MachineState, dict | None], dict]
     inputs: Callable[[Any, list[float]], dict]
     outputs: Callable[[Any], dict]
     reference: Callable[[dict, int], Replay]
     parse_inline: Callable[[str], Any]
     note: Callable[[Any, MachineState, MachineState], str]
+    run_shape: Callable[[dict, int], tuple[int, int]]
     input_violations: Callable[[dict, int], list[str]] | None = None
 
 

@@ -18,8 +18,10 @@ exhausts the node, so a full run takes at most n+m steps per pass.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import and_, is_, is_not
 from random import Random
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from ..machine import (
     MachineState,
@@ -35,7 +37,7 @@ from ..machine import (
     run_machine,
     symmetric_graph,
 )
-from . import AlgorithmSpec, ProbeSpec, Replay
+from . import AlgorithmSpec, ProbeSpec, Replay, SharedRow
 
 
 class _DigraphFields(NamedTuple):
@@ -339,31 +341,34 @@ def _ptr_output(ptr: tuple[int, ...]) -> dict:
     return {"scc_ptr": list(ptr)}
 
 
-def _dcsc_frame(fwd: list[int], bwd: list[int], undiscovered: list[int], ptr: list[int]) -> dict:
-    return {
-        "reach_fwd": fwd,
-        "reach_bwd": bwd,
-        "in_scc": [a & b for a, b in zip(fwd, bwd)],
-        "undiscovered": undiscovered,
-        "scc_ptr": ptr,
-    }
-
-
 def _indices(cells: list) -> list[int]:
     """``cells``, each an index: one type test over them all, and
     ``as_index`` only to raise its error at the first cell that is not."""
     return cells if set(map(type, cells)) <= {int} else list(map(as_index, cells))
 
 
-def _frame_dcsc(g: Digraph, before: MachineState, after: MachineState) -> dict:
+def _frame_dcsc(g: Digraph, before: MachineState, after: MachineState, prev: dict | None) -> dict:
+    """The round's searches, assignments and pointers; each list of ``prev``
+    whose slot no row changed is kept, the searches only with the pivot cell."""
     pivot = as_index(after.shared[PIVOT_ADDR])
-    rows = after.local
-    return _dcsc_frame(
-        [1 if row[FWD] == pivot else 0 for row in rows],
-        [1 if row[BWD] == pivot else 0 for row in rows],
-        [0 if row[DONE] else 1 for row in rows],
-        _indices([row[PTR] for row in rows]),
-    )
+    rows, old = after.local, before.local
+    moved = {FWD, BWD, DONE, PTR}
+    if prev is not None:
+        changed = compress(zip(old, rows), map(is_not, old, rows))
+        moved = {slot for a, b in changed for slot in (FWD, BWD, DONE, PTR) if a[slot] is not b[slot]}
+        if after.shared[PIVOT_ADDR] is not before.shared[PIVOT_ADDR]:
+            moved |= {FWD, BWD}
+    frame = dict(prev or {})
+    for name, slot in (("reach_fwd", FWD), ("reach_bwd", BWD)):
+        if slot in moved:
+            frame[name] = SharedRow([1 if row[slot] == pivot else 0 for row in rows])
+    if FWD in moved or BWD in moved:
+        frame["in_scc"] = SharedRow(map(and_, frame["reach_fwd"], frame["reach_bwd"]))
+    if DONE in moved:
+        frame["undiscovered"] = SharedRow([0 if row[DONE] else 1 for row in rows])
+    if PTR in moved:
+        frame["scc_ptr"] = SharedRow(_indices([row[PTR] for row in rows]))
+    return frame
 
 
 def _adjacency(inputs: dict, n: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -378,20 +383,21 @@ def _reference_dcsc(inputs: dict, n: int) -> Replay:
     """Pivot rounds (Fleischer, Hendrickson and Pinar, 2000): the lowest
     unassigned node starts a round, the forward and backward sets grow one
     BFS layer per frame among unassigned nodes, and a last frame assigns
-    their intersection."""
+    their intersection.  A frame rebuilds only the rows that changed."""
     succ, pred = _adjacency(inputs, n)
     alive = set(range(n))
-    ptr = list(range(n))
 
-    def frame() -> dict:
-        masks = ([1 if u in nodes else 0 for u in range(n)] for nodes in (fwd, bwd, alive))
-        return _dcsc_frame(*masks, list(ptr))
+    def mask(nodes) -> SharedRow:
+        return SharedRow([1 if u in nodes else 0 for u in range(n)])
 
+    rows = dict.fromkeys(("reach_fwd", "reach_bwd", "in_scc", "undiscovered", "scc_ptr"))
+    rows.update(undiscovered=mask(alive), scc_ptr=SharedRow(range(n)))
     while alive:
         pivot = min(alive)
-        fwd, bwd = {pivot}, {pivot}
+        fwd, bwd, both = {pivot}, {pivot}, {pivot}
         grow_fwd, grow_bwd = fwd, bwd
-        yield frame()
+        rows.update(reach_fwd=mask(fwd), reach_bwd=mask(bwd), in_scc=mask(both))
+        yield dict(rows)
         while True:
             # each search grows from the nodes it added last: an earlier
             # layer's alive neighbours are in the set already
@@ -401,12 +407,19 @@ def _reference_dcsc(inputs: dict, n: int) -> Replay:
                 break
             fwd |= grow_fwd
             bwd |= grow_bwd
-            for u in fwd & bwd:
-                ptr[u] = pivot
-            yield frame()
-        alive -= fwd & bwd
-        yield frame()
-    return {"scc_ptr": ptr}
+            if grow_fwd:
+                rows["reach_fwd"] = mask(fwd)
+            if grow_bwd:
+                rows["reach_bwd"] = mask(bwd)
+            if len(fwd & bwd) > len(both):  # the intersection only grows
+                both = fwd & bwd
+                rows["in_scc"] = mask(both)
+                rows["scc_ptr"] = SharedRow(pivot if u in both else p for u, p in enumerate(rows["scc_ptr"]))
+            yield dict(rows)
+        alive -= both
+        rows["undiscovered"] = mask(alive)
+        yield dict(rows)
+    return {"scc_ptr": list(rows["scc_ptr"])}
 
 
 def _note_dcsc(g: Digraph, before: MachineState, after: MachineState) -> str:
@@ -415,16 +428,26 @@ def _note_dcsc(g: Digraph, before: MachineState, after: MachineState) -> str:
     return f"pivot={'?' if pivot is UNDEF else pivot} assigned={assigned}"
 
 
-def _frame_kosaraju(g: Digraph, before: MachineState, after: MachineState) -> dict:
+# a kosaraju frame's lists: (name, the shared block it decodes, whether it holds pointers)
+_KOSARAJU_LISTS = (("seen_first", 0, False), ("done_first", 1, False), ("seen_second", 2, False),
+                   ("finish_order", 1, True), ("scc_ptr", 3, True))
+
+
+def _frame_kosaraju(g: Digraph, before: MachineState, after: MachineState, prev: dict | None) -> dict:
+    """The seen, finish and component blocks; each list of ``prev`` whose
+    block the layer left as it was (the same objects) is kept."""
     n = g.n
-    seen1, order, seen2, comp = (after.shared[base : base + n] for base in _shared_layout(n))
-    return {
-        "seen_first": [0 if cell is UNDEF else 1 for cell in seen1],
-        "done_first": [0 if cell is UNDEF else 1 for cell in order],
-        "seen_second": [0 if cell is UNDEF else 1 for cell in seen2],
-        "finish_order": _indices([u if cell is UNDEF else cell for u, cell in enumerate(order)]),
-        "scc_ptr": _indices([u if cell is UNDEF else cell for u, cell in enumerate(comp)]),
-    }
+    new, old = after.shared, before.shared
+    frame = {}
+    for name, block, pointers in _KOSARAJU_LISTS:
+        lo, hi = block * n, block * n + n
+        if prev is not None and (new is old or all(map(is_, new[lo:hi], old[lo:hi]))):
+            frame[name] = prev[name]
+        elif pointers:  # each node's cell, the node itself where it is undefined
+            frame[name] = SharedRow(_indices([u if cell is UNDEF else cell for u, cell in enumerate(new[lo:hi])]))
+        else:
+            frame[name] = SharedRow([0 if cell is UNDEF else 1 for cell in new[lo:hi]])
+    return frame
 
 
 def _reference_kosaraju(inputs: dict, n: int) -> Replay:
@@ -432,61 +455,48 @@ def _reference_kosaraju(inputs: dict, n: int) -> Replay:
     or a finish, with a finish folded into the event that exhausts the node
     (a node with no edge to follow is finished as it is seen), plus the
     frame that ends each pass.  Pass 1 seeds in index order on the graph,
-    pass 2 in decreasing finish order on the reversed graph."""
+    pass 2 in decreasing finish order on the reversed graph.  An event
+    rebuilds only the rows it changes."""
     succ, pred = _adjacency(inputs, n)
-    hint = {
-        "seen_first": [0] * n,
-        "done_first": [0] * n,
-        "seen_second": [0] * n,
-        "finish_order": list(range(n)),
-        "scc_ptr": list(range(n)),
-    }
-    seen_first, done_first, seen_second, finish_order, ptr = hint.values()
+    zero, nodes = SharedRow([0] * n), SharedRow(range(n))
+    rows = {"seen_first": zero, "done_first": zero, "seen_second": zero, "finish_order": nodes, "scc_ptr": nodes}
 
-    def frame() -> dict:
-        return {name: list(value) for name, value in hint.items()}
+    def put(name: str, u: int, value: int) -> None:
+        rows[name] = SharedRow([*rows[name][:u], value, *rows[name][u + 1 :]])
 
-    def finish(u: int) -> None:
-        finish_order[u] = sum(done_first)
-        done_first[u] = 1
+    def leave(u: int) -> None:
+        """Number u's finish in pass 1; in pass 2 a leave changes nothing."""
+        if edges is succ:
+            put("finish_order", u, sum(rows["done_first"]))
+            put("done_first", u, 1)
 
-    def visit_first(w: int, root: int) -> bool:
-        seen_first[w] = 1
-        if not succ[w]:
-            finish(w)
-        return bool(succ[w])
-
-    def visit_second(w: int, root: int) -> bool:
-        seen_second[w] = 1
-        ptr[w] = root
-        return bool(pred[w])
-
-    def tree(root: int, edges, seen: list[int], visit, close) -> Iterator[dict]:
-        """The frames of one DFS tree; ``visit(w, root)`` marks w and says
-        whether to descend into it, ``close(u)`` runs as u leaves the stack."""
-        stack = [root] if visit(root, root) else []
-        yield frame()
-        scanned: dict[int, int] = {}
-        while stack:
-            u = stack[-1]
-            k = scanned.get(u, 0)
-            scanned[u] = k + 1
-            if k < len(edges[u]) and not seen[edges[u][k]]:
-                if visit(edges[u][k], root):
-                    stack.append(edges[u][k])
-            elif k + 1 >= len(edges[u]):
-                close(stack.pop())
-            yield frame()
-
-    for root in range(n):
-        if not seen_first[root]:
-            yield from tree(root, succ, seen_first, visit_first, finish)
-    yield frame()
-    for root in sorted(range(n), key=finish_order.__getitem__, reverse=True):
-        if not seen_second[root]:
-            yield from tree(root, pred, seen_second, visit_second, lambda u: None)
-    yield frame()
-    return {"scc_ptr": ptr}
+    for edges, seen in ((succ, "seen_first"), (pred, "seen_second")):
+        roots = range(n) if edges is succ else sorted(range(n), key=rows["finish_order"].__getitem__, reverse=True)
+        scanned = [0] * n
+        for root in (u for u in roots if not rows[seen][u]):
+            stack: list[int] = []
+            w = root  # the node the event enters, if any
+            while True:
+                if w is not None:
+                    put(seen, w, 1)
+                    if edges is pred:
+                        put("scc_ptr", w, root)
+                    if edges[w]:
+                        stack.append(w)
+                    else:
+                        leave(w)
+                yield dict(rows)
+                if not stack:
+                    break
+                u, w = stack[-1], None
+                k = scanned[u]
+                scanned[u] = k + 1
+                if k < len(edges[u]) and not rows[seen][edges[u][k]]:
+                    w = edges[u][k]
+                elif k + 1 >= len(edges[u]):
+                    leave(stack.pop())
+        yield dict(rows)
+    return {"scc_ptr": list(rows["scc_ptr"])}
 
 
 def _note_kosaraju(g: Digraph, before: MachineState, after: MachineState) -> str:
@@ -531,6 +541,7 @@ DCSC = AlgorithmSpec(
     reference=_reference_dcsc,
     parse_inline=parse_digraph_inline,
     note=_note_dcsc,
+    run_shape=lambda inputs, n: (sum(row.count(1.0) for row in inputs["adj_directed"]), n),
     input_violations=_adjacency_violations,
 )
 
@@ -550,4 +561,5 @@ KOSARAJU = DCSC._replace(
     frame=_frame_kosaraju,
     reference=_reference_kosaraju,
     note=_note_kosaraju,
+    run_shape=lambda inputs, n: (DCSC.run_shape(inputs, n)[0], 1),
 )

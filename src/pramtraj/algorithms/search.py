@@ -178,7 +178,9 @@ def _rank_output(rank: int) -> dict:
     return {"rank": rank}
 
 
-def _frame_parallel_search(inst: SearchInstance, before: MachineState, after: MachineState) -> dict:
+def _frame_parallel_search(
+    inst: SearchInstance, before: MachineState, after: MachineState, prev: dict | None
+) -> dict:
     return {"leq_mask": [int(as_scalar(row[MASK]) == 0.0) for row in after.local[: inst.n]]}
 
 
@@ -199,7 +201,9 @@ def _window_masks(n: int, lo: int, hi: int, mid: int) -> dict:
     }
 
 
-def _frame_binary_search(inst: SearchInstance, before: MachineState, after: MachineState) -> dict:
+def _frame_binary_search(
+    inst: SearchInstance, before: MachineState, after: MachineState, prev: dict | None
+) -> dict:
     shared = after.shared
     lo, hi, mid = as_index(shared[LO]), as_index(shared[HI]), as_index(shared[MID])
     return _window_masks(inst.n, lo, hi, mid)
@@ -250,6 +254,7 @@ PARALLEL_SEARCH = AlgorithmSpec(
     reference=_reference_parallel_search,
     parse_inline=parse_search_inline,
     note=_note_parallel_search,
+    run_shape=lambda inputs, n: (2 * n, n + 1),
 )
 
 # binary_search shares parallel_search's task: the same instances, inputs and outputs
@@ -266,4 +271,5 @@ BINARY_SEARCH = PARALLEL_SEARCH._replace(
     frame=_frame_binary_search,
     reference=_reference_binary_search,
     note=_note_binary_search,
+    run_shape=lambda inputs, n: (n * (n + 1), n + 1),
 )

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import is_
 from random import Random
 from typing import NamedTuple
 
@@ -219,10 +220,14 @@ def mask_rows(n: int) -> tuple[SharedRow, ...]:
     """The n + 1 rows of an n x n 0/1 mask in which each node has at most
     one partner, built once per n: ``rows[k]`` is one-hot at k for k < n,
     and ``rows[n]`` is all zero."""
-    rows = tuple(SharedRow(int(j == k) for j in range(n)) for k in range(n + 1))
-    for row in rows:
-        row.text = f"[{','.join(map(str, row))}]"
-    return rows
+    return tuple(SharedRow(int(j == k) for j in range(n)) for k in range(n + 1))
+
+
+@lru_cache(maxsize=None)
+def zero_mask(n: int) -> SharedRow:
+    """The all-zero n x n mask of a layer that swaps nothing, built once per
+    n: a shared row of n all-zero rows of ``mask_rows(n)``."""
+    return SharedRow([mask_rows(n)[n]] * n)
 
 
 def _swapped_pairs(old_table, new_table) -> list[tuple[int, int]]:
@@ -234,32 +239,37 @@ def _swapped_pairs(old_table, new_table) -> list[tuple[int, int]]:
     ]
 
 
-def _frame(old_table, new_table, n: int, cursor: dict) -> dict:
+def _frame(old_table, new_table, n: int, cursor: dict, prev: dict | None) -> dict:
     """Chain pointers and swaps of a layer that took the position table from
-    old_table to new_table, plus ``cursor``, the probes of the clock alone.
+    old_table to new_table, plus ``cursor``, the probes of the clock alone;
+    ``prev`` is the frame of the layer before, None for the first.
 
-    Each row of ``swap_mask`` is one of the read-only rows of
-    ``mask_rows(n)``: for each swapped pair (u, v), row u is one-hot at v
-    and row v at u, and every other row is the all-zero row."""
+    A layer that leaves every table cell as it was (the same objects) swaps
+    nothing: its frame holds ``prev``'s ``pred`` and ``zero_mask(n)``.  Any
+    other frame's ``swap_mask`` rows are rows of ``mask_rows(n)``: for each
+    swapped pair (u, v), row u is one-hot at v and row v at u, and every
+    other row is the all-zero row."""
+    if prev is not None and all(map(is_, old_table, new_table)):
+        return {"pred": prev["pred"], "swap_mask": zero_mask(n), **cursor}
     rows = mask_rows(n)
     swap_mask = [rows[n]] * n
     for u, v in _swapped_pairs(old_table, new_table):
         swap_mask[u] = rows[v]
         swap_mask[v] = rows[u]
-    pred = list(predecessors_from_table(tuple(new_table)))
+    pred = SharedRow(predecessors_from_table(tuple(new_table)))
     return {"pred": pred, "swap_mask": swap_mask, **cursor}
 
 
-def _frame_oets(inst: SortInstance, before: MachineState, after: MachineState) -> dict:
+def _frame_oets(inst: SortInstance, before: MachineState, after: MachineState, prev: dict | None) -> dict:
     n = inst.n
-    return _frame(before.shared[:n], after.shared[:n], n, {"parity": before.clock % 2})
+    return _frame(before.shared[:n], after.shared[:n], n, {"parity": before.clock % 2}, prev)
 
 
-def _frame_bubble(inst: SortInstance, before: MachineState, after: MachineState) -> dict:
+def _frame_bubble(inst: SortInstance, before: MachineState, after: MachineState, prev: dict | None) -> dict:
     n = inst.n
     passes, slots = bubble_schedule(n)
     cursor = {"cursor_i": passes[before.clock], "cursor_j": slots[before.clock]}
-    return _frame(before.shared[:n], after.shared[:n], n, cursor)
+    return _frame(before.shared[:n], after.shared[:n], n, cursor, prev)
 
 
 def _reference_oets(inputs: dict, n: int) -> Replay:
@@ -268,12 +278,14 @@ def _reference_oets(inputs: dict, n: int) -> Replay:
     items = inputs["items"]
     table = list(range(n))
     quiet = 0
+    frame = None
     for r in range(n):
         old_table = tuple(table)
         for k in range(r % 2, n - 1, 2):
             if items[table[k]] > items[table[k + 1]]:
                 table[k], table[k + 1] = table[k + 1], table[k]
-        yield _frame(old_table, table, n, {"parity": r % 2})
+        frame = _frame(old_table, table, n, {"parity": r % 2}, frame)
+        yield frame
         quiet = quiet + 1 if tuple(table) == old_table else 0
         if quiet == 2:
             break
@@ -284,11 +296,13 @@ def _reference_bubble(inputs: dict, n: int) -> Replay:
     """One compare-exchange per step of the fixed bubble schedule."""
     items = inputs["items"]
     table = list(range(n))
+    frame = None
     for i, j in zip(*bubble_schedule(n)):
         old_table = tuple(table)
         if items[table[j]] > items[table[j + 1]]:
             table[j], table[j + 1] = table[j + 1], table[j]
-        yield _frame(old_table, table, n, {"cursor_i": i, "cursor_j": j})
+        frame = _frame(old_table, table, n, {"cursor_i": i, "cursor_j": j}, frame)
+        yield frame
     return {"pred": list(predecessors_from_table(tuple(table)))}
 
 
@@ -321,6 +335,7 @@ OETS = AlgorithmSpec(
     reference=_reference_oets,
     parse_inline=parse_sort_inline,
     note=_note,
+    run_shape=lambda inputs, n: (n * (n - 1), n),
 )
 
 # bubble_sort shares oets's task: the same instances, inputs and outputs

@@ -16,25 +16,24 @@ replayed frames as the reference yields them, so neither holds more than
 one.
 
 The writer (``serialize_ndjson``) and ``line_is_clean`` spell hint frames
-with one function, ``_hint_pieces``, which reads no spec.  It spells the rows
-of a matrix (the sorts' dense n x n ``swap_mask``) one by one.  A sort
-frame's rows are shared read-only rows (``algorithms.SharedRow``: n + 1
-per n, from ``sorting.mask_rows``), each spelled by the text it carries.
-Every other list, a plain row included (one of a parsed or edited sample),
-comes whole from a cache of list text that lives for one line, keyed by the
-list's marshal bytes (an SCC frame's node lists, most of which one layer
-leaves as they were).  An exact int is spelled by ``str``, and every other
-hint value is one C encoder call.  The inputs are ``dumps_canonical``, which
-hands a list or matrix of ints, or of floats that repr spells as it does
-(the SCC adjacency matrices), to the C encoder whole and walks any other
-value cell by cell.
+with one function, ``_hint_pieces``, which reads no spec.  A list that many
+frames hold at once is a read-only ``algorithms.SharedRow`` built with its
+text: the SCC node lists and the sorts' ``pred``, which a frame keeps from
+the frame before wherever the layer left their source cells as they were,
+and the sorts' ``swap_mask`` rows (``sorting.mask_rows``) and whole mask
+of a swap-free layer (``sorting.zero_mask``).  A shared row, or a matrix of
+them, is spelled by its text, an exact int by ``str``, and any other value
+(a search frame's lists, a list of a parsed or edited sample) by one C
+encoder call.  The inputs are ``dumps_canonical``, which hands a list or
+matrix of ints, or of floats that repr spells as it does (the SCC adjacency
+matrices), to the C encoder whole and walks any other value cell by cell.
 """
 
 from __future__ import annotations
 
 import json
-import marshal
 from math import isfinite
+from operator import attrgetter
 from pathlib import Path
 from random import Random
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -120,15 +119,17 @@ def encode_sample(
     n = inst.n
     pos = increasing_unit_scalars(Random(seed), n)
     states = trace.states  # frame t decodes the layer from states[t - 1] to states[t]
+    hints = []
+    values = None
+    for t, (before, after) in enumerate(zip(states, states[1:]), 1):
+        values = spec.frame(inst, before, after, values)
+        hints.append(HintFrame(t, values))
     return Sample(
         algo=algo_id,
         n=n,
         seed={"index": index, "master": master, "value": seed},
         inputs=spec.inputs(inst, pos),
-        hints=tuple(
-            HintFrame(t, spec.frame(inst, before, after))
-            for t, (before, after) in enumerate(zip(states, states[1:]), 1)
-        ),
+        hints=tuple(hints),
         outputs=spec.outputs(output),
         activity=activity_summary(trace),
     )
@@ -245,10 +246,19 @@ def _field_violations(algo: AlgorithmSpec, n: int, inputs, outputs, seed, activi
     return []
 
 
+def _domain_violations(algo: AlgorithmSpec, n: int, inputs: dict, activity: dict) -> list[str]:
+    """What the inputs of a line with no field violation break of their
+    domain (``input_violations``); when nothing, ``activity.m`` and
+    ``activity.width`` against the ``run_shape`` of the inputs."""
+    out = algo.input_violations(inputs, n) if algo.input_violations is not None else []
+    shape = () if out else zip(("m", "width"), algo.run_shape(inputs, n))
+    return out + [f"activity.{key}: must be {want}" for key, want in shape if activity[key] != want]
+
+
 def validate_sample(sample: Sample) -> list[str]:
-    """Check one sample against its algorithm's probe schema and input
-    domain and, when that finds nothing, replay it (``replay_sample``);
-    returns violations.
+    """Check one sample against its algorithm's probe schema, input domain
+    and ``run_shape`` and, when that finds nothing, replay it
+    (``replay_sample``); returns violations.
 
     Never raises on a malformed payload: a container of the wrong type is a
     violation like any other, a frame or output the replay does not
@@ -279,8 +289,8 @@ def validate_sample(sample: Sample) -> list[str]:
         for probe in hint_probes:
             _check_payload(probe, frame.values[probe.name], n, where, out)
 
-    if not out and algo.input_violations is not None:
-        out = algo.input_violations(sample.inputs, n)
+    if not out:
+        out = _domain_violations(algo, n, sample.inputs, sample.activity)
     if out:
         return out
     try:
@@ -296,44 +306,32 @@ def validate_sample(sample: Sample) -> list[str]:
 # canonical serialization
 
 
-# version 2 writes no back-references, which follow object identity, so
-# equal lists marshal to equal bytes
-_MARSHAL_VERSION = 2
+_ROW_TEXT = attrgetter("text")
 
 
-def _cached_text(value, texts: dict[bytes, str]) -> str:
-    """``_encode_ints(value)``, kept in ``texts`` by the value's marshal
-    bytes.  Equal bytes load to equal values of equal cell types, so
-    ``[1,0]``, ``[true,0]`` and ``[1.0,0]`` never share an entry, as
-    ``tuple(row)`` keys would (``True == 1 == 1.0``)."""
-    packed = marshal.dumps(value, _MARSHAL_VERSION)
-    text = texts.get(packed)
-    if text is None:
-        text = texts[packed] = _encode_ints(value)
-    return text
+def _text(value) -> str:
+    """``_encode_ints(value)``, with a ``SharedRow`` spelled by its own
+    text, a list of them (a matrix) by joining theirs and an exact int by
+    ``str``."""
+    if type(value) is SharedRow:
+        return value.text
+    if type(value) is int:
+        return str(value)
+    if type(value) is list and value and type(value[0]) is SharedRow and set(map(type, value)) == {SharedRow}:
+        return f"[{','.join(map(_ROW_TEXT, value))}]"
+    return _encode_ints(value)
 
 
-def _spelled(step: int, values: dict, texts: dict[bytes, str]) -> str:
-    """``_encode_ints({"step": step, "values": values})``, with an exact int
-    spelled by ``str`` and each list by ``_cached_text``: a matrix (a list
-    whose first cell is a list) row by row, where a ``SharedRow`` is spelled
-    by its own ``text``, and any other list whole.  A matrix's text is its
-    rows' texts joined, so the two spellings agree."""
-    parts = ['{"step":', str(step), ',"values":{']
-    for idx, key in enumerate(sorted(values)):
-        value = values[key]
-        parts += ("," if idx else "", _encode_ints(key), ":")
-        if type(value) is int:
-            parts.append(str(value))
-        elif type(value) is not list:
-            parts.append(_encode_ints(value))
-        elif value and isinstance(value[0], list):
-            rows = (row.text if type(row) is SharedRow else _cached_text(row, texts) for row in value)
-            parts += ("[", ",".join(rows), "]")
-        else:
-            parts.append(_cached_text(value, texts))
-    parts.append("}}")
-    return "".join(parts)
+def _spelled(step: int, values: dict, names: dict[tuple, list[tuple[str, str]]]) -> str:
+    """``_encode_ints({"step": step, "values": values})``, each value by
+    ``_text``; ``names`` keeps the sorted keys of each key order met, each
+    with its ``"name":`` text."""
+    keys = tuple(values)
+    order = names.get(keys)
+    if order is None:
+        order = names[keys] = [(key, f"{_encode_ints(key)}:") for key in sorted(keys)]
+    body = ",".join([name + _text(values[key]) for key, name in order])
+    return f'{{"step":{_text(step)},"values":{{{body}}}}}'
 
 
 def _hint_pieces(frames: Iterable[tuple[int, dict]]) -> Iterator[str]:
@@ -342,22 +340,19 @@ def _hint_pieces(frames: Iterable[tuple[int, dict]]) -> Iterator[str]:
     then ``]``.
 
     A frame is what a spec's ``frame`` and ``reference`` build: an int step
-    and a dict of ints and lists of ints.  The rows of a matrix are spelled
-    one by one: the sorts' ``swap_mask`` rows are shared read-only rows
-    (``SharedRow``, from ``sorting.mask_rows``), each spelled by the text it
-    carries, so a frame's mask costs n lookups and no encoding.  Every
-    other list, and a plain row (a parsed or edited sample's), is spelled
-    from a cache of list text that lives for this call; one DFS or BFS
-    layer changes a cell or two of an SCC frame's node lists, so most of
-    them are the previous frame's.  An exact int is spelled by ``str``, and
-    any other value is one C encoder call, in sorted key order.
+    and a dict of ints and lists of ints, most of them shared read-only rows
+    (``SharedRow``) that carry their text: an SCC frame's node lists, of
+    which one DFS event or BFS layer changes one or two, and the sorts'
+    ``pred`` and ``swap_mask``.  The plain lists of a parsed or edited
+    sample's frames are spelled by the encoder, with the same text.  The
+    keys' ``"name":`` text is made once per key order, not once per frame.
     """
-    texts: dict[bytes, str] = {}
+    names: dict[tuple, list[tuple[str, str]]] = {}
     yield "["
     for idx, (step, values) in enumerate(frames):
         if idx:
             yield ","
-        yield _spelled(step, values, texts)
+        yield _spelled(step, values, names)
     yield "]"
 
 
@@ -540,8 +535,8 @@ def line_is_clean(chunk: bytes, algo_id: str) -> bool:
     n, inputs, activity = tail["n"], tail["inputs"], head["activity"]
     if not (type(n) is int and n >= 1):
         return False
-    if _field_violations(algo, n, inputs, tail["outputs"], tail["seed"], activity) or (
-        algo.input_violations is not None and algo.input_violations(inputs, n)
+    if _field_violations(algo, n, inputs, tail["outputs"], tail["seed"], activity) or _domain_violations(
+        algo, n, inputs, activity
     ):
         return False
     outputs: list[dict] = []

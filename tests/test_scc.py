@@ -208,18 +208,21 @@ class TestKosaraju:
 def test_a_frame_pointer_that_is_not_an_index_raises():
     # the decoders test the pointers' types at once and leave the error to as_index
     g = Digraph(3, frozenset({(0, 1), (1, 0), (1, 2)}))
+    # (a changed cell is decoded afresh also where the frame before is given)
     _, trace = dcsc(g)
-    before, after = trace.states[:2]
+    before, after = trace.states[1:3]
     rows = list(after.local)
     rows[1] = rows[1][:PTR] + (True,) + rows[1][PTR + 1 :]
-    with pytest.raises(CellTypeError, match="cell True is not a index"):
-        DCSC.frame(g, before, after._replace(local=tuple(rows)))
+    for prev in (None, DCSC.frame(g, trace.states[0], before, None)):
+        with pytest.raises(CellTypeError, match="cell True is not a index"):
+            DCSC.frame(g, before, after._replace(local=tuple(rows)), prev)
     _, trace = kosaraju(g)
     before, after = trace.states[-2:]
     shared = list(after.shared)
     shared[3 * g.n + 2] = 1.0  # node 2's cell of the component block
-    with pytest.raises(CellTypeError, match="cell 1.0 is not a index"):
-        KOSARAJU.frame(g, before, after._replace(shared=tuple(shared)))
+    for prev in (None, KOSARAJU.frame(g, trace.states[-3], before, None)):
+        with pytest.raises(CellTypeError, match="cell 1.0 is not a index"):
+            KOSARAJU.frame(g, before, after._replace(shared=tuple(shared)), prev)
 
 
 def test_pairs_agree_on_partitions():

@@ -2,6 +2,7 @@ import copy
 import json
 import operator
 import pickle
+import re
 from random import Random
 
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from pramtraj.algorithms import ALGORITHMS, HintFrame, SharedRow, run, scc, search, sorting, spec_for
 from pramtraj.algorithms.search import SearchInstance, parallel_search
-from pramtraj.algorithms.sorting import SortInstance, mask_rows, oets_sort
+from pramtraj.algorithms.sorting import SortInstance, mask_rows, oets_sort, zero_mask
 from pramtraj.algorithms.scc import Digraph, dcsc
+from pramtraj.canonical import _encode_ints
 from pramtraj.harness import generate_instance, sample_seed
 from pramtraj.trajectory import (
     _hint_pieces,
@@ -31,6 +33,7 @@ from pramtraj.trajectory import (
 )
 
 from canon_oracle import per_cell
+from test_programs import instances
 
 # task family -> the module that defines its two specs
 HOMES = {"search": search, "sort": sorting, "scc": scc}
@@ -481,7 +484,7 @@ class TestWriter:
 
 
 def spelled(hints) -> str:
-    """The writer's text of a hint list, its lists from the list-text cache."""
+    """The writer's text of a hint list, its shared rows by their own text."""
     return "".join(_hint_pieces((frame.step, frame.values) for frame in hints))
 
 
@@ -516,7 +519,7 @@ _NUMBER_CELLS = st.one_of(
 
 
 class TestHintRows:
-    """The row cache of _hint_pieces changes no byte of the hint text."""
+    """Spelling shared rows by their own text changes no byte of the hint text."""
 
     def test_every_sample(self):
         for algo in ALGORITHMS:
@@ -587,34 +590,36 @@ class TestHintRows:
         hints = [HintFrame(t, v) for t, v in enumerate(frames, 1)]
         assert spelled(hints) == canonical(hints)
 
-    def test_a_flipped_cached_row_is_caught(self):
+    def test_a_flipped_shared_row_is_caught(self):
         # an all-zero row of the last frame, a row earlier frames hold too,
         # replaced by a copy with one 1: the byte comparison and the replay see it
         for algo in ("oets", "bubble_sort"):
             sample = make_sample(algo, n=8, master=0)
             k = len(sample.hints) - 1
-            mask = sample.hints[k].values["swap_mask"]
+            values = sample.hints[k].values
+            shared_mask = values["swap_mask"]
+            values["swap_mask"] = mask = list(shared_mask)  # the whole mask may be shared too
             row = next(r for r in range(8) if not any(mask[r]))
             assert any(mask[row] == earlier for frame in sample.hints[:k] for earlier in frame.values["swap_mask"])
-            shared = mask[row]
-            mask[row] = flipped = list(shared)
+            mask[row] = flipped = list(mask[row])
             flipped[(row + 3) % 8] = 1
             try:
                 chunk = serialize_ndjson([sample])
                 assert not line_is_clean(chunk, algo), algo
                 assert verdict(chunk) == [f"replay: frame {k}: swap_mask mismatch"], algo
             finally:
-                mask[row] = shared
+                values["swap_mask"] = shared_mask
 
-    def test_a_flipped_cached_node_list_is_caught(self):
-        # one cell of a node list of the last frame whose text the cache
-        # holds from the frame before: the byte comparison and the replay see it
+    def test_a_flipped_shared_node_list_is_caught(self):
+        # one cell of a node list that the last frame shares with the frame
+        # before, in an edited copy: the byte comparison and the replay see it
         for algo in ("dcsc", "kosaraju"):
             sample = make_sample(algo, n=8, master=0)
             k = len(sample.hints) - 1
             last, before = sample.hints[k].values, sample.hints[k - 1].values
-            name = next(name for name in sorted(last) if last[name] == before[name])
-            last[name][0] ^= 1  # 0 and 1 swap, and so do the categories 2k and 2k+1
+            name = next(name for name in sorted(last) if last[name] is before[name])
+            last[name] = flipped = list(last[name])
+            flipped[0] ^= 1  # 0 and 1 swap, and so do the categories 2k and 2k+1
             chunk = serialize_ndjson([sample])
             assert not line_is_clean(chunk, algo), algo
             assert verdict(chunk) == [f"replay: frame {k}: {name} mismatch"], algo
@@ -706,6 +711,56 @@ class TestSharedMaskRows:
         assert rows is mask_rows(5)
         assert rows == tuple([int(j == k) for j in range(5)] for k in range(6))
         assert [row.text for row in rows] == [dumps_canonical(row) for row in rows]
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_the_zero_mask_is_one_shared_row_of_zero_rows(self, n):
+        mask = zero_mask(n)
+        assert mask is zero_mask(n) and type(mask) is SharedRow
+        assert all(row is mask_rows(n)[n] for row in mask) and len(mask) == n
+        assert mask.text == dumps_canonical(mask) == dumps_canonical([[0] * n] * n)
+        with pytest.raises(TypeError, match="read-only"):
+            mask[0] = list(mask[0])
+
+
+def _shared_rows(value):
+    """Every SharedRow in a hint value, at any depth."""
+    if isinstance(value, list):
+        if type(value) is SharedRow:
+            yield value
+        for cell in value:
+            yield from _shared_rows(cell)
+
+
+class TestSharedFrames:
+    """A frame that keeps rows of the frame before is the frame decoded
+    afresh, and the reference's frame at that step; every shared row's text
+    is the encoder's."""
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_sharing_is_sound(self, algo):
+        spec = spec_for(algo)
+        shared = 0
+        for inst in instances(algo, range(1, 9), range(4)):
+            n = inst.n
+            _, trace = run(algo, inst)
+            states = trace.states
+            frames, prev = [], None
+            for before, after in zip(states, states[1:]):
+                prev = spec.frame(inst, before, after, prev)
+                # by text, which tells True, 1 and 1.0 apart
+                assert _encode_ints(prev) == _encode_ints(spec.frame(inst, before, after, None)), (inst, len(frames))
+                frames.append(prev)
+            inputs = spec.inputs(inst, [(k + 0.5) / n for k in range(n)])
+            replayed, _ = drain(spec.reference(inputs, n))
+            assert len(replayed) == len(frames), inst
+            for step, (want, got) in enumerate(zip(replayed, frames)):
+                assert _encode_ints(want) == _encode_ints(got), (inst, step)
+            for values in frames + replayed:
+                for row in _shared_rows(list(values.values())):
+                    assert row.text == _encode_ints(list(row)), (inst, row)
+            shared += sum(a[k] is b[k] for a, b in zip(frames, frames[1:]) for k in a)
+        # the decoders and references of sorting and SCC do share rows
+        assert shared or spec.family == "search"
 
 
 class TestReplay:
@@ -829,6 +884,8 @@ class TestReplay:
                         elif probe.location == "node":
                             slots = [(frame.values, probe.name, col) for col in range(n)]
                         else:
+                            # the mask of a swap-free layer is shared too: edit a plain copy
+                            frame.values[probe.name] = value = list(value)
                             slots = [(value, row, col) for row in range(n) for col in range(n)]
                         top = 2 if probe.dtype == "mask" else categories(probe, n)
                         for holder, key, col in slots:
@@ -852,7 +909,8 @@ class TestReplay:
             for index in range(4):
                 sample = make_sample(algo, n=8, index=index, master=0)
                 for frame in sample.hints:
-                    mask = frame.values["swap_mask"]
+                    # a plain copy: the mask of a swap-free layer is shared
+                    frame.values["swap_mask"] = mask = list(frame.values["swap_mask"])
                     for u in range(8):
                         shared = mask[u]
                         for v in range(8):
@@ -885,6 +943,43 @@ def _cells(values: dict):
 def verdict(chunk: bytes) -> list[str]:
     (sample,) = parse_ndjson(chunk)
     return validate_sample(sample)
+
+
+class TestRunShape:
+    """activity.m and activity.width are what the algorithm's run records."""
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_every_single_digit_edit_is_a_violation(self, algo):
+        chunk = serialize_ndjson([make_sample(algo, n=5, master=3)])
+        obj = json.loads(chunk)
+        spans = [re.search(rb'^\{"activity":\{"m":(\d+)', chunk).span(1),
+                 re.search(rb'\],"width":(\d+)\},"algo":', chunk).span(1)]
+        edits = 0
+        for key, (start, end) in zip(("m", "width"), spans):
+            for at in range(start, end):
+                for digit in b"0123456789":
+                    edited = chunk[:at] + bytes([digit]) + chunk[at + 1 :]
+                    try:
+                        if json.loads(edited) == obj:
+                            continue
+                    except ValueError:
+                        continue  # a leading zero
+                    edits += 1
+                    assert not line_is_clean(edited, algo), (key, edited[start - 10 : end + 1])
+                    assert verdict(edited) == [f"activity.{key}: must be {obj['activity'][key]}"]
+        assert edits >= 9 * 2
+
+    def test_the_forms(self):
+        for algo in ALGORITHMS:
+            for n in (1, 2, 5, 9):
+                for index in range(3):
+                    sample = make_sample(algo, n=n, index=index, master=0)
+                    m, width = sample.activity["m"], sample.activity["width"]
+                    assert width == {"parallel_search": n + 1, "binary_search": n + 1, "kosaraju": 1}.get(algo, n)
+                    if spec_for(algo).family == "scc":
+                        assert m == sum(row.count(1.0) for row in sample.inputs["adj_directed"])
+                    else:
+                        assert m == {"parallel_search": 2 * n, "binary_search": n * (n + 1)}.get(algo, n * (n - 1))
 
 
 class TestLineCheck:
@@ -932,9 +1027,9 @@ class TestLineCheck:
                             hints=tuple(HintFrame(t, v) for t, v in enumerate(frames, 1)),
                             outputs=outputs,
                             activity={
-                                "m": 0,
+                                "m": spec.run_shape(inputs, n)[0],
                                 "steps": [{"edges": 0, "nodes": 0, "ops": 0}] * len(frames),
-                                "width": 0,
+                                "width": spec.run_shape(inputs, n)[1],
                             },
                         )
                         # the replayed frames cannot mend a redrawn pos, nor a search or
