@@ -283,12 +283,13 @@ def gen_digraph(n: int, max_degree: int, seed: int) -> Digraph:
         raise ValueError("max_degree must be >= 1")
     rng = Random(seed)
     edges = set()
-    others = {u: [v for v in range(n) if v != u] for u in range(n)}
     for u in range(n):
         degree = rng.randint(0, min(max_degree, n - 1))
         if degree:
-            for v in rng.sample(others[u], degree):
-                edges.add((u, v))
+            # sample picks indices from the population's size alone, so this
+            # draws what sampling the n - 1 other nodes in order would
+            for j in rng.sample(range(n - 1), degree):
+                edges.add((u, j + (j >= u)))
     return Digraph(n, frozenset(edges))
 
 

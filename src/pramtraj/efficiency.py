@@ -1,13 +1,13 @@
 """Capacity, node efficiency, edge efficiency, and scaling reports.
 
 Every metric is a ratio of a run's integer counts, the ones the
-``activity`` block of a dataset line holds (``machine.activity_summary``),
+``activity`` block of a dataset line holds (``trajectory.activity_summary``),
 so a written dataset's metrics follow from its lines without re-running the
 machine.  ``size_record`` builds no summary: it folds each run straight
 into its counts, ``machine.RunCounts``, one layer at a time
 (``machine.fold_counts``, which counts a layer by the summary's own rule,
-``machine.layer_counter``), so a run holds one machine state, and it adds
-those counts into the size's integer totals.  Each float of a
+``machine.layer_counter``, on one ``machine.LiveState`` that every layer
+writes in place), and it adds those counts into the size's integer totals.  Each float of a
 ``SizeRecord`` is one division of those totals, so it is the correctly
 rounded value of its rational, whatever the order of the runs and the
 interpreter.

@@ -13,6 +13,7 @@ never compile it.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from contextlib import contextmanager
@@ -20,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .algorithms import ALGORITHMS, run, sample_seed, spec_for
-from .machine import MachineError, collector_paused
+from .machine import MachineError
 
 if TYPE_CHECKING:
     from .trajectory import Sample
@@ -74,6 +75,20 @@ def labelled_failure(algo_id: str, n: int, index: int, master: int | None):
         where = "exhaustive index" if master is None else f"master seed {master}, index"
         raise type(err)(f"{err} (algo {algo_id}, n {n}, {where} {index})") from err
 
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Keep the cyclic garbage collector off for the body, then restore its
+    state on entry, also when the body raises.  A trace is acyclic, so the
+    collector can free none of it: wrap all that holds one, so that it is
+    freed before the collector is back on, not walked at every collection."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 def generate_instance(algo_id: str, n: int, seed: int):
     """One seeded instance from the algorithm's generator."""

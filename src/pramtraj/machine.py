@@ -1,52 +1,30 @@
 """Synchronous priority-CRCW machine with per-layer activity recording.
 
 The machine holds ``width`` processors, each with a fixed-size list of local
-cells, plus a shared memory (the graph-level feature).  One step, one
-``step_machine`` call, applies a per-processor transition function
-synchronously: every processor reads the *previous* state through one
-reused ``NodeContext``, the step's shared-memory writes go straight into one
-copy of shared memory under the priority rule (per address, the lowest
-processor index wins, with its first write), and the step's activity --
-which nodes executed a non-identity operation, which edges carried
-information into them, how many operations ran -- is recorded.  Shared
-memory is not a node and has no edges: a layer that writes it counts one
-extra operation, the graph-feature update, and nothing more.
+cells, plus a shared memory (the graph-level feature).  One layer, one
+``step_machine`` call, runs a per-processor transition function against the
+*previous* state and records which nodes executed a non-identity operation,
+which edges carried information into them and how many operations ran.
+Shared memory is not a node and has no edges: a layer that writes it counts
+one extra operation, the graph-feature update, and nothing more.
 
-A processor has three sources to read, one reader each: its own cells
-(``own``), an in-neighbour's cells (``read``) and shared memory (``shared``).
-Only ``read`` crosses an edge.  Cells are plain Python values: ``float``
-(scalar), ``int`` (node index), ``bool`` (flag), or the ``UNDEF`` sentinel.
-A reader given the expected type as ``kind`` enforces the variant; an
-``UNDEF`` cell stores no information, so reading one never records an
-active edge.
+A processor reads its own cells (``own``), an in-neighbour's (``read``, the
+one source that crosses an edge) and shared memory (``shared``).  A cell is a
+``float`` (scalar), an ``int`` (node index), a ``bool`` (flag) or ``UNDEF``,
+which stores no information, so reading it never records an active edge.
 
 An algorithm describes one run as a ``Program``: initial state, step,
 graph, halt predicate, step budget, optional candidates and instance edges,
-and ``output``, which reads the result off the final state.  ``layers``
-steps a program and yields each layer; ``run_machine`` folds them into a
-``Trace`` (every state, for decoding hint frames) or, with ``fold_counts``,
-into ``RunCounts`` (one state and the run's integer counts, summed layer by
-layer with no per-layer list or call), and returns the program's output
-with the folded run.  Traces are acyclic, so the cyclic garbage collector
-can never free any part of one; ``collector_paused`` keeps it off while a
-trace is alive instead of letting it rescan the growing trace at every
-collection.  A run folded into counts holds no trace, so it runs with the
-collector on.
-
-An ``InterconnectionGraph`` is what the machine reads of a topology: its
-node count ``n``, its edge count ``m`` (the denominator of edge efficiency)
-and, per node, the frozenset of nodes ``read`` lets it read.
-``interconnection(n, edges)`` builds one from explicit edges and checks
-them; ``complete_graph`` and ``star_graph`` build theirs directly, and
-``symmetric_graph`` closes an edge set.  Every node of ``complete_graph(n)``
-shares one frozenset of all n nodes (``read`` rejects a node's read of
-itself apart), so the graph takes O(n) memory, not O(n^2).
+and ``output``, which reads the result off the final state.  ``run_machine``
+folds a run into a ``Trace`` (``fold_trace``: every state, for decoding hint
+frames, each an immutable ``MachineState`` that shares the rows a layer left
+alone) or into ``RunCounts`` (``fold_counts``: the run's integer counts, from
+one ``LiveState`` that each layer updates in place), and returns the
+program's output with the folded run.
 """
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -127,6 +105,50 @@ class MachineState(NamedTuple):
     def width(self) -> int:
         return len(self.local)
 
+    def apply(self, updates: list[tuple[int, Mapping[int, Cell]]], written: dict[int, Cell], clock: int) -> MachineState:
+        """The snapshot after a layer's buffered writes; it shares every row
+        they leave alone, and the shared tuple when there are none."""
+        local, shared = self.local, self.shared
+        if updates:
+            local = list(local)
+            for pid, update in updates:
+                row = list(local[pid])
+                for slot, value in update.items():
+                    row[slot] = value
+                local[pid] = tuple(row)
+            local = tuple(local)
+        if written:
+            shared = list(shared)
+            for addr, value in written.items():
+                shared[addr] = value
+            shared = tuple(shared)
+        # tuple.__new__ skips the generated NamedTuple constructor's frame
+        return _new_tuple(MachineState, (local, shared, clock))
+
+
+class LiveState:
+    """The one state a counted run steps: its rows and shared memory are
+    lists, which ``apply`` writes in place.  Each is made by ``[*x]``, which
+    reuses a freed list where ``list(x)`` would not."""
+
+    __slots__ = ("local", "shared", "clock")
+
+    def __init__(self, state: MachineState) -> None:
+        self.local = [[*row] for row in state.local]
+        self.shared = [*state.shared]
+        self.clock = state.clock
+
+    def apply(self, updates: list[tuple[int, Mapping[int, Cell]]], written: dict[int, Cell], clock: int) -> LiveState:
+        local, shared = self.local, self.shared
+        for pid, update in updates:
+            row = local[pid]
+            for slot, value in update.items():
+                row[slot] = value
+        for addr, value in written.items():
+            shared[addr] = value
+        self.clock = clock
+        return self
+
 
 class InterconnectionGraph(NamedTuple):
     """Fixed communication topology, as the machine reads it: ``n`` nodes,
@@ -173,14 +195,10 @@ def symmetric_graph(n: int, directed_edges: Iterable[tuple[int, int]]) -> Interc
 
 
 class ActivityRecord(NamedTuple):
-    """What happened at one layer.
-
-    ``active_edges`` holds the graph edges whose source cell was read
-    through ``NodeContext.read``, held a defined value, and fed an executed
-    operation.  A processor's own cells are structural and shared memory is
-    not a node: reading either records no edge, and a layer that writes
-    shared memory counts one extra operation (``graph_op``).
-    """
+    """What happened at one layer.  ``active_edges`` holds the graph edges
+    whose source cell was read through ``NodeContext.read``, held a defined
+    value, and fed an executed operation; a layer that writes shared memory
+    counts one extra operation (``graph_op``)."""
 
     step: int
     active_nodes: frozenset[int]
@@ -234,11 +252,9 @@ class NodeContext:
     or ``CellTypeError`` is raised otherwise, before any edge is recorded.
     Without ``kind`` the cell is returned as it is, ``UNDEF`` included.
 
-    ``step_machine`` reuses one context, ``_CONTEXT``, for every layer: it
-    points the context at the layer's state, graph and a fresh edge list
-    (``edge_reads``, to which edge reads are appended) and then ``pid`` at
-    each processor in turn.  What it reads is valid only during that call,
-    so a step must not keep its context or run a layer itself.
+    ``step_machine`` reuses one context, ``_CONTEXT``, for every layer, set
+    to the layer's state, graph and fresh edge list (``edge_reads``) and
+    ``pid`` to each processor in turn: a step must not keep it or run a layer.
     """
 
     __slots__ = ("pid", "clock", "_local", "_shared", "_in_nbrs", "edge_reads")
@@ -286,37 +302,35 @@ _new_tuple = tuple.__new__
 
 
 def step_machine(
-    state: MachineState,
+    state: MachineState | LiveState,
     step_fn: StepFn,
     graph: InterconnectionGraph,
     candidates: Sequence[int] | None = None,
-) -> tuple[MachineState, ActivityRecord]:
+) -> tuple[MachineState | LiveState, ActivityRecord]:
     """One synchronous layer.
 
     ``candidates`` optionally restricts which processors are offered the step
-    function, as a sequence (a tuple or a list) of pids in any order, each
-    run once however often it appears; every other processor is identity by
-    construction.  ``step_fn`` returns ``None`` for identity: the node is not
-    active and its reads are discarded.  Otherwise it returns a ``(local,
-    writes)`` pair (see ``StepFn``), and the node is active.  The processors
-    run in ascending pid order, each writing into one copy of shared memory
-    made at the layer's first write, so the first write to an address, the
-    lowest pid's and that processor's first, is the one the layer keeps.  A
-    ``MachineError`` raised in the layer keeps its type and its message ends
-    ``(layer t, node p)``: t is the ``step`` of the layer's record, p the
-    processor that raised it (a candidate out of range names the layer
-    only).
+    function, as a sequence of pids in any order, each run once however
+    often it appears; every other processor is identity.  ``step_fn`` returns
+    ``None`` for identity (the node is not active and its reads are
+    discarded) or a ``(local, writes)`` pair (see ``StepFn``).  The processors
+    run in ascending pid order against ``state`` as it was.  Their local
+    updates are buffered, and so is the first write to each shared address,
+    the lowest pid's and that processor's first; then ``state.apply`` applies
+    both.  A ``MachineError`` raised in the layer keeps its type and its
+    message ends ``(layer t, node p)``: t is the ``step`` of the layer's
+    record, p the processor that raised it (a candidate out of range names
+    the layer only).
     """
     local_rows = state.local
-    shared_cells = state.shared
     width = len(local_rows)
-    shared_len = len(shared_cells)
-    new_local: list[tuple[Cell, ...]] | None = None
-    cells: list[Cell] | None = None  # the layer's copy of shared memory, once written
+    shared_len = len(state.shared)
+    updates: list[tuple[int, Mapping[int, Cell]]] = []
+    written: dict[int, Cell] = {}
     active: list[int] = []
     edges: list[tuple[int, int]] = []
     ctx = _CONTEXT
-    ctx.clock, ctx._local, ctx._shared = state.clock, local_rows, shared_cells
+    ctx.clock, ctx._local, ctx._shared = state.clock, local_rows, state.shared
     ctx._in_nbrs, ctx.edge_reads = graph.in_nbrs, edges
     pid = None  # no processor has run yet: a candidate error names the layer only
     try:
@@ -341,65 +355,37 @@ def step_machine(
             active.append(pid)
             local_update, writes = update
             if local_update:
-                if new_local is None:
-                    new_local = list(local_rows)
-                row = list(new_local[pid])
-                for slot, value in local_update.items():
-                    if not 0 <= slot < len(row):
+                size = len(local_rows[pid])
+                for slot in local_update:
+                    if not 0 <= slot < size:
                         raise MachineError(f"local slot {slot} out of range")
-                    row[slot] = value
-                new_local[pid] = tuple(row)
+                updates.append((pid, local_update))
             if writes:
-                if cells is None:
-                    cells, written = list(shared_cells), set()
                 for addr, value in writes:
                     if not 0 <= addr < shared_len:
                         raise MachineError(f"shared address {addr} out of range")
                     if addr not in written:
-                        written.add(addr)
-                        cells[addr] = value
+                        written[addr] = value
     except MachineError as err:
         node = "" if pid is None else f", node {pid}"
         raise type(err)(f"{err} (layer {state.clock + 1}{node})") from err
 
     clock = state.clock + 1
-    wrote = cells is not None
-    after = (local_rows if new_local is None else tuple(new_local), tuple(cells) if wrote else shared_cells, clock)
+    wrote = bool(written)
     nodes = frozenset(active) if active else _EMPTY
     record = (clock, nodes, frozenset(edges) if edges else _EMPTY, len(active) + wrote, wrote)
-    # tuple.__new__ skips the generated NamedTuple constructors' frames
-    return _new_tuple(MachineState, after), _new_tuple(ActivityRecord, record)
-
-
-@contextmanager
-def collector_paused() -> Iterator[None]:
-    """Keep the cyclic garbage collector off for the body, then restore the
-    state it had on entry, also when the body raises.
-
-    Wrap everything that holds a trace, so that the trace is freed before
-    the collector is back on: a trace still alive then would be walked whole
-    by the next collection.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-Layer = tuple[MachineState, MachineState, ActivityRecord]
+    return state.apply(updates, written, clock), _new_tuple(ActivityRecord, record)
 
 
 class Program(NamedTuple):
     """One run of an algorithm, described whole: from ``initial`` on
     ``graph``, apply ``step`` to the processors ``candidates(state)`` offers
-    as a sequence (all when ``candidates`` is ``None``) until
-    ``halt(state)``, within ``max_steps`` layers; ``algo_id`` names the run
-    in the step-limit error.  ``output(final)``
-    reads the result off the final state; ``instance_edges``, where set, are
-    the instance's directed edges that activity is counted against."""
+    (all when ``candidates`` is ``None``) until ``halt(state)``, within
+    ``max_steps`` layers (``algo_id`` names the run in the step-limit error),
+    and read the result off the final state with ``output``.  The three read
+    a state's ``local``, ``shared`` and ``clock`` as sequences, so they run
+    on a ``MachineState`` or a ``LiveState``.  ``instance_edges``, where set,
+    are the instance's directed edges that activity is counted against."""
 
     algo_id: str
     initial: MachineState
@@ -412,7 +398,7 @@ class Program(NamedTuple):
     instance_edges: frozenset[tuple[int, int]] | None = None
 
 
-def layers(program: Program) -> Iterator[Layer]:
+def layers(program: Program) -> Iterator[tuple[MachineState, MachineState, ActivityRecord]]:
     """Step one run until the halt predicate fires, yielding ``(before,
     after, record)`` per layer; deterministic for fixed inputs."""
     step_fn, graph, halt, max_steps = program.step, program.graph, program.halt, program.max_steps
@@ -431,11 +417,11 @@ def layers(program: Program) -> Iterator[Layer]:
         depth += 1
 
 
-def fold_trace(program: Program, stream: Iterable[Layer]) -> Trace:
+def fold_trace(program: Program) -> Trace:
     """Every state and record of a run, as a ``Trace``."""
     states = [program.initial]
     activity: list[ActivityRecord] = []
-    for _, after, record in stream:
+    for _, after, record in layers(program):
         states.append(after)
         activity.append(record)
     width, graph, edges = program.initial.width, program.graph, program.instance_edges
@@ -451,12 +437,10 @@ def layer_counter(
 
     ``m`` is the edge count of the operated graph: the instance's directed
     edges when the run has them, otherwise the interconnection edges.  A
-    layer's ``edges`` counts its active edges against that graph: the
-    neighbour reads of its executed operations, never a processor's reads of
-    its own cells or of shared memory.  Plain tasks count the recorded
-    channels directly, by ``len``.  Runs tied to a directed instance fold
-    each channel onto the instance edge it traverses, so an edge used in
-    both directions in one layer counts once and edges <= m holds.
+    layer's ``edges`` counts its active edges, the neighbour reads of its
+    executed operations, against that graph: by ``len`` for a plain task;
+    a run tied to a directed instance folds each onto the instance edge it
+    traverses, so an edge used both ways in one layer counts once.
     """
     if instance_edges is None:
         return graph.m, len
@@ -475,10 +459,9 @@ def layer_counter(
 
 class RunCounts(NamedTuple):
     """The integer counts of one run that its metrics need, and its final
-    state: its ``depth``, the ``ops`` and active ``nodes`` summed over its
-    layers, and the total of its layers' active ``edges`` and the largest
-    one (``edge_max``).  Its edge efficiency is the rational
-    ``edges / (m x depth)``, 0 for a zero-depth run or one with m = 0."""
+    state: ``depth``, the ``ops``, active ``nodes`` and active ``edges``
+    summed over its layers, and the largest layer's edges (``edge_max``).
+    Its edge efficiency is ``edges / (m x depth)``, 0 where that is 0/0."""
 
     width: int
     m: int
@@ -490,15 +473,22 @@ class RunCounts(NamedTuple):
     edge_max: int
 
 
-def fold_counts(program: Program, stream: Iterable[Layer]) -> RunCounts:
-    """The counts of a run, taken one layer at a time: no state or record
-    outlives its layer, so a run holds one state whatever its depth.  A
-    plain run counts a layer's edges by ``len``, a builtin, so its layers
-    make no Python call here."""
-    m, count = layer_counter(program.graph, program.instance_edges)
-    final = program.initial
+def fold_counts(program: Program) -> RunCounts:
+    """The counts of a run, taken one layer at a time from one ``LiveState``
+    that every layer writes in place, so a run holds one state whatever its
+    depth; ``final`` is a snapshot of it."""
+    step_fn, graph, halt, max_steps = program.step, program.graph, program.halt, program.max_steps
+    candidates_fn = program.candidates
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    m, count = layer_counter(graph, program.instance_edges)
+    state = LiveState(program.initial)
     depth = ops = nodes = edges = edge_max = 0
-    for _, final, (_, active_nodes, active_edges, op_count, _) in stream:
+    while not halt(state):
+        if depth >= max_steps:
+            raise StepLimitExceeded(f"{program.algo_id} did not halt within {max_steps} steps")
+        cands = candidates_fn(state) if candidates_fn is not None else None
+        _, active_nodes, active_edges, op_count, _ = step_machine(state, step_fn, graph, cands)[1]
         layer_edges = count(active_edges)
         depth += 1
         ops += op_count
@@ -506,27 +496,18 @@ def fold_counts(program: Program, stream: Iterable[Layer]) -> RunCounts:
         edges += layer_edges
         if layer_edges > edge_max:
             edge_max = layer_edges
-    return RunCounts(program.initial.width, m, final, depth, ops, nodes, edges, edge_max)
+    final = MachineState(tuple(map(tuple, state.local)), tuple(state.shared), state.clock)
+    # let go of the lists the reused context holds, for the next run's copy
+    _CONTEXT._local = _CONTEXT._shared = ()
+    return RunCounts(final.width, m, final, depth, ops, nodes, edges, edge_max)
 
 
-Fold = Callable[[Program, Iterable[Layer]], Any]
+Fold = Callable[[Program], Any]
 
 
 def run_machine(program: Program, fold: Fold = fold_trace) -> tuple[Any, Trace | RunCounts]:
     """Run ``program`` and read its output off the final state: returns
-    ``(output, folded)``, the run's ``layers`` folded by ``fold`` into a
-    ``Trace`` by default, into ``RunCounts`` with ``fold_counts``."""
-    folded = fold(program, layers(program))
+    ``(output, folded)``, the run folded by ``fold`` into a ``Trace`` by
+    default, into ``RunCounts`` with ``fold_counts``."""
+    folded = fold(program)
     return program.output(folded.final), folded
-
-
-def activity_summary(trace: Trace) -> dict:
-    """The per-layer counts of one run, as a dataset's ``activity`` block:
-    ``{"m", "steps": [{"edges", "nodes", "ops"}], "width"}``, each layer
-    counted by ``layer_counter``."""
-    m, count = layer_counter(trace.graph, trace.instance_edges)
-    steps = [
-        {"edges": count(rec.active_edges), "nodes": len(rec.active_nodes), "ops": rec.op_count}
-        for rec in trace.activity
-    ]
-    return {"m": m, "steps": steps, "width": trace.width}

@@ -49,7 +49,7 @@ from .algorithms import (
     spec_for,
 )
 from .canonical import _encode_ints, dumps_canonical
-from .machine import Trace, activity_summary
+from .machine import Trace, layer_counter
 
 
 class DatasetFormatError(Exception):
@@ -134,6 +134,18 @@ def encode_sample(
         activity=activity_summary(trace),
     )
 
+
+
+def activity_summary(trace: Trace) -> dict:
+    """The per-layer counts of one run, as a dataset's ``activity`` block:
+    ``{"m", "steps": [{"edges", "nodes", "ops"}], "width"}``, each layer
+    counted by ``machine.layer_counter``."""
+    m, count = layer_counter(trace.graph, trace.instance_edges)
+    steps = [
+        {"edges": count(rec.active_edges), "nodes": len(rec.active_nodes), "ops": rec.op_count}
+        for rec in trace.activity
+    ]
+    return {"m": m, "steps": steps, "width": trace.width}
 
 # ---------------------------------------------------------------------------
 # validation

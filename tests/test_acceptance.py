@@ -19,6 +19,7 @@ from pramtraj.efficiency import scaling_report
 from pramtraj.harness import (
     GenConfig,
     build_samples,
+    collector_paused,
     exhaustive_instances,
     generate_instance,
     sample_seed,
@@ -26,12 +27,11 @@ from pramtraj.harness import (
 from pramtraj.machine import (
     UNDEF,
     MachineState,
-    activity_summary,
-    collector_paused,
     complete_graph,
     step_machine,
 )
 from pramtraj.trajectory import (
+    activity_summary,
     parse_ndjson,
     replay_sample,
     serialize_ndjson,

@@ -14,8 +14,10 @@ from pathlib import Path
 import pytest
 
 from pramtraj import trajectory
-from pramtraj.algorithms import ALGORITHMS
+from pramtraj.algorithms import ALGORITHMS, run, sample_seed
 from pramtraj.cli import cli_main
+from pramtraj.harness import generate_instance
+from pramtraj.machine import fold_trace
 
 
 def _load_spans():
@@ -85,6 +87,23 @@ def test_every_run_goes_through_its_module_run_machine(tmp_path, capsys, algo):
         assert cli_main(["gen", "--algo", algo, "--n-list", "3,6", "--samples", "2", "--seed", "0",
                          "--out", str(out)]) == 0
     assert spans.LayerStats(tracer.spans).calls["machine.run_machine"] == 4
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_traced_analyze_counts_the_layers_of_its_runs(capsys, algo):
+    # analyze folds each run into its counts on one live state: still one
+    # run_machine call per run and one step_machine call per layer, whose
+    # active counts are the nodes that traces of the same instances record
+    n_list, samples, seed = (3, 4, 6), 2, 0
+    with spans.Tracer() as tracer:
+        assert cli_main(["analyze", "--algo", algo, "--n-list", ",".join(map(str, n_list)),
+                         "--samples", str(samples), "--seed", str(seed)]) == 0
+    stats = spans.LayerStats(tracer.spans)
+    traces = [run(algo, generate_instance(algo, n, sample_seed(seed, algo, n, index)), fold_trace)[1]
+              for n in n_list for index in range(samples)]
+    assert stats.calls["machine.run_machine"] == stats.calls[f"algorithms.run.{algo}"] == len(traces)
+    assert stats.calls["machine.step_machine"] == sum(trace.depth for trace in traces) > 0
+    assert stats.b["machine.step_machine"] == sum(len(r.active_nodes) for trace in traces for r in trace.activity)
 
 
 def test_samples_replay_as_the_benchmark_replays_them(tmp_path, capsys):

@@ -20,8 +20,8 @@ from pramtraj.harness import (
     generate_instance,
     sample_seed,
 )
-from pramtraj.machine import StepLimitExceeded, activity_summary, fold_counts
-from pramtraj.trajectory import encode_sample, parse_ndjson, serialize_ndjson
+from pramtraj.machine import StepLimitExceeded, fold_counts
+from pramtraj.trajectory import activity_summary, encode_sample, parse_ndjson, serialize_ndjson
 
 from metric_oracle import (
     capacity,

@@ -39,20 +39,20 @@ DATASET = {"pramtraj.trajectory", "pramtraj.canonical"}
 # instance helpers, the metrics and the canonical text, and no dataset code
 METRICS = {"pramtraj.harness", "pramtraj.efficiency", "pramtraj.canonical"}
 
-# --help loads 973 lines of src/pramtraj, the BASE modules alone (1,026 when
+# --help loads 963 lines of src/pramtraj, the BASE modules alone (1,026 when
 # the registry imported a spec module beside it).  An eager import of an
-# algorithm module (269 lines at least) or of a stage would pass this bound.
+# algorithm module (275 lines at least) or of a stage would pass this bound.
 HELP_LINES = 1000
 
-# A validate job loads 1,897 (search), 1,966 (sort) or 2,181 (scc) lines of
-# src/pramtraj, of the 3,180 of all its modules.  An eager import of harness
-# (139 lines), efficiency (250) or a second algorithm module (269 at least)
+# A validate job loads 1,900 (search), 1,978 (sort) or 2,191 (scc) lines of
+# src/pramtraj, of the 3,226 of all its modules.  An eager import of harness
+# (154 lines), efficiency (250) or a second algorithm module (275 at least)
 # would take the scc job past this bound.
 VALIDATE_LINES = 2215
 
-# An analyze job loads 1,728 (search), 1,797 (sort) or 2,012 (scc) lines of
+# An analyze job loads 1,739 (search), 1,817 (sort) or 2,030 (scc) lines of
 # src/pramtraj, 2,299 to 2,569 when it compiled trajectory (650 lines) for
-# dumps_canonical alone.  An eager import of trajectory (558 lines) or of a
+# dumps_canonical alone.  An eager import of trajectory (565 lines) or of a
 # second algorithm module would take the scc job past this bound.
 ANALYZE_LINES = 2033
 

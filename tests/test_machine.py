@@ -18,7 +18,6 @@ from pramtraj.machine import (
     as_flag,
     as_index,
     as_scalar,
-    collector_paused,
     complete_graph,
     fold_counts,
     fold_trace,
@@ -29,6 +28,7 @@ from pramtraj.machine import (
     step_machine,
     symmetric_graph,
 )
+from pramtraj.harness import collector_paused
 
 from machine_support import fresh_state, probe_step_reads
 

@@ -1,6 +1,7 @@
 """``step_machine`` against the naive layer of ``machine_oracle``: the same
-state and activity record on every layer of the six programs and on drawn
-toy layers, and the same exception type where a layer is at fault."""
+state and activity record on every layer of the six programs, traced, and
+the same counts and final state of each program's live run; the same on
+drawn toy layers, and the same exception type where a layer is at fault."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,15 @@ from hypothesis import strategies as st
 from pramtraj.algorithms import ALGORITHMS, spec_for
 from pramtraj.machine import (
     UNDEF,
+    LiveState,
     MachineError,
     MachineState,
     NeighborhoodViolation,
+    RunCounts,
     fold_counts,
+    fold_trace,
     interconnection,
+    layer_counter,
     step_machine,
 )
 
@@ -26,17 +31,46 @@ def assert_same_layer(got, expected):
     assert got == expected and repr(got[0]) == repr(expected[0])
 
 
-def oracle_checked(program, stream):
-    """``fold_counts`` of a run, each of whose layers the oracle must step
-    alike from the same state."""
+def oracle_run(program):
+    """The states and records of a run that the oracle steps, from the
+    program's initial state until its halt predicate fires."""
+    states, records = [program.initial], []
+    while not program.halt(states[-1]):
+        assert len(records) < program.max_steps
+        before = states[-1]
+        candidates = None if program.candidates is None else program.candidates(before)
+        after, record = oracle_step(before, program.step, program.graph, candidates)
+        states.append(after)
+        records.append(record)
+    return states, records
 
-    def checked():
-        for before, after, record in stream:
-            candidates = None if program.candidates is None else program.candidates(before)
-            assert_same_layer(oracle_step(before, program.step, program.graph, candidates), (after, record))
-            yield before, after, record
 
-    return fold_counts(program, checked())
+def oracle_checked(program):
+    """``fold_counts`` of a run, whose live state must count what the
+    oracle-stepped run records and end in its final cells; the run folded
+    into a trace must step as the oracle does, layer by layer, into states
+    that stay immutable."""
+    states, records = oracle_run(program)
+    trace = fold_trace(program)
+    assert len(trace.activity) == len(records)
+    for t, record in enumerate(records, 1):
+        assert_same_layer((trace.states[t], trace.activity[t - 1]), (states[t], record))
+    hash(trace.states)
+    m, count = layer_counter(program.graph, program.instance_edges)
+    edges = [count(record.active_edges) for record in records]
+    expected = RunCounts(
+        program.initial.width,
+        m,
+        states[-1],
+        len(records),
+        sum(record.op_count for record in records),
+        sum(len(record.active_nodes) for record in records),
+        sum(edges),
+        max(edges, default=0),
+    )
+    counts = fold_counts(program)
+    assert counts == expected and repr(counts.final) == repr(states[-1])
+    return counts
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
@@ -113,7 +147,13 @@ def plan_step(plans):
 def test_toy_layers(layer):
     state, graph, plans, candidates = layer
     step = plan_step(plans)
-    assert_same_layer(step_machine(state, step, graph, candidates), oracle_step(state, step, graph, candidates))
+    expected = oracle_step(state, step, graph, candidates)
+    assert_same_layer(step_machine(state, step, graph, candidates), expected)
+    # a live state takes the same layer in place
+    live = LiveState(state)
+    after, record = step_machine(live, step, graph, candidates)
+    assert after is live
+    assert_same_layer((MachineState(tuple(map(tuple, live.local)), tuple(live.shared), live.clock), record), expected)
 
 
 def _raised(stepper, *args):
@@ -145,3 +185,4 @@ def test_a_faulty_layer_raises_the_same_type(fault):
     raised = _raised(step_machine, _STATE, step, _GRAPH, candidates)
     assert issubclass(raised, family)
     assert _raised(oracle_step, _STATE, step, _GRAPH, candidates) is raised
+    assert _raised(step_machine, LiveState(_STATE), step, _GRAPH, candidates) is raised

@@ -239,3 +239,25 @@ def test_digraph_views():
     assert [g.in_neighbors(u) for u in range(3)] == [(), (0,), (1,)]
     with pytest.raises(ValueError):
         Digraph(2, frozenset({(0, 0)}))
+
+
+def _table_digraph_edges(n, max_degree, seed):
+    """The edges ``gen_digraph`` drew when it sampled each node's targets from
+    a table of the n - 1 other nodes, in order."""
+    rng = Random(seed)
+    edges = set()
+    others = {u: [v for v in range(n) if v != u] for u in range(n)}
+    for u in range(n):
+        degree = rng.randint(0, min(max_degree, n - 1))
+        if degree:
+            for v in rng.sample(others[u], degree):
+                edges.add((u, v))
+    return frozenset(edges)
+
+
+@pytest.mark.parametrize("max_degree", [1, 2, 3, 5])
+def test_gen_digraph_draws_what_the_table_of_other_nodes_drew(max_degree):
+    # sizes on both sides of random.sample's switch from a pool to a set
+    for n in range(1, 70):
+        for seed in range(10):
+            assert gen_digraph(n, max_degree, seed).edges == _table_digraph_edges(n, max_degree, seed), (n, seed)
