@@ -4,7 +4,8 @@ one algorithm: how to run it, draw or enumerate its inputs, its probe
 schema, how to decode one layer's hint values (what ``gen`` writes) and
 re-derive them one frame at a time without the machine (what ``validate``
 compares them with), parse an inline ``trace`` input and annotate one layer.
-Only ``trajectory.encode_sample`` and ``cli.cmd_trace`` walk a trace's layers.
+A layer is decoded from the state it left and its delta, the write set
+``(updates, written)`` that ``machine.replay`` hands out with it.
 
 ``TABLE`` is the one registry: each task family's home module and its
 parallel and sequential algorithms.  A home module defines each spec under
@@ -25,7 +26,7 @@ from typing import Any, Callable, Generator, NamedTuple
 
 from _blake2 import blake2b
 
-from ..machine import Fold, MachineState, RunCounts, Trace, fold_trace
+from ..machine import Delta, Fold, LiveState, RunCounts, Trace, fold_trace
 
 # task family -> (its home module, parallel, sequential)
 TABLE = {
@@ -119,16 +120,18 @@ class AlgorithmSpec(NamedTuple):
     ``generate(n, seed)`` draws one instance, a function of its size and
     seed alone (SCC's out-degree bound is ``scc.MAX_DEGREE``); ``exhaustive(n)``
     enumerates the whole input space of a tiny size (``None`` where that is
-    not defined).  ``frame(inst, before, after, prev)`` decodes the hint
-    values of the layer that took machine state ``before`` to ``after``,
-    given ``prev``, the frame decoded up to ``before`` (None for the first),
+    not defined).  ``frame(inst, state, delta, prev)`` decodes the hint
+    values of the layer that wrote ``delta`` and left the machine in
+    ``state``, given ``prev``, the frame of the layer before (None for the
+    first); it reads ``delta`` to rebuild only the lists the layer touched,
+    and keeps none of ``state``'s lists, which the next layer writes;
     ``inputs(inst, pos)`` and ``outputs(output)`` build the payloads of a
     sample, and ``reference(inputs, n)`` re-derives a sample from its inputs
     and size alone: a generator that yields the ``values`` of each hint frame
     in turn and returns the outputs, so a caller holds one frame at a time
     and stops pulling where it likes.  It checks nothing and raises nothing
     on schema-valid inputs.  ``parse_inline(text)`` reads a ``trace`` input and
-    ``note(inst, before, after)`` annotates that layer in a printed trace.
+    ``note(inst, state, delta)`` annotates that layer in a printed trace.
     ``run_shape(inputs, n)`` is the ``(m, width)`` of a run on those inputs.
     ``input_violations(inputs, n)``, where set, lists what schema-valid
     inputs break of the input domain that the probe schema cannot express.
@@ -140,12 +143,12 @@ class AlgorithmSpec(NamedTuple):
     generate: Callable[[int, int], Any]
     exhaustive: Callable[[int], list] | None
     probes: tuple[ProbeSpec, ...]
-    frame: Callable[[Any, MachineState, MachineState, dict | None], dict]
+    frame: Callable[[Any, LiveState, Delta, dict | None], dict]
     inputs: Callable[[Any, list[float]], dict]
     outputs: Callable[[Any], dict]
     reference: Callable[[dict, int], Replay]
     parse_inline: Callable[[str], Any]
-    note: Callable[[Any, MachineState, MachineState], str]
+    note: Callable[[Any, LiveState, Delta], str]
     run_shape: Callable[[dict, int], tuple[int, int]]
     input_violations: Callable[[dict, int], list[str]] | None = None
 

@@ -18,12 +18,13 @@ exhausts the node, so a full run takes at most n+m steps per pass.
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import and_, is_, is_not
+from operator import and_
 from random import Random
 from typing import NamedTuple
 
 from ..machine import (
+    Delta,
+    LiveState,
     MachineState,
     Fold,
     Program,
@@ -348,17 +349,16 @@ def _indices(cells: list) -> list[int]:
     return cells if set(map(type, cells)) <= {int} else list(map(as_index, cells))
 
 
-def _frame_dcsc(g: Digraph, before: MachineState, after: MachineState, prev: dict | None) -> dict:
+def _frame_dcsc(g: Digraph, state: LiveState, delta: Delta, prev: dict | None) -> dict:
     """The round's searches, assignments and pointers; each list of ``prev``
-    whose slot no row changed is kept, the searches only with the pivot cell."""
-    pivot = as_index(after.shared[PIVOT_ADDR])
-    rows, old = after.local, before.local
+    whose slot no update wrote is kept, the searches only while the pivot
+    cell is not written."""
+    rows = state.local
+    pivot = as_index(state.shared[PIVOT_ADDR])
     moved = {FWD, BWD, DONE, PTR}
     if prev is not None:
-        changed = compress(zip(old, rows), map(is_not, old, rows))
-        moved = {slot for a, b in changed for slot in (FWD, BWD, DONE, PTR) if a[slot] is not b[slot]}
-        if after.shared[PIVOT_ADDR] is not before.shared[PIVOT_ADDR]:
-            moved |= {FWD, BWD}
+        searches = (FWD, BWD) if PIVOT_ADDR in delta[1] else ()
+        moved = set().union(searches, *(update for _, update in delta[0]))
     frame = dict(prev or {})
     for name, slot in (("reach_fwd", FWD), ("reach_bwd", BWD)):
         if slot in moved:
@@ -423,9 +423,9 @@ def _reference_dcsc(inputs: dict, n: int) -> Replay:
     return {"scc_ptr": list(rows["scc_ptr"])}
 
 
-def _note_dcsc(g: Digraph, before: MachineState, after: MachineState) -> str:
-    pivot = after.shared[PIVOT_ADDR]
-    assigned = sum(1 for row in after.local if row[DONE] is True)
+def _note_dcsc(g: Digraph, state: LiveState, delta: Delta) -> str:
+    pivot = state.shared[PIVOT_ADDR]
+    assigned = sum(1 for row in state.local if row[DONE] is True)
     return f"pivot={'?' if pivot is UNDEF else pivot} assigned={assigned}"
 
 
@@ -434,20 +434,22 @@ _KOSARAJU_LISTS = (("seen_first", 0, False), ("done_first", 1, False), ("seen_se
                    ("finish_order", 1, True), ("scc_ptr", 3, True))
 
 
-def _frame_kosaraju(g: Digraph, before: MachineState, after: MachineState, prev: dict | None) -> dict:
+def _frame_kosaraju(g: Digraph, state: LiveState, delta: Delta, prev: dict | None) -> dict:
     """The seen, finish and component blocks; each list of ``prev`` whose
-    block the layer left as it was (the same objects) is kept."""
+    block the layer wrote no cell of is kept."""
     n = g.n
-    new, old = after.shared, before.shared
+    shared = state.shared
+    touched = {addr // n for addr in delta[1]}
     frame = {}
     for name, block, pointers in _KOSARAJU_LISTS:
-        lo, hi = block * n, block * n + n
-        if prev is not None and (new is old or all(map(is_, new[lo:hi], old[lo:hi]))):
+        if prev is not None and block not in touched:
             frame[name] = prev[name]
-        elif pointers:  # each node's cell, the node itself where it is undefined
-            frame[name] = SharedRow(_indices([u if cell is UNDEF else cell for u, cell in enumerate(new[lo:hi])]))
+            continue
+        cells = shared[block * n : block * n + n]
+        if pointers:  # each node's cell, the node itself where it is undefined
+            frame[name] = SharedRow(_indices([u if cell is UNDEF else cell for u, cell in enumerate(cells)]))
         else:
-            frame[name] = SharedRow([0 if cell is UNDEF else 1 for cell in new[lo:hi]])
+            frame[name] = SharedRow([0 if cell is UNDEF else 1 for cell in cells])
     return frame
 
 
@@ -500,9 +502,9 @@ def _reference_kosaraju(inputs: dict, n: int) -> Replay:
     return {"scc_ptr": list(rows["scc_ptr"])}
 
 
-def _note_kosaraju(g: Digraph, before: MachineState, after: MachineState) -> str:
+def _note_kosaraju(g: Digraph, state: LiveState, delta: Delta) -> str:
     comp = _shared_layout(g.n)[3]
-    done = sum(1 for cell in after.shared[comp : comp + g.n] if cell is not UNDEF)
+    done = sum(1 for cell in state.shared[comp : comp + g.n] if cell is not UNDEF)
     return f"assigned={done}"
 
 

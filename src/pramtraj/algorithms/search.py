@@ -19,6 +19,8 @@ from ..machine import (
     fold_trace,
     run_machine,
     star_graph,
+    Delta,
+    LiveState,
     MachineState,
     Fold,
     Program,
@@ -178,10 +180,8 @@ def _rank_output(rank: int) -> dict:
     return {"rank": rank}
 
 
-def _frame_parallel_search(
-    inst: SearchInstance, before: MachineState, after: MachineState, prev: dict | None
-) -> dict:
-    return {"leq_mask": [int(as_scalar(row[MASK]) == 0.0) for row in after.local[: inst.n]]}
+def _frame_parallel_search(inst: SearchInstance, state: LiveState, delta: Delta, prev: dict | None) -> dict:
+    return {"leq_mask": [int(as_scalar(row[MASK]) == 0.0) for row in state.local[: inst.n]]}
 
 
 def _reference_parallel_search(inputs: dict, n: int) -> Replay:
@@ -201,10 +201,8 @@ def _window_masks(n: int, lo: int, hi: int, mid: int) -> dict:
     }
 
 
-def _frame_binary_search(
-    inst: SearchInstance, before: MachineState, after: MachineState, prev: dict | None
-) -> dict:
-    shared = after.shared
+def _frame_binary_search(inst: SearchInstance, state: LiveState, delta: Delta, prev: dict | None) -> dict:
+    shared = state.shared
     lo, hi, mid = as_index(shared[LO]), as_index(shared[HI]), as_index(shared[MID])
     return _window_masks(inst.n, lo, hi, mid)
 
@@ -224,13 +222,13 @@ def _reference_binary_search(inputs: dict, n: int) -> Replay:
     return {"rank": lo}
 
 
-def _note_parallel_search(inst: SearchInstance, before: MachineState, after: MachineState) -> str:
-    rank = after.shared[0]
+def _note_parallel_search(inst: SearchInstance, state: LiveState, delta: Delta) -> str:
+    rank = state.shared[0]
     return f"rank={'?' if rank is UNDEF else rank}"
 
 
-def _note_binary_search(inst: SearchInstance, before: MachineState, after: MachineState) -> str:
-    shared = after.shared
+def _note_binary_search(inst: SearchInstance, state: LiveState, delta: Delta) -> str:
+    shared = state.shared
     return f"lo={shared[LO]} hi={shared[HI]} mid={shared[MID]}"
 
 

@@ -8,8 +8,7 @@ emitted output is the predecessor pointer per node along the final chain.
 An oets node keeps two cells, ``(item, position)``: a round pairs the nodes
 by the parity of their own positions.  A bubble_sort node keeps its item
 alone, ``(item,)``: the layer's slot names the two positions compared, and
-the table says which node holds each, so a swap writes only the table and
-every state shares the initial local rows.
+the table says which node holds each, so a swap writes only the table.
 """
 
 from __future__ import annotations
@@ -17,12 +16,13 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from operator import is_
 from random import Random
 from typing import NamedTuple
 
 from ..machine import (
     HOLD,
+    Delta,
+    LiveState,
     MachineState,
     Fold,
     Program,
@@ -230,46 +230,45 @@ def zero_mask(n: int) -> SharedRow:
     return SharedRow([mask_rows(n)[n]] * n)
 
 
-def _swapped_pairs(old_table, new_table) -> list[tuple[int, int]]:
-    """(node, partner) for each position whose node moved one slot up."""
-    return [
-        (old_table[k], old_table[k + 1])
-        for k in range(len(old_table) - 1)
-        if old_table[k] != new_table[k] and old_table[k] == new_table[k + 1]
-    ]
+def _swapped(written: dict, n: int) -> list[int]:
+    """The left positions of the pairs a sort layer swapped: both members of
+    a swap write their table cell, so the table addresses it wrote pair up
+    in ascending order."""
+    return sorted(addr for addr in written if addr < n)[::2]
 
 
-def _frame(old_table, new_table, n: int, cursor: dict, prev: dict | None) -> dict:
-    """Chain pointers and swaps of a layer that took the position table from
-    old_table to new_table, plus ``cursor``, the probes of the clock alone;
-    ``prev`` is the frame of the layer before, None for the first.
+def _frame(table, swapped, n: int, cursor: dict, prev: dict | None) -> dict:
+    """Chain pointers and swaps of a layer that swapped the pairs at left
+    positions ``swapped`` and left the position table as the first n cells
+    of ``table``, plus ``cursor``, the probes of the clock alone; ``prev``
+    is the frame of the layer before, None for the first.
 
-    A layer that leaves every table cell as it was (the same objects) swaps
-    nothing: its frame holds ``prev``'s ``pred`` and ``zero_mask(n)``.  Any
-    other frame's ``swap_mask`` rows are rows of ``mask_rows(n)``: for each
-    swapped pair (u, v), row u is one-hot at v and row v at u, and every
-    other row is the all-zero row."""
-    if prev is not None and all(map(is_, old_table, new_table)):
+    A layer that swaps nothing keeps ``prev``'s ``pred`` and has
+    ``zero_mask(n)``.  Any other frame's ``swap_mask`` rows are rows of
+    ``mask_rows(n)``: for each swapped pair (u, v), row u is one-hot at v
+    and row v at u, and every other row is the all-zero row."""
+    if prev is not None and not swapped:
         return {"pred": prev["pred"], "swap_mask": zero_mask(n), **cursor}
     rows = mask_rows(n)
     swap_mask = [rows[n]] * n
-    for u, v in _swapped_pairs(old_table, new_table):
+    for k in swapped:
+        u, v = table[k], table[k + 1]
         swap_mask[u] = rows[v]
         swap_mask[v] = rows[u]
-    pred = SharedRow(predecessors_from_table(tuple(new_table)))
+    pred = SharedRow(predecessors_from_table(table[:n]))
     return {"pred": pred, "swap_mask": swap_mask, **cursor}
 
 
-def _frame_oets(inst: SortInstance, before: MachineState, after: MachineState, prev: dict | None) -> dict:
+def _frame_oets(inst: SortInstance, state: LiveState, delta: Delta, prev: dict | None) -> dict:
     n = inst.n
-    return _frame(before.shared[:n], after.shared[:n], n, {"parity": before.clock % 2}, prev)
+    return _frame(state.shared, _swapped(delta[1], n), n, {"parity": (state.clock - 1) % 2}, prev)
 
 
-def _frame_bubble(inst: SortInstance, before: MachineState, after: MachineState, prev: dict | None) -> dict:
+def _frame_bubble(inst: SortInstance, state: LiveState, delta: Delta, prev: dict | None) -> dict:
     n = inst.n
     passes, slots = bubble_schedule(n)
-    cursor = {"cursor_i": passes[before.clock], "cursor_j": slots[before.clock]}
-    return _frame(before.shared[:n], after.shared[:n], n, cursor, prev)
+    t = state.clock - 1
+    return _frame(state.shared, _swapped(delta[1], n), n, {"cursor_i": passes[t], "cursor_j": slots[t]}, prev)
 
 
 def _reference_oets(inputs: dict, n: int) -> Replay:
@@ -280,16 +279,17 @@ def _reference_oets(inputs: dict, n: int) -> Replay:
     quiet = 0
     frame = None
     for r in range(n):
-        old_table = tuple(table)
+        swapped = []
         for k in range(r % 2, n - 1, 2):
             if items[table[k]] > items[table[k + 1]]:
                 table[k], table[k + 1] = table[k + 1], table[k]
-        frame = _frame(old_table, table, n, {"parity": r % 2}, frame)
+                swapped.append(k)
+        frame = _frame(table, swapped, n, {"parity": r % 2}, frame)
         yield frame
-        quiet = quiet + 1 if tuple(table) == old_table else 0
+        quiet = 0 if swapped else quiet + 1
         if quiet == 2:
             break
-    return {"pred": list(predecessors_from_table(tuple(table)))}
+    return {"pred": list(predecessors_from_table(table))}
 
 
 def _reference_bubble(inputs: dict, n: int) -> Replay:
@@ -298,19 +298,20 @@ def _reference_bubble(inputs: dict, n: int) -> Replay:
     table = list(range(n))
     frame = None
     for i, j in zip(*bubble_schedule(n)):
-        old_table = tuple(table)
-        if items[table[j]] > items[table[j + 1]]:
+        swapped = (j,) if items[table[j]] > items[table[j + 1]] else ()
+        if swapped:
             table[j], table[j + 1] = table[j + 1], table[j]
-        frame = _frame(old_table, table, n, {"cursor_i": i, "cursor_j": j}, frame)
+        frame = _frame(table, swapped, n, {"cursor_i": i, "cursor_j": j}, frame)
         yield frame
-    return {"pred": list(predecessors_from_table(tuple(table)))}
+    return {"pred": list(predecessors_from_table(table))}
 
 
-def _note(inst: SortInstance, before: MachineState, after: MachineState) -> str:
+def _note(inst: SortInstance, state: LiveState, delta: Delta) -> str:
     n = inst.n
-    table = after.shared[:n]
+    table = state.shared[:n]
     order = [f"{inst.items[node]:g}" for node in table]
-    swaps = _swapped_pairs(before.shared[:n], table)
+    # each swapped pair as (node, partner), the node that moved up first
+    swaps = [(table[k + 1], table[k]) for k in _swapped(delta[1], n)]
     return f"order=[{', '.join(order)}] swaps={swaps}"
 
 

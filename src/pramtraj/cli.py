@@ -17,7 +17,7 @@ from importlib import import_module
 from pathlib import Path
 
 from .algorithms import ALGORITHMS, PAIRS, run, spec_for
-from .machine import MachineError
+from .machine import MachineError, replay
 
 _this = sys.modules[__name__]
 
@@ -87,11 +87,10 @@ def cmd_trace(args) -> int:
     print(f"algo: {args.algo}")
     print(f"input: {args.input}")
     print(f"width={trace.width} depth={trace.depth}")
-    states = trace.states
-    for before, after, rec in zip(states, states[1:], trace.activity):
+    for state, delta, rec in replay(trace):
         nodes = sorted(rec.active_nodes)
         edges = sorted(rec.active_edges)
-        note = spec.note(inst, before, after)
+        note = spec.note(inst, state, delta)
         print(
             f"step {rec.step}: active={nodes} edges={edges} ops={rec.op_count}"
             f" graph_op={rec.graph_op} | {note}"

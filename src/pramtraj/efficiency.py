@@ -5,9 +5,9 @@ Every metric is a ratio of a run's integer counts, the ones the
 so a written dataset's metrics follow from its lines without re-running the
 machine.  ``size_record`` builds no summary: it folds each run straight
 into its counts, ``machine.RunCounts``, one layer at a time
-(``machine.fold_counts``, which counts a layer by the summary's own rule,
-``machine.layer_counter``, on one ``machine.LiveState`` that every layer
-writes in place), and it adds those counts into the size's integer totals.  Each float of a
+(``machine.fold_counts``: the one run loop, ``machine.layers``, steps a
+``machine.LiveState`` in place, and each layer is counted by the summary's
+own rule, ``machine.layer_counter``), and it adds those counts into the size's integer totals.  Each float of a
 ``SizeRecord`` is one division of those totals, so it is the correctly
 rounded value of its rational, whatever the order of the runs and the
 interpreter.
@@ -140,7 +140,7 @@ def size_record(
     eps_num, eps_den, min_num, min_den = 0, 1, 1, 0
     for k, inst in enumerate(instances, 1):
         with labelled_failure(algo_id, n, k - 1, master):
-            _, counts = run(algo_id, inst, fold=fold_counts)
+            counts = run(algo_id, inst, fold=fold_counts)[1]
         width = counts.width
         layers += counts.depth
         caps += width * counts.depth

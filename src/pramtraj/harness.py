@@ -90,6 +90,7 @@ def collector_paused() -> Iterator[None]:
         if was_enabled:
             gc.enable()
 
+
 def generate_instance(algo_id: str, n: int, seed: int):
     """One seeded instance from the algorithm's generator."""
     return spec_for(algo_id).generate(n, seed)

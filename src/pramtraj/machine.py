@@ -15,12 +15,15 @@ which stores no information, so reading it never records an active edge.
 
 An algorithm describes one run as a ``Program``: initial state, step,
 graph, halt predicate, step budget, optional candidates and instance edges,
-and ``output``, which reads the result off the final state.  ``run_machine``
-folds a run into a ``Trace`` (``fold_trace``: every state, for decoding hint
-frames, each an immutable ``MachineState`` that shares the rows a layer left
-alone) or into ``RunCounts`` (``fold_counts``: the run's integer counts, from
-one ``LiveState`` that each layer updates in place), and returns the
-program's output with the folded run.
+and ``output``, which reads the result off the final state.  A layer's
+``step_machine`` only reads the state and returns the layer's write set,
+``delta = (updates, written)``, with its record.  ``layers``, the one run
+loop, steps one ``LiveState`` of a run and applies each delta in place
+through ``LiveState.apply``, the one code that writes a layer.
+``run_machine`` folds a run into a ``Trace`` (``fold_trace``: the initial
+and final states and each layer's delta and record, which ``replay`` walks
+again) or into ``RunCounts`` (``fold_counts``: the run's integer counts), and
+returns the program's output with the folded run.
 """
 
 from __future__ import annotations
@@ -105,31 +108,16 @@ class MachineState(NamedTuple):
     def width(self) -> int:
         return len(self.local)
 
-    def apply(self, updates: list[tuple[int, Mapping[int, Cell]]], written: dict[int, Cell], clock: int) -> MachineState:
-        """The snapshot after a layer's buffered writes; it shares every row
-        they leave alone, and the shared tuple when there are none."""
-        local, shared = self.local, self.shared
-        if updates:
-            local = list(local)
-            for pid, update in updates:
-                row = list(local[pid])
-                for slot, value in update.items():
-                    row[slot] = value
-                local[pid] = tuple(row)
-            local = tuple(local)
-        if written:
-            shared = list(shared)
-            for addr, value in written.items():
-                shared[addr] = value
-            shared = tuple(shared)
-        # tuple.__new__ skips the generated NamedTuple constructor's frame
-        return _new_tuple(MachineState, (local, shared, clock))
+
+# a layer's write set: the local updates of its processors in pid order,
+# and the first write to each shared address
+Delta = tuple[list[tuple[int, Mapping[int, Cell]]], dict[int, Cell]]
 
 
 class LiveState:
-    """The one state a counted run steps: its rows and shared memory are
-    lists, which ``apply`` writes in place.  Each is made by ``[*x]``, which
-    reuses a freed list where ``list(x)`` would not."""
+    """The one state a run steps: its rows and shared memory are lists,
+    which ``apply`` writes in place.  Each is made by ``[*x]``, which reuses
+    a freed list where ``list(x)`` would not."""
 
     __slots__ = ("local", "shared", "clock")
 
@@ -138,7 +126,9 @@ class LiveState:
         self.shared = [*state.shared]
         self.clock = state.clock
 
-    def apply(self, updates: list[tuple[int, Mapping[int, Cell]]], written: dict[int, Cell], clock: int) -> LiveState:
+    def apply(self, delta: Delta) -> None:
+        """Write one layer's delta and advance the clock."""
+        updates, written = delta
         local, shared = self.local, self.shared
         for pid, update in updates:
             row = local[pid]
@@ -146,8 +136,10 @@ class LiveState:
                 row[slot] = value
         for addr, value in written.items():
             shared[addr] = value
-        self.clock = clock
-        return self
+        self.clock += 1
+
+    def snapshot(self) -> MachineState:
+        return MachineState(tuple(map(tuple, self.local)), tuple(self.shared), self.clock)
 
 
 class InterconnectionGraph(NamedTuple):
@@ -208,21 +200,23 @@ class ActivityRecord(NamedTuple):
 
 
 class Trace(NamedTuple):
-    """Full record of one run: T+1 state snapshots, T activity records."""
+    """One run: its initial and final states and, per layer, the delta that
+    ``step_machine`` returned and the activity record."""
 
-    width: int
-    states: tuple[MachineState, ...]
+    initial: MachineState
+    final: MachineState
+    deltas: tuple[Delta, ...]
     activity: tuple[ActivityRecord, ...]
     graph: InterconnectionGraph
     instance_edges: frozenset[tuple[int, int]] | None = None
 
     @property
-    def depth(self) -> int:
-        return len(self.activity)
+    def width(self) -> int:
+        return self.initial.width
 
     @property
-    def final(self) -> MachineState:
-        return self.states[-1]
+    def depth(self) -> int:
+        return len(self.activity)
 
 
 # A processor's transition returns ``None`` (identity) or the pair ``(local,
@@ -301,36 +295,32 @@ _EMPTY: frozenset = frozenset()
 _new_tuple = tuple.__new__
 
 
-def step_machine(
-    state: MachineState | LiveState,
-    step_fn: StepFn,
-    graph: InterconnectionGraph,
-    candidates: Sequence[int] | None = None,
-) -> tuple[MachineState | LiveState, ActivityRecord]:
-    """One synchronous layer.
+def step_machine(state: MachineState | LiveState, step_fn: StepFn, graph: InterconnectionGraph,
+                 candidates: Sequence[int] | None = None) -> tuple[Delta, ActivityRecord]:
+    """One synchronous layer, read off ``state`` and not applied to it.
 
     ``candidates`` optionally restricts which processors are offered the step
     function, as a sequence of pids in any order, each run once however
     often it appears; every other processor is identity.  ``step_fn`` returns
     ``None`` for identity (the node is not active and its reads are
     discarded) or a ``(local, writes)`` pair (see ``StepFn``).  The processors
-    run in ascending pid order against ``state`` as it was.  Their local
-    updates are buffered, and so is the first write to each shared address,
-    the lowest pid's and that processor's first; then ``state.apply`` applies
-    both.  A ``MachineError`` raised in the layer keeps its type and its
+    run in ascending pid order against ``state``.  The layer's ``delta`` is
+    their local updates and the first write to each shared address, the
+    lowest pid's and that processor's first; ``LiveState.apply`` writes it.
+    A ``MachineError`` raised in the layer keeps its type and its
     message ends ``(layer t, node p)``: t is the ``step`` of the layer's
     record, p the processor that raised it (a candidate out of range names
     the layer only).
     """
-    local_rows = state.local
+    local_rows, shared, clock = state.local, state.shared, state.clock
     width = len(local_rows)
-    shared_len = len(state.shared)
+    shared_len = len(shared)
     updates: list[tuple[int, Mapping[int, Cell]]] = []
     written: dict[int, Cell] = {}
     active: list[int] = []
     edges: list[tuple[int, int]] = []
     ctx = _CONTEXT
-    ctx.clock, ctx._local, ctx._shared = state.clock, local_rows, state.shared
+    ctx.clock, ctx._local, ctx._shared = clock, local_rows, shared
     ctx._in_nbrs, ctx.edge_reads = graph.in_nbrs, edges
     pid = None  # no processor has run yet: a candidate error names the layer only
     try:
@@ -368,13 +358,12 @@ def step_machine(
                         written[addr] = value
     except MachineError as err:
         node = "" if pid is None else f", node {pid}"
-        raise type(err)(f"{err} (layer {state.clock + 1}{node})") from err
+        raise type(err)(f"{err} (layer {clock + 1}{node})") from err
 
-    clock = state.clock + 1
     wrote = bool(written)
     nodes = frozenset(active) if active else _EMPTY
-    record = (clock, nodes, frozenset(edges) if edges else _EMPTY, len(active) + wrote, wrote)
-    return state.apply(updates, written, clock), _new_tuple(ActivityRecord, record)
+    record = (clock + 1, nodes, frozenset(edges) if edges else _EMPTY, len(active) + wrote, wrote)
+    return (updates, written), _new_tuple(ActivityRecord, record)
 
 
 class Program(NamedTuple):
@@ -398,34 +387,49 @@ class Program(NamedTuple):
     instance_edges: frozenset[tuple[int, int]] | None = None
 
 
-def layers(program: Program) -> Iterator[tuple[MachineState, MachineState, ActivityRecord]]:
-    """Step one run until the halt predicate fires, yielding ``(before,
-    after, record)`` per layer; deterministic for fixed inputs."""
+def layers(program: Program, state: LiveState) -> Iterator[tuple[Delta, ActivityRecord]]:
+    """Step ``state``, a live copy of ``program.initial``, until the halt
+    predicate fires, applying each layer in place; yields ``(delta, record)``
+    per layer, deterministic for fixed inputs.  However the run ends, the
+    reused context lets go of the state's lists."""
     step_fn, graph, halt, max_steps = program.step, program.graph, program.halt, program.max_steps
-    candidates_fn = program.candidates
+    candidates_fn, apply = program.candidates, state.apply
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    state = program.initial
-    depth = 0
-    while not halt(state):
-        if depth >= max_steps:
+    try:
+        for _ in range(max_steps):
+            if halt(state):
+                return
+            cands = candidates_fn(state) if candidates_fn is not None else None
+            layer = step_machine(state, step_fn, graph, cands)
+            apply(layer[0])
+            yield layer
+        if not halt(state):
             raise StepLimitExceeded(f"{program.algo_id} did not halt within {max_steps} steps")
-        cands = candidates_fn(state) if candidates_fn is not None else None
-        after, record = step_machine(state, step_fn, graph, cands)
-        yield state, after, record
-        state = after
-        depth += 1
+    finally:
+        _CONTEXT._local = _CONTEXT._shared = ()
 
 
 def fold_trace(program: Program) -> Trace:
-    """Every state and record of a run, as a ``Trace``."""
-    states = [program.initial]
-    activity: list[ActivityRecord] = []
-    for _, after, record in layers(program):
-        states.append(after)
+    """Each layer's delta and record of a run, as a ``Trace``."""
+    state = LiveState(program.initial)
+    deltas, activity = [], []
+    for delta, record in layers(program, state):
+        deltas.append(delta)
         activity.append(record)
-    width, graph, edges = program.initial.width, program.graph, program.instance_edges
-    return Trace(width, tuple(states), tuple(activity), graph, edges)
+    return Trace(program.initial, state.snapshot(), tuple(deltas), tuple(activity), program.graph,
+                 program.instance_edges)
+
+
+def replay(trace: Trace) -> Iterator[tuple[LiveState, Delta, ActivityRecord]]:
+    """Walk a trace's layers again: its deltas applied in turn to one live
+    copy of ``trace.initial``, yielding ``(state, delta, record)`` per layer
+    with ``state`` as the layer left it.  The state changes in place at the
+    next layer, so a reader keeps none of its lists."""
+    state = LiveState(trace.initial)
+    for delta, record in zip(trace.deltas, trace.activity):
+        state.apply(delta)
+        yield state, delta, record
 
 
 def layer_counter(
@@ -474,21 +478,12 @@ class RunCounts(NamedTuple):
 
 
 def fold_counts(program: Program) -> RunCounts:
-    """The counts of a run, taken one layer at a time from one ``LiveState``
-    that every layer writes in place, so a run holds one state whatever its
-    depth; ``final`` is a snapshot of it."""
-    step_fn, graph, halt, max_steps = program.step, program.graph, program.halt, program.max_steps
-    candidates_fn = program.candidates
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    m, count = layer_counter(graph, program.instance_edges)
+    """The counts of a run, taken one layer at a time, so a run holds one
+    state whatever its depth; ``final`` is a snapshot of it."""
+    m, count = layer_counter(program.graph, program.instance_edges)
     state = LiveState(program.initial)
     depth = ops = nodes = edges = edge_max = 0
-    while not halt(state):
-        if depth >= max_steps:
-            raise StepLimitExceeded(f"{program.algo_id} did not halt within {max_steps} steps")
-        cands = candidates_fn(state) if candidates_fn is not None else None
-        _, active_nodes, active_edges, op_count, _ = step_machine(state, step_fn, graph, cands)[1]
+    for _, (_, active_nodes, active_edges, op_count, _) in layers(program, state):
         layer_edges = count(active_edges)
         depth += 1
         ops += op_count
@@ -496,9 +491,7 @@ def fold_counts(program: Program) -> RunCounts:
         edges += layer_edges
         if layer_edges > edge_max:
             edge_max = layer_edges
-    final = MachineState(tuple(map(tuple, state.local)), tuple(state.shared), state.clock)
-    # let go of the lists the reused context holds, for the next run's copy
-    _CONTEXT._local = _CONTEXT._shared = ()
+    final = state.snapshot()
     return RunCounts(final.width, m, final, depth, ops, nodes, edges, edge_max)
 
 

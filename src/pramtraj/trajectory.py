@@ -49,7 +49,7 @@ from .algorithms import (
     spec_for,
 )
 from .canonical import _encode_ints, dumps_canonical
-from .machine import Trace, layer_counter
+from .machine import Trace, layer_counter, replay
 
 
 class DatasetFormatError(Exception):
@@ -118,11 +118,10 @@ def encode_sample(
     spec = spec_for(algo_id)
     n = inst.n
     pos = increasing_unit_scalars(Random(seed), n)
-    states = trace.states  # frame t decodes the layer from states[t - 1] to states[t]
     hints = []
     values = None
-    for t, (before, after) in enumerate(zip(states, states[1:]), 1):
-        values = spec.frame(inst, before, after, values)
+    for t, (state, delta, _) in enumerate(replay(trace), 1):
+        values = spec.frame(inst, state, delta, values)
         hints.append(HintFrame(t, values))
     return Sample(
         algo=algo_id,
@@ -135,7 +134,6 @@ def encode_sample(
     )
 
 
-
 def activity_summary(trace: Trace) -> dict:
     """The per-layer counts of one run, as a dataset's ``activity`` block:
     ``{"m", "steps": [{"edges", "nodes", "ops"}], "width"}``, each layer
@@ -146,6 +144,7 @@ def activity_summary(trace: Trace) -> dict:
         for rec in trace.activity
     ]
     return {"m": m, "steps": steps, "width": trace.width}
+
 
 # ---------------------------------------------------------------------------
 # validation

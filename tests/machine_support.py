@@ -1,13 +1,19 @@
-"""Machine helpers that only the tests use: an all-UNDEF state and a probe
-that records what each processor of one step read."""
+"""Machine helpers that only the tests use: an all-UNDEF state, one layer
+applied to a snapshot, the states of a trace, and a probe that records what
+each processor of one step read."""
 
 from pramtraj.machine import (
     UNDEF,
+    ActivityRecord,
     Cell,
     InterconnectionGraph,
+    LiveState,
     MachineState,
     NodeContext,
     StepFn,
+    Trace,
+    replay,
+    step_machine,
 )
 
 
@@ -15,6 +21,23 @@ def fresh_state(width: int, slots: int, shared_size: int) -> MachineState:
     """All-UNDEF state; uninitialized reads then fail loudly."""
     row = (UNDEF,) * slots
     return MachineState((row,) * width, (UNDEF,) * shared_size, 0)
+
+
+def step_once(
+    state: MachineState, step_fn: StepFn, graph: InterconnectionGraph, candidates=None
+) -> tuple[MachineState, ActivityRecord]:
+    """One ``step_machine`` layer applied to a live copy of ``state``: the
+    state after it, as a snapshot, and the layer's record."""
+    delta, record = step_machine(state, step_fn, graph, candidates)
+    live = LiveState(state)
+    live.apply(delta)
+    return live.snapshot(), record
+
+
+def trace_states(trace: Trace) -> list[MachineState]:
+    """The depth + 1 states of a traced run, from its initial state on, each
+    a snapshot of the replayed live state."""
+    return [trace.initial] + [state.snapshot() for state, _, _ in replay(trace)]
 
 
 class _RecordingContext(NodeContext):

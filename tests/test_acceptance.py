@@ -28,7 +28,7 @@ from pramtraj.machine import (
     UNDEF,
     MachineState,
     complete_graph,
-    step_machine,
+    replay,
 )
 from pramtraj.trajectory import (
     activity_summary,
@@ -38,6 +38,7 @@ from pramtraj.trajectory import (
     validate_sample,
 )
 
+from machine_support import step_once
 from metric_oracle import edge_efficiency, node_efficiency
 from scc_oracle import pointers_to_partition, tarjan_scc
 from sort_oracle import chain_order
@@ -86,15 +87,13 @@ def test_criterion_2_sorting_oracle_equivalence():
             if canon is None:
                 canon = canon_by_n.setdefault(n, list(range(n)))
             # items never move between nodes, so multiset preservation per
-            # round is the position table remaining a permutation; unchanged
-            # tables are shared tuples, so only layers that wrote the table
-            # need re-checking
+            # round is the position table remaining a permutation; only
+            # layers that wrote shared memory need re-checking
             for trace in (trace_o, trace_b):
-                states = trace.states
-                assert sorted(states[0].shared[:n]) == canon
-                for t, rec in enumerate(trace.activity, 1):
+                assert sorted(trace.initial.shared[:n]) == canon
+                for state, _, rec in replay(trace):
                     if rec.graph_op:
-                        assert sorted(states[t].shared[:n]) == canon
+                        assert sorted(state.shared[:n]) == canon
             check_budget(trace_o)
             check_budget(trace_b)
     elapsed = time.process_time() - t0
@@ -210,7 +209,7 @@ def priority_layer(targets, shared_size):
         addr = targets[ctx.pid]
         return None if addr is None else (None, ((addr, ctx.pid),))
 
-    new, _ = step_machine(state, step, complete_graph(width))
+    new, _ = step_once(state, step, complete_graph(width))
     return {addr: cell for addr, cell in enumerate(new.shared) if cell is not UNDEF}
 
 

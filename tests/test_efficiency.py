@@ -181,10 +181,10 @@ class TestScalingReport:
     def test_memory_bounded_by_one_run(self):
         # each run is folded into running totals as soon as it ends, so the
         # peak of a size is one run's figures, whatever its sample count.
-        # A full collection empties the interpreter's free lists of floats
-        # and tuples before each traced call: objects left there untraced
-        # by earlier calls would otherwise be reused by the first run and
-        # replaced by traced ones over later runs, about 3 KB at 32 samples.
+        # Each measured call follows a traced warm-up run, so its first run,
+        # like every later one, starts with the interpreter's free lists
+        # holding what a run and its instance generation left there (traced
+        # floats and tuples); the peaks then differ by what outlives a run.
         import tracemalloc
 
         size_record("bubble_sort", 64, 1, 1)  # fills the comparison-schedule cache outside the traced calls
@@ -193,6 +193,8 @@ class TestScalingReport:
             gc.collect()
             tracemalloc.start()
             try:
+                size_record("bubble_sort", 64, 1, 1)
+                tracemalloc.reset_peak()
                 size_record("bubble_sort", 64, samples, 1)
                 peaks[samples] = tracemalloc.get_traced_memory()[1]
             finally:

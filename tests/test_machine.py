@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from pramtraj.machine import (
     HOLD,
     CellTypeError,
+    LiveState,
     MachineError,
     MachineState,
     NeighborhoodViolation,
@@ -23,6 +24,7 @@ from pramtraj.machine import (
     fold_trace,
     interconnection,
     layers,
+    replay,
     run_machine,
     star_graph,
     step_machine,
@@ -30,7 +32,7 @@ from pramtraj.machine import (
 )
 from pramtraj.harness import collector_paused
 
-from machine_support import fresh_state, probe_step_reads
+from machine_support import fresh_state, probe_step_reads, step_once, trace_states
 
 
 class TestCells:
@@ -71,7 +73,7 @@ def _write_layer(width, shared_size, writes_by_pid):
         writes = writes_by_pid.get(ctx.pid)
         return (None, writes) if writes else None
 
-    new, _ = step_machine(state, step, _edgeless_graph(width))
+    new, _ = step_once(state, step, _edgeless_graph(width))
     return {addr: cell for addr, cell in enumerate(new.shared) if cell is not UNDEF}
 
 
@@ -133,7 +135,7 @@ class TestResolveWrites:
 class TestStepMachine:
     def test_identity_step(self):
         state = MachineState(((1.0,), (2.0,)), (UNDEF,), 0)
-        new, rec = step_machine(state, lambda ctx: None, _edgeless_graph(2))
+        new, rec = step_once(state, lambda ctx: None, _edgeless_graph(2))
         assert new.local == state.local and new.shared == state.shared
         assert new.clock == 1
         assert rec.active_nodes == frozenset()
@@ -149,7 +151,7 @@ class TestStepMachine:
             value = ctx.own(0, float)
             return {0: value + 1.0}, ()
 
-        new, rec = step_machine(state, step, complete_graph(2))
+        new, rec = step_once(state, step, complete_graph(2))
         assert new.local[1] == (6.0,)
         assert rec.active_nodes == {1}
         assert rec.active_edges == frozenset()
@@ -183,7 +185,7 @@ class TestStepMachine:
             other = as_scalar(ctx.read(1 - ctx.pid, 0))
             return {0: other}, ()
 
-        new, rec = step_machine(state, swap, graph)
+        new, rec = step_once(state, swap, graph)
         assert new.local == ((2.0,), (1.0,))
         assert rec.active_edges == {(0, 1), (1, 0)}
         assert rec.op_count == 2
@@ -197,7 +199,7 @@ class TestStepMachine:
                 return None
             return None, ((0, ctx.pid),)
 
-        new, rec = step_machine(state, race, graph)
+        new, rec = step_once(state, race, graph)
         assert new.shared == (1,)
         assert rec.graph_op and rec.op_count == 3 + 1
 
@@ -310,7 +312,7 @@ class TestRangeChecks:
             ran.append(ctx.pid)
             return {0: 1.0}, ()
 
-        new, rec = step_machine(self._state(), step, _edgeless_graph(3), (1, 1))
+        new, rec = step_once(self._state(), step, _edgeless_graph(3), (1, 1))
         assert ran == [1]
         assert new.local == ((0.0,), (1.0,), (0.0,))
         assert rec.active_nodes == {1} and rec.op_count == 1
@@ -399,9 +401,9 @@ class TestRunMachine:
         state = fresh_state(2, 1, 1)
         final, trace = run_machine(_program(state, lambda ctx: None, _edgeless_graph(2),
                                             lambda s: True, 5))
-        assert final is state
+        assert final == trace.initial == trace.final == state
         assert trace.depth == 0
-        assert len(trace.states) == 1
+        assert trace.deltas == trace.activity == ()
 
     def test_step_limit_exceeded(self):
         state = fresh_state(1, 1, 1)
@@ -423,7 +425,7 @@ class TestRunMachine:
             )[1]
 
         a, b = make(), make()
-        assert a.states == b.states
+        assert a.deltas == b.deltas and a.final == b.final
         assert a.activity == b.activity
 
     @pytest.mark.parametrize("fold", [fold_trace, fold_counts])
@@ -455,23 +457,55 @@ class TestRunMachine:
 
         initial = MachineState(((0.5,),) * 2, (), 0)
         program = _program(initial, step, _edgeless_graph(2), lambda s: s.clock >= 3, 3)
-        stream = list(layers(program))
+        live = LiveState(initial)
+        stream = [(delta, record, live.snapshot()) for delta, record in layers(program, live)]
         final, trace = run_machine(program)
-        assert final == trace.final
-        assert [before for before, _, _ in stream] == list(trace.states[:-1])
-        assert [after for _, after, _ in stream] == list(trace.states[1:])
-        assert [record for _, _, record in stream] == list(trace.activity)
+        assert final == trace.final == live.snapshot()
+        assert [(delta, record) for delta, record, _ in stream] == list(zip(trace.deltas, trace.activity))
+        assert [after for _, _, after in stream] == trace_states(trace)[1:]
+        assert [state.local for state in trace_states(trace)] == [
+            ((0.5,), (0.5,)), ((0.0,), (0.5,)), ((0.0,), (1.0,)), ((2.0,), (1.0,))
+        ]
+        # replay hands out the deltas and records of the trace, in order
+        assert [(delta, record) for _, delta, record in replay(trace)] == list(zip(trace.deltas, trace.activity))
         final, counts = run_machine(program, fold_counts)
         assert final == counts.final == trace.final
         assert (counts.width, counts.m, counts.ops, counts.nodes) == (2, 0, 3, 3)
         assert (counts.depth, counts.edges) == (3, 0)
+
+    @pytest.mark.parametrize("fold", [fold_trace, fold_counts])
+    def test_the_context_lets_go_of_the_state_however_a_run_ends(self, fold):
+        # a run that halts, one that hits its step limit and one whose layer
+        # raises all leave the reused context holding none of their lists
+        from pramtraj.machine import _CONTEXT
+
+        def step(ctx):
+            if ctx.clock == 1:
+                ctx.own(1, float)
+            return {0: 1.0}, ((0, ctx.pid),)
+
+        initial = MachineState(((0.0, UNDEF),) * 2, (UNDEF,), 0)
+        graph = _edgeless_graph(2)
+        runs = [
+            (lambda s: s.clock >= 1, 1, None),
+            (lambda s: False, 1, StepLimitExceeded),
+            (lambda s: s.clock >= 3, 3, UndefinedValueError),
+        ]
+        for halt, max_steps, raised in runs:
+            program = _program(initial, step, graph, halt, max_steps)
+            if raised is None:
+                assert run_machine(program, fold)[1].depth == 1
+            else:
+                with pytest.raises(raised):
+                    run_machine(program, fold)
+            assert _CONTEXT._local == () and _CONTEXT._shared == ()
 
     def test_clock_advances_by_one(self):
         graph = _edgeless_graph(1)
         _, trace = run_machine(
             _program(MachineState(((0.0,),), (), 0), lambda ctx: HOLD, graph, lambda s: s.clock >= 3, 3)
         )
-        assert [s.clock for s in trace.states] == [0, 1, 2, 3]
+        assert [s.clock for s in trace_states(trace)] == [0, 1, 2, 3]
 
 
 class TestActiveEdgeSoundness:
@@ -590,7 +624,7 @@ def test_every_algorithm_recomputes_bit_exactly():
         out_a, trace_a = run(algo, inst)
         out_b, trace_b = run(algo, inst)
         assert out_a == out_b
-        assert trace_a.states == trace_b.states
+        assert trace_a.deltas == trace_b.deltas and trace_a.final == trace_b.final
         assert trace_a.activity == trace_b.activity
 
 

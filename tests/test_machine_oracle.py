@@ -19,10 +19,12 @@ from pramtraj.machine import (
     fold_trace,
     interconnection,
     layer_counter,
+    replay,
     step_machine,
 )
 
 from machine_oracle import oracle_step
+from machine_support import step_once
 from test_programs import instances
 
 
@@ -48,14 +50,15 @@ def oracle_run(program):
 def oracle_checked(program):
     """``fold_counts`` of a run, whose live state must count what the
     oracle-stepped run records and end in its final cells; the run folded
-    into a trace must step as the oracle does, layer by layer, into states
-    that stay immutable."""
+    into a trace, replayed, must step as the oracle does, layer by layer,
+    and its initial and final states stay immutable."""
     states, records = oracle_run(program)
     trace = fold_trace(program)
     assert len(trace.activity) == len(records)
-    for t, record in enumerate(records, 1):
-        assert_same_layer((trace.states[t], trace.activity[t - 1]), (states[t], record))
-    hash(trace.states)
+    for t, (state, _, record) in enumerate(replay(trace), 1):
+        assert_same_layer((state.snapshot(), record), (states[t], records[t - 1]))
+    assert repr(trace.final) == repr(states[-1])
+    hash((trace.initial, trace.final))
     m, count = layer_counter(program.graph, program.instance_edges)
     edges = [count(record.active_edges) for record in records]
     expected = RunCounts(
@@ -148,12 +151,11 @@ def test_toy_layers(layer):
     state, graph, plans, candidates = layer
     step = plan_step(plans)
     expected = oracle_step(state, step, graph, candidates)
-    assert_same_layer(step_machine(state, step, graph, candidates), expected)
-    # a live state takes the same layer in place
+    assert_same_layer(step_once(state, step, graph, candidates), expected)
+    # a layer reads a live state as it reads a snapshot, and writes neither
     live = LiveState(state)
-    after, record = step_machine(live, step, graph, candidates)
-    assert after is live
-    assert_same_layer((MachineState(tuple(map(tuple, live.local)), tuple(live.shared), live.clock), record), expected)
+    assert step_machine(live, step, graph, candidates) == step_machine(state, step, graph, candidates)
+    assert repr(live.snapshot()) == repr(state)
 
 
 def _raised(stepper, *args):

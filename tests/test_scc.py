@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from pramtraj.algorithms.scc import DCSC, DONE, KOSARAJU, PIVOT_ADDR, PTR, Digraph, dcsc, dcsc_program, gen_digraph, kosaraju
 from pramtraj.harness import sample_seed
-from pramtraj.machine import UNDEF, CellTypeError, MachineState
+from pramtraj.machine import UNDEF, CellTypeError, MachineState, replay
 
+from machine_support import trace_states
 from scc_oracle import dcsc_candidates_scan, pointers_to_partition, tarjan_scc
 
 
@@ -77,9 +78,10 @@ class TestDcsc:
     def test_pivot_is_minimal_undiscovered(self):
         g = gen_digraph(10, 3, 77)
         _, trace = dcsc(g)
+        states = trace_states(trace)
         for rec in trace.activity:
-            before = trace.states[rec.step - 1]
-            after = trace.states[rec.step]
+            before = states[rec.step - 1]
+            after = states[rec.step]
             fresh_pivot = (
                 len(rec.active_nodes) == 1
                 and after.shared[PIVOT_ADDR] != before.shared[PIVOT_ADDR]
@@ -127,7 +129,7 @@ class TestDcscSchedule:
         for g in _schedule_graphs():
             candidates = dcsc_program(g).candidates
             _, trace = dcsc(g)
-            for state in trace.states:
+            for state in trace_states(trace):
                 assert list(candidates(state)) == dcsc_candidates_scan(g, state)
                 checked += 1
         assert checked > 300
@@ -208,21 +210,27 @@ class TestKosaraju:
 def test_a_frame_pointer_that_is_not_an_index_raises():
     # the decoders test the pointers' types at once and leave the error to as_index
     g = Digraph(3, frozenset({(0, 1), (1, 0), (1, 2)}))
-    # (a changed cell is decoded afresh also where the frame before is given)
+    # (a written cell is decoded afresh also where the frame before is given)
     _, trace = dcsc(g)
-    before, after = trace.states[1:3]
-    rows = list(after.local)
-    rows[1] = rows[1][:PTR] + (True,) + rows[1][PTR + 1 :]
-    for prev in (None, DCSC.frame(g, trace.states[0], before, None)):
+    layers = replay(trace)
+    state, delta, _ = next(layers)
+    first = DCSC.frame(g, state, delta, None)
+    state, (updates, written), _ = next(layers)
+    state.local[1][PTR] = True
+    for prev in (None, first):
         with pytest.raises(CellTypeError, match="cell True is not a index"):
-            DCSC.frame(g, before, after._replace(local=tuple(rows)), prev)
+            DCSC.frame(g, state, (updates + [(1, {PTR: True})], written), prev)
     _, trace = kosaraju(g)
-    before, after = trace.states[-2:]
-    shared = list(after.shared)
-    shared[3 * g.n + 2] = 1.0  # node 2's cell of the component block
-    for prev in (None, KOSARAJU.frame(g, trace.states[-3], before, None)):
+    prev = None
+    for t, (state, delta, _) in enumerate(replay(trace), 1):
+        if t == trace.depth:
+            break
+        prev = KOSARAJU.frame(g, state, delta, prev)
+    comp = 3 * g.n + 2  # node 2's cell of the component block
+    state.shared[comp] = 1.0
+    for prev in (None, prev):
         with pytest.raises(CellTypeError, match="cell 1.0 is not a index"):
-            KOSARAJU.frame(g, before, after._replace(shared=tuple(shared)), prev)
+            KOSARAJU.frame(g, state, (delta[0], {**delta[1], comp: 1.0}), prev)
 
 
 def test_pairs_agree_on_partitions():

@@ -44,10 +44,12 @@ def test_reproduce_classes_fits_every_algorithm(tmp_path):
     assert [line.split()[0] for line in fitted] == list(ALGORITHMS)
 
 
-def test_traffic_coverage_enters_every_function_but_four():
-    # a function that only the tests call would be one more; besides the four,
-    # SharedRow's write guard and copy and pickle hooks, since no command
-    # edits, copies or pickles a shared mask row
+def test_traffic_coverage_enters_every_function_but_seven():
+    # a function that only the tests call would be one more: the seven are
+    # the console entry point, the cell error and UNDEF's repr and truth
+    # value, which no valid run reaches, and SharedRow's write guard and copy
+    # and pickle hooks, since no command edits, copies or pickles a shared
+    # mask row
     done = run_script("traffic_coverage.py")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()

@@ -10,6 +10,7 @@ from pramtraj.algorithms.sorting import (
     oets_sort,
 )
 
+from machine_support import trace_states
 from sort_oracle import chain_order
 
 
@@ -20,7 +21,7 @@ def stable_order(items):
 
 
 def table_at(trace, t, n):
-    return list(trace.states[t].shared[:n])
+    return list(trace_states(trace)[t].shared[:n])
 
 
 def values_in_order(inst, table):
@@ -62,10 +63,11 @@ class TestOets:
     def test_round_pairing_parity(self):
         inst = SortInstance(items=(5.0, 4.0, 3.0, 2.0, 1.0))
         _, trace = oets_sort(inst)
+        states = trace_states(trace)
         for rec in trace.activity:
             phase = (rec.step - 1) % 2
             pairs = {tuple(sorted(e)) for e in rec.active_edges}
-            table = trace.states[rec.step - 1].shared[:5]
+            table = states[rec.step - 1].shared[:5]
             pos = {node: k for k, node in enumerate(table)}
             for u, v in pairs:
                 k = min(pos[u], pos[v])
@@ -98,16 +100,17 @@ class TestBubble:
     def test_single_pair(self):
         pred, trace = bubble_sort(SortInstance(items=(2.0, 1.0)))
         assert trace.depth == 1
-        assert trace.states[-1].shared[:2] == (1, 0)
+        assert trace.final.shared[:2] == (1, 0)
         assert chain_order(pred) == [1, 0]
 
     def test_activity_is_exactly_the_compared_pair(self):
         inst = gen_permutation(8, 41)
         _, trace = bubble_sort(inst)
         slots = bubble_schedule(8)[1]
+        states = trace_states(trace)
         for rec in trace.activity:
             j = slots[rec.step - 1]
-            table = trace.states[rec.step - 1].shared
+            table = states[rec.step - 1].shared
             assert rec.active_nodes == {table[j], table[j + 1]}
             assert len(rec.active_edges) <= 4
 
@@ -144,7 +147,7 @@ class TestPairAgreement:
         canon = list(range(7))
         for sort_fn in (oets_sort, bubble_sort):
             _, trace = sort_fn(inst)
-            for state in trace.states:
+            for state in trace_states(trace):
                 assert sorted(state.shared[:7]) == canon
 
 
@@ -183,13 +186,14 @@ def test_oets_round_reads_are_sound():
 
 def test_bubble_states_share_the_item_rows():
     # a bubble node keeps only its item, and a swap writes only the position
-    # table: every state of a run holds the initial local tuple itself
+    # table: no layer of a run updates a local cell
     inst = gen_permutation(9, 5)
     _, trace = bubble_sort(inst)
-    rows = trace.states[0].local
+    rows = trace.initial.local
     assert rows == tuple((item,) for item in inst.items)
     assert trace.depth == 36
-    assert all(state.local is rows for state in trace.states)
+    assert [updates for updates, _ in trace.deltas] == [[]] * 36
+    assert trace.final.local == rows
 
 
 def test_bubble_layer_reads_are_sound():

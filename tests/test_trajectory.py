@@ -15,6 +15,7 @@ from pramtraj.algorithms.sorting import SortInstance, mask_rows, oets_sort, zero
 from pramtraj.algorithms.scc import Digraph, dcsc
 from pramtraj.canonical import _encode_ints
 from pramtraj.harness import generate_instance, sample_seed
+from pramtraj.machine import replay
 from pramtraj.trajectory import (
     _hint_pieces,
     DatasetFormatError,
@@ -743,12 +744,11 @@ class TestSharedFrames:
         for inst in instances(algo, range(1, 9), range(4)):
             n = inst.n
             _, trace = run(algo, inst)
-            states = trace.states
             frames, prev = [], None
-            for before, after in zip(states, states[1:]):
-                prev = spec.frame(inst, before, after, prev)
+            for state, delta, _ in replay(trace):
+                prev = spec.frame(inst, state, delta, prev)
                 # by text, which tells True, 1 and 1.0 apart
-                assert _encode_ints(prev) == _encode_ints(spec.frame(inst, before, after, None)), (inst, len(frames))
+                assert _encode_ints(prev) == _encode_ints(spec.frame(inst, state, delta, None)), (inst, len(frames))
                 frames.append(prev)
             inputs = spec.inputs(inst, [(k + 0.5) / n for k in range(n)])
             replayed, _ = drain(spec.reference(inputs, n))
